@@ -24,7 +24,8 @@ def hunt(scenario_name, check_kind, evidence_key, seeds=(0, 1, 2, 3)):
         return
     print(f"    first violating cell: world={cell.world} action={cell.action} seed={cell.seed}")
 
-    # independent replay of the cell
+    # independent replay of the cell from its coordinates alone:
+    # world, action and seed
     family = check.family or scenario.action_family
     verifier = check.verifier or scenario.verifier
     target = check.target or scenario.target

@@ -8,14 +8,7 @@ exact-shape evidence, and the two ways recovery falls apart (a deniable
 device, and a respondent who may have nothing to enter).
 """
 
-from foregone import (
-    check_demonstrability,
-    check_entailment,
-    execute,
-    run_target,
-    snapshot,
-    with_seed,
-)
+from foregone import check_demonstrability, check_entailment, execute, run_target
 from foregone.scenarios import build_scenario
 from foregone.scenarios.base import run_check
 from foregone.values import render_value
@@ -34,14 +27,13 @@ def main():
     world = evidence.world("locked-basic")
 
     banner("1. One execution: enter the password, then check the display")
-    staged = with_seed(world, seed=0)
-    result = execute(scenario.verifier, scenario.exemplar, snapshot(staged))
+    result = execute(scenario.verifier, scenario.exemplar, world, seed=0)
     for event in result.transcript.events:
         print("   ", event.render())
     print("    verdict:", result.transcript.verdict.value)
 
     banner("2. The target act and its recovery")
-    print("    target output:", render_value(run_target(scenario.target, snapshot(staged))))
+    print("    target output:", render_value(run_target(scenario.target, world, seed=0)))
     print("    (the examiner recovers it by reading the device afterwards)")
 
     banner("3. Demonstrability across every consistent world")

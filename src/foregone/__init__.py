@@ -30,8 +30,6 @@ from .kernel import (
     read_only_store,
     run_post,
     run_target,
-    snapshot,
-    with_seed,
     with_zero_tape,
 )
 from .refinement import ProbeSpec, bounded_equivalent, bounded_implements
@@ -59,7 +57,6 @@ from .checkers import (
     check_monotonicity,
     probe_random_target,
     probe_unknown_goal,
-    search_entailment_counterexample,
 )
 
 __version__ = "0.1.0"
@@ -92,8 +89,6 @@ __all__ = [
     "read_only_store",
     "run_post",
     "run_target",
-    "snapshot",
-    "with_seed",
     "with_zero_tape",
     "ProbeSpec",
     "bounded_equivalent",
@@ -118,5 +113,4 @@ __all__ = [
     "check_monotonicity",
     "probe_random_target",
     "probe_unknown_goal",
-    "search_entailment_counterexample",
 ]

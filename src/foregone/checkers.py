@@ -43,8 +43,6 @@ from .kernel import (
     execute,
     run_post,
     run_target,
-    snapshot,
-    with_seed,
     with_zero_tape,
 )
 from .values import ABSENT, NO_SUCH_METHOD, render_value, same_value
@@ -86,7 +84,7 @@ class CheckReport:
     verdict: CheckVerdict
     counterexample: Optional[Counterexample] = None
     cells_checked: int = 0
-    budget_used: int = 0
+    max_steps: int = 0
     skipped: tuple[tuple[str, str], ...] = ()
     witnesses: tuple[Counterexample, ...] = ()
     notes: tuple[str, ...] = ()
@@ -145,11 +143,21 @@ def check_conformity(
 
     Budget exhaustion is non-accepting, hence non-conforming.
     """
+    return _conforming_runs(verifier, action, world, seeds, budget) is not None
+
+
+def _conforming_runs(
+    verifier: Machine, action: Machine, world: World, seeds: tuple[int, ...], budget: int
+) -> Optional[list[ExecutionResult]]:
+    """The execution under every seed, in order, or None at the first one
+    not accepted; checks that go on to compare outputs reuse these runs."""
+    runs = []
     for seed in seeds:
-        result = execute(verifier, action, with_seed(world, seed), budget)
+        result = execute(verifier, action, world, seed, budget)
         if result.transcript.verdict is not Verdict.ACCEPT:
-            return False
-    return True
+            return None
+        runs.append(result)
+    return runs
 
 
 def _respondent_silence(result: ExecutionResult, world: World, exemplar_id: str):
@@ -177,7 +185,7 @@ def check_demonstrability(
     for label, world in evidence.worlds:
         for seed in seeds:
             cells += 1
-            result = execute(verifier, exemplar, with_seed(world, seed), budget)
+            result = execute(verifier, exemplar, world, seed, budget)
             max_steps = max(max_steps, result.steps_used)
             silence = _respondent_silence(result, world, exemplar.id)
             if silence is not None:
@@ -191,7 +199,7 @@ def check_demonstrability(
                         got=f"{silence.method} -> {render_value(silence.output)}",
                     ),
                     cells_checked=cells,
-                    budget_used=max_steps,
+                    max_steps=max_steps,
                 )
             if result.transcript.verdict is not Verdict.ACCEPT:
                 return CheckReport(
@@ -204,10 +212,10 @@ def check_demonstrability(
                         got=result.transcript.verdict.value,
                     ),
                     cells_checked=cells,
-                    budget_used=max_steps,
+                    max_steps=max_steps,
                 )
     return CheckReport(
-        verdict=CheckVerdict.HOLDS, cells_checked=cells, budget_used=max_steps
+        verdict=CheckVerdict.HOLDS, cells_checked=cells, max_steps=max_steps
     )
 
 
@@ -227,11 +235,9 @@ def entailment_cell_outputs(
 ) -> tuple[Any, Any, int]:
     """(target output, post output, steps) for one cell, both branches
     under the identical tape assignment derived from ``seed``."""
-    pre = with_seed(world, seed)
-    run_world = snapshot(pre)
-    result = execute(verifier, action, run_world, budget)
-    got = run_post(post, result.post_world, result.transcript, budget)
-    expected = run_target(target, snapshot(pre), budget)
+    result = execute(verifier, action, world, seed, budget)
+    got = run_post(post, result, budget)
+    expected = run_target(target, world, seed, budget)
     return expected, got, result.steps_used
 
 
@@ -253,21 +259,27 @@ def check_entailment(
     A post-processor that exhausts its budget fails the cell (an
     unbounded post-processor could skip the respondent entirely and
     brute-force the goal).
+
+    Each (world, action, seed) executes once: the conformity decision
+    and the comparison read the same execution.  The target's branch
+    depends only on (world, seed), so it runs once per world and seed.
     """
     cells = 0
     max_steps = 0
     skipped: list[tuple[str, str]] = []
     for world_label, world in evidence.worlds:
+        targets: dict[int, Any] = {}
         for action_label, action in family.actions:
-            if not check_conformity(verifier, action, world, seeds, budget):
+            runs = _conforming_runs(verifier, action, world, seeds, budget)
+            if runs is None:
                 skipped.append((world_label, action_label))
                 continue
-            for seed in seeds:
+            for seed, result in zip(seeds, runs):
                 cells += 1
                 try:
-                    expected, got, steps = entailment_cell_outputs(
-                        verifier, target, post, world, action, seed, budget
-                    )
+                    got = run_post(post, result, budget)
+                    if seed not in targets:
+                        targets[seed] = run_target(target, world, seed, budget)
                 except BudgetExceededError:
                     return CheckReport(
                         verdict=CheckVerdict.FAILS,
@@ -279,10 +291,11 @@ def check_entailment(
                             got="budget-exceeded",
                         ),
                         cells_checked=cells,
-                        budget_used=max_steps,
+                        max_steps=max_steps,
                         skipped=tuple(skipped),
                     )
-                max_steps = max(max_steps, steps)
+                expected = targets[seed]
+                max_steps = max(max_steps, result.steps_used)
                 if not same_value(got, expected):
                     return CheckReport(
                         verdict=CheckVerdict.FAILS,
@@ -294,29 +307,15 @@ def check_entailment(
                             got=render_value(got),
                         ),
                         cells_checked=cells,
-                        budget_used=max_steps,
+                        max_steps=max_steps,
                         skipped=tuple(skipped),
                     )
     return CheckReport(
         verdict=CheckVerdict.HOLDS,
         cells_checked=cells,
-        budget_used=max_steps,
+        max_steps=max_steps,
         skipped=tuple(skipped),
     )
-
-
-def search_entailment_counterexample(
-    verifier: Machine,
-    target: Machine,
-    post: Machine,
-    evidence: Evidence,
-    family: ActionFamily,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    budget: int = DEFAULT_BUDGET,
-) -> Optional[Counterexample]:
-    """First violating cell in declared order, or None."""
-    report = check_entailment(verifier, target, post, evidence, family, seeds, budget)
-    return report.counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +340,20 @@ def check_monotonicity(
     weak_report = check_demonstrability(verifier, exemplar, weaker, seeds, budget)
     strong_report = check_demonstrability(verifier, exemplar, stronger, seeds, budget)
     cells = weak_report.cells_checked + strong_report.cells_checked
-    max_steps = max(weak_report.budget_used, strong_report.budget_used)
+    max_steps = max(weak_report.max_steps, strong_report.max_steps)
     if weak_report.holds and not strong_report.holds:
         return CheckReport(
             verdict=CheckVerdict.FAILS,
             counterexample=strong_report.counterexample,
             cells_checked=cells,
-            budget_used=max_steps,
+            max_steps=max_steps,
             notes=(
                 f"demonstrability degraded from {weaker.name!r} "
                 f"to {stronger.name!r}",
             ),
         )
     return CheckReport(
-        verdict=CheckVerdict.HOLDS, cells_checked=cells, budget_used=max_steps
+        verdict=CheckVerdict.HOLDS, cells_checked=cells, max_steps=max_steps
     )
 
 
@@ -397,10 +396,12 @@ def probe_unknown_goal(
     if missing:
         raise PreconditionViolatedError(f"worlds without languages: {missing}")
 
-    common = None
-    for label in evidence.labels():
-        lang = languages[label]
-        common = lang if common is None else common & lang
+    first_label, *other_labels = evidence.labels()
+    common = [
+        value
+        for value in languages[first_label]
+        if all(_language_holds(languages[label], value) for label in other_labels)
+    ]
     if common:
         raise HypothesisViolatedError(
             f"languages share {sorted(render_value(v) for v in common)}; "
@@ -416,8 +417,10 @@ def probe_unknown_goal(
     notes: list[str] = []
     witnesses: list[Counterexample] = []
 
+    first_runs: dict[str, ExecutionResult] = {}
     for label, world in evidence.worlds:
-        if not check_conformity(verifier, stand_in, world, seeds, budget):
+        runs = _conforming_runs(verifier, stand_in, world, seeds, budget)
+        if runs is None:
             return CheckReport(
                 verdict=CheckVerdict.FAILS,
                 cells_checked=cells,
@@ -426,22 +429,21 @@ def probe_unknown_goal(
                     "the probe's construction requires a demonstrable verifier",
                 ),
             )
+        first_runs[label] = runs[0]
 
+    targets: dict[str, Any] = {}
     for post_label, post in candidate_posts:
         outputs: dict[str, Any] = {}
-        for label, world in evidence.worlds:
-            seed = seeds[0]
+        for label, result in first_runs.items():
             cells += 1
-            pre = with_seed(world, seed)
-            result = execute(verifier, stand_in, snapshot(pre), budget)
             max_steps = max(max_steps, result.steps_used)
-            outputs[label] = run_post(post, result.post_world, result.transcript, budget)
-        first = outputs[evidence.labels()[0]]
+            outputs[label] = run_post(post, result, budget)
+        first = outputs[first_label]
         if not all(same_value(first, v) for v in outputs.values()):
             return CheckReport(
                 verdict=CheckVerdict.FAILS,
                 cells_checked=cells,
-                budget_used=max_steps,
+                max_steps=max_steps,
                 notes=(
                     f"candidate {post_label!r}: output depends on the "
                     "respondent even though the stand-in never consults it",
@@ -450,12 +452,14 @@ def probe_unknown_goal(
         defeated = None
         for label, world in evidence.worlds:
             if not _language_holds(languages[label], first):
-                target_output = run_target(target, with_seed(world, seeds[0]), budget)
+                if label not in targets:
+                    targets[label] = run_target(target, world, seeds[0], budget)
+                target_output = targets[label]
                 if not _language_holds(languages[label], target_output):
                     return CheckReport(
                         verdict=CheckVerdict.FAILS,
                         cells_checked=cells,
-                        budget_used=max_steps,
+                        max_steps=max_steps,
                         notes=(
                             f"world {label!r}: target output "
                             f"{render_value(target_output)} escapes its own "
@@ -474,7 +478,7 @@ def probe_unknown_goal(
             return CheckReport(
                 verdict=CheckVerdict.FAILS,
                 cells_checked=cells,
-                budget_used=max_steps,
+                max_steps=max_steps,
                 notes=(
                     f"candidate {post_label!r} survives: its output "
                     f"{render_value(first)} lies in every world's language",
@@ -488,7 +492,7 @@ def probe_unknown_goal(
     return CheckReport(
         verdict=CheckVerdict.HOLDS,
         cells_checked=cells,
-        budget_used=max_steps,
+        max_steps=max_steps,
         witnesses=tuple(witnesses),
         notes=tuple(notes)
         + ("constructive witness over the declared candidates, not a universal proof",),
@@ -513,24 +517,22 @@ def probe_random_target(
     then cannot track the target's coin-driven variation, so some tape
     setting disagrees.  Holds when every candidate is defeated.
     """
-    support_world = None
     for label, world in evidence.worlds:
-        outputs = [run_target(target, with_seed(world, s), budget) for s in seeds]
+        targets = [run_target(target, world, s, budget) for s in seeds]
         distinct: list[Any] = []
-        for value in outputs:
+        for value in targets:
             if not any(same_value(value, seen) for seen in distinct):
                 distinct.append(value)
         if len(distinct) >= 2:
-            support_world = (label, world)
             break
-    if support_world is None:
+    else:
         raise HypothesisViolatedError(
             "no probed world shows a target output support of size >= 2"
         )
-    label, world = support_world
 
     pinned_action = with_zero_tape(family.exemplar())
-    if not check_conformity(verifier, pinned_action, world, seeds, budget):
+    runs = _conforming_runs(verifier, pinned_action, world, seeds, budget)
+    if runs is None:
         return CheckReport(
             verdict=CheckVerdict.FAILS,
             notes=(
@@ -546,13 +548,10 @@ def probe_random_target(
     for post_label, post in candidate_posts:
         pinned_post = with_zero_tape(post)
         defeated = None
-        for seed in seeds:
+        for seed, result, expected in zip(seeds, runs, targets):
             cells += 1
-            pre = with_seed(world, seed)
-            result = execute(verifier, pinned_action, snapshot(pre), budget)
             max_steps = max(max_steps, result.steps_used)
-            got = run_post(pinned_post, result.post_world, result.transcript, budget)
-            expected = run_target(target, snapshot(pre), budget)
+            got = run_post(pinned_post, result, budget)
             if not same_value(got, expected):
                 defeated = Counterexample(
                     world=label,
@@ -566,7 +565,7 @@ def probe_random_target(
             return CheckReport(
                 verdict=CheckVerdict.FAILS,
                 cells_checked=cells,
-                budget_used=max_steps,
+                max_steps=max_steps,
                 notes=tuple(notes)
                 + (f"candidate {post_label!r} matched every tape setting",),
             )
@@ -578,7 +577,7 @@ def probe_random_target(
     return CheckReport(
         verdict=CheckVerdict.HOLDS,
         cells_checked=cells,
-        budget_used=max_steps,
+        max_steps=max_steps,
         witnesses=tuple(witnesses),
         notes=tuple(notes)
         + ("constructive witness over the declared candidates, not a universal proof",),

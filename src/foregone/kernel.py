@@ -8,9 +8,9 @@ The moving parts:
     machines through the capability handles on ``ctx``.
   * ``Nature``   -- the outside world: a location-indexed collection of
     machines, some of which are read-only stores.
-  * ``World``    -- a snapshot pairing nature with a respondent machine
-    and a randomness assignment.  Worlds deep-copy cleanly; a snapshot
-    shares no mutable state with the original.
+  * ``World``    -- pure content: nature and a respondent machine.  The
+    tape seed is not part of a world but a coordinate of every cell
+    (world x action x seed), passed to each entry point.
   * ``execute`` -- the two-phase run of a verifier against an action.
     Phase one runs the action to completion with oracle access to nature
     and the respondent, buffering everything it sends toward the
@@ -18,15 +18,19 @@ The moving parts:
     messages in order and queries nature.  The verifier's final output
     fixes the verdict.
 
+``execute`` and ``run_target`` start from fresh tapes for the seed;
+``run_post`` continues the world and tapes from where an execution left
+them.  None of the three mutates its input: each runs on its own fork.
+
 Access rules are enforced by construction: the respondent is reachable
 only from the action phase.  A verifier that tries to reach the
 respondent sees a no-such-method outcome, and the attempt is recorded
 in the transcript.
 
-Everything is deterministic given (world, machines, budget, seed): two
-runs over snapshots of the same world produce bitwise identical
-transcripts and post-worlds.  Method code must keep its mutable data in
-``ctx.state`` (never in captured closures) for that guarantee to hold.
+Everything is deterministic given (world, machines, seed, budget): two
+runs of the same cell produce bitwise identical transcripts and
+post-worlds.  Method code must keep its mutable data in ``ctx.state``
+(never in captured closures) for that guarantee to hold.
 
 The step budget charges method invocations, messages, and tape reads.
 A method body that loops forever while touching none of those is
@@ -45,7 +49,7 @@ from enum import Enum
 from typing import Any, Callable, Optional
 
 from .tapes import RandomnessAssignment, ZeroTape
-from .values import ABSENT, NO_SUCH_METHOD, Location, is_value, render_value
+from .values import ABSENT, NO_SUCH_METHOD, Location, is_value, render_value, same_value
 
 DEFAULT_BUDGET = 100_000
 
@@ -142,33 +146,42 @@ class Nature:
 
 @dataclass
 class World:
-    """Nature, a respondent, and one randomness assignment."""
+    """Nature and a respondent; the tape seed is not part of a world."""
 
     nature: Nature
     respondent: Machine
-    assignment: RandomnessAssignment
 
 
-def snapshot(world: World) -> World:
-    """Deep copy sharing no mutable state; tape cursors are preserved."""
-    return copy.deepcopy(world)
+def _fork(content):
+    """Deep copy sharing no mutable state with ``content``."""
+    return copy.deepcopy(content)
 
 
-def with_seed(world: World, seed: int) -> World:
-    """Snapshot of ``world`` under a fresh assignment for ``seed``."""
-    fresh = snapshot(world)
-    fresh.assignment = RandomnessAssignment(seed)
-    return fresh
+def _same_machine(a: Optional[Machine], b: Optional[Machine]) -> bool:
+    if a is None or b is None:
+        return a is b
+    return (
+        (a.id, a.methods, a.force_zero_tape, a.state.keys())
+        == (b.id, b.methods, b.force_zero_tape, b.state.keys())
+        and all(same_value(v, b.state[k]) for k, v in a.state.items())
+        and _same_machine(a.emulated_respondent, b.emulated_respondent)
+    )
 
 
 def same_world_content(a: World, b: World) -> bool:
-    """Structural identity of (nature, respondent); tapes are ignored.
+    """Structural identity of (nature, respondent), with every state
+    value compared by ``same_value``.
 
     This is the membership notion for evidence families: what the
     government asserts is the shape of nature and of the respondent's
     mind, not a coin sequence.
     """
-    return a.nature == b.nature and a.respondent == b.respondent
+    return (
+        a.nature.read_only == b.nature.read_only
+        and a.nature.slots.keys() == b.nature.slots.keys()
+        and all(_same_machine(m, b.nature.slots[i]) for i, m in a.nature.slots.items())
+        and _same_machine(a.respondent, b.respondent)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +229,11 @@ class Transcript:
 
 @dataclass
 class ExecutionResult:
+    """A transcript plus the world and tapes as the execution left them."""
+
     transcript: Transcript
     post_world: World
+    post_assignment: RandomnessAssignment
     steps_used: int
 
 
@@ -309,7 +325,7 @@ class MethodContext:
         if self._machine.force_zero_tape:
             return _ChargingTape(self._engine, ZeroTape())
         return _ChargingTape(
-            self._engine, self._engine.world.assignment.tape_for(self._machine.id)
+            self._engine, self._engine.assignment.tape_for(self._machine.id)
         )
 
     def _require(self, capability: str) -> None:
@@ -364,8 +380,9 @@ class MethodContext:
 
 
 class _Engine:
-    def __init__(self, world: World, budget: int):
+    def __init__(self, world: World, assignment: RandomnessAssignment, budget: int):
         self.world = world
+        self.assignment = assignment
         self.budget = budget
         self.steps = 0
         self.transcript = Transcript()
@@ -432,14 +449,14 @@ def execute(
     verifier: Machine,
     action: Machine,
     world: World,
+    seed: int,
     budget: int = DEFAULT_BUDGET,
 ) -> ExecutionResult:
-    """Two-phase run of ``verifier`` against ``action`` in ``world``.
+    """Two-phase run of ``verifier`` against ``action`` in ``world``
+    under fresh tapes for ``seed``.
 
-    ``world`` is mutated in place and returned as the post-world; pass a
-    snapshot to keep the original.  The verifier and action are driven
-    through their ``run`` methods on private copies, so calling code can
-    reuse the same machine objects across cells.
+    The verifier, action and world are all driven as private copies, so
+    calling code can reuse the same objects across cells.
 
     Verdicts: the verifier's output ``True`` means accept, anything else
     (including ⊥ or no output) rejects.  Exhausting the budget yields
@@ -447,7 +464,7 @@ def execute(
     the acting machine does not survive yields ``Reject`` with the
     attempt recorded.
     """
-    engine = _Engine(world, budget)
+    engine = _Engine(_fork(world), RandomnessAssignment(seed), budget)
     acting = copy.deepcopy(action)
     checking = copy.deepcopy(verifier)
     engine.cast(acting, _ROLE_ACTION)
@@ -471,17 +488,22 @@ def execute(
             verdict = Verdict.BUDGET
 
     engine.transcript.set_verdict(verdict)
-    return ExecutionResult(engine.transcript, world, engine.steps)
+    return ExecutionResult(
+        engine.transcript, engine.world, engine.assignment, engine.steps
+    )
 
 
-def run_target(target: Machine, world: World, budget: int = DEFAULT_BUDGET) -> Any:
+def run_target(
+    target: Machine, world: World, seed: int, budget: int = DEFAULT_BUDGET
+) -> Any:
     """Run a target action to completion and return its output value.
 
     The target has oracle access to nature and the respondent and draws
-    from its own tape under the world's assignment.  A target that
-    produces no output is an error.
+    from its own tape under fresh tapes for ``seed``, the same setting
+    an execution of that seed starts from.  A target that produces no
+    output is an error.
     """
-    engine = _Engine(world, budget)
+    engine = _Engine(_fork(world), RandomnessAssignment(seed), budget)
     acting = copy.deepcopy(target)
     engine.cast(acting, _ROLE_TARGET)
     output = engine.invoke("execution", acting, "run", None)
@@ -491,18 +513,19 @@ def run_target(target: Machine, world: World, budget: int = DEFAULT_BUDGET) -> A
 
 
 def run_post(
-    post: Machine,
-    post_world: World,
-    transcript: Transcript,
-    budget: int = DEFAULT_BUDGET,
+    post: Machine, result: ExecutionResult, budget: int = DEFAULT_BUDGET
 ) -> Any:
-    """Run a post-processor over the post-execution world and transcript.
+    """Run a post-processor after the execution that produced ``result``.
 
     The post-processor sees nature as the interaction left it plus the
-    message log; it has no respondent access.
+    message log, and reads the tapes on from where the execution
+    stopped; it has no respondent access.  ``result`` is left unchanged.
     """
-    engine = _Engine(post_world, budget)
-    engine.transcript.messages_to_verifier.extend(transcript.messages_to_verifier)
+    post_world, assignment = _fork((result.post_world, result.post_assignment))
+    engine = _Engine(post_world, assignment, budget)
+    engine.transcript.messages_to_verifier.extend(
+        result.transcript.messages_to_verifier
+    )
     processing = copy.deepcopy(post)
     engine.cast(processing, _ROLE_POST)
     return engine.invoke("execution", processing, "run", None)
@@ -523,12 +546,8 @@ class DirectInvoker:
         seed: int = 0,
     ):
         if world is None:
-            world = World(
-                nature=Nature(),
-                respondent=Machine(id="bench-respondent"),
-                assignment=RandomnessAssignment(seed),
-            )
-        self._engine = _Engine(world, budget)
+            world = World(nature=Nature(), respondent=Machine(id="bench-respondent"))
+        self._engine = _Engine(world, RandomnessAssignment(seed), budget)
 
     def invoke(self, machine: Machine, method: str, argument: Any = None) -> Any:
         return self._engine.invoke("bench", machine, method, argument)

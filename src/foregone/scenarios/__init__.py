@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
-from ..checkers import DEFAULT_SEEDS
-from ..kernel import DEFAULT_BUDGET
 from .base import (
     CHECK_KINDS,
     FAILS,
@@ -65,6 +63,13 @@ def build_scenario(name: str, params: Optional[Mapping[str, Any]] = None) -> Sce
                 f"scenario {name!r} has no parameters {unknown}; "
                 f"known parameters: {sorted(module.DEFAULTS)}"
             )
+        for param, value in params.items():
+            default = module.DEFAULTS[param]
+            if type(value) is not type(default):
+                raise ScenarioError(
+                    f"parameter {name}.{param} must be of type "
+                    f"{type(default).__name__}, got {type(value).__name__}"
+                )
     return module.build(params)
 
 
@@ -80,32 +85,6 @@ def build_registry(
     }
 
 
-def audit_registry(
-    registry: Mapping[str, Scenario],
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    budget: int = DEFAULT_BUDGET,
-) -> list[dict[str, Any]]:
-    """Run every scenario's every registered check; one row per check,
-    with the re-derived verdict next to the expectation."""
-    rows: list[dict[str, Any]] = []
-    for name, scenario in registry.items():
-        for check in scenario.checks:
-            verdict, report = run_check(scenario, check, seeds, budget)
-            rows.append(
-                {
-                    "scenario": name,
-                    "check": check.kind,
-                    "evidence": check.evidence,
-                    "verdict": verdict,
-                    "expected": check.expected,
-                    "match": verdict == check.expected,
-                    "citation": check.citation,
-                    "report": report,
-                }
-            )
-    return rows
-
-
 __all__ = [
     "BUILDERS",
     "CHECK_KINDS",
@@ -116,7 +95,6 @@ __all__ = [
     "ScenarioCheck",
     "ScenarioError",
     "UnknownParameterError",
-    "audit_registry",
     "build_registry",
     "build_scenario",
     "run_check",

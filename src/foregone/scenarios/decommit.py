@@ -23,7 +23,6 @@ from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence, drop_assertion
 from ..kernel import Machine, Nature, World, read_only_store
 from ..refinement import ProbeSpec
-from ..tapes import RandomnessAssignment
 from ..toy_crypto import SCHEMES, BindingClass, complement, otp
 from ..values import ABSENT
 from .base import FAILS, HOLDS, Scenario, ScenarioCheck
@@ -205,7 +204,6 @@ def _world(scheme_name: str, secret: bytes, opening: bytes) -> World:
             read_only=frozenset({COMMITMENT_LOCATION}),
         ),
         respondent=mind("committer", secret=secret, decom=decommitment),
-        assignment=RandomnessAssignment(0),
     )
 
 

@@ -17,7 +17,6 @@ from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence
 from ..kernel import Machine, Nature, World, read_only_store
 from ..refinement import ProbeSpec
-from ..tapes import RandomnessAssignment
 from ..toy_crypto import HashSpec, make_colliding_hash, make_injective_hash
 from ..values import ABSENT, Location
 from .base import FAILS, HOLDS, Scenario, ScenarioCheck
@@ -99,7 +98,6 @@ def _world(file_location: int, content: bytes) -> World:
             read_only=frozenset({file_location}),
         ),
         respondent=mind("knows-file-location", find_file=Location(file_location)),
-        assignment=RandomnessAssignment(0),
     )
 
 

@@ -16,7 +16,6 @@ from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence, strengthen_to_full_spec
 from ..kernel import Machine, Nature, World
 from ..refinement import ProbeSpec
-from ..tapes import RandomnessAssignment
 from ..values import ABSENT
 from .base import FAILS, HOLDS, Scenario, ScenarioCheck
 from .common import accept_any_verifier, do_nothing_action, mind, read_location_post
@@ -85,7 +84,6 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
         return World(
             nature=Nature(slots={STORE_LOCATION: store}),
             respondent=mind("bystander", name=b"r"),
-            assignment=RandomnessAssignment(0),
         )
 
     weak = Evidence(

@@ -29,7 +29,6 @@ from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence
 from ..kernel import Machine, Nature, World, read_only_store
 from ..refinement import ProbeSpec
-from ..tapes import RandomnessAssignment
 from ..toy_crypto import otp
 from ..values import ABSENT
 from .base import HOLDS, Scenario, ScenarioCheck
@@ -203,7 +202,6 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
                 World(
                     nature=Nature(),
                     respondent=mind("keeper", x=params["secret_a"], k=params["key_a"]),
-                    assignment=RandomnessAssignment(0),
                 ),
             ),
             (
@@ -211,7 +209,6 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
                 World(
                     nature=Nature(),
                     respondent=mind("keeper", x=params["secret_b"], k=params["key_b"]),
-                    assignment=RandomnessAssignment(0),
                 ),
             ),
         ),
@@ -242,7 +239,6 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
                     respondent=mind(
                         "keeper", x=params["known_plain"], k=params["known_key_a"]
                     ),
-                    assignment=RandomnessAssignment(0),
                 ),
             ),
             (
@@ -259,7 +255,6 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
                     respondent=mind(
                         "keeper", x=params["known_plain"], k=params["known_key_b"]
                     ),
-                    assignment=RandomnessAssignment(0),
                 ),
             ),
         ),

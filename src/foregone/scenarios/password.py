@@ -34,7 +34,6 @@ from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence, drop_assertion, strengthen_to_full_spec
 from ..kernel import Machine, Nature, World, emulate_with_respondent
 from ..refinement import ProbeSpec
-from ..tapes import RandomnessAssignment
 from ..values import ABSENT
 from .base import FAILS, HOLDS, Scenario, ScenarioCheck
 from .common import mind, read_location_post, silent_mind
@@ -220,7 +219,6 @@ def _world(device: Machine, respondent: Machine) -> World:
     return World(
         nature=Nature(slots={DEVICE_LOCATION: device}),
         respondent=respondent,
-        assignment=RandomnessAssignment(0),
     )
 
 

@@ -20,7 +20,6 @@ from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence, strengthen_to_full_spec
 from ..kernel import Machine, Nature, World
 from ..refinement import ProbeSpec
-from ..tapes import RandomnessAssignment
 from ..values import ABSENT, Location
 from .base import FAILS, HOLDS, Scenario, ScenarioCheck
 from .common import mind, read_location_post
@@ -213,7 +212,6 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
             respondent=mind(
                 "account-holder", pwd=pwd, find_second=Location(SECOND_LOCATION)
             ),
-            assignment=RandomnessAssignment(0),
         )
 
     weak = Evidence(

@@ -30,7 +30,6 @@ from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence
 from ..kernel import Machine, Nature, World
 from ..refinement import ProbeSpec
-from ..tapes import RandomnessAssignment
 from ..toy_crypto import SCHEMES, byte_domain
 from ..values import ABSENT
 from .base import HOLDS, HYPOTHESIS_VIOLATED, Scenario, ScenarioCheck
@@ -145,7 +144,6 @@ def _single_respondent_world(respondent: Machine) -> World:
     return World(
         nature=Nature(),
         respondent=respondent,
-        assignment=RandomnessAssignment(0),
     )
 
 

@@ -5,12 +5,14 @@ tape.  A tape is a deterministic bit stream derived from
 ``(seed, stream id)`` by hashing, so:
 
   * the same (seed, id) always yields the same stream, and
-  * two branches of a check that share an assignment observe bitwise
+  * two branches of a check built from the same seed observe bitwise
     identical tapes per machine, even though they run different code.
 
-Assignments track how far into each stream a machine has read.  A deep
-copy of an assignment therefore replays every stream from exactly the
-same point, which is what makes snapshot-and-compare checks exact.
+The seed is a coordinate of each cell, not part of a world: the kernel
+builds a fresh ``RandomnessAssignment`` from it for every execution and
+target run.  An assignment tracks how far into each stream a machine
+has read, so a copy of the assignment an execution left behind lets the
+post-processor continue every stream from exactly where it stopped.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ class RandomnessAssignment:
     """One setting of every machine's randomness tape.
 
     ``offsets`` records consumed prefix lengths per stream id and is the
-    only mutable part; copying a world deep-copies it, so the copy and
-    the original advance independently but identically.
+    only mutable part; a copy and the original advance independently
+    but identically.
     """
 
     seed: int

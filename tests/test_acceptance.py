@@ -23,10 +23,9 @@ from foregone.checkers import (
     entailment_cell_outputs,
     probe_random_target,
     probe_unknown_goal,
-    search_entailment_counterexample,
 )
 from foregone.evidence import restrict_to
-from foregone.kernel import execute, run_post, run_target, snapshot, with_seed
+from foregone.kernel import execute, run_post, run_target
 from foregone.scenarios import build_registry, run_check
 from foregone.scenarios.base import FAILS, HOLDS, HYPOTHESIS_VIOLATED
 from foregone.toy_crypto import (
@@ -90,14 +89,14 @@ def test_criterion_03_non_entailment_without_the_knowledge_assertion(registry):
     scenario = registry["password"]
     check = scenario.find_check("counterexample", "star")
     evidence = scenario.evidences["star"]
-    cell = search_entailment_counterexample(
+    cell = check_entailment(
         scenario.verifier,
         scenario.target,
         scenario.post_processor,
         evidence,
         check.family,
         SEEDS,
-    )
+    ).counterexample
     assert cell is not None
     # the violating world is the one whose respondent yields nothing
     world = evidence.world(cell.world)
@@ -255,8 +254,7 @@ def test_criterion_08_hash_dichotomy(registry):
     cell = report.counterexample
     produced = b"q3-report"
     target_file = run_target(
-        scenario.target,
-        with_seed(scenario.evidences["colliding"].world(cell.world), cell.seed),
+        scenario.target, scenario.evidences["colliding"].world(cell.world), cell.seed
     )
     assert produced != target_file
     assert colliding_spec.evaluate(produced) == colliding_spec.evaluate(target_file)
@@ -353,10 +351,10 @@ def test_criterion_11_impossibility_probes(registry):
         scenario.evidences["whereabouts"].worlds[0][1].respondent,
     )
     witness = report.witnesses[0]
-    world = with_seed(scenario.evidences["whereabouts"].world(witness.world), witness.seed)
-    run = execute(scenario.verifier, stand_in, snapshot(world))
-    got = run_post(dict(whereabouts.candidates)[ "echo-first-message"], run.post_world, run.transcript)
-    expected = run_target(whereabouts.target, snapshot(world))
+    world = scenario.evidences["whereabouts"].world(witness.world)
+    run = execute(scenario.verifier, stand_in, world, witness.seed)
+    got = run_post(dict(whereabouts.candidates)["echo-first-message"], run)
+    expected = run_target(whereabouts.target, world, witness.seed)
     assert render_value(got) == witness.got
     assert render_value(expected) == witness.expected
 
@@ -374,8 +372,8 @@ def test_criterion_11_impossibility_probes(registry):
         assert len(report.witnesses) == len(check.candidates)
         # replay the first witness cell
         witness = report.witnesses[0]
-        world = with_seed(scenario.evidences[check_key].world(witness.world), witness.seed)
-        target_out = run_target(check.target, snapshot(world))
+        world = scenario.evidences[check_key].world(witness.world)
+        target_out = run_target(check.target, world, witness.seed)
         assert render_value(target_out) == witness.expected
 
     pinned = scenario.find_check("probe-unknown-goal", "commitment-pinned")

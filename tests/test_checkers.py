@@ -14,10 +14,9 @@ from foregone.checkers import (
     entailment_cell_outputs,
     probe_random_target,
     probe_unknown_goal,
-    search_entailment_counterexample,
 )
 from foregone.evidence import restrict_to
-from foregone.kernel import Machine, execute, run_post, run_target, snapshot, with_seed
+from foregone.kernel import Machine, execute, run_post, run_target
 from foregone.values import render_value, same_value
 from foregone.scenarios.common import (
     accept_any_verifier,
@@ -115,8 +114,8 @@ def test_demonstrability_fails_on_star_with_a_silence_witness(pwd_evidence):
     assert cell.world == "silent-respondent"
     assert "absent" in cell.got
     # replay: the exemplar's respondent call really does yield nothing
-    world = with_seed(pwd_evidence["star"].world(cell.world), cell.seed)
-    result = execute(unlocked_verifier(), exemplar_action(), world)
+    world = pwd_evidence["star"].world(cell.world)
+    result = execute(unlocked_verifier(), exemplar_action(), world, cell.seed)
     respondent_calls = result.transcript.calls_to(world.respondent.id)
     assert respondent_calls and render_value(respondent_calls[0].output) == "absent"
 
@@ -193,35 +192,35 @@ def test_counterexamples_are_replayable(pwd_evidence):
 
 
 def test_counterexample_selection_is_deterministic(pwd_evidence):
-    first = search_entailment_counterexample(
+    first = check_entailment(
         unlocked_verifier(),
         decrypt_target(),
         device_reading_post(),
         pwd_evidence["weak"],
         family_with_duress(),
         SEEDS,
-    )
-    second = search_entailment_counterexample(
+    ).counterexample
+    second = check_entailment(
         unlocked_verifier(),
         decrypt_target(),
         device_reading_post(),
         pwd_evidence["weak"],
         family_with_duress(),
         SEEDS,
-    )
+    ).counterexample
     assert first == second
 
 
 def test_no_counterexample_under_the_exact_shape_evidence(pwd_evidence):
     assert (
-        search_entailment_counterexample(
+        check_entailment(
             unlocked_verifier(),
             decrypt_target(),
             device_reading_post(),
             pwd_evidence["strong"],
             family_with_duress(),
             SEEDS,
-        )
+        ).counterexample
         is None
     )
 
@@ -329,10 +328,10 @@ def test_unknown_goal_probe_defeats_every_candidate(goal_evidence):
     )
     for (label, post) in candidate_posts():
         witness = report.witnesses[[l for l, _ in candidate_posts()].index(label)]
-        world = with_seed(evidence.world(witness.world), witness.seed)
-        run = execute(accept_any_verifier(), stand_in, snapshot(world))
-        got = run_post(post, run.post_world, run.transcript)
-        expected = run_target(location_target(), snapshot(world))
+        world = evidence.world(witness.world)
+        run = execute(accept_any_verifier(), stand_in, world, witness.seed)
+        got = run_post(post, run)
+        expected = run_target(location_target(), world, witness.seed)
         assert render_value(got) == witness.got
         assert render_value(expected) == witness.expected
         assert not same_value(got, expected)
@@ -353,6 +352,26 @@ def test_unknown_goal_probe_gates_on_a_common_element(goal_evidence):
             SEEDS,
             languages=languages,
         )
+
+
+def test_unknown_goal_probe_intersects_languages_type_strictly(goal_evidence):
+    # True and 1 are different values, so these languages share nothing
+    # and the probe gets past its hypothesis gate.
+    languages = {
+        "was-in-boston": frozenset({True}),
+        "was-in-paris": frozenset({1}),
+    }
+    report = probe_unknown_goal(
+        accept_any_verifier(),
+        goal_evidence["whereabouts"],
+        location_target(),
+        candidate_posts(),
+        whereabouts_family(),
+        SEEDS,
+        languages=languages,
+    )
+    assert report.verdict is CheckVerdict.FAILS
+    assert "escapes its own declared language" in report.notes[0]
 
 
 def test_unknown_goal_probe_gates_on_a_single_respondent(goal_evidence):

@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import foregone
 
 from foregone.cli import (
     ConfigError,
@@ -231,6 +237,15 @@ def test_unknown_override_parameter_is_a_config_error(tmp_path, capsys):
     assert "volume" in capsys.readouterr().err
 
 
+def test_override_of_the_wrong_type_is_a_config_error(tmp_path, capsys):
+    overrides = tmp_path / "params.txt"
+    overrides.write_text("password.pwd = 5\n")
+    assert main(["run", "password", "--overrides", str(overrides)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "password.pwd" in err
+    assert "bytes" in err and "int" in err
+
+
 # --- audit -------------------------------------------------------------------------
 
 
@@ -244,6 +259,22 @@ def test_audit_passes_and_is_byte_identical(tmp_path):
     assert payload["mismatches"] == 0
     assert all(v == "pass" for v in payload["toy_sweeps"].values())
     assert payload["evidence_audit"] == ["pass"]
+
+
+def test_audit_bytes_do_not_depend_on_the_hash_seed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(foregone.__file__).resolve().parents[1])
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        env["PYTHONHASHSEED"] = hash_seed
+        done = subprocess.run(
+            [sys.executable, "-m", "foregone.cli", "audit", "--seeds", "0,1", "--json"],
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
 
 
 def test_markdown_report_mentions_the_claim(capsys):

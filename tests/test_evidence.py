@@ -55,6 +55,14 @@ def test_membership_is_structural(evidences):
     assert not is_consistent(evidences["weak"], other)
 
 
+def test_membership_compares_state_values_type_strictly():
+    device = password_device(b"hunter2", b"tax-records")
+    with_true = _world(device, mind("knows", v=True))
+    with_one = _world(device, mind("knows", v=1))
+    assert same_world_content(with_true, _world(device, mind("knows", v=True)))
+    assert not same_world_content(with_true, with_one)
+
+
 def test_deniable_world_is_consistent_with_weak_but_not_strong(evidences):
     deniable = _world(
         deniable_device(b"hunter2", b"d00rbell", b"tax-records"),

@@ -19,10 +19,7 @@ from foregone.kernel import (
     read_only_store,
     run_post,
     run_target,
-    snapshot,
-    with_seed,
 )
-from foregone.tapes import RandomnessAssignment
 from foregone.values import ABSENT, NO_SUCH_METHOD
 from foregone.scenarios.common import accept_any_verifier, do_nothing_action, mind
 from foregone.scenarios.password import (
@@ -35,11 +32,10 @@ from foregone.scenarios.password import (
 from foregone.scenarios.hybrid import plain_store, writable_store
 
 
-def password_world(pwd=b"hunter2", message=b"tax-records", seed=0) -> World:
+def password_world(pwd=b"hunter2", message=b"tax-records") -> World:
     return World(
         nature=Nature(slots={DEVICE_LOCATION: password_device(pwd, message)}),
         respondent=mind("knows-password", pwd=pwd),
-        assignment=RandomnessAssignment(seed),
     )
 
 
@@ -77,22 +73,22 @@ def test_write_method_present_on_the_writable_variant():
 
 
 def test_exemplar_unlock_is_accepted():
-    result = execute(unlocked_verifier(), exemplar_action(), password_world())
+    result = execute(unlocked_verifier(), exemplar_action(), password_world(), 0)
     assert result.transcript.verdict is Verdict.ACCEPT
 
 
 def test_accept_any_verifier_accepts_doing_nothing():
-    result = execute(accept_any_verifier(), do_nothing_action(), password_world())
+    result = execute(accept_any_verifier(), do_nothing_action(), password_world(), 0)
     assert result.transcript.verdict is Verdict.ACCEPT
 
 
 def test_doing_nothing_fails_the_display_check():
-    result = execute(unlocked_verifier(), do_nothing_action(), password_world())
+    result = execute(unlocked_verifier(), do_nothing_action(), password_world(), 0)
     assert result.transcript.verdict is Verdict.REJECT
 
 
 def test_execute_runs_action_before_verifier():
-    result = execute(unlocked_verifier(), exemplar_action(), password_world())
+    result = execute(unlocked_verifier(), exemplar_action(), password_world(), 0)
     callers = [event.caller for event in result.transcript.events]
     first_verifier_event = callers.index("device-displays-message")
     assert all(c != "device-displays-message" for c in callers[:first_verifier_event])
@@ -105,7 +101,7 @@ def test_missing_method_inside_action_rejects_and_records_the_event():
         return ABSENT
 
     action = Machine(id="try-eject", methods={"run": grab})
-    result = execute(unlocked_verifier(), action, password_world())
+    result = execute(unlocked_verifier(), action, password_world(), 0)
     assert result.transcript.verdict is Verdict.REJECT
     attempt = result.transcript.events[0]
     assert attempt.method == "eject"
@@ -119,7 +115,7 @@ def test_verifier_reaching_for_the_respondent_is_refused_and_recorded():
 
     verifier = Machine(id="nosy-check", methods={"run": nosy})
     world = password_world()
-    result = execute(verifier, do_nothing_action(), world)
+    result = execute(verifier, do_nothing_action(), world, 0)
     assert result.transcript.verdict is Verdict.REJECT
     refusals = [
         e
@@ -138,7 +134,7 @@ def test_extra_messages_are_recorded_and_ignored_by_the_verifier():
         return ABSENT
 
     action = Machine(id="chatter", methods={"run": chatter})
-    result = execute(unlocked_verifier(), action, password_world())
+    result = execute(unlocked_verifier(), action, password_world(), 0)
     assert result.transcript.verdict is Verdict.ACCEPT
     assert result.transcript.messages_to_verifier == [b"one", b"two"]
 
@@ -148,38 +144,61 @@ def test_receive_on_an_empty_buffer_yields_absent():
         return ctx.receive() is ABSENT
 
     verifier = Machine(id="mail-check", methods={"run": wants_mail})
-    result = execute(verifier, do_nothing_action(), password_world())
+    result = execute(verifier, do_nothing_action(), password_world(), 0)
     assert result.transcript.verdict is Verdict.ACCEPT
 
 
-# --- snapshots and determinism --------------------------------------------------
+# --- isolation and determinism --------------------------------------------------
 
 
-def test_snapshot_is_isolated_from_the_original():
+def test_entry_points_leave_their_input_world_and_result_unchanged():
     world = password_world()
-    frozen = snapshot(world)
-    invoke_method(world.nature.slots[DEVICE_LOCATION], "prompt", b"hunter2")
-    assert world.nature.slots[DEVICE_LOCATION].state["unlocked"]
-    assert not frozen.nature.slots[DEVICE_LOCATION].state["unlocked"]
+    pristine = copy.deepcopy(world)
+    result = execute(unlocked_verifier(), exemplar_action(), world, 3)
+    assert result.post_world.nature.slots[DEVICE_LOCATION].state["unlocked"]
+    assert run_target(decrypt_target(), world, 3) == b"tax-records"
+    assert world == pristine
+    assert not world.nature.slots[DEVICE_LOCATION].state["unlocked"]
+
+    after_execute = copy.deepcopy(result)
+
+    def relock_and_draw(ctx, _arg):
+        ctx.nature(DEVICE_LOCATION).call("prompt", b"wrong")
+        return ctx.tape.read_bytes(4)
+
+    post = Machine(id="relocker", methods={"run": relock_and_draw})
+    assert run_post(post, result) == run_post(post, result)
+    assert result.post_world == after_execute.post_world
+    assert result.post_assignment == after_execute.post_assignment
+    assert result.post_world.nature.slots[DEVICE_LOCATION].state["unlocked"]
 
 
-def test_snapshot_preserves_the_assignment_bitwise():
-    world = password_world(seed=9)
-    world.assignment.tape_for("someone").read_bytes(3)
-    frozen = snapshot(world)
-    assert frozen.assignment.seed == world.assignment.seed
-    assert frozen.assignment.offsets == world.assignment.offsets
-    assert frozen.assignment.tape_for("someone").read_bytes(
-        16
-    ) == world.assignment.tape_for("someone").read_bytes(16)
+def test_post_processor_reads_the_tape_continuing_where_the_execution_stopped():
+    from foregone.tapes import RandomnessAssignment
+
+    def draw_and_send(ctx, _arg):
+        ctx.send(ctx.tape.read_bytes(3))
+        return ABSENT
+
+    def draw(ctx, _arg):
+        return ctx.tape.read_bytes(16)
+
+    action = Machine(id="drawer", methods={"run": draw_and_send})
+    post = Machine(id="drawer", methods={"run": draw})
+    result = execute(accept_any_verifier(), action, password_world(), 9)
+    assert result.post_assignment.offsets == {"drawer": 3}
+
+    stream = RandomnessAssignment(9).tape_for("drawer").read_bytes(19)
+    assert result.transcript.messages_to_verifier == [stream[:3]]
+    assert run_post(post, result) == stream[3:]
 
 
 def test_replay_determinism_of_execute():
-    # Oracle: run the same (verifier, action, world, seed) twice on
-    # snapshots and compare entire event lists and messages.
-    world = password_world(seed=5)
-    first = execute(unlocked_verifier(), exemplar_action(), snapshot(world))
-    second = execute(unlocked_verifier(), exemplar_action(), snapshot(world))
+    # Oracle: run the same (verifier, action, world, seed) cell twice
+    # and compare entire event lists and messages.
+    world = password_world()
+    first = execute(unlocked_verifier(), exemplar_action(), world, 5)
+    second = execute(unlocked_verifier(), exemplar_action(), world, 5)
     assert first.transcript.events == second.transcript.events
     assert first.transcript.messages_to_verifier == second.transcript.messages_to_verifier
     assert first.transcript.verdict == second.transcript.verdict
@@ -191,17 +210,17 @@ def test_replay_determinism_of_execute():
 def test_replay_determinism_holds_for_arbitrary_seeds(seed):
     from foregone.scenarios.unknown_goal import flip_and_send_action
 
-    world = password_world(seed=seed)
+    world = password_world()
     # the coin announcer draws from its tape, so the tape path is exercised
-    first = execute(accept_any_verifier(), flip_and_send_action(), snapshot(world))
-    second = execute(accept_any_verifier(), flip_and_send_action(), snapshot(world))
+    first = execute(accept_any_verifier(), flip_and_send_action(), world, seed)
+    second = execute(accept_any_verifier(), flip_and_send_action(), world, seed)
     assert first.transcript.events == second.transcript.events
     assert first.transcript.messages_to_verifier == second.transcript.messages_to_verifier
 
 
 def test_post_world_reflects_committed_updates():
     world = password_world()
-    result = execute(unlocked_verifier(), exemplar_action(), world)
+    result = execute(unlocked_verifier(), exemplar_action(), world, 0)
     assert result.post_world.nature.slots[DEVICE_LOCATION].state["unlocked"]
 
 
@@ -209,7 +228,7 @@ def test_post_world_reflects_committed_updates():
 
 
 def test_target_outputs_the_stored_message():
-    assert run_target(decrypt_target(), password_world()) == b"tax-records"
+    assert run_target(decrypt_target(), password_world(), 0) == b"tax-records"
 
 
 def test_target_with_a_silenced_mind_outputs_null():
@@ -217,24 +236,24 @@ def test_target_with_a_silenced_mind_outputs_null():
 
     world = password_world()
     world.respondent = silent_mind("empty-handed", "pwd")
-    assert run_target(decrypt_target(), world) is None
+    assert run_target(decrypt_target(), world, 0) is None
 
 
 def test_target_must_output_something():
     quiet = Machine(id="quiet", methods={"run": lambda ctx, a: ABSENT})
     with pytest.raises(AbsentOutputError):
-        run_target(quiet, password_world())
+        run_target(quiet, password_world(), 0)
 
 
 def test_coin_target_is_fixed_by_the_assignment():
     from foregone.scenarios.unknown_goal import coin_target
 
-    outputs = {run_target(coin_target(), with_seed(password_world(), s)) for s in range(12)}
+    outputs = {run_target(coin_target(), password_world(), s) for s in range(12)}
     assert outputs <= {b"heads", b"tails"}
     assert len(outputs) == 2  # both faces appear over a dozen tapes
     for seed in range(4):
-        a = run_target(coin_target(), with_seed(password_world(), seed))
-        b = run_target(coin_target(), with_seed(password_world(), seed))
+        a = run_target(coin_target(), password_world(), seed)
+        b = run_target(coin_target(), password_world(), seed)
         assert a == b
 
 
@@ -242,10 +261,8 @@ def test_post_processor_sees_post_world_and_messages():
     from foregone.scenarios.password import device_reading_post
 
     world = password_world()
-    result = execute(unlocked_verifier(), exemplar_action(), world)
-    assert run_post(device_reading_post(), result.post_world, result.transcript) == (
-        b"tax-records"
-    )
+    result = execute(unlocked_verifier(), exemplar_action(), world, 0)
+    assert run_post(device_reading_post(), result) == b"tax-records"
 
 
 # --- budget ----------------------------------------------------------------------
@@ -258,24 +275,22 @@ def _spinner(ctx, _arg):
 
 def test_budget_exhaustion_is_a_non_accepting_verdict():
     action = Machine(id="spinner", methods={"run": _spinner})
-    result = execute(unlocked_verifier(), action, password_world(), budget=50)
+    result = execute(unlocked_verifier(), action, password_world(), 0, budget=50)
     assert result.transcript.verdict is Verdict.BUDGET
 
 
 def test_budget_exceeded_propagates_from_run_target():
     target = Machine(id="spinner", methods={"run": _spinner})
     with pytest.raises(BudgetExceededError):
-        run_target(target, password_world(), budget=50)
+        run_target(target, password_world(), 0, budget=50)
 
 
 def test_acceptance_is_budget_monotone_with_identical_transcripts():
     world = password_world()
-    small = execute(unlocked_verifier(), exemplar_action(), snapshot(world), budget=64)
+    small = execute(unlocked_verifier(), exemplar_action(), world, 0, budget=64)
     assert small.transcript.verdict is Verdict.ACCEPT
     for budget in (65, 128, 100_000):
-        larger = execute(
-            unlocked_verifier(), exemplar_action(), snapshot(world), budget=budget
-        )
+        larger = execute(unlocked_verifier(), exemplar_action(), world, 0, budget=budget)
         assert larger.transcript.verdict is Verdict.ACCEPT
         assert larger.transcript.events == small.transcript.events
 
@@ -297,7 +312,6 @@ def test_read_only_location_refuses_other_methods_and_never_mutates():
     world = World(
         nature=Nature(slots={1: store}, read_only=frozenset({1})),
         respondent=mind("bystander", name=b"r"),
-        assignment=RandomnessAssignment(0),
     )
 
     def vandal(ctx, _arg):
@@ -306,6 +320,8 @@ def test_read_only_location_refuses_other_methods_and_never_mutates():
         return ABSENT
 
     before = copy.deepcopy(store.state)
-    result = execute(accept_any_verifier(), Machine(id="vandal", methods={"run": vandal}), world)
+    result = execute(
+        accept_any_verifier(), Machine(id="vandal", methods={"run": vandal}), world, 0
+    )
     assert result.transcript.verdict is Verdict.REJECT
-    assert world.nature.slots[1].state == before
+    assert result.post_world.nature.slots[1].state == before

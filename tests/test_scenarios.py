@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 from foregone.checkers import check_demonstrability, check_monotonicity
+from foregone.cli import _rows_for
 from foregone.evidence import at_least_as_strong, audit as audit_evidence
-from foregone.kernel import Verdict, execute, run_target, with_seed
-from foregone.scenarios import audit_registry, build_scenario, run_check
+from foregone.kernel import DEFAULT_BUDGET, Verdict, execute, run_target
+from foregone.scenarios import build_scenario, run_check
 from foregone.scenarios.base import FAILS, HOLDS, HYPOTHESIS_VIOLATED
 from foregone.toy_crypto import make_colliding_hash
 from foregone.values import same_value
@@ -11,9 +12,17 @@ from foregone.values import same_value
 from conftest import FEW_SEEDS
 
 
+def audit_rows(registry):
+    return [
+        row
+        for scenario in registry.values()
+        for row in _rows_for(scenario, scenario.checks, FEW_SEEDS, DEFAULT_BUDGET)
+    ]
+
+
 def test_every_registered_expectation_is_reproduced(registry):
-    rows = audit_registry(registry, seeds=FEW_SEEDS)
-    mismatches = [r for r in rows if not r["match"]]
+    rows = audit_rows(registry)
+    mismatches = [r for r in rows if r["verdict"] != r["expected"]]
     assert mismatches == []
     assert len(rows) >= 40
 
@@ -85,20 +94,19 @@ def test_no_scenario_verifier_ever_touches_the_respondent(registry):
             exemplar = (check.family or scenario.action_family).exemplar()
             evidence = scenario.evidences[check.evidence]
             for _, world in evidence.worlds:
-                staged = with_seed(world, 0)
                 sealed = {
-                    loc: copy.deepcopy(staged.nature.slots[loc].state)
-                    for loc in staged.nature.read_only
+                    loc: copy.deepcopy(world.nature.slots[loc].state)
+                    for loc in world.nature.read_only
                 }
-                result = execute(verifier, exemplar, staged)
+                result = execute(verifier, exemplar, world, 0)
                 offenders = [
                     e
                     for e in result.transcript.events
-                    if e.caller == verifier.id and e.callee == staged.respondent.id
+                    if e.caller == verifier.id and e.callee == world.respondent.id
                 ]
                 assert offenders == [], (scenario.name, check.id)
                 for loc, before in sealed.items():
-                    assert staged.nature.slots[loc].state == before
+                    assert result.post_world.nature.slots[loc].state == before
 
 
 # --- scenario-specific behavior ---------------------------------------------------
@@ -112,7 +120,8 @@ def test_known_file_verifier_rejects_the_duress_performance(registry):
     result = execute(
         known_file_verifier(b"tax-records"),
         duress_action(b"cat-pictures"),
-        with_seed(world, 0),
+        world,
+        0,
     )
     assert result.transcript.verdict is Verdict.REJECT
 
@@ -140,7 +149,7 @@ def test_twofactor_wrong_code_leaves_the_device_dark(registry):
     scenario = registry["twofactor"]
     world = scenario.evidences["weak"].world("office")
     action = Machine(id="give-up-after-wrong-code", methods={"run": wrong_code_only})
-    result = execute(scenario.verifier, action, with_seed(world, 0))
+    result = execute(scenario.verifier, action, world, 0)
     assert result.transcript.verdict is Verdict.REJECT
 
 
@@ -154,7 +163,7 @@ def test_digest_verifier_rejects_a_wrong_submission(registry):
     verifier = digest_verifier(spec.name, spec.evaluate(b"q3-report"))
     world = scenario.evidences["injective"].world("archive")
     result = execute(
-        verifier, send_fixed_action("send-wrong-bytes", b"not-the-file"), with_seed(world, 0)
+        verifier, send_fixed_action("send-wrong-bytes", b"not-the-file"), world, 0
     )
     assert result.transcript.verdict is Verdict.REJECT
 
@@ -171,7 +180,7 @@ def test_hash_collision_cell_has_equal_digests_but_different_bytes(registry):
     spec = make_colliding_hash(b"q3-report", b"shadow-q3")
     produced = b"q3-report"
     target_file = run_target(
-        scenario.target, with_seed(scenario.evidences["colliding"].world(cell.world), 0)
+        scenario.target, scenario.evidences["colliding"].world(cell.world), 0
     )
     assert produced != target_file
     assert spec.evaluate(produced) == spec.evaluate(target_file)
@@ -197,8 +206,8 @@ def test_decommit_composed_recovery_complements_the_secret(registry):
     from foregone.toy_crypto import complement
 
     world = scenario.evidences["strong"].world("sealed-box")
-    composed = run_target(check.target, with_seed(world, 0))
-    plain = run_target(scenario.target, with_seed(world, 0))
+    composed = run_target(check.target, world, 0)
+    plain = run_target(scenario.target, world, 0)
     assert composed == complement(plain)
 
 
@@ -230,9 +239,7 @@ def test_xor_pad_languages_cover_every_commitment(registry):
     scenario = registry["unknown-goal"]
     check = scenario.find_check("probe-unknown-goal", "commitment-pinned-equivocable")
     world = scenario.evidences["commitment"].world("holder-a")
-    fresh = run_target(
-        scenario.checks[2].target, with_seed(world, 0)
-    )  # a fresh xor-pad commitment
+    fresh = run_target(scenario.checks[2].target, world, 0)  # a fresh xor-pad commitment
     assert any(same_value(fresh, member) for member in check.languages["holder-a"])
 
 
@@ -268,15 +275,14 @@ def test_scenarios_rebuild_cleanly_under_parameter_overrides():
 
 
 def test_audit_rows_are_deterministic(registry):
-    first = audit_registry(registry, seeds=FEW_SEEDS)
-    second = audit_registry(registry, seeds=FEW_SEEDS)
+    first = audit_rows(registry)
+    second = audit_rows(registry)
     key_fields = (
         "scenario",
         "check",
         "evidence",
         "verdict",
         "expected",
-        "match",
         "citation",
     )
     assert [{k: r[k] for k in key_fields} for r in first] == [
