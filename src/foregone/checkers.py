@@ -180,12 +180,29 @@ def check_demonstrability(
     """Holds iff, in every world of the family and under every seed, the
     exemplar's respondent calls all produce output and the verifier
     accepts."""
+    return _demonstrability(verifier, exemplar, evidence, seeds, budget, {})
+
+
+def _demonstrability(
+    verifier: Machine,
+    exemplar: Machine,
+    evidence: Evidence,
+    seeds: tuple[int, ...],
+    budget: int,
+    runs: dict[tuple[int, int], ExecutionResult],
+) -> CheckReport:
+    """``check_demonstrability`` that reads and fills ``runs``, the
+    exemplar's executions keyed by ``(id(world), seed)``, so a second
+    walk over the same world objects executes none of them again."""
     cells = 0
     max_steps = 0
     for label, world in evidence.worlds:
         for seed in seeds:
             cells += 1
-            result = execute(verifier, exemplar, world, seed, budget)
+            result = runs.get((id(world), seed))
+            if result is None:
+                result = execute(verifier, exemplar, world, seed, budget)
+                runs[(id(world), seed)] = result
             max_steps = max(max_steps, result.steps_used)
             silence = _respondent_silence(result, world, exemplar.id)
             if silence is not None:
@@ -332,13 +349,18 @@ def check_monotonicity(
     budget: int = DEFAULT_BUDGET,
 ) -> CheckReport:
     """Demonstrability under the weaker evidence must imply it under the
-    stronger evidence (whose family is a subset)."""
+    stronger evidence (whose family is a subset).
+
+    The stronger family's worlds are mostly the weaker family's own
+    objects, so the second walk reuses the first walk's executions.
+    """
     if not at_least_as_strong(stronger, weaker):
         raise PreconditionViolatedError(
             f"{stronger.name!r} is not at least as strong as {weaker.name!r}"
         )
-    weak_report = check_demonstrability(verifier, exemplar, weaker, seeds, budget)
-    strong_report = check_demonstrability(verifier, exemplar, stronger, seeds, budget)
+    runs: dict[tuple[int, int], ExecutionResult] = {}
+    weak_report = _demonstrability(verifier, exemplar, weaker, seeds, budget, runs)
+    strong_report = _demonstrability(verifier, exemplar, stronger, seeds, budget, runs)
     cells = weak_report.cells_checked + strong_report.cells_checked
     max_steps = max(weak_report.max_steps, strong_report.max_steps)
     if weak_report.holds and not strong_report.holds:

@@ -9,8 +9,10 @@ Three commands:
 
 Exit codes are the machine contract: 0 when every executed check matches
 its expectation, 1 on a verdict mismatch (a regression), 2 on a
-configuration error.  Reports are byte-identical across runs for a
-fixed configuration and build.
+configuration error, which includes a fault in machine code (a
+``KernelError`` such as malformed state or a target without output).
+Reports are byte-identical across runs for a fixed configuration and
+build.
 
 The FOREGONE_SEED environment variable supplies a default seed list
 (comma-separated integers); the --seeds flag overrides it.  Parameter
@@ -28,7 +30,7 @@ from typing import Any, Mapping, Optional
 
 from .checkers import DEFAULT_SEEDS
 from .evidence import audit as audit_evidence
-from .kernel import DEFAULT_BUDGET
+from .kernel import DEFAULT_BUDGET, KernelError
 from .reports import check_row, render_json, render_markdown
 from .scenarios import (
     CHECK_KINDS,
@@ -236,7 +238,10 @@ def _rows_for(
 ) -> list[dict[str, Any]]:
     rows = []
     for check in checks:
-        verdict, report = run_check(scenario, check, seeds, budget)
+        try:
+            verdict, report = run_check(scenario, check, seeds, budget)
+        except KernelError as exc:
+            raise ConfigError(f"{scenario.name} {check.id}: {exc}") from None
         rows.append(
             check_row(
                 scenario.name,
@@ -388,7 +393,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "audit":
             return cmd_audit(registry, seeds, args.budget, args.json, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ScenarioError) as exc:
+    except (ConfigError, ScenarioError, KernelError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

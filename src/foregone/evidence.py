@@ -28,7 +28,6 @@ checks live in ``audit`` and run at scenario load.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -114,7 +113,7 @@ def _rebind(spec: Machine, device: Machine) -> Optional[Machine]:
     then cannot implement the spec at all).
     """
     try:
-        bound_state = {name: copy.deepcopy(device.state[name]) for name in spec.state}
+        bound_state = {name: device.state[name] for name in spec.state}
     except KeyError:
         return None
     return Machine(id=spec.id, state=bound_state, methods=dict(spec.methods))

@@ -29,8 +29,11 @@ in the transcript.
 
 Everything is deterministic given (world, machines, seed, budget): two
 runs of the same cell produce bitwise identical transcripts and
-post-worlds.  Method code must keep its mutable data in ``ctx.state``
-(never in captured closures) for that guarantee to hold.
+post-worlds.  Method code keeps everything it remembers in ``ctx.state``
+(never in captured closures), and every state value is an immutable
+value of the algebra or a ``str``: ``Machine`` construction and every
+method return enforce this with ``MalformedValueError``.  That rule is
+what lets a fork copy each machine's state dict and share the values.
 
 The step budget charges method invocations, messages, and tape reads.
 A method body that loops forever while touching none of those is
@@ -43,7 +46,6 @@ A method that produces nothing must ``return ABSENT`` explicitly.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Optional
@@ -92,7 +94,12 @@ class AccessViolationError(KernelError):
 
 
 class MalformedValueError(KernelError):
-    """A method returned something outside the value algebra."""
+    """A method returned, sent or stored something outside the value
+    algebra (state may also hold a ``str``)."""
+
+
+class AliasedMachineError(KernelError):
+    """A world holds the same machine object in two places."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +128,22 @@ class Machine:
     force_zero_tape: bool = False
     emulated_respondent: Optional["Machine"] = None
 
+    def __post_init__(self):
+        _check_state(self)
+
     def method_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.methods))
+
+
+def _check_state(machine: Machine) -> None:
+    """Reject a state value that is neither a value nor a ``str``: forks
+    share state values, so each one must be immutable."""
+    for key, value in machine.state.items():
+        if not (isinstance(value, str) or is_value(value)):
+            raise MalformedValueError(
+                f"machine {machine.id!r} stores non-value {value!r} "
+                f"under state key {key!r}"
+            )
 
 
 @dataclass
@@ -151,10 +172,52 @@ class World:
     nature: Nature
     respondent: Machine
 
+    def __post_init__(self):
+        seen: set[int] = set()
+        for machine in (*self.nature.slots.values(), self.respondent):
+            while machine is not None:
+                if id(machine) in seen:
+                    raise AliasedMachineError(
+                        f"world holds machine {machine.id!r} more than once"
+                    )
+                seen.add(id(machine))
+                machine = machine.emulated_respondent
 
-def _fork(content):
-    """Deep copy sharing no mutable state with ``content``."""
-    return copy.deepcopy(content)
+
+def fork_machine(machine: Machine) -> Machine:
+    """A machine with the same id, methods and flags and its own copy of
+    the state dict (and of its emulated respondent's).
+
+    State values are immutable (``_check_state``), so copying the dict is
+    enough; the method table is shared.  The copy skips
+    ``__post_init__``: the state it copies has already passed the check.
+    """
+    twin = object.__new__(Machine)
+    twin.id = machine.id
+    twin.state = dict(machine.state)
+    twin.methods = machine.methods
+    twin.force_zero_tape = machine.force_zero_tape
+    emulated = machine.emulated_respondent
+    twin.emulated_respondent = None if emulated is None else fork_machine(emulated)
+    return twin
+
+
+def _fork(world: World) -> World:
+    """A private copy of ``world`` for one run: every machine is forked
+    with ``fork_machine`` and nature gets a new slot dict under the same
+    read-only set.  Running on the copy leaves ``world`` unchanged.
+
+    The copy skips ``World.__post_init__``: one fork per machine keeps
+    the no-aliasing property the source already passed.
+    """
+    nature = Nature(
+        {index: fork_machine(m) for index, m in world.nature.slots.items()},
+        world.nature.read_only,
+    )
+    twin = object.__new__(World)
+    twin.nature = nature
+    twin.respondent = fork_machine(world.respondent)
+    return twin
 
 
 def _same_machine(a: Optional[Machine], b: Optional[Machine]) -> bool:
@@ -429,7 +492,10 @@ class _Engine:
             self.record_refusal(caller_id, machine.id, method, argument)
             raise NoSuchMethodError(machine.id, method)
         ctx = MethodContext(self, machine, self.role_of(machine), method)
-        output = fn(ctx, argument)
+        try:
+            output = fn(ctx, argument)
+        finally:
+            _check_state(machine)
         if output is not ABSENT and not is_value(output):
             raise MalformedValueError(
                 f"{machine.id}.{method} returned non-value {output!r}"
@@ -465,8 +531,8 @@ def execute(
     attempt recorded.
     """
     engine = _Engine(_fork(world), RandomnessAssignment(seed), budget)
-    acting = copy.deepcopy(action)
-    checking = copy.deepcopy(verifier)
+    acting = fork_machine(action)
+    checking = fork_machine(verifier)
     engine.cast(acting, _ROLE_ACTION)
     engine.cast(checking, _ROLE_VERIFIER)
 
@@ -504,7 +570,7 @@ def run_target(
     output is an error.
     """
     engine = _Engine(_fork(world), RandomnessAssignment(seed), budget)
-    acting = copy.deepcopy(target)
+    acting = fork_machine(target)
     engine.cast(acting, _ROLE_TARGET)
     output = engine.invoke("execution", acting, "run", None)
     if output is ABSENT:
@@ -521,12 +587,11 @@ def run_post(
     message log, and reads the tapes on from where the execution
     stopped; it has no respondent access.  ``result`` is left unchanged.
     """
-    post_world, assignment = _fork((result.post_world, result.post_assignment))
-    engine = _Engine(post_world, assignment, budget)
+    engine = _Engine(_fork(result.post_world), result.post_assignment.fork(), budget)
     engine.transcript.messages_to_verifier.extend(
         result.transcript.messages_to_verifier
     )
-    processing = copy.deepcopy(post)
+    processing = fork_machine(post)
     engine.cast(processing, _ROLE_POST)
     return engine.invoke("execution", processing, "run", None)
 
@@ -588,11 +653,11 @@ def emulate_with_respondent(action: Machine, respondent: Machine) -> Machine:
     The real respondent receives no calls at all, so the execution (and
     anything computed from it) is independent of who the respondent is.
     """
-    stand_in = copy.deepcopy(respondent)
+    stand_in = fork_machine(respondent)
     stand_in.id = f"emulated:{respondent.id}"
     return Machine(
         id=f"{action.id}+emulating-{respondent.id}",
-        state=copy.deepcopy(action.state),
+        state=dict(action.state),
         methods=dict(action.methods),
         force_zero_tape=action.force_zero_tape,
         emulated_respondent=stand_in,
@@ -601,7 +666,7 @@ def emulate_with_respondent(action: Machine, respondent: Machine) -> Machine:
 
 def with_zero_tape(action: Machine) -> Machine:
     """Copy of ``action`` with its randomness tape pinned to all zeros."""
-    pinned = copy.deepcopy(action)
+    pinned = fork_machine(action)
     pinned.id = f"{action.id}+zero-coins"
     pinned.force_zero_tape = True
     return pinned

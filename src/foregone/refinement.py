@@ -20,7 +20,6 @@ through the kernel exhibits the divergent outputs.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -31,6 +30,7 @@ from .kernel import (
     DirectInvoker,
     Machine,
     NoSuchMethodError,
+    fork_machine,
 )
 from .values import ABSENT, same_value
 
@@ -76,7 +76,7 @@ def _same_outcome(a: tuple, b: tuple) -> bool:
 def replay_probe(machine: Machine, probe: Probe, budget: int = DEFAULT_BUDGET) -> list[tuple]:
     """Run a call sequence against a fresh copy of ``machine`` and return
     the outcome stream.  Used to confirm witnesses independently."""
-    subject = copy.deepcopy(machine)
+    subject = fork_machine(machine)
     subject.id = _PROBE_ID
     invoker = DirectInvoker(budget=budget)
     return [_outcome(invoker, subject, method, argument) for method, argument in probe]

@@ -44,6 +44,10 @@ class RandomnessAssignment:
     def __post_init__(self):
         self.seed = self.seed & _MASK64
 
+    def fork(self) -> "RandomnessAssignment":
+        """A copy that reads on from the same offsets independently."""
+        return RandomnessAssignment(self.seed, dict(self.offsets))
+
     def tape_for(self, stream_id: str) -> "TapeReader":
         return TapeReader(self, stream_id)
 

@@ -265,6 +265,26 @@ def test_monotonicity_holds_along_the_declared_edge(pwd_evidence):
     assert report.verdict is CheckVerdict.HOLDS
 
 
+def test_monotonicity_executes_each_world_and_seed_once(pwd_evidence, monkeypatch):
+    import foregone.checkers as checkers
+
+    executed = []
+    real_execute = checkers.execute
+
+    def counting_execute(verifier, action, world, seed, budget):
+        executed.append((id(world), seed))
+        return real_execute(verifier, action, world, seed, budget)
+
+    monkeypatch.setattr(checkers, "execute", counting_execute)
+    weak, strong = pwd_evidence["weak"], pwd_evidence["strong"]
+    report = check_monotonicity(
+        unlocked_verifier(), exemplar_action(), weak, strong, SEEDS
+    )
+    assert report.verdict is CheckVerdict.HOLDS
+    assert report.cells_checked == (len(weak.worlds) + len(strong.worlds)) * len(SEEDS)
+    assert len(executed) == len(set(executed)) == len(weak.worlds) * len(SEEDS)
+
+
 def test_monotonicity_requires_a_genuine_strengthening(pwd_evidence):
     with pytest.raises(PreconditionViolatedError):
         check_monotonicity(

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import foregone
+import foregone.cli as cli
 
 from foregone.cli import (
     ConfigError,
@@ -24,6 +25,8 @@ from foregone.cli import (
     parse_seed_list,
     toy_sweeps,
 )
+from foregone.kernel import Machine
+from foregone.values import ABSENT
 
 SEEDS_FLAG = "0,1,2,3"
 
@@ -246,15 +249,41 @@ def test_override_of_the_wrong_type_is_a_config_error(tmp_path, capsys):
     assert "bytes" in err and "int" in err
 
 
+def test_a_fault_in_machine_code_is_a_config_error_naming_the_check(
+    registry, monkeypatch, capsys
+):
+    def hoard(ctx, _arg):
+        ctx.state["seen"] = []
+        return ABSENT
+
+    tampered = dict(registry)
+    scenario = copy.deepcopy(registry["hybrid"])
+    scenario.exemplar = Machine(id="hoarder", methods={"run": hoard})
+    tampered["hybrid"] = scenario
+    monkeypatch.setattr(cli, "build_registry", lambda overrides: tampered)
+    code = main(["run", "hybrid", "--check", "demonstrability", "--seeds", "0,1"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: hybrid demonstrability/weak: ")
+    assert "'hoarder'" in captured.err and "'seen'" in captured.err
+
+
 # --- audit -------------------------------------------------------------------------
 
 
-def test_audit_passes_and_is_byte_identical(tmp_path):
+GOLDEN_AUDIT = Path(__file__).parent / "golden" / "audit.json"
+
+
+def test_audit_passes_and_is_byte_identical(tmp_path, monkeypatch):
+    # The golden file is ``foregone audit --json`` under the default seeds:
+    # a change that moves any report byte must say so and regenerate it.
+    monkeypatch.delenv("FOREGONE_SEED", raising=False)
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
-    assert main(["audit", "--seeds", "0,1", "--json", "--out", str(first)]) == EXIT_MATCH
-    assert main(["audit", "--seeds", "0,1", "--json", "--out", str(second)]) == EXIT_MATCH
-    assert first.read_bytes() == second.read_bytes()
+    assert main(["audit", "--json", "--out", str(first)]) == EXIT_MATCH
+    assert main(["audit", "--json", "--out", str(second)]) == EXIT_MATCH
+    assert first.read_bytes() == second.read_bytes() == GOLDEN_AUDIT.read_bytes()
     payload = json.loads(first.read_text())
     assert payload["mismatches"] == 0
     assert all(v == "pass" for v in payload["toy_sweeps"].values())

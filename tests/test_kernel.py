@@ -7,20 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foregone.kernel import (
+    DEFAULT_BUDGET,
     AbsentOutputError,
+    AliasedMachineError,
     BudgetExceededError,
     Machine,
+    MalformedValueError,
     Nature,
     NoSuchMethodError,
     Verdict,
     World,
+    _Engine,
+    _fork,
+    _same_machine,
+    emulate_with_respondent,
     execute,
+    fork_machine,
     invoke_method,
     read_only_store,
     run_post,
     run_target,
+    same_world_content,
 )
-from foregone.values import ABSENT, NO_SUCH_METHOD
+from foregone.tapes import RandomnessAssignment
+from foregone.values import ABSENT, NO_SUCH_METHOD, Location, is_value, same_value
 from foregone.scenarios.common import accept_any_verifier, do_nothing_action, mind
 from foregone.scenarios.password import (
     DEVICE_LOCATION,
@@ -325,3 +335,162 @@ def test_read_only_location_refuses_other_methods_and_never_mutates():
     )
     assert result.transcript.verdict is Verdict.REJECT
     assert result.post_world.nature.slots[1].state == before
+
+
+# --- immutable state and the structural fork -------------------------------------
+
+
+def test_a_machine_cannot_be_built_with_mutable_state():
+    with pytest.raises(MalformedValueError, match="'x'"):
+        Machine(id="hoarder", state={"x": []})
+    Machine(id="fine", state={"scheme": "xor-pad", "pair": (b"a", Location(1))})
+
+
+def test_a_method_that_stores_mutable_state_is_rejected():
+    def stash(ctx, _arg):
+        ctx.state["scratch"] = bytearray(b"mutable")
+        return ABSENT
+
+    machine = Machine(id="stasher", methods={"run": stash})
+    with pytest.raises(MalformedValueError) as excinfo:
+        invoke_method(machine, "run")
+    assert "'stasher'" in str(excinfo.value)
+    assert "'scratch'" in str(excinfo.value)
+
+
+def test_a_world_may_not_hold_one_machine_twice():
+    device = password_device(b"hunter2", b"tax-records")
+    with pytest.raises(AliasedMachineError):
+        World(nature=Nature(slots={0: device, 1: device}), respondent=mind("r"))
+    with pytest.raises(AliasedMachineError):
+        World(nature=Nature(slots={0: device}), respondent=device)
+
+
+def test_an_emulated_respondent_is_forked_with_its_action():
+    def unlock_the_emulated_device(ctx, _arg):
+        ctx.respondent.call("prompt", b"hunter2")
+        return ABSENT
+
+    stand_in = emulate_with_respondent(
+        Machine(id="unlocker", methods={"run": unlock_the_emulated_device}),
+        password_device(b"hunter2", b"tax-records"),
+    )
+    result = execute(accept_any_verifier(), stand_in, password_world(), 0)
+    assert result.transcript.verdict is Verdict.ACCEPT
+    assert stand_in.emulated_respondent.state["unlocked"] is False
+
+
+def _scenario_bundles(registry):
+    """(world, riders) per registered world: riders are the machines the
+    scenario's checks run against that world, with the role each plays."""
+    bundles = []
+    seen = set()
+    for scenario in registry.values():
+        riders = {}
+        checks = scenario.checks
+        for role, machine in (
+            ("verifier", scenario.verifier),
+            ("target", scenario.target),
+            ("post", scenario.post_processor),
+            *(("verifier", c.verifier) for c in checks),
+            *(("target", c.target) for c in checks),
+            *(("post", c.post) for c in checks),
+            *(("post", m) for c in checks for _, m in c.candidates),
+            *(("action", m) for _, m in scenario.action_family.actions),
+            *(("action", m) for c in checks if c.family for _, m in c.family.actions),
+        ):
+            if machine is not None:
+                riders.setdefault(id(machine), (role, machine))
+        for evidence in scenario.evidences.values():
+            for _, world in evidence.worlds:
+                if id(world) not in seen:
+                    seen.add(id(world))
+                    bundles.append((world, tuple(riders.values())))
+    return bundles
+
+
+def _alphabet(world):
+    harvested = [
+        value
+        for machine in (*world.nature.slots.values(), world.respondent)
+        for value in machine.state.values()
+        if is_value(value)
+    ]
+    atoms = [None, True, 0, b"", b"\x00", Location(0), *harvested]
+    return atoms + [(a, b) for a in harvested for b in harvested]
+
+
+def _machines(world, riders):
+    return [world.respondent, *world.nature.slots.values(), *(m for _, m in riders)]
+
+
+def _drive(world, riders, tapes, calls):
+    """Outcome stream of ``calls`` against one copy of a bundle."""
+    engine = _Engine(world, tapes, DEFAULT_BUDGET)
+    for role, machine in riders:
+        engine.cast(machine, role)
+    machines = _machines(world, riders)
+    outcomes = []
+    for which, method, argument in calls:
+        try:
+            outcomes.append(engine.invoke("sequence", machines[which], method, argument))
+        except Exception as exc:  # machine code may reject odd arguments
+            outcomes.append(type(exc).__name__)
+    return outcomes
+
+
+def _calls(data, world, riders, max_size):
+    machines = _machines(world, riders)
+    alphabet = _alphabet(world)
+    which = st.integers(0, len(machines) - 1)
+    return data.draw(
+        st.lists(
+            which.flatmap(
+                lambda i: st.tuples(
+                    st.just(i),
+                    st.sampled_from(sorted(machines[i].methods) + ["no-such"]),
+                    st.sampled_from(alphabet),
+                )
+            ),
+            max_size=max_size,
+        )
+    )
+
+
+def _same_bundle(a, b):
+    (world_a, riders_a, tapes_a), (world_b, riders_b, tapes_b) = a, b
+    return (
+        same_world_content(world_a, world_b)
+        and all(_same_machine(x, y) for (_, x), (_, y) in zip(riders_a, riders_b))
+        and tapes_a.offsets == tapes_b.offsets
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_structural_fork_behaves_like_a_deep_copy(registry, data, seed):
+    # A random prefix of calls moves a registered world, the machines its
+    # checks run and the tapes away from their built state; the result is
+    # then forked both ways and a random suffix runs on each copy.
+    bundles = _scenario_bundles(registry)
+    world, riders = data.draw(st.sampled_from(bundles))
+    source = copy.deepcopy((world, riders, RandomnessAssignment(seed)))
+    _drive(*source, _calls(data, world, riders, 6))
+    pristine = copy.deepcopy(source)
+
+    base_world, base_riders, base_tapes = source
+    forked = (
+        _fork(base_world),
+        tuple((role, fork_machine(machine)) for role, machine in base_riders),
+        base_tapes.fork(),
+    )
+    deep = copy.deepcopy(source)
+    assert _same_bundle(forked, deep)
+
+    suffix = _calls(data, world, riders, 8)
+    via_fork = _drive(*forked, suffix)
+    via_deep = _drive(*deep, suffix)
+    assert len(via_fork) == len(via_deep)
+    assert all(same_value(a, b) for a, b in zip(via_fork, via_deep))
+    assert _same_bundle(forked, deep)
+    assert _same_bundle(source, pristine)

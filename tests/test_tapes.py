@@ -40,6 +40,16 @@ def test_copied_assignment_replays_from_the_same_point():
     assert clone.offsets != assignment.offsets
 
 
+def test_forked_assignment_reads_on_independently():
+    assignment = RandomnessAssignment(11)
+    assignment.tape_for("m").read_bytes(5)
+    fork = assignment.fork()
+    assert (fork.seed, fork.offsets) == (assignment.seed, assignment.offsets)
+    assert fork.tape_for("m").read_bytes(8) == assignment.tape_for("m").read_bytes(8)
+    fork.tape_for("n").read_bytes(1)
+    assert "n" not in assignment.offsets
+
+
 def test_seed_wraps_to_64_bits():
     assert RandomnessAssignment(2**64 + 5).seed == 5
 
