@@ -19,6 +19,7 @@ from .kernel import (
     ExecutionResult,
     KernelError,
     Machine,
+    MethodFaultError,
     Nature,
     NoSuchMethodError,
     Transcript,
@@ -78,6 +79,7 @@ __all__ = [
     "ExecutionResult",
     "KernelError",
     "Machine",
+    "MethodFaultError",
     "Nature",
     "NoSuchMethodError",
     "Transcript",

@@ -7,10 +7,16 @@ Three commands:
   foregone audit                      run every registered check plus the
                                       evidence audits and toy-crypto sweeps
 
+``list`` and ``audit`` build every scenario; ``run`` builds (and so
+audits the evidence of) only the scenario it names.  The overrides file
+is validated as a whole first, whatever the command.
+
 Exit codes are the machine contract: 0 when every executed check matches
 its expectation, 1 on a verdict mismatch (a regression), 2 on a
 configuration error, which includes a fault in machine code (a
-``KernelError`` such as malformed state or a target without output).
+``KernelError`` such as malformed state, a target without output, or
+any other exception raised by a method, which the kernel wraps in a
+``MethodFaultError``).
 Reports are byte-identical across runs for a fixed configuration and
 build.
 
@@ -37,7 +43,10 @@ from .scenarios import (
     Scenario,
     ScenarioError,
     build_registry,
+    build_scenario,
     run_check,
+    scenario_names,
+    validate_overrides,
 )
 from .toy_crypto import (
     SCHEMES,
@@ -258,9 +267,17 @@ def _rows_for(
     return rows
 
 
+def load_scenario(name: str, overrides: Mapping[str, Mapping[str, Any]]) -> Scenario:
+    """Build just the scenario ``name`` under its overrides."""
+    if name not in scenario_names():
+        raise ConfigError(
+            f"unknown scenario {name!r}; known: {sorted(scenario_names())}"
+        )
+    return build_scenario(name, overrides.get(name))
+
+
 def cmd_run(
-    registry: Mapping[str, Scenario],
-    scenario_name: str,
+    scenario: Scenario,
     check_kind: str,
     evidence: Optional[str],
     seeds: tuple[int, ...],
@@ -268,11 +285,6 @@ def cmd_run(
     as_json: bool,
     out_path: Optional[str],
 ) -> int:
-    scenario = registry.get(scenario_name)
-    if scenario is None:
-        raise ConfigError(
-            f"unknown scenario {scenario_name!r}; known: {sorted(registry)}"
-        )
     if check_kind == "audit-all":
         checks = scenario.checks
     else:
@@ -292,6 +304,19 @@ def cmd_run(
     return EXIT_MATCH if mismatches == 0 else EXIT_MISMATCH
 
 
+def audit_evidences(registry: Mapping[str, Scenario]) -> list[str]:
+    """The evidence audit of every distinct evidence in ``registry``."""
+    problems: list[str] = []
+    for scenario in registry.values():
+        seen: set[int] = set()
+        for evidence in scenario.evidences.values():
+            if id(evidence) in seen:
+                continue
+            seen.add(id(evidence))
+            problems.extend(audit_evidence(evidence))
+    return problems
+
+
 def cmd_audit(
     registry: Mapping[str, Scenario],
     seeds: tuple[int, ...],
@@ -304,15 +329,7 @@ def cmd_audit(
         rows.extend(_rows_for(scenario, scenario.checks, seeds, budget))
     mismatches = sum(1 for row in rows if row["verdict"] != row["expected"])
 
-    evidence_problems: list[str] = []
-    for scenario in registry.values():
-        seen: set[int] = set()
-        for evidence in scenario.evidences.values():
-            if id(evidence) in seen:
-                continue
-            seen.add(id(evidence))
-            evidence_problems.extend(audit_evidence(evidence))
-
+    evidence_problems = audit_evidences(registry)
     sweeps = toy_sweeps()
     sweeps_ok = all(value == "pass" for value in sweeps.values())
 
@@ -373,16 +390,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         overrides = load_overrides(getattr(args, "overrides", None))
-        registry = build_registry(overrides)
+        validate_overrides(overrides)
         if args.command == "list":
-            return cmd_list(registry, args.json)
+            return cmd_list(build_registry(overrides), args.json)
         seeds = parse_seed_list(args.seeds) if args.seeds is not None else default_seeds()
         if args.budget <= 0:
             raise ConfigError("budget must be positive")
         if args.command == "run":
             return cmd_run(
-                registry,
-                args.scenario,
+                load_scenario(args.scenario, overrides),
                 args.check,
                 args.evidence,
                 seeds,
@@ -391,7 +407,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 args.out,
             )
         if args.command == "audit":
-            return cmd_audit(registry, seeds, args.budget, args.json, args.out)
+            return cmd_audit(
+                build_registry(overrides), seeds, args.budget, args.json, args.out
+            )
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ScenarioError, KernelError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -35,6 +35,11 @@ value of the algebra or a ``str``: ``Machine`` construction and every
 method return enforce this with ``MalformedValueError``.  That rule is
 what lets a fork copy each machine's state dict and share the values.
 
+Any exception that method code raises and that is not a
+``KernelError`` leaves ``invoke`` as a ``MethodFaultError`` naming the
+machine and the method, chained from the original, so every failure of
+machine code is a kernel error.
+
 The step budget charges method invocations, messages, and tape reads.
 A method body that loops forever while touching none of those is
 outside the model; scenario machines always interleave their work with
@@ -100,6 +105,13 @@ class MalformedValueError(KernelError):
 
 class AliasedMachineError(KernelError):
     """A world holds the same machine object in two places."""
+
+
+class MethodFaultError(KernelError):
+    """Method code raised an exception that is not a ``KernelError`` (a
+    ``TypeError``, a toy-crypto ``LengthMismatchError``, ...).  The
+    message names the machine and the method; the original exception is
+    the ``__cause__``."""
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +506,13 @@ class _Engine:
         ctx = MethodContext(self, machine, self.role_of(machine), method)
         try:
             output = fn(ctx, argument)
+        except KernelError:
+            raise
+        except Exception as exc:
+            raise MethodFaultError(
+                f"machine {machine.id!r} method {method!r} raised "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         finally:
             _check_state(machine)
         if output is not ABSENT and not is_value(output):
@@ -616,6 +635,16 @@ class DirectInvoker:
 
     def invoke(self, machine: Machine, method: str, argument: Any = None) -> Any:
         return self._engine.invoke("bench", machine, method, argument)
+
+    def fork(self) -> "DirectInvoker":
+        """An invoker that goes on from this one's step count and tape
+        offsets over its own fork of the world; the two then advance
+        independently.  The transcript of the fork starts empty."""
+        engine = self._engine
+        twin = object.__new__(DirectInvoker)
+        twin._engine = _Engine(_fork(engine.world), engine.assignment.fork(), engine.budget)
+        twin._engine.steps = engine.steps
+        return twin
 
 
 def invoke_method(

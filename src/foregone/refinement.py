@@ -4,23 +4,33 @@ A machine ``spec`` partially specifies a machine ``candidate`` when the
 candidate defines at least the spec's methods and, over every execution
 that sticks to those methods, produces the same outputs -- including
 across sequential stateful invocations.  The full relation is
-undecidable, so we decide a bounded version: enumerate every call
-sequence up to a depth bound with inputs drawn from a finite alphabet,
-replay it on fresh copies of both machines under identical tapes, and
-compare the outcome streams.
+undecidable, so we decide a bounded version: every call sequence up to
+a depth bound, with inputs drawn from a finite alphabet, runs on both
+machines under identical tapes, and the outcome streams are compared.
 
-Each probe starts from the machines' initial states (no probe inherits
-a prefix from another probe).  Machines are probed in isolation: a
+The call sequences form a tree, walked level by level.  A node holds
+each side's state after its probe: a fork of the machine (with any
+emulated respondent), its step count and its tape offsets.  A child
+forks its parent once and makes one more call on each side, so a probe
+inherits its prefix instead of replaying it, and a comparison costs
+sum |O|^L invocations per side over lengths L, for |O| options.  The
+outcome of a call depends only on the probe up to it, so the first
+diverging node of the walk is the shortest diverging probe, and among
+those the first in option order.  Machines are probed in isolation: a
 cross-machine call surfaces as the same no-such-method outcome on both
 sides and therefore never separates them by itself.
 
-A ``False`` answer always has a concrete witness probe; replaying it
-through the kernel exhibits the divergent outputs.
+A comparison is decided once per process: its answer is memoized under
+a type-strict key of both machines (id, method functions, flags, state
+values, emulated respondent), the depth, the alphabet and the budget.
+
+A ``False`` answer always has a concrete witness probe;
+``replay_probe`` runs it from scratch through the kernel and exhibits
+the divergent outputs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -37,6 +47,9 @@ from .values import ABSENT, same_value
 Probe = tuple[tuple[str, Any], ...]
 
 _PROBE_ID = "probe-subject"
+
+# comparison key -> witness (or None); see ``distinguishing_probe``
+_RESULTS: dict[tuple, Optional[Probe]] = {}
 
 
 @dataclass(frozen=True)
@@ -73,13 +86,79 @@ def _same_outcome(a: tuple, b: tuple) -> bool:
     return True
 
 
+def _subject(machine: Machine) -> Machine:
+    subject = fork_machine(machine)
+    subject.id = _PROBE_ID
+    return subject
+
+
 def replay_probe(machine: Machine, probe: Probe, budget: int = DEFAULT_BUDGET) -> list[tuple]:
     """Run a call sequence against a fresh copy of ``machine`` and return
     the outcome stream.  Used to confirm witnesses independently."""
-    subject = fork_machine(machine)
-    subject.id = _PROBE_ID
+    subject = _subject(machine)
     invoker = DirectInvoker(budget=budget)
     return [_outcome(invoker, subject, method, argument) for method, argument in probe]
+
+
+def _value_key(value: Any) -> tuple:
+    """A hashable key that tells values apart as ``same_value`` does:
+    ``True``/``1``, ``b"1"``/``"1"`` and ``None``/``ABSENT`` differ."""
+    if isinstance(value, tuple):
+        return (tuple, *(_value_key(item) for item in value))
+    return (type(value), value)
+
+
+def _machine_key(machine: Optional[Machine]) -> Optional[tuple]:
+    if machine is None:
+        return None
+    return (
+        machine.id,
+        tuple(sorted(machine.methods.items())),
+        machine.force_zero_tape,
+        tuple(sorted((name, _value_key(v)) for name, v in machine.state.items())),
+        _machine_key(machine.emulated_respondent),
+    )
+
+
+def _step(node: tuple, method: str, argument) -> tuple[tuple, tuple]:
+    """One more call from ``node`` = (machine, invoker): the outcome and
+    the child node, both run on forks so the parent stays as it was."""
+    machine, invoker = node
+    machine, invoker = fork_machine(machine), invoker.fork()
+    return _outcome(invoker, machine, method, argument), (machine, invoker)
+
+
+def _search(
+    spec: Machine,
+    candidate: Machine,
+    depth: int,
+    alphabet: tuple[Any, ...],
+    budget: int,
+) -> Optional[Probe]:
+    """The uncached level-by-level walk behind ``distinguishing_probe``."""
+    for name in spec.method_names():
+        if name not in candidate.methods:
+            return ((name, alphabet[0]),)
+    options = [
+        (name, letter) for name in spec.method_names() for letter in alphabet
+    ]
+    root = (
+        (_subject(spec), DirectInvoker(budget=budget)),
+        (_subject(candidate), DirectInvoker(budget=budget)),
+    )
+    level = [((), *root)]
+    for length in range(1, depth + 1):
+        children = []
+        for probe, left, right in level:
+            for option in options:
+                a, left_child = _step(left, *option)
+                b, right_child = _step(right, *option)
+                if not _same_outcome(a, b):
+                    return probe + (option,)
+                if length < depth:
+                    children.append((probe + (option,), left_child, right_child))
+        level = children
+    return None
 
 
 def distinguishing_probe(
@@ -89,24 +168,20 @@ def distinguishing_probe(
     alphabet: tuple[Any, ...],
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[Probe]:
-    """First probe (in enumeration order) on which the two machines
-    diverge over the spec's methods, or None if none exists within the
-    bounds.  A missing method on the candidate counts as an immediate
-    witness of length one."""
-    for name in spec.method_names():
-        if name not in candidate.methods:
-            return ((name, alphabet[0]),)
-    options = [
-        (name, letter) for name in spec.method_names() for letter in alphabet
-    ]
-    for length in range(1, depth + 1):
-        for probe in itertools.product(options, repeat=length):
-            left = replay_probe(spec, probe, budget)
-            right = replay_probe(candidate, probe, budget)
-            for a, b in zip(left, right):
-                if not _same_outcome(a, b):
-                    return probe
-    return None
+    """Shortest probe on which the two machines diverge over the spec's
+    methods, the first in option order among those, or None if none
+    exists within the bounds.  A missing method on the candidate counts
+    as an immediate witness of length one."""
+    key = (
+        _machine_key(spec),
+        _machine_key(candidate),
+        depth,
+        tuple(_value_key(letter) for letter in alphabet),
+        budget,
+    )
+    if key not in _RESULTS:
+        _RESULTS[key] = _search(spec, candidate, depth, alphabet, budget)
+    return _RESULTS[key]
 
 
 def bounded_implements(

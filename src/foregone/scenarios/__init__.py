@@ -1,10 +1,18 @@
 """Registry of fully assembled scenarios.
 
 Each entry bundles evidence variants, machines, an action family, and
-the expected verdict of every registered check.  ``build_registry``
-assembles them (optionally with parameter overrides); building a
-scenario runs its evidence self-consistency audit, so a malformed
-scenario fails at load, not at check time.
+the expected verdict of every registered check.  ``build_scenario``
+assembles one scenario and ``build_registry`` all of them (optionally
+with parameter overrides); building a scenario runs its evidence
+self-consistency audit, so a malformed scenario fails at load, not at
+check time.
+
+``validate_overrides`` checks a whole overrides mapping (unknown
+scenarios, unknown parameters, wrong types) without building anything.
+The CLI runs it first and then builds only what the command needs:
+``run`` builds the one scenario it names, so a well-typed override that
+breaks another scenario's evidence audit fails ``list`` and ``audit``
+but not ``run`` of an unrelated scenario.
 """
 
 from __future__ import annotations
@@ -52,24 +60,41 @@ def scenario_names() -> tuple[str, ...]:
     return tuple(BUILDERS)
 
 
+def _check_params(name: str, params: Mapping[str, Any]) -> None:
+    defaults = BUILDERS[name].DEFAULTS
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise UnknownParameterError(
+            f"scenario {name!r} has no parameters {unknown}; "
+            f"known parameters: {sorted(defaults)}"
+        )
+    for param, value in params.items():
+        default = defaults[param]
+        if type(value) is not type(default):
+            raise ScenarioError(
+                f"parameter {name}.{param} must be of type "
+                f"{type(default).__name__}, got {type(value).__name__}"
+            )
+
+
+def validate_overrides(overrides: Mapping[str, Mapping[str, Any]]) -> None:
+    """Reject overrides that name an unknown scenario or parameter, or
+    give a value whose type differs from the parameter's default.  It
+    checks every scenario named, built or not."""
+    unknown = sorted(set(overrides) - set(BUILDERS))
+    if unknown:
+        raise UnknownParameterError(f"overrides name unknown scenarios {unknown}")
+    for name in BUILDERS:
+        if name in overrides:
+            _check_params(name, overrides[name])
+
+
 def build_scenario(name: str, params: Optional[Mapping[str, Any]] = None) -> Scenario:
     module = BUILDERS.get(name)
     if module is None:
         raise ScenarioError(f"unknown scenario {name!r}")
     if params:
-        unknown = sorted(set(params) - set(module.DEFAULTS))
-        if unknown:
-            raise UnknownParameterError(
-                f"scenario {name!r} has no parameters {unknown}; "
-                f"known parameters: {sorted(module.DEFAULTS)}"
-            )
-        for param, value in params.items():
-            default = module.DEFAULTS[param]
-            if type(value) is not type(default):
-                raise ScenarioError(
-                    f"parameter {name}.{param} must be of type "
-                    f"{type(default).__name__}, got {type(value).__name__}"
-                )
+        _check_params(name, params)
     return module.build(params)
 
 
@@ -77,9 +102,7 @@ def build_registry(
     overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> dict[str, Scenario]:
     overrides = overrides or {}
-    unknown = sorted(set(overrides) - set(BUILDERS))
-    if unknown:
-        raise UnknownParameterError(f"overrides name unknown scenarios {unknown}")
+    validate_overrides(overrides)
     return {
         name: build_scenario(name, overrides.get(name)) for name in BUILDERS
     }
@@ -99,4 +122,5 @@ __all__ = [
     "build_scenario",
     "run_check",
     "scenario_names",
+    "validate_overrides",
 ]

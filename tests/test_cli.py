@@ -26,6 +26,8 @@ from foregone.cli import (
     toy_sweeps,
 )
 from foregone.kernel import Machine
+from foregone.scenarios import BUILDERS, scenario_names
+from foregone.toy_crypto import otp
 from foregone.values import ABSENT
 
 SEEDS_FLAG = "0,1,2,3"
@@ -184,13 +186,10 @@ def test_run_exit_codes_for_config_errors(capsys):
 
 
 def test_verdict_mismatch_exits_one(registry, capsys):
-    tampered = dict(registry)
     scenario = copy.deepcopy(registry["hybrid"])
     scenario.find_check("entailment", "strong").expected = "Fails"
-    tampered["hybrid"] = scenario
     code = cmd_run(
-        tampered,
-        "hybrid",
+        scenario,
         "entailment",
         "strong",
         (0, 1),
@@ -256,11 +255,9 @@ def test_a_fault_in_machine_code_is_a_config_error_naming_the_check(
         ctx.state["seen"] = []
         return ABSENT
 
-    tampered = dict(registry)
     scenario = copy.deepcopy(registry["hybrid"])
     scenario.exemplar = Machine(id="hoarder", methods={"run": hoard})
-    tampered["hybrid"] = scenario
-    monkeypatch.setattr(cli, "build_registry", lambda overrides: tampered)
+    monkeypatch.setattr(cli, "build_scenario", lambda name, params: scenario)
     code = main(["run", "hybrid", "--check", "demonstrability", "--seeds", "0,1"])
     assert code == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -269,10 +266,84 @@ def test_a_fault_in_machine_code_is_a_config_error_naming_the_check(
     assert "'hoarder'" in captured.err and "'seen'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "body, raised",
+    [
+        (lambda ctx, _arg: len(ctx), "TypeError"),
+        (lambda ctx, _arg: otp(b"\x01", b"\x01\x02"), "LengthMismatchError"),
+    ],
+    ids=["type-error", "length-mismatch"],
+)
+def test_an_exception_raised_by_method_code_is_a_config_error(
+    registry, monkeypatch, capsys, body, raised
+):
+    scenario = copy.deepcopy(registry["hybrid"])
+    scenario.exemplar = Machine(id="faulty", methods={"run": body})
+    monkeypatch.setattr(cli, "build_scenario", lambda name, params: scenario)
+    code = main(["run", "hybrid", "--check", "demonstrability", "--seeds", "0,1"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: hybrid demonstrability/weak: ")
+    assert f"machine 'faulty' method 'run' raised {raised}: " in captured.err
+
+
+def test_run_builds_only_the_named_scenario(monkeypatch, capsys):
+    calls = {name: 0 for name in scenario_names()}
+    for name, module in BUILDERS.items():
+
+        def counted(params, _name=name, _build=module.build):
+            calls[_name] += 1
+            return _build(params)
+
+        monkeypatch.setattr(module, "build", counted)
+    code = main(["run", "password", "--check", "demonstrability", "--seeds", "0"])
+    assert code == EXIT_MATCH
+    capsys.readouterr()
+    assert calls == {name: int(name == "password") for name in scenario_names()}
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("hash.bogus = 1\n", "bogus"),
+        ("deniable.pwd = 5\n", "deniable.pwd"),
+        ("nowhere.pwd = 0x00\n", "nowhere"),
+    ],
+)
+def test_overrides_of_other_scenarios_are_validated_by_run(tmp_path, capsys, text, named):
+    overrides = tmp_path / "params.txt"
+    overrides.write_text(text)
+    assert main(["run", "password", "--overrides", str(overrides)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
+def test_unknown_scenario_names_every_known_one(capsys):
+    assert main(["run", "no-such-scenario"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: unknown scenario 'no-such-scenario'; known: "
+        "['decommit', 'deniable', 'hash', 'hybrid', 'otp-table', 'password',"
+        " 'twofactor', 'unknown-goal']\n"
+    )
+
+
 # --- audit -------------------------------------------------------------------------
 
 
 GOLDEN_AUDIT = Path(__file__).parent / "golden" / "audit.json"
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_run_audit_all_matches_the_golden_audit_rows(name, monkeypatch, capsys):
+    # ``run`` builds only the named scenario; its rows must still be the
+    # ones the full audit reports for that scenario.
+    monkeypatch.delenv("FOREGONE_SEED", raising=False)
+    assert main(["run", name, "--check", "audit-all", "--json"]) == EXIT_MATCH
+    rows = json.loads(capsys.readouterr().out)["reports"]
+    golden = json.loads(GOLDEN_AUDIT.read_text())["reports"]
+    assert rows == [row for row in golden if row["scenario"] == name]
 
 
 def test_audit_passes_and_is_byte_identical(tmp_path, monkeypatch):

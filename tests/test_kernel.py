@@ -13,6 +13,7 @@ from foregone.kernel import (
     BudgetExceededError,
     Machine,
     MalformedValueError,
+    MethodFaultError,
     Nature,
     NoSuchMethodError,
     Verdict,
@@ -356,6 +357,28 @@ def test_a_method_that_stores_mutable_state_is_rejected():
         invoke_method(machine, "run")
     assert "'stasher'" in str(excinfo.value)
     assert "'scratch'" in str(excinfo.value)
+
+
+def test_an_exception_from_method_code_becomes_a_method_fault():
+    def divide(ctx, argument):
+        return 1 // argument
+
+    def relay(ctx, argument):
+        return ctx.nature(0).call("divide", argument)
+
+    machine = Machine(id="divider", methods={"divide": divide})
+    with pytest.raises(MethodFaultError) as excinfo:
+        invoke_method(machine, "divide", 0)
+    assert str(excinfo.value).startswith(
+        "machine 'divider' method 'divide' raised ZeroDivisionError: "
+    )
+    assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
+
+    # a fault deeper in the call chain keeps the name of the machine it hit
+    world = World(nature=Nature(slots={0: machine}), respondent=Machine(id="r"))
+    caller = Machine(id="relay", methods={"run": relay})
+    with pytest.raises(MethodFaultError, match="'divider' method 'divide'"):
+        invoke_method(caller, "run", 0, world=world)
 
 
 def test_a_world_may_not_hold_one_machine_twice():

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+import foregone.refinement as refinement
+from foregone.cli import audit_evidences
+from foregone.kernel import DEFAULT_BUDGET, Machine
 from foregone.refinement import (
     ProbeSpec,
     bounded_equivalent,
@@ -9,7 +14,10 @@ from foregone.refinement import (
     distinguishing_probe,
     replay_probe,
 )
+from foregone.scenarios import build_registry
 from foregone.scenarios.hybrid import plain_store, writable_store
+from foregone.tapes import RandomnessAssignment
+from foregone.values import ABSENT
 from foregone.scenarios.password import deniable_device, password_device
 
 ALPHABET = (b"cats", None)
@@ -116,3 +124,220 @@ def test_probe_spec_validates_bounds():
         ProbeSpec(depth=0, alphabet=(None,))
     with pytest.raises(ValueError):
         ProbeSpec(depth=1, alphabet=())
+
+
+# --- the level walk against the per-probe enumeration -------------------------------
+
+
+def _enumerated_probe(spec, candidate, depth, alphabet, budget=DEFAULT_BUDGET):
+    """The enumeration the level walk replaces: every probe in
+    ``itertools.product`` order, each replayed from scratch on both sides."""
+    for name in spec.method_names():
+        if name not in candidate.methods:
+            return ((name, alphabet[0]),)
+    options = [(name, letter) for name in spec.method_names() for letter in alphabet]
+    for length in range(1, depth + 1):
+        for probe in itertools.product(options, repeat=length):
+            left = replay_probe(spec, probe, budget)
+            right = replay_probe(candidate, probe, budget)
+            if any(not refinement._same_outcome(a, b) for a, b in zip(left, right)):
+                return probe
+    return None
+
+
+@pytest.fixture(scope="module")
+def build_comparisons():
+    """Every (spec, device, depth, alphabet, budget) the registry build
+    decides, recorded below the memo."""
+    seen = []
+    search = refinement._search
+
+    def recording(*args):
+        seen.append(args)
+        return search(*args)
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(refinement, "_RESULTS", {})
+    patch.setattr(refinement, "_search", recording)
+    try:
+        build_registry()
+    finally:
+        patch.undo()
+    return seen
+
+
+def test_the_walk_returns_the_enumerated_witness_on_every_build_comparison(
+    build_comparisons,
+):
+    assert build_comparisons
+    diverging = 0
+    for args in build_comparisons:
+        witness = refinement._search(*args)
+        assert witness == _enumerated_probe(*args)
+        diverging += witness is not None
+    assert 0 < diverging < len(build_comparisons)
+
+
+_STREAM = RandomnessAssignment(0).tape_for(refinement._PROBE_ID).read_bytes(4)
+assert _STREAM[2] not in _STREAM[:2]  # the third byte marks the third draw
+
+
+def _draw_quiet(ctx, _arg):
+    ctx.tape.read_bytes(1)
+    return None
+
+
+def _draw_marked(ctx, _arg):
+    byte = ctx.tape.read_bytes(1)
+    return byte if byte[0] == _STREAM[2] else None
+
+
+def _wait(ctx, _arg):
+    return None
+
+
+def _tick(ctx, _arg):
+    return None
+
+
+def _tick_twice(ctx, _arg):
+    ctx.tape.read_bit()  # one more charged step per call
+    return None
+
+
+TAPE_PAIR = (
+    Machine(id="quiet", methods={"draw": _draw_quiet, "wait": _wait}),
+    Machine(id="marked", methods={"draw": _draw_marked, "wait": _wait}),
+)
+BUDGET_PAIR = (
+    Machine(id="ticker", methods={"tick": _tick, "wait": _wait}),
+    Machine(id="slow-ticker", methods={"tick": _tick_twice, "wait": _wait}),
+)
+
+
+@pytest.mark.parametrize(
+    "pair, budget, expected",
+    [
+        # the third byte of the tape is read by the third draw, never sooner
+        (TAPE_PAIR, DEFAULT_BUDGET, (("draw", None),) * 3),
+        # the slow side spends 2 steps a tick: the budget of 5 runs out
+        # in its third tick, while the other side spends 3
+        (BUDGET_PAIR, 5, (("tick", None),) * 3),
+        # with a budget of 3 it runs out in its second tick
+        (BUDGET_PAIR, 3, (("tick", None),) * 2),
+    ],
+    ids=["tape-offsets", "budget-5", "budget-3"],
+)
+def test_the_walk_carries_tape_offsets_and_steps_along_each_branch(pair, budget, expected):
+    spec, candidate = pair
+    depth = len(expected)
+    assert _enumerated_probe(spec, candidate, depth, (None,), budget) == expected
+    assert refinement._search(spec, candidate, depth, (None,), budget) == expected
+    assert refinement._search(spec, candidate, depth - 1, (None,), budget) is None
+
+
+def test_a_budget_exhausted_mid_probe_is_the_outcome_of_the_rest_of_it():
+    spec, candidate = BUDGET_PAIR
+    probe = (("wait", None), ("tick", None), ("tick", None), ("tick", None))
+    assert replay_probe(candidate, probe, budget=5)[-2:] == [("value", None), ("budget",)]
+    for depth in (3, 4):
+        args = (spec, candidate, depth, (None, b"x"), 5)
+        assert refinement._search(*args) == _enumerated_probe(*args)
+
+
+# --- the memo -----------------------------------------------------------------------
+
+
+def _kind(ctx, _arg):
+    value = ctx.state["v"]
+    return (isinstance(value, bool), isinstance(value, bytes))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [(True, 1), (False, 0), (b"1", "1")],
+    ids=["true-one", "false-zero", "bytes-str"],
+)
+def test_states_equal_under_python_equality_do_not_share_an_answer(
+    monkeypatch, left, right
+):
+    monkeypatch.setattr(refinement, "_RESULTS", {})
+
+    def device(value):
+        return Machine(id="device", state={"v": value}, methods={"kind": _kind})
+
+    spec = device(left)
+    assert distinguishing_probe(spec, device(left), 1, (None,)) is None
+    assert distinguishing_probe(spec, device(right), 1, (None,)) == (("kind", None),)
+    assert distinguishing_probe(device(right), device(right), 1, (None,)) is None
+
+
+def _is_null(ctx, argument):
+    return argument is None
+
+
+def _is_bool(ctx, argument):
+    return isinstance(argument, bool)
+
+
+def _true(ctx, _arg):
+    return True
+
+
+@pytest.mark.parametrize(
+    "letter, other, accepts",
+    [(None, ABSENT, _is_null), (True, 1, _is_bool)],
+    ids=["null-absent", "true-one"],
+)
+def test_alphabets_equal_under_python_equality_do_not_share_an_answer(
+    monkeypatch, letter, other, accepts
+):
+    monkeypatch.setattr(refinement, "_RESULTS", {})
+    spec = Machine(id="m", methods={"q": accepts})
+    candidate = Machine(id="m", methods={"q": _true})
+    assert distinguishing_probe(spec, candidate, 1, (letter,)) is None
+    witness = distinguishing_probe(spec, candidate, 1, (other,))
+    assert witness is not None and witness[0][1] is other
+
+
+def _draw(ctx, _arg):
+    return ctx.tape.read_bytes(1)
+
+
+def _ask(ctx, _arg):
+    return ctx.respondent.call("say")
+
+
+def _say(ctx, _arg):
+    return ctx.state["v"]
+
+
+def test_zero_coins_and_the_emulated_respondent_are_part_of_the_key(monkeypatch):
+    monkeypatch.setattr(refinement, "_RESULTS", {})
+    drawer = Machine(id="d", methods={"draw": _draw})
+    pinned = Machine(id="d", methods={"draw": _draw}, force_zero_tape=True)
+    assert distinguishing_probe(drawer, drawer, 1, (None,)) is None
+    assert distinguishing_probe(drawer, pinned, 1, (None,)) == (("draw", None),)
+
+    def asker(value):
+        mind = Machine(id="mind", state={"v": value}, methods={"say": _say})
+        return Machine(id="a", methods={"ask": _ask}, emulated_respondent=mind)
+
+    assert distinguishing_probe(asker(b"x"), asker(b"x"), 1, (None,)) is None
+    assert distinguishing_probe(asker(b"x"), asker(b"y"), 1, (None,)) == (("ask", None),)
+
+
+def test_the_build_searches_each_distinct_comparison_once(monkeypatch):
+    calls = []
+    search = refinement._search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(refinement, "_RESULTS", {})
+    monkeypatch.setattr(refinement, "_search", counted)
+    registry = build_registry()
+    assert len(calls) == 18
+    assert audit_evidences(registry) == []
+    assert len(calls) == 18
