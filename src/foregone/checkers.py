@@ -7,35 +7,51 @@ every check walks them in declared order (worlds, then actions, then
 seeds), so a failing report always names the first violating cell and
 two runs of the same check agree byte for byte.
 
+Each check reads its cells from a cell table (``_Cells``), the one
+place that calls the kernel.  It executes each (world, action, seed)
+once, runs each (target, world, seed) once, and runs post-processors
+on those executions.  A kernel fault other than budget exhaustion
+leaves it as a ``CellFaultError`` naming the world, machine and seed.
+The walks over the table:
+
 Conformity        the verifier accepts the action in a given world,
-                  for every seed.
+                  for every seed; the table stops at the first seed
+                  that is not accepted.
 Demonstrability   the exemplar conforms in every consistent world and
                   never hits a silent or missing respondent method.
 Entailment        for every conforming action, the post-processor's
                   output equals the target's output, cell by cell,
                   under the identical tape assignment.  Actions that do
                   not conform in a world fall outside that world's
-                  quantifier and are skipped with a notice.
+                  quantifier and are skipped with a notice.  Each
+                  world gets its own table, which drops an action's
+                  executions once that action's cells are compared.
 Monotonicity      strengthening evidence never breaks demonstrability.
+                  Both demonstrability walks read one table, so a world
+                  object the two families share executes once.
 
 The two impossibility probes mechanize proof constructions rather than
 universal statements: each defeats every candidate post-processor in a
 declared finite list by exhibiting a replayable witness cell, and the
 reports label the result as a constructive witness, not a proof over
 all verifiers.
+
+``entailment_cell_outputs`` computes one entailment cell straight from
+the kernel, as a reference independent of the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, NoReturn, Optional
 
 from .evidence import Evidence, at_least_as_strong
 from .kernel import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     ExecutionResult,
+    KernelError,
     Machine,
     Verdict,
     World,
@@ -61,6 +77,12 @@ class PreconditionViolatedError(CheckerError):
 class HypothesisViolatedError(CheckerError):
     """An impossibility probe's hypothesis gate failed, so the theorem
     it mechanizes says nothing about this scenario."""
+
+
+class CellFaultError(KernelError):
+    """A kernel call for one cell raised a ``KernelError`` other than
+    budget exhaustion.  The message names the world, the action (or the
+    target) and the seed; the original error is the ``__cause__``."""
 
 
 class CheckVerdict(Enum):
@@ -121,10 +143,96 @@ class ActionFamily:
     def exemplar(self) -> Machine:
         if self.exemplar_label is None:
             raise PreconditionViolatedError("family declares no exemplar")
-        for label, machine in self.actions:
-            if label == self.exemplar_label:
-                return machine
-        raise AssertionError("unreachable: exemplar label validated at build")
+        return dict(self.actions)[self.exemplar_label]
+
+
+# ---------------------------------------------------------------------------
+# The cell table and the reports built from it
+# ---------------------------------------------------------------------------
+
+
+class _Cells:
+    """One check's cells under one verifier and budget.
+
+    ``runs`` keeps executions and ``targets`` target outputs, both under
+    ``(id(machine), id(world), seed)``: a walk that meets a cell again,
+    in a second pass or through a second family holding the same world
+    object, reads it instead of running it.  Post-processors run on the
+    kept executions, once per call.  ``worlds`` are the ``(label,
+    world)`` pairs the walks range over, which name the world of a
+    fault.
+    """
+
+    def __init__(self, verifier: Machine, budget: int, worlds):
+        self.verifier = verifier
+        self.budget = budget
+        self.worlds = worlds
+        self.runs = {}
+        self.targets = {}
+
+    def run(self, world: World, action: Machine, seed: int) -> ExecutionResult:
+        """The execution of one cell, run the first time it is asked for."""
+        key = (id(world), id(action), seed)
+        result = self.runs.get(key)
+        if result is None:
+            try:
+                result = self.runs[key] = execute(
+                    self.verifier, action, world, seed, self.budget
+                )
+            except KernelError as exc:
+                self._raise_fault(exc, "action", action, world, seed)
+        return result
+
+    def conforms(self, world: World, action: Machine, seeds: tuple[int, ...]) -> bool:
+        """Accepted under every seed; stops at the first seed that is not."""
+        return all(
+            self.run(world, action, seed).transcript.verdict is Verdict.ACCEPT
+            for seed in seeds
+        )
+
+    def post(self, post: Machine, world: World, action: Machine, seed: int) -> Any:
+        """``post``'s output after the execution of one cell."""
+        result = self.run(world, action, seed)
+        try:
+            return run_post(post, result, self.budget)
+        except KernelError as exc:
+            self._raise_fault(exc, "action", action, world, seed)
+
+    def target(self, target: Machine, world: World, seed: int) -> Any:
+        """The target's output in ``world`` under ``seed``, run once."""
+        key = (id(target), id(world), seed)
+        if key not in self.targets:
+            try:
+                self.targets[key] = run_target(target, world, seed, self.budget)
+            except KernelError as exc:
+                self._raise_fault(exc, "target", target, world, seed)
+        return self.targets[key]
+
+    def _raise_fault(self, exc: KernelError, role, machine, world, seed) -> NoReturn:
+        """Re-raise ``exc`` from a kernel call for this cell: as it is for
+        budget exhaustion, else as a ``CellFaultError`` naming the cell."""
+        if isinstance(exc, BudgetExceededError):
+            raise exc
+        label = next((label for label, w in self.worlds if w is world), "?")
+        raise CellFaultError(
+            f"world {label!r}, {role} {machine.id!r}, seed {seed}: {exc}"
+        ) from exc
+
+
+def _fails_at(cells: int, max_steps: int, skipped, *cell) -> CheckReport:
+    """A failing report naming its first violating cell: world, action,
+    seed, expected and got, as in ``Counterexample``."""
+    return CheckReport(
+        CheckVerdict.FAILS, Counterexample(*cell), cells, max_steps, tuple(skipped)
+    )
+
+
+def noted_failure(cells: int, max_steps: int, *notes: str) -> CheckReport:
+    """A failing report that names no cell: a probe whose construction
+    broke or whose hypothesis fails, or an action that does not conform."""
+    return CheckReport(
+        CheckVerdict.FAILS, cells_checked=cells, max_steps=max_steps, notes=notes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +249,29 @@ def check_conformity(
 ) -> bool:
     """Accept-with-probability-one, approximated over the seed set.
 
-    Budget exhaustion is non-accepting, hence non-conforming.
+    Budget exhaustion is non-accepting, hence non-conforming.  The world
+    comes without a label, so a fault names it ``'?'``.
     """
-    return _conforming_runs(verifier, action, world, seeds, budget) is not None
+    return _Cells(verifier, budget, ()).conforms(world, action, seeds)
 
 
-def _conforming_runs(
-    verifier: Machine, action: Machine, world: World, seeds: tuple[int, ...], budget: int
-) -> Optional[list[ExecutionResult]]:
-    """The execution under every seed, in order, or None at the first one
-    not accepted; checks that go on to compare outputs reuse these runs."""
-    runs = []
-    for seed in seeds:
-        result = execute(verifier, action, world, seed, budget)
-        if result.transcript.verdict is not Verdict.ACCEPT:
-            return None
-        runs.append(result)
-    return runs
+def check_evidence_conformity(
+    verifier: Machine,
+    exemplar: Machine,
+    evidence: Evidence,
+    seeds: tuple[int, ...],
+    budget: int,
+) -> CheckReport:
+    """Conformity of the exemplar in every world of the family, failing
+    at the first world where it does not conform.  Every seed of each
+    world walked counts as a cell; no step maximum is kept, and no
+    execution outlives its world."""
+    cells = 0
+    for label, world in evidence.worlds:
+        cells += len(seeds)
+        if not _Cells(verifier, budget, evidence.worlds).conforms(world, exemplar, seeds):
+            return noted_failure(cells, 0, f"exemplar does not conform in world {label!r}")
+    return CheckReport(CheckVerdict.HOLDS, cells_checked=cells)
 
 
 def _respondent_silence(result: ExecutionResult, world: World, exemplar_id: str):
@@ -180,57 +294,30 @@ def check_demonstrability(
     """Holds iff, in every world of the family and under every seed, the
     exemplar's respondent calls all produce output and the verifier
     accepts."""
-    return _demonstrability(verifier, exemplar, evidence, seeds, budget, {})
+    return _demonstrate(_Cells(verifier, budget, evidence.worlds), exemplar, evidence, seeds)
 
 
-def _demonstrability(
-    verifier: Machine,
-    exemplar: Machine,
-    evidence: Evidence,
-    seeds: tuple[int, ...],
-    budget: int,
-    runs: dict[tuple[int, int], ExecutionResult],
+def _demonstrate(
+    table: _Cells, exemplar: Machine, evidence: Evidence, seeds: tuple[int, ...]
 ) -> CheckReport:
-    """``check_demonstrability`` that reads and fills ``runs``, the
-    exemplar's executions keyed by ``(id(world), seed)``, so a second
-    walk over the same world objects executes none of them again."""
     cells = 0
     max_steps = 0
     for label, world in evidence.worlds:
         for seed in seeds:
             cells += 1
-            result = runs.get((id(world), seed))
-            if result is None:
-                result = execute(verifier, exemplar, world, seed, budget)
-                runs[(id(world), seed)] = result
+            result = table.run(world, exemplar, seed)
             max_steps = max(max_steps, result.steps_used)
             silence = _respondent_silence(result, world, exemplar.id)
             if silence is not None:
-                return CheckReport(
-                    verdict=CheckVerdict.FAILS,
-                    counterexample=Counterexample(
-                        world=label,
-                        action=exemplar.id,
-                        seed=seed,
-                        expected="output from every respondent call",
-                        got=f"{silence.method} -> {render_value(silence.output)}",
-                    ),
-                    cells_checked=cells,
-                    max_steps=max_steps,
+                failure = (
+                    "output from every respondent call",
+                    f"{silence.method} -> {render_value(silence.output)}",
                 )
-            if result.transcript.verdict is not Verdict.ACCEPT:
-                return CheckReport(
-                    verdict=CheckVerdict.FAILS,
-                    counterexample=Counterexample(
-                        world=label,
-                        action=exemplar.id,
-                        seed=seed,
-                        expected=Verdict.ACCEPT.value,
-                        got=result.transcript.verdict.value,
-                    ),
-                    cells_checked=cells,
-                    max_steps=max_steps,
-                )
+            elif result.transcript.verdict is not Verdict.ACCEPT:
+                failure = (Verdict.ACCEPT.value, result.transcript.verdict.value)
+            else:
+                continue
+            return _fails_at(cells, max_steps, (), label, exemplar.id, seed, *failure)
     return CheckReport(
         verdict=CheckVerdict.HOLDS, cells_checked=cells, max_steps=max_steps
     )
@@ -277,56 +364,35 @@ def check_entailment(
     unbounded post-processor could skip the respondent entirely and
     brute-force the goal).
 
-    Each (world, action, seed) executes once: the conformity decision
-    and the comparison read the same execution.  The target's branch
-    depends only on (world, seed), so it runs once per world and seed.
+    The conformity decision and the comparison read the same execution,
+    and the target runs once per world and seed.
     """
     cells = 0
     max_steps = 0
     skipped: list[tuple[str, str]] = []
     for world_label, world in evidence.worlds:
-        targets: dict[int, Any] = {}
+        table = _Cells(verifier, budget, evidence.worlds)
         for action_label, action in family.actions:
-            runs = _conforming_runs(verifier, action, world, seeds, budget)
-            if runs is None:
+            if not table.conforms(world, action, seeds):
                 skipped.append((world_label, action_label))
                 continue
-            for seed, result in zip(seeds, runs):
+            for seed in seeds:
                 cells += 1
                 try:
-                    got = run_post(post, result, budget)
-                    if seed not in targets:
-                        targets[seed] = run_target(target, world, seed, budget)
+                    got = table.post(post, world, action, seed)
+                    expected = table.target(target, world, seed)
                 except BudgetExceededError:
-                    return CheckReport(
-                        verdict=CheckVerdict.FAILS,
-                        counterexample=Counterexample(
-                            world=world_label,
-                            action=action_label,
-                            seed=seed,
-                            expected="output within budget",
-                            got="budget-exceeded",
-                        ),
-                        cells_checked=cells,
-                        max_steps=max_steps,
-                        skipped=tuple(skipped),
-                    )
-                expected = targets[seed]
-                max_steps = max(max_steps, result.steps_used)
-                if not same_value(got, expected):
-                    return CheckReport(
-                        verdict=CheckVerdict.FAILS,
-                        counterexample=Counterexample(
-                            world=world_label,
-                            action=action_label,
-                            seed=seed,
-                            expected=render_value(expected),
-                            got=render_value(got),
-                        ),
-                        cells_checked=cells,
-                        max_steps=max_steps,
-                        skipped=tuple(skipped),
-                    )
+                    failure = ("output within budget", "budget-exceeded")
+                else:
+                    max_steps = max(max_steps, table.run(world, action, seed).steps_used)
+                    if same_value(got, expected):
+                        continue
+                    failure = (render_value(expected), render_value(got))
+                return _fails_at(
+                    cells, max_steps, skipped, world_label, action_label, seed, *failure
+                )
+            # no later cell of this world reads this action's executions
+            table.runs.clear()
     return CheckReport(
         verdict=CheckVerdict.HOLDS,
         cells_checked=cells,
@@ -352,21 +418,20 @@ def check_monotonicity(
     stronger evidence (whose family is a subset).
 
     The stronger family's worlds are mostly the weaker family's own
-    objects, so the second walk reuses the first walk's executions.
+    objects, so the second walk reads the first walk's executions.
     """
     if not at_least_as_strong(stronger, weaker):
         raise PreconditionViolatedError(
             f"{stronger.name!r} is not at least as strong as {weaker.name!r}"
         )
-    runs: dict[tuple[int, int], ExecutionResult] = {}
-    weak_report = _demonstrability(verifier, exemplar, weaker, seeds, budget, runs)
-    strong_report = _demonstrability(verifier, exemplar, stronger, seeds, budget, runs)
+    table = _Cells(verifier, budget, weaker.worlds + stronger.worlds)
+    weak_report = _demonstrate(table, exemplar, weaker, seeds)
+    strong_report = _demonstrate(table, exemplar, stronger, seeds)
     cells = weak_report.cells_checked + strong_report.cells_checked
     max_steps = max(weak_report.max_steps, strong_report.max_steps)
     if weak_report.holds and not strong_report.holds:
-        return CheckReport(
-            verdict=CheckVerdict.FAILS,
-            counterexample=strong_report.counterexample,
+        return replace(
+            strong_report,
             cells_checked=cells,
             max_steps=max_steps,
             notes=(
@@ -386,6 +451,19 @@ def check_monotonicity(
 
 def _language_holds(language: frozenset, value: Any) -> bool:
     return any(same_value(member, value) for member in language)
+
+
+def _all_defeated(
+    cells: int, max_steps: int, witnesses: list[Counterexample], notes: list[str]
+) -> CheckReport:
+    return CheckReport(
+        verdict=CheckVerdict.HOLDS,
+        cells_checked=cells,
+        max_steps=max_steps,
+        witnesses=tuple(witnesses),
+        notes=tuple(notes)
+        + ("constructive witness over the declared candidates, not a universal proof",),
+    )
 
 
 def probe_unknown_goal(
@@ -408,6 +486,10 @@ def probe_unknown_goal(
     candidate post-processor output something that lands outside some
     consistent world's language.  Holds when every candidate is
     defeated by such a replayable witness.
+
+    The stand-in must conform under every seed, but the post-processors
+    and the target are compared at the first seed only; the report's
+    notes say so.
     """
     languages = languages if languages is not None else evidence.languages
     if languages is None:
@@ -430,95 +512,68 @@ def probe_unknown_goal(
             "the unknown-goal hypothesis requires an empty intersection"
         )
 
-    exemplar = family.exemplar()
-    stand_in_respondent = evidence.worlds[0][1].respondent
-    stand_in = emulate_with_respondent(exemplar, stand_in_respondent)
+    stand_in = emulate_with_respondent(family.exemplar(), evidence.worlds[0][1].respondent)
 
+    table = _Cells(verifier, budget, evidence.worlds)
+    for label, world in evidence.worlds:
+        if not table.conforms(world, stand_in, seeds):
+            return noted_failure(
+                0,
+                0,
+                f"stand-in action does not conform in world {label!r}; "
+                "the probe's construction requires a demonstrable verifier",
+            )
+
+    seed = seeds[0]
     cells = 0
     max_steps = 0
     notes: list[str] = []
     witnesses: list[Counterexample] = []
-
-    first_runs: dict[str, ExecutionResult] = {}
-    for label, world in evidence.worlds:
-        runs = _conforming_runs(verifier, stand_in, world, seeds, budget)
-        if runs is None:
-            return CheckReport(
-                verdict=CheckVerdict.FAILS,
-                cells_checked=cells,
-                notes=(
-                    f"stand-in action does not conform in world {label!r}; "
-                    "the probe's construction requires a demonstrable verifier",
-                ),
-            )
-        first_runs[label] = runs[0]
-
-    targets: dict[str, Any] = {}
     for post_label, post in candidate_posts:
-        outputs: dict[str, Any] = {}
-        for label, result in first_runs.items():
+        outputs = []
+        for _, world in evidence.worlds:
             cells += 1
-            max_steps = max(max_steps, result.steps_used)
-            outputs[label] = run_post(post, result, budget)
-        first = outputs[first_label]
-        if not all(same_value(first, v) for v in outputs.values()):
-            return CheckReport(
-                verdict=CheckVerdict.FAILS,
-                cells_checked=cells,
-                max_steps=max_steps,
-                notes=(
-                    f"candidate {post_label!r}: output depends on the "
-                    "respondent even though the stand-in never consults it",
-                ),
+            max_steps = max(max_steps, table.run(world, stand_in, seed).steps_used)
+            outputs.append(table.post(post, world, stand_in, seed))
+        first = outputs[0]
+        if not all(same_value(first, v) for v in outputs):
+            return noted_failure(
+                cells,
+                max_steps,
+                f"candidate {post_label!r}: output depends on the "
+                "respondent even though the stand-in never consults it",
             )
-        defeated = None
         for label, world in evidence.worlds:
             if not _language_holds(languages[label], first):
-                if label not in targets:
-                    targets[label] = run_target(target, world, seeds[0], budget)
-                target_output = targets[label]
-                if not _language_holds(languages[label], target_output):
-                    return CheckReport(
-                        verdict=CheckVerdict.FAILS,
-                        cells_checked=cells,
-                        max_steps=max_steps,
-                        notes=(
-                            f"world {label!r}: target output "
-                            f"{render_value(target_output)} escapes its own "
-                            "declared language; the scenario is inconsistent",
-                        ),
+                expected = table.target(target, world, seed)
+                if not _language_holds(languages[label], expected):
+                    return noted_failure(
+                        cells,
+                        max_steps,
+                        f"world {label!r}: target output "
+                        f"{render_value(expected)} escapes its own "
+                        "declared language; the scenario is inconsistent",
                     )
-                defeated = Counterexample(
-                    world=label,
-                    action=stand_in.id,
-                    seed=seeds[0],
-                    expected=render_value(target_output),
-                    got=render_value(first),
+                witnesses.append(
+                    Counterexample(
+                        label, stand_in.id, seed, render_value(expected), render_value(first)
+                    )
                 )
+                notes.append(f"candidate {post_label!r} defeated in world {label!r}")
                 break
-        if defeated is None:
-            return CheckReport(
-                verdict=CheckVerdict.FAILS,
-                cells_checked=cells,
-                max_steps=max_steps,
-                notes=(
-                    f"candidate {post_label!r} survives: its output "
-                    f"{render_value(first)} lies in every world's language",
-                ),
+        else:
+            return noted_failure(
+                cells,
+                max_steps,
+                f"candidate {post_label!r} survives: its output "
+                f"{render_value(first)} lies in every world's language",
             )
-        witnesses.append(defeated)
-        notes.append(
-            f"candidate {post_label!r} defeated in world {defeated.world!r}"
-        )
 
-    return CheckReport(
-        verdict=CheckVerdict.HOLDS,
-        cells_checked=cells,
-        max_steps=max_steps,
-        witnesses=tuple(witnesses),
-        notes=tuple(notes)
-        + ("constructive witness over the declared candidates, not a universal proof",),
+    notes.append(
+        f"outputs compared at seed {seed} only; the stand-in's conformity "
+        f"was checked under all {len(seeds)} seeds"
     )
+    return _all_defeated(cells, max_steps, witnesses, notes)
 
 
 def probe_random_target(
@@ -539,13 +594,10 @@ def probe_random_target(
     then cannot track the target's coin-driven variation, so some tape
     setting disagrees.  Holds when every candidate is defeated.
     """
+    table = _Cells(verifier, budget, evidence.worlds)
     for label, world in evidence.worlds:
-        targets = [run_target(target, world, s, budget) for s in seeds]
-        distinct: list[Any] = []
-        for value in targets:
-            if not any(same_value(value, seen) for seen in distinct):
-                distinct.append(value)
-        if len(distinct) >= 2:
+        outputs = [table.target(target, world, seed) for seed in seeds]
+        if not all(same_value(outputs[0], value) for value in outputs):
             break
     else:
         raise HypothesisViolatedError(
@@ -553,14 +605,12 @@ def probe_random_target(
         )
 
     pinned_action = with_zero_tape(family.exemplar())
-    runs = _conforming_runs(verifier, pinned_action, world, seeds, budget)
-    if runs is None:
-        return CheckReport(
-            verdict=CheckVerdict.FAILS,
-            notes=(
-                f"zero-coin exemplar does not conform in world {label!r}; "
-                "the probe's construction requires a demonstrable verifier",
-            ),
+    if not table.conforms(world, pinned_action, seeds):
+        return noted_failure(
+            0,
+            0,
+            f"zero-coin exemplar does not conform in world {label!r}; "
+            "the probe's construction requires a demonstrable verifier",
         )
 
     cells = 0
@@ -569,38 +619,25 @@ def probe_random_target(
     witnesses: list[Counterexample] = []
     for post_label, post in candidate_posts:
         pinned_post = with_zero_tape(post)
-        defeated = None
-        for seed, result, expected in zip(seeds, runs, targets):
+        for seed in seeds:
             cells += 1
-            max_steps = max(max_steps, result.steps_used)
-            got = run_post(pinned_post, result, budget)
+            max_steps = max(max_steps, table.run(world, pinned_action, seed).steps_used)
+            got = table.post(pinned_post, world, pinned_action, seed)
+            expected = table.target(target, world, seed)
             if not same_value(got, expected):
-                defeated = Counterexample(
-                    world=label,
-                    action=pinned_action.id,
-                    seed=seed,
-                    expected=render_value(expected),
-                    got=render_value(got),
+                witnesses.append(
+                    Counterexample(
+                        label, pinned_action.id, seed, render_value(expected), render_value(got)
+                    )
                 )
+                notes.append(f"candidate {post_label!r} defeated at seed {seed}")
                 break
-        if defeated is None:
-            return CheckReport(
-                verdict=CheckVerdict.FAILS,
-                cells_checked=cells,
-                max_steps=max_steps,
-                notes=tuple(notes)
-                + (f"candidate {post_label!r} matched every tape setting",),
+        else:
+            return noted_failure(
+                cells,
+                max_steps,
+                *notes,
+                f"candidate {post_label!r} matched every tape setting",
             )
-        witnesses.append(defeated)
-        notes.append(
-            f"candidate {post_label!r} defeated at seed {defeated.seed}"
-        )
 
-    return CheckReport(
-        verdict=CheckVerdict.HOLDS,
-        cells_checked=cells,
-        max_steps=max_steps,
-        witnesses=tuple(witnesses),
-        notes=tuple(notes)
-        + ("constructive witness over the declared candidates, not a universal proof",),
-    )
+    return _all_defeated(cells, max_steps, witnesses, notes)

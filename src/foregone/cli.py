@@ -21,8 +21,11 @@ Reports are byte-identical across runs for a fixed configuration and
 build.
 
 The FOREGONE_SEED environment variable supplies a default seed list
-(comma-separated integers); the --seeds flag overrides it.  Parameter
-overrides come from a flat key-value file: one ``scenario.param = value``
+(comma-separated integers); the --seeds flag overrides it.  Either list
+must name distinct seeds in 0..2**64-1: the tapes take a seed modulo
+2**64, so a repeated or out-of-range seed would run one cell twice or
+report another seed's tapes under its own number.  Parameter overrides
+come from a flat key-value file: one ``scenario.param = value``
 per line, where values are 0x-prefixed hex byte strings or plain
 integers; ``#`` starts a comment line.
 """
@@ -82,6 +85,11 @@ def parse_seed_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad seed list {text!r}: {exc}") from None
     if not seeds:
         raise ConfigError("seed list is empty")
+    for seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"seed {seed} in {text!r} is outside 0..2**64-1")
+        if seeds.count(seed) > 1:
+            raise ConfigError(f"seed list {text!r} repeats seed {seed}")
     return seeds
 
 

@@ -42,7 +42,7 @@ def check_row(
     verdict: str,
     expected: str,
     citation: str,
-    report: Optional[CheckReport],
+    report: CheckReport,
     seeds: tuple[int, ...],
     budget: int,
 ) -> dict[str, Any]:
@@ -52,8 +52,8 @@ def check_row(
         "evidence": evidence,
         "verdict": verdict,
         "expected": expected,
-        "counterexample": counterexample_dict(report.counterexample if report else None),
-        "cells": report.cells_checked if report else 0,
+        "counterexample": counterexample_dict(report.counterexample),
+        "cells": report.cells_checked,
         "seeds": list(seeds),
         "budget": budget,
         "citation": citation,

@@ -7,8 +7,12 @@ family of candidate actions, and the expected verdict of every check it
 registers.  Each expected verdict carries a self-contained statement of
 the claim it encodes, which the reports surface as the ``citation``.
 
-``run_check`` re-derives a verdict from scratch; the registry audit
-compares it against the scenario's expectation.
+A scenario's ``edges``, the (weaker, stronger) evidence pairs it
+claims monotone, are derived from its monotonicity checks.
+
+``run_check`` re-derives a verdict from scratch by handing the check to
+its kind's walk in ``checkers``; the registry audit compares it against
+the scenario's expectation.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from ..checkers import (
     CheckVerdict,
     DEFAULT_SEEDS,
     HypothesisViolatedError,
-    check_conformity,
     check_demonstrability,
     check_entailment,
+    check_evidence_conformity,
     check_monotonicity,
+    noted_failure,
     probe_random_target,
     probe_unknown_goal,
 )
@@ -88,7 +93,6 @@ class Scenario:
     post_processor: Machine
     action_family: ActionFamily
     checks: list[ScenarioCheck] = field(default_factory=list)
-    edges: list[tuple[str, str]] = field(default_factory=list)  # (weaker, stronger)
 
     def __post_init__(self):
         ids = [check.id for check in self.checks]
@@ -108,13 +112,20 @@ class Scenario:
                 raise ScenarioError(
                     f"check {check.id!r} names unknown evidence {check.evidence!r}"
                 )
-        problems: list[str] = []
-        for evidence in self.evidences.values():
-            problems.extend(audit_evidence(evidence))
+        problems = [
+            problem
+            for evidence in self.evidences.values()
+            for problem in audit_evidence(evidence)
+        ]
         if problems:
             raise ScenarioError(
                 f"scenario {self.name!r} fails its evidence audit: " + "; ".join(problems)
             )
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        """The (weaker, stronger) evidence keys of the monotonicity checks."""
+        return [check.edge for check in self.checks if check.kind == "monotonicity"]
 
     def find_check(self, kind: str, evidence: Optional[str]) -> ScenarioCheck:
         matching = [c for c in self.checks if c.kind == kind]
@@ -127,62 +138,32 @@ class Scenario:
             )
         return matching[0]
 
-    def expected_map(self) -> dict[str, tuple[str, str]]:
-        return {check.id: (check.expected, check.citation) for check in self.checks}
-
 
 def run_check(
     scenario: Scenario,
     check: ScenarioCheck,
     seeds: tuple[int, ...] = DEFAULT_SEEDS,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[str, Optional[CheckReport]]:
+) -> tuple[str, CheckReport]:
     """Execute one registered check and return (verdict string, report)."""
     verifier = check.verifier or scenario.verifier
     exemplar = check.exemplar or scenario.exemplar
     target = check.target or scenario.target
     post = check.post or scenario.post_processor
     family = check.family or scenario.action_family
-
-    if check.kind == "monotonicity":
-        weaker_key, stronger_key = check.edge
-        report = check_monotonicity(
-            verifier,
-            exemplar,
-            scenario.evidences[weaker_key],
-            scenario.evidences[stronger_key],
-            seeds,
-            budget,
-        )
-        return report.verdict.value, report
-
-    evidence = scenario.evidences[check.evidence]
-
-    if check.kind == "demonstrability":
-        report = check_demonstrability(verifier, exemplar, evidence, seeds, budget)
-        return report.verdict.value, report
-
-    if check.kind == "conformity":
-        cells = 0
-        for label, world in evidence.worlds:
-            cells += len(seeds)
-            if not check_conformity(verifier, exemplar, world, seeds, budget):
-                report = CheckReport(
-                    verdict=CheckVerdict.FAILS,
-                    cells_checked=cells,
-                    notes=(f"exemplar does not conform in world {label!r}",),
-                )
-                return FAILS, report
-        return HOLDS, CheckReport(verdict=CheckVerdict.HOLDS, cells_checked=cells)
-
-    if check.kind in ("entailment", "counterexample"):
-        report = check_entailment(
-            verifier, target, post, evidence, family, seeds, budget
-        )
-        return report.verdict.value, report
-
-    if check.kind == "probe-unknown-goal":
-        try:
+    # None for monotonicity, whose edge names two evidences
+    evidence = scenario.evidences.get(check.evidence)
+    try:
+        if check.kind == "monotonicity":
+            weaker, stronger = (scenario.evidences[key] for key in check.edge)
+            report = check_monotonicity(verifier, exemplar, weaker, stronger, seeds, budget)
+        elif check.kind == "demonstrability":
+            report = check_demonstrability(verifier, exemplar, evidence, seeds, budget)
+        elif check.kind == "conformity":
+            report = check_evidence_conformity(
+                verifier, exemplar, evidence, seeds, budget
+            )
+        elif check.kind == "probe-unknown-goal":
             report = probe_unknown_goal(
                 verifier,
                 evidence,
@@ -193,21 +174,14 @@ def run_check(
                 budget,
                 languages=check.languages,
             )
-        except HypothesisViolatedError as exc:
-            return HYPOTHESIS_VIOLATED, CheckReport(
-                verdict=CheckVerdict.FAILS, notes=(str(exc),)
-            )
-        return report.verdict.value, report
-
-    if check.kind == "probe-random":
-        try:
+        elif check.kind == "probe-random":
             report = probe_random_target(
                 verifier, evidence, target, check.candidates, family, seeds, budget
             )
-        except HypothesisViolatedError as exc:
-            return HYPOTHESIS_VIOLATED, CheckReport(
-                verdict=CheckVerdict.FAILS, notes=(str(exc),)
+        else:  # entailment and counterexample
+            report = check_entailment(
+                verifier, target, post, evidence, family, seeds, budget
             )
-        return report.verdict.value, report
-
-    raise ScenarioError(f"unknown check kind {check.kind!r}")
+    except HypothesisViolatedError as exc:
+        return HYPOTHESIS_VIOLATED, noted_failure(0, 0, str(exc))
+    return report.verdict.value, report

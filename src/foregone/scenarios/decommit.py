@@ -326,5 +326,4 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         post_processor=opened_message_post(),
         action_family=family,
         checks=checks,
-        edges=[("weak", "strong")],
     )

@@ -179,5 +179,4 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         post_processor=device_reading_post(),
         action_family=family,
         checks=checks,
-        edges=[("weak", "strong")],
     )

@@ -266,5 +266,4 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         post_processor=first_message_post("produced-bytes"),
         action_family=injective_family,
         checks=checks,
-        edges=[],
     )

@@ -170,5 +170,4 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         post_processor=read_location_post("read-store-after", STORE_LOCATION),
         action_family=family,
         checks=checks,
-        edges=[("weak", "strong")],
     )

@@ -400,5 +400,4 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         post_processor=first_message_post(),
         action_family=family,
         checks=checks,
-        edges=[],
     )

@@ -408,5 +408,4 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         post_processor=post,
         action_family=family_weak,
         checks=checks,
-        edges=[("weak", "strong"), ("star", "weak")],
     )

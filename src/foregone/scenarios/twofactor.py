@@ -343,5 +343,4 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         post_processor=read_location_post("read-device-after", DEVICE_LOCATION),
         action_family=family,
         checks=checks,
-        edges=[("weak", "strong")],
     )

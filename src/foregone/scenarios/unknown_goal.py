@@ -337,5 +337,4 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         post_processor=first_message_post(),
         action_family=whereabouts_family,
         checks=checks,
-        edges=[],
     )

@@ -18,6 +18,7 @@ from foregone.checkers import (
 from foregone.evidence import restrict_to
 from foregone.kernel import Machine, execute, run_post, run_target
 from foregone.values import render_value, same_value
+from foregone.scenarios import build_registry, run_check
 from foregone.scenarios.common import (
     accept_any_verifier,
     do_nothing_action,
@@ -285,6 +286,41 @@ def test_monotonicity_executes_each_world_and_seed_once(pwd_evidence, monkeypatc
     assert len(executed) == len(set(executed)) == len(weak.worlds) * len(SEEDS)
 
 
+REGISTERED_CHECKS = [
+    (name, check.id) for name, scenario in build_registry().items() for check in scenario.checks
+]
+
+
+@pytest.mark.parametrize(
+    "name, check_id", REGISTERED_CHECKS, ids=[f"{n}:{c}" for n, c in REGISTERED_CHECKS]
+)
+def test_every_registered_check_runs_each_cell_at_most_once(
+    registry, monkeypatch, name, check_id
+):
+    import foregone.checkers as checkers
+
+    executed = []
+    targeted = []
+    real_execute = checkers.execute
+    real_run_target = checkers.run_target
+
+    def counting_execute(verifier, action, world, seed, budget):
+        executed.append((id(world), id(action), seed))
+        return real_execute(verifier, action, world, seed, budget)
+
+    def counting_run_target(target, world, seed, budget):
+        targeted.append((id(target), id(world), seed))
+        return real_run_target(target, world, seed, budget)
+
+    monkeypatch.setattr(checkers, "execute", counting_execute)
+    monkeypatch.setattr(checkers, "run_target", counting_run_target)
+    scenario = registry[name]
+    check = next(c for c in scenario.checks if c.id == check_id)
+    run_check(scenario, check, SEEDS)
+    assert len(executed) == len(set(executed))
+    assert len(targeted) == len(set(targeted))
+
+
 def test_monotonicity_requires_a_genuine_strengthening(pwd_evidence):
     with pytest.raises(PreconditionViolatedError):
         check_monotonicity(
@@ -355,6 +391,21 @@ def test_unknown_goal_probe_defeats_every_candidate(goal_evidence):
         assert render_value(got) == witness.got
         assert render_value(expected) == witness.expected
         assert not same_value(got, expected)
+    # outputs are compared at the first seed only, and the notes say so
+    assert report.notes[-2] == (
+        "outputs compared at seed 0 only; the stand-in's conformity was"
+        " checked under all 4 seeds"
+    )
+    report = probe_unknown_goal(
+        accept_any_verifier(),
+        evidence,
+        location_target(),
+        candidate_posts(),
+        whereabouts_family(),
+        (7, 3),
+    )
+    assert {witness.seed for witness in report.witnesses} == {7}
+    assert report.notes[-2].startswith("outputs compared at seed 7 only;")
 
 
 def test_unknown_goal_probe_gates_on_a_common_element(goal_evidence):

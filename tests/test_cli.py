@@ -51,10 +51,23 @@ REPORT_FIELDS = [
 
 def test_seed_list_parsing():
     assert parse_seed_list("0, 7,15") == (0, 7, 15)
-    with pytest.raises(ConfigError):
-        parse_seed_list("")
-    with pytest.raises(ConfigError):
-        parse_seed_list("1,zebra")
+    assert parse_seed_list("0,18446744073709551615") == (0, 2**64 - 1)
+    # a repeated seed, or one outside 0..2**64-1 that the tapes would wrap, is refused
+    for text in ("", "1,zebra", "1,1", "0,3,0", "-1", "0,18446744073709551616"):
+        with pytest.raises(ConfigError):
+            parse_seed_list(text)
+
+
+def test_a_repeated_seed_is_a_config_error_from_the_flag_and_the_environment(
+    capsys, monkeypatch
+):
+    argv = ["run", "password", "--check", "entailment", "--evidence", "weak", "--json"]
+    assert main(argv + ["--seeds", "1,1"]) == EXIT_CONFIG
+    monkeypatch.setenv("FOREGONE_SEED", "1,1")
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed list '1,1' repeats seed 1\n" * 2
 
 
 def test_override_value_parsing():
@@ -286,6 +299,62 @@ def test_an_exception_raised_by_method_code_is_a_config_error(
     assert captured.out == ""
     assert captured.err.startswith("error: hybrid demonstrability/weak: ")
     assert f"machine 'faulty' method 'run' raised {raised}: " in captured.err
+
+
+def _raise_type_error(ctx, _arg):
+    return len(ctx)
+
+
+def _halt_without_output(ctx, _arg):
+    return ABSENT
+
+
+RAISED = "machine 'faulty' method 'run' raised TypeError: "
+
+
+@pytest.mark.parametrize(
+    "role, body, check, message",
+    [
+        (
+            "exemplar",
+            _raise_type_error,
+            "demonstrability/weak",
+            f"world 'plain-store', action 'faulty', seed 5: {RAISED}",
+        ),
+        (
+            "post_processor",
+            _raise_type_error,
+            "entailment/strong",
+            f"world 'plain-store', action 'do-nothing', seed 5: {RAISED}",
+        ),
+        (
+            "target",
+            _raise_type_error,
+            "entailment/strong",
+            f"world 'plain-store', target 'faulty', seed 5: {RAISED}",
+        ),
+        (
+            "target",
+            _halt_without_output,
+            "entailment/strong",
+            "world 'plain-store', target 'faulty', seed 5:"
+            " target 'faulty' produced no output\n",
+        ),
+    ],
+    ids=["action", "post-processor", "target", "target-without-output"],
+)
+def test_a_fault_in_a_cell_names_the_world_the_machine_and_the_seed(
+    registry, monkeypatch, capsys, role, body, check, message
+):
+    scenario = copy.deepcopy(registry["hybrid"])
+    setattr(scenario, role, Machine(id="faulty", methods={"run": body}))
+    monkeypatch.setattr(cli, "build_scenario", lambda name, params: scenario)
+    kind, evidence = check.split("/")
+    argv = ["run", "hybrid", "--check", kind, "--evidence", evidence, "--seeds", "5,6"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: hybrid {check}: {message}")
 
 
 def test_run_builds_only_the_named_scenario(monkeypatch, capsys):

@@ -222,9 +222,9 @@ def test_otp_table_layout(registry):
         "probe-random/known-sampled-key": HOLDS,
         "entailment/known-derandomized": HOLDS,
     }
-    expectations = scenario.expected_map()
+    expectations = {check.id: check.expected for check in scenario.checks}
     for check_id, expected in expected_cells.items():
-        assert expectations[check_id][0] == expected
+        assert expectations[check_id] == expected
 
 
 def test_equivocable_commitment_answer_sets_coincide(registry):
