@@ -8,7 +8,8 @@ exact-shape evidence, and the two ways recovery falls apart (a deniable
 device, and a respondent who may have nothing to enter).
 """
 
-from foregone import check_demonstrability, check_entailment, execute, run_target
+from foregone.checkers import check_demonstrability, check_entailment
+from foregone.kernel import execute, run_target
 from foregone.scenarios import build_scenario
 from foregone.scenarios.base import run_check
 from foregone.values import render_value

@@ -136,10 +136,6 @@ class ActionFamily:
                 f"exemplar label {self.exemplar_label!r} is not in the family"
             )
 
-    @property
-    def includes_exemplar(self) -> bool:
-        return self.exemplar_label is not None
-
     def exemplar(self) -> Machine:
         if self.exemplar_label is None:
             raise PreconditionViolatedError("family declares no exemplar")

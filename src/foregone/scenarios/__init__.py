@@ -7,6 +7,10 @@ with parameter overrides); building a scenario runs its evidence
 self-consistency audit, so a malformed scenario fails at load, not at
 check time.
 
+``build_scenario`` is the one place a scenario's ``DEFAULTS`` meet its
+overrides: it hands the module's ``build`` the complete, merged
+parameter mapping, so no ``build`` merges defaults itself.
+
 ``validate_overrides`` checks a whole overrides mapping (unknown
 scenarios, unknown parameters, wrong types) without building anything.
 The CLI runs it first and then builds only what the command needs:
@@ -95,7 +99,7 @@ def build_scenario(name: str, params: Optional[Mapping[str, Any]] = None) -> Sce
         raise ScenarioError(f"unknown scenario {name!r}")
     if params:
         _check_params(name, params)
-    return module.build(params)
+    return module.build({**module.DEFAULTS, **(params or {})})
 
 
 def build_registry(

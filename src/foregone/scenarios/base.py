@@ -69,7 +69,6 @@ class ScenarioCheck:
     expected: str
     citation: str
     verifier: Optional[Machine] = None
-    exemplar: Optional[Machine] = None
     target: Optional[Machine] = None
     post: Optional[Machine] = None
     family: Optional[ActionFamily] = None
@@ -147,7 +146,7 @@ def run_check(
 ) -> tuple[str, CheckReport]:
     """Execute one registered check and return (verdict string, report)."""
     verifier = check.verifier or scenario.verifier
-    exemplar = check.exemplar or scenario.exemplar
+    exemplar = scenario.exemplar
     target = check.target or scenario.target
     post = check.post or scenario.post_processor
     family = check.family or scenario.action_family

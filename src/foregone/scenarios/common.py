@@ -1,15 +1,28 @@
 """Machine builders shared across scenarios.
 
-Method functions live at module level so that two independently built
-copies of the same machine compare structurally equal; every parameter
-a machine depends on sits in its state, never in a closure.
+Three rules hold for every machine a scenario builds, here and in the
+scenario modules:
+
+- Method functions live at module level, and every parameter a machine
+  depends on sits in its state, never in a closure.  The refinement
+  memo and ``same_world_content`` compare method functions by identity,
+  so two independently built copies of a machine must share them.
+- There are no module-level machine constants: every build makes its
+  own ``Machine`` objects.  ``invoke_method`` and ``DirectInvoker``
+  mutate the machine they are given, and a ``World`` refuses one
+  ``Machine`` object held twice.  (``execute``, ``run_target`` and
+  ``run_post`` fork their inputs, so one build may hand the same
+  verifier or action to several checks.)
+- Machine ids are output bytes: probe witnesses and rendered
+  transcripts name machines by id, so renaming a machine changes
+  reports and demo output.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..kernel import Machine
+from ..kernel import Machine, _read_stored
 from ..values import ABSENT
 
 
@@ -29,17 +42,9 @@ def _accept(ctx, _arg):
     return True
 
 
-def _do_nothing(ctx, _arg):
-    return ABSENT
-
-
 def _send_stored_message(ctx, _arg):
     ctx.send(ctx.state["message"])
     return ABSENT
-
-
-def _post_fixed(ctx, _arg):
-    return ctx.state["value"]
 
 
 def _post_first_message(ctx, _arg):
@@ -78,7 +83,7 @@ def accept_any_verifier() -> Machine:
 
 
 def do_nothing_action() -> Machine:
-    return Machine(id="do-nothing", methods={"run": _do_nothing})
+    return Machine(id="do-nothing", methods={"run": _halt})
 
 
 def send_fixed_action(machine_id: str, message: Any) -> Machine:
@@ -90,7 +95,7 @@ def send_fixed_action(machine_id: str, message: Any) -> Machine:
 
 def fixed_output_post(machine_id: str, value: Any) -> Machine:
     """Post-processor that ignores everything and returns a constant."""
-    return Machine(id=machine_id, state={"value": value}, methods={"run": _post_fixed})
+    return Machine(id=machine_id, state={"value": value}, methods={"run": _read_stored})
 
 
 def first_message_post(machine_id: str = "echo-first-message") -> Machine:
@@ -102,4 +107,14 @@ def read_location_post(machine_id: str, location: int) -> Machine:
     """Post-processor that reads one nature location after the interaction."""
     return Machine(
         id=machine_id, state={"location": location}, methods={"run": _post_read_location}
+    )
+
+
+def guesses(value: Any) -> tuple[tuple[str, Machine], ...]:
+    """The candidate recoveries every probe tries: echo the first
+    message, guess ``value``, and guess zero."""
+    return (
+        ("echo-first-message", first_message_post()),
+        ("fixed-guess", fixed_output_post("fixed-guess", value)),
+        ("always-zero", fixed_output_post("always-zero", b"\x00")),
     )

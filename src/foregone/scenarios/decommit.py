@@ -17,7 +17,7 @@ demonstrability survives unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence, drop_assertion
@@ -64,6 +64,8 @@ def scheme_checker(scheme_name: str) -> Machine:
 
 
 def _verifier_run(ctx, _arg):
+    """Accept iff the sent (message, opening) pair verifies against the
+    lodged commitment under the world's public checker."""
     pair = ctx.receive()
     if not isinstance(pair, tuple):
         return False
@@ -75,12 +77,6 @@ def _verifier_run(ctx, _arg):
     return verdict is True
 
 
-def opening_verifier() -> Machine:
-    """Accepts iff the sent (message, opening) pair verifies against the
-    lodged commitment under the world's public checker."""
-    return Machine(id="opening-check", methods={"run": _verifier_run})
-
-
 def _reveal_run(ctx, _arg):
     message = ctx.respondent.call("secret")
     opening = ctx.respondent.call("decom")
@@ -88,10 +84,6 @@ def _reveal_run(ctx, _arg):
         return ABSENT
     ctx.send((message, opening))
     return ABSENT
-
-
-def reveal_action() -> Machine:
-    return Machine(id="reveal-true-opening", methods={"run": _reveal_run})
 
 
 def _reveal_chatty_run(ctx, _arg):
@@ -104,11 +96,9 @@ def _reveal_chatty_run(ctx, _arg):
     return ABSENT
 
 
-def reveal_chatty_action() -> Machine:
-    return Machine(id="reveal-and-comment", methods={"run": _reveal_chatty_run})
-
-
 def _equivocate_run(ctx, _arg):
+    """Open the lodged commitment to a chosen message; only an
+    equivocable scheme lets this verify."""
     chosen = ctx.state["chosen"]
     commitment = ctx.nature(COMMITMENT_LOCATION).call("read")
     if isinstance(commitment, bytes) and len(commitment) == len(chosen):
@@ -118,35 +108,15 @@ def _equivocate_run(ctx, _arg):
     return ABSENT
 
 
-def equivocate_action(chosen: bytes) -> Machine:
-    """Opens the lodged commitment to a chosen message; only an
-    equivocable scheme lets this verify."""
-    return Machine(
-        id="open-to-chosen-message",
-        state={"chosen": chosen},
-        methods={"run": _equivocate_run},
-    )
-
-
 def _secret_target_run(ctx, _arg):
     message = ctx.respondent.call("secret")
     return None if message is ABSENT else message
 
 
-def secret_target() -> Machine:
-    return Machine(id="disclose-committed-secret", methods={"run": _secret_target_run})
-
-
 def _complement_target_run(ctx, _arg):
+    """A fixed function of the committed message, not the message itself."""
     message = ctx.respondent.call("secret")
     return None if message is ABSENT else complement(message)
-
-
-def complement_target() -> Machine:
-    """A fixed function of the committed message, not the message itself."""
-    return Machine(
-        id="disclose-complemented-secret", methods={"run": _complement_target_run}
-    )
 
 
 def _opened_message_run(ctx, _arg):
@@ -156,23 +126,12 @@ def _opened_message_run(ctx, _arg):
     return messages[0][0]
 
 
-def opened_message_post() -> Machine:
-    return Machine(id="opened-message-from-transcript", methods={"run": _opened_message_run})
-
-
 def _complemented_message_run(ctx, _arg):
     messages = ctx.messages
     if not messages or not isinstance(messages[0], tuple):
         return None
     opened = messages[0][0]
     return complement(opened) if isinstance(opened, bytes) else None
-
-
-def complemented_message_post() -> Machine:
-    return Machine(
-        id="complemented-message-from-transcript",
-        methods={"run": _complemented_message_run},
-    )
 
 
 # --- evidence -----------------------------------------------------------------
@@ -246,17 +205,25 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
     return {"strong": strong, "weak": weak, "composed": strong}
 
 
-def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
-    merged = dict(DEFAULTS)
-    merged.update(params or {})
-    evidences = build_evidences(merged)
+def build(params: Mapping[str, Any]) -> Scenario:
+    evidences = build_evidences(params)
 
-    exemplar = reveal_action()
+    exemplar = Machine(id="reveal-true-opening", methods={"run": _reveal_run})
     family = ActionFamily(
         actions=(
             ("reveal-true-opening", exemplar),
-            ("reveal-and-comment", reveal_chatty_action()),
-            ("open-to-chosen-message", equivocate_action(merged["chosen"])),
+            (
+                "reveal-and-comment",
+                Machine(id="reveal-and-comment", methods={"run": _reveal_chatty_run}),
+            ),
+            (
+                "open-to-chosen-message",
+                Machine(
+                    id="open-to-chosen-message",
+                    state={"chosen": params["chosen"]},
+                    methods={"run": _equivocate_run},
+                ),
+            ),
         ),
         exemplar_label="reveal-true-opening",
     )
@@ -301,8 +268,14 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             kind="entailment",
             evidence="composed",
             expected=HOLDS,
-            target=complement_target(),
-            post=complemented_message_post(),
+            target=Machine(
+                id="disclose-complemented-secret",
+                methods={"run": _complement_target_run},
+            ),
+            post=Machine(
+                id="complemented-message-from-transcript",
+                methods={"run": _complemented_message_run},
+            ),
             citation="Recovery composes: with a binding scheme the examiner"
             " also obtains any fixed function of the committed message.",
         ),
@@ -320,10 +293,14 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         name="decommit",
         title="opening a lodged commitment",
         evidences=evidences,
-        verifier=opening_verifier(),
+        verifier=Machine(id="opening-check", methods={"run": _verifier_run}),
         exemplar=exemplar,
-        target=secret_target(),
-        post_processor=opened_message_post(),
+        target=Machine(
+            id="disclose-committed-secret", methods={"run": _secret_target_run}
+        ),
+        post_processor=Machine(
+            id="opened-message-from-transcript", methods={"run": _opened_message_run}
+        ),
         action_family=family,
         checks=checks,
     )

@@ -14,7 +14,7 @@ particularity is what closes the deniability gap.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence, strengthen_to_full_spec
@@ -93,10 +93,9 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
     return {"weak": weak, "strong": strong}
 
 
-def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
-    merged = dict(DEFAULTS)
-    merged.update(params or {})
-    evidences = build_evidences(merged)
+def build(params: Mapping[str, Any]) -> Scenario:
+    evidences = build_evidences(params)
+    known_file = known_file_verifier(params["message"])
 
     exemplar = exemplar_action()
     family = ActionFamily(
@@ -105,7 +104,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             ("retry-after-typo", retry_action()),
             ("enter-password-twice", enter_twice_action()),
             ("announce-progress", announce_action()),
-            ("use-duress-password", duress_action(merged["replacement"])),
+            ("use-duress-password", duress_action(params["replacement"])),
         ),
         exemplar_label="enter-password",
     )
@@ -144,7 +143,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             kind="demonstrability",
             evidence="known-file",
             expected=HOLDS,
-            verifier=known_file_verifier(merged["message"]),
+            verifier=known_file,
             citation="Checking for content the government already knows is"
             " still demonstrable with the same exemplar.",
         ),
@@ -152,7 +151,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             kind="entailment",
             evidence="known-file",
             expected=HOLDS,
-            verifier=known_file_verifier(merged["message"]),
+            verifier=known_file,
             citation="Checking for known content rejects the duress"
             " performance, so recovery holds over the declared family even"
             " against the deniable device.",

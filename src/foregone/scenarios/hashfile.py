@@ -11,7 +11,7 @@ equal digests -- the dichotomy the digest check leaves open.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence
@@ -63,10 +63,6 @@ def _produce_run(ctx, _arg):
     return ABSENT
 
 
-def produce_file_action() -> Machine:
-    return Machine(id="produce-located-file", methods={"run": _produce_run})
-
-
 def _chatty_run(ctx, _arg):
     where = ctx.respondent.call("find_file")
     if where is ABSENT:
@@ -76,19 +72,11 @@ def _chatty_run(ctx, _arg):
     return ABSENT
 
 
-def chatty_action() -> Machine:
-    return Machine(id="produce-and-comment", methods={"run": _chatty_run})
-
-
 def _target_run(ctx, _arg):
     where = ctx.respondent.call("find_file")
     if where is ABSENT:
         return None
     return ctx.nature(where).call("read")
-
-
-def file_target() -> Machine:
-    return Machine(id="produce-the-file", methods={"run": _target_run})
 
 
 def _world(file_location: int, content: bytes) -> World:
@@ -171,18 +159,25 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
     return {"injective": injective_evidence, "colliding": colliding_evidence}
 
 
-def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
-    merged = dict(DEFAULTS)
-    merged.update(params or {})
-    evidences = build_evidences(merged)
-    file_content = merged["file"]
-    injective, colliding = _specs(merged)
+def build(params: Mapping[str, Any]) -> Scenario:
+    evidences = build_evidences(params)
+    file_content = params["file"]
+    injective, colliding = _specs(params)
+    injective_verifier = digest_verifier(
+        injective.name, injective.evaluate(file_content)
+    )
+    colliding_verifier = digest_verifier(
+        colliding.name, colliding.evaluate(file_content)
+    )
 
-    exemplar = produce_file_action()
+    exemplar = Machine(id="produce-located-file", methods={"run": _produce_run})
     injective_family = ActionFamily(
         actions=(
             ("produce-located-file", exemplar),
-            ("produce-and-comment", chatty_action()),
+            (
+                "produce-and-comment",
+                Machine(id="produce-and-comment", methods={"run": _chatty_run}),
+            ),
             ("send-memorized-file", send_fixed_action("send-memorized-file", file_content)),
         ),
         exemplar_label="produce-located-file",
@@ -203,9 +198,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             kind="demonstrability",
             evidence="injective",
             expected=HOLDS,
-            verifier=digest_verifier(
-                injective.name, injective.evaluate(file_content)
-            ),
+            verifier=injective_verifier,
             citation="Producing the located file passes the digest check in"
             " every consistent world.",
         ),
@@ -213,9 +206,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             kind="entailment",
             evidence="injective",
             expected=HOLDS,
-            verifier=digest_verifier(
-                injective.name, injective.evaluate(file_content)
-            ),
+            verifier=injective_verifier,
             family=injective_family,
             citation="An injective digest pins the preimage down, so an"
             " accepted performance can only carry the file itself.",
@@ -224,9 +215,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             kind="demonstrability",
             evidence="colliding",
             expected=HOLDS,
-            verifier=digest_verifier(
-                colliding.name, colliding.evaluate(file_content)
-            ),
+            verifier=colliding_verifier,
             citation="Producing the located file passes the digest check"
             " whether or not the hash has collisions.",
         ),
@@ -234,9 +223,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             kind="counterexample",
             evidence="colliding",
             expected=FAILS,
-            verifier=digest_verifier(
-                colliding.name, colliding.evaluate(file_content)
-            ),
+            verifier=colliding_verifier,
             family=colliding_family,
             citation="With a known collision, an accepted performance may"
             " carry the collision partner: the outputs differ while their"
@@ -246,9 +233,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             kind="entailment",
             evidence="colliding",
             expected=FAILS,
-            verifier=digest_verifier(
-                colliding.name, colliding.evaluate(file_content)
-            ),
+            verifier=colliding_verifier,
             family=colliding_family,
             citation="The digest check recovers either the file or a"
             " collision partner; nothing in the evidence rules the partner"
@@ -260,9 +245,9 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         name="hash",
         title="file production checked by digest",
         evidences=evidences,
-        verifier=digest_verifier(injective.name, injective.evaluate(file_content)),
+        verifier=injective_verifier,
         exemplar=exemplar,
-        target=file_target(),
+        target=Machine(id="produce-the-file", methods={"run": _target_run}),
         post_processor=first_message_post("produced-bytes"),
         action_family=injective_family,
         checks=checks,

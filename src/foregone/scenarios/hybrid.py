@@ -10,7 +10,7 @@ may first overwrite the content.  Exact-shape evidence closes the gap.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence, strengthen_to_full_spec
@@ -54,27 +54,13 @@ def _overwrite_run(ctx, _arg):
     return ABSENT
 
 
-def overwrite_action(planted: bytes) -> Machine:
-    return Machine(
-        id="overwrite-store", state={"planted": planted}, methods={"run": _overwrite_run}
-    )
-
-
 def _report_run(ctx, _arg):
     ctx.send(ctx.nature(STORE_LOCATION).call("read"))
     return ABSENT
 
 
-def report_action() -> Machine:
-    return Machine(id="read-and-report", methods={"run": _report_run})
-
-
 def _target_run(ctx, _arg):
     return ctx.nature(STORE_LOCATION).call("read")
-
-
-def read_store_target() -> Machine:
-    return Machine(id="produce-store-content", methods={"run": _target_run})
 
 
 def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
@@ -105,17 +91,25 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
     return {"weak": weak, "strong": strong}
 
 
-def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
-    merged = dict(DEFAULTS)
-    merged.update(params or {})
-    evidences = build_evidences(merged)
+def build(params: Mapping[str, Any]) -> Scenario:
+    evidences = build_evidences(params)
 
     exemplar = do_nothing_action()
     family = ActionFamily(
         actions=(
             ("do-nothing", exemplar),
-            ("overwrite-store", overwrite_action(merged["planted"])),
-            ("read-and-report", report_action()),
+            (
+                "overwrite-store",
+                Machine(
+                    id="overwrite-store",
+                    state={"planted": params["planted"]},
+                    methods={"run": _overwrite_run},
+                ),
+            ),
+            (
+                "read-and-report",
+                Machine(id="read-and-report", methods={"run": _report_run}),
+            ),
         ),
         exemplar_label="do-nothing",
     )
@@ -166,7 +160,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         evidences=evidences,
         verifier=accept_any_verifier(),
         exemplar=exemplar,
-        target=read_store_target(),
+        target=Machine(id="produce-store-content", methods={"run": _target_run}),
         post_processor=read_location_post("read-store-after", STORE_LOCATION),
         action_family=family,
         checks=checks,

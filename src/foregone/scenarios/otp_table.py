@@ -23,7 +23,7 @@ makes the ciphertext unique and recovery hold again.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence
@@ -36,7 +36,7 @@ from .common import (
     accept_any_verifier,
     do_nothing_action,
     first_message_post,
-    fixed_output_post,
+    guesses,
     mind,
     send_fixed_action,
 )
@@ -101,22 +101,14 @@ def sampled_key_target() -> Machine:
 
 
 def _pinned_coins_target_run(ctx, _arg):
+    """Toy randomized encryption with both key and coins fixed: the
+    ciphertext (coin, plain ⊕ key ⊕ coin) is unique."""
     plain = ctx.respondent.call("x")
     if plain is ABSENT:
         return None
     key = ctx.state["key"]
     coin = ctx.state["coin"]
     return (coin, otp(otp(key, coin), plain))
-
-
-def pinned_coins_target(key: bytes, coin: bytes) -> Machine:
-    """Toy randomized encryption with both key and coins fixed: the
-    ciphertext (coin, plain ⊕ key ⊕ coin) is unique."""
-    return Machine(
-        id="encrypt-with-pinned-coins",
-        state={"key": key, "coin": coin},
-        methods={"run": _pinned_coins_target_run},
-    )
 
 
 # --- the accepting verifier's side of the one recovering cell ----------------
@@ -139,27 +131,11 @@ def _recompute_fixed_run(ctx, _arg):
     return otp(ctx.state["key"], plain)
 
 
-def recompute_fixed_post(key: bytes) -> Machine:
-    return Machine(
-        id="recompute-fixed-ciphertext",
-        state={"key": key},
-        methods={"run": _recompute_fixed_run},
-    )
-
-
 def _recompute_pinned_run(ctx, _arg):
     plain = ctx.nature(PLAINTEXT_LOCATION).call("read")
     key = ctx.state["key"]
     coin = ctx.state["coin"]
     return (coin, otp(otp(key, coin), plain))
-
-
-def recompute_pinned_post(key: bytes, coin: bytes) -> Machine:
-    return Machine(
-        id="recompute-pinned-ciphertext",
-        state={"key": key, "coin": coin},
-        methods={"run": _recompute_pinned_run},
-    )
 
 
 # --- exemplar -----------------------------------------------------------------
@@ -174,10 +150,6 @@ def _send_own_ciphertext_run(ctx, _arg):
     return ABSENT
 
 
-def send_own_ciphertext_action() -> Machine:
-    return Machine(id="send-own-ciphertext", methods={"run": _send_own_ciphertext_run})
-
-
 # --- evidence -----------------------------------------------------------------
 
 
@@ -187,6 +159,16 @@ def _plaintext_on_record(world: World) -> bool:
 
 
 def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
+    def recorded(key: bytes) -> World:
+        plain = params["known_plain"]
+        return World(
+            nature=Nature(
+                slots={PLAINTEXT_LOCATION: read_only_store("plaintext-record", plain)},
+                read_only=frozenset({PLAINTEXT_LOCATION}),
+            ),
+            respondent=mind("keeper", x=plain, k=key),
+        )
+
     secret = Evidence(
         name="secret-plaintext-and-key",
         assertions=(
@@ -225,38 +207,8 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
             ),
         ),
         worlds=(
-            (
-                "recorded-a",
-                World(
-                    nature=Nature(
-                        slots={
-                            PLAINTEXT_LOCATION: read_only_store(
-                                "plaintext-record", params["known_plain"]
-                            )
-                        },
-                        read_only=frozenset({PLAINTEXT_LOCATION}),
-                    ),
-                    respondent=mind(
-                        "keeper", x=params["known_plain"], k=params["known_key_a"]
-                    ),
-                ),
-            ),
-            (
-                "recorded-b",
-                World(
-                    nature=Nature(
-                        slots={
-                            PLAINTEXT_LOCATION: read_only_store(
-                                "plaintext-record", params["known_plain"]
-                            )
-                        },
-                        read_only=frozenset({PLAINTEXT_LOCATION}),
-                    ),
-                    respondent=mind(
-                        "keeper", x=params["known_plain"], k=params["known_key_b"]
-                    ),
-                ),
-            ),
+            ("recorded-a", recorded(params["known_key_a"])),
+            ("recorded-b", recorded(params["known_key_b"])),
         ),
         probe=ProbeSpec(depth=1, alphabet=(None,)),
         partial_specs={
@@ -266,14 +218,14 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
     return {"secret": secret, "known": known}
 
 
-def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
-    merged = dict(DEFAULTS)
-    merged.update(params or {})
-    base_evidences = build_evidences(merged)
+def build(params: Mapping[str, Any]) -> Scenario:
+    base_evidences = build_evidences(params)
     secret = base_evidences["secret"]
     known = base_evidences["known"]
 
-    exemplar = send_own_ciphertext_action()
+    exemplar = Machine(
+        id="send-own-ciphertext", methods={"run": _send_own_ciphertext_run}
+    )
     family = ActionFamily(
         actions=(
             ("send-own-ciphertext", exemplar),
@@ -283,19 +235,12 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         exemplar_label="send-own-ciphertext",
     )
 
-    def guesses(value: bytes) -> tuple[tuple[str, Machine], ...]:
-        return (
-            ("echo-first-message", first_message_post()),
-            ("fixed-guess", fixed_output_post("fixed-guess", value)),
-            ("always-zero", fixed_output_post("always-zero", b"\x00")),
-        )
-
-    own_a = otp(merged["key_a"], merged["secret_a"])
-    own_b = otp(merged["key_b"], merged["secret_b"])
-    fixed_a = otp(merged["fixed_key"], merged["secret_a"])
-    fixed_b = otp(merged["fixed_key"], merged["secret_b"])
-    known_own_a = otp(merged["known_key_a"], merged["known_plain"])
-    known_own_b = otp(merged["known_key_b"], merged["known_plain"])
+    own_a = otp(params["key_a"], params["secret_a"])
+    own_b = otp(params["key_b"], params["secret_b"])
+    fixed_a = otp(params["fixed_key"], params["secret_a"])
+    fixed_b = otp(params["fixed_key"], params["secret_b"])
+    known_own_a = otp(params["known_key_a"], params["known_plain"])
+    known_own_b = otp(params["known_key_b"], params["known_plain"])
 
     evidences = dict(base_evidences)
     for alias in (
@@ -327,7 +272,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             kind="probe-unknown-goal",
             evidence="secret-fixed-key",
             expected=HOLDS,
-            target=fixed_key_target(merged["fixed_key"]),
+            target=fixed_key_target(params["fixed_key"]),
             candidates=guesses(fixed_a),
             languages={
                 "keeper-a": frozenset({fixed_a}),
@@ -363,8 +308,12 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             evidence="known-fixed-key",
             expected=HOLDS,
             verifier=read_plaintext_verifier(),
-            target=fixed_key_target(merged["fixed_key"]),
-            post=recompute_fixed_post(merged["fixed_key"]),
+            target=fixed_key_target(params["fixed_key"]),
+            post=Machine(
+                id="recompute-fixed-ciphertext",
+                state={"key": params["fixed_key"]},
+                methods={"run": _recompute_fixed_run},
+            ),
             citation="With the plaintext on record and the key fixed, the"
             " examiner recomputes the unique ciphertext unaided, whatever"
             " the performance did.",
@@ -374,7 +323,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             evidence="known-sampled-key",
             expected=HOLDS,
             target=sampled_key_target(),
-            candidates=guesses(otp(merged["fixed_key"], merged["known_plain"])),
+            candidates=guesses(otp(params["fixed_key"], params["known_plain"])),
             citation="Even with the plaintext on record, sampling the key"
             " fresh defeats every candidate recovery.",
         ),
@@ -383,8 +332,16 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             evidence="known-derandomized",
             expected=HOLDS,
             verifier=read_plaintext_verifier(),
-            target=pinned_coins_target(merged["fixed_key"], merged["pinned_coin"]),
-            post=recompute_pinned_post(merged["fixed_key"], merged["pinned_coin"]),
+            target=Machine(
+                id="encrypt-with-pinned-coins",
+                state={"key": params["fixed_key"], "coin": params["pinned_coin"]},
+                methods={"run": _pinned_coins_target_run},
+            ),
+            post=Machine(
+                id="recompute-pinned-ciphertext",
+                state={"key": params["fixed_key"], "coin": params["pinned_coin"]},
+                methods={"run": _recompute_pinned_run},
+            ),
             citation="Pinning the coins as well as the key makes the"
             " randomized ciphertext unique and recoverable again.",
         ),

@@ -28,7 +28,7 @@ action its argument turns on.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence, drop_assertion, strengthen_to_full_spec
@@ -283,10 +283,8 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
 # --- scenario ----------------------------------------------------------------
 
 
-def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
-    merged = dict(DEFAULTS)
-    merged.update(params or {})
-    evidences = build_evidences(merged)
+def build(params: Mapping[str, Any]) -> Scenario:
+    evidences = build_evidences(params)
 
     verifier = unlocked_verifier()
     exemplar = exemplar_action()
@@ -294,7 +292,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
     post = device_reading_post()
 
     stand_in = emulate_with_respondent(
-        exemplar, mind("knows-password", pwd=merged["pwd"])
+        exemplar, mind("knows-password", pwd=params["pwd"])
     )
     never_answers = emulate_with_respondent(
         exemplar, silent_mind("empty-handed", "pwd")
@@ -310,7 +308,7 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
     family_weak = ActionFamily(
         actions=core
         + (
-            ("use-duress-password", duress_action(merged["replacement"])),
+            ("use-duress-password", duress_action(params["replacement"])),
             ("stand-in-respondent", stand_in),
         ),
         exemplar_label="enter-password",

@@ -14,7 +14,7 @@ method defeats it, same pitfall as the plain store scenario.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence, strengthen_to_full_spec
@@ -22,9 +22,16 @@ from ..kernel import Machine, Nature, World
 from ..refinement import ProbeSpec
 from ..values import ABSENT, Location
 from .base import FAILS, HOLDS, Scenario, ScenarioCheck
-from .common import mind, read_location_post
+from .common import mind
+from .password import (
+    DEVICE_LOCATION,
+    _message_present,
+    _read,
+    _respondent_knows_password,
+    _verifier_run,
+    device_reading_post,
+)
 
-DEVICE_LOCATION = 3
 SECOND_LOCATION = 9
 
 DEFAULTS: dict[str, Any] = {
@@ -52,10 +59,6 @@ def _prompt_code(ctx, code):
     if ctx.state["got_pwd"] and code == ctx.state["code_value"]:
         ctx.state["unlocked"] = True
     return ABSENT
-
-
-def _read(ctx, _arg):
-    return ctx.state["message"] if ctx.state["unlocked"] else None
 
 
 def _write(ctx, new_message):
@@ -108,14 +111,6 @@ def second_device() -> Machine:
 # --- verifier, actions, target ---------------------------------------------
 
 
-def _verifier_run(ctx, _arg):
-    return ctx.nature(DEVICE_LOCATION).call("read") is not None
-
-
-def unlocked_verifier() -> Machine:
-    return Machine(id="two-factor-display-check", methods={"run": _verifier_run})
-
-
 def _unlock(ctx) -> bool:
     pwd = ctx.respondent.call("pwd")
     if pwd is ABSENT:
@@ -160,49 +155,18 @@ def _tamper_run(ctx, _arg):
     return ABSENT
 
 
-def exemplar_action() -> Machine:
-    return Machine(id="enter-password-and-code", methods={"run": _exemplar_run})
-
-
-def wrong_code_first_action() -> Machine:
-    return Machine(id="fumble-code-then-recover", methods={"run": _wrong_code_first_run})
-
-
-def report_action() -> Machine:
-    return Machine(id="unlock-and-report", methods={"run": _report_run})
-
-
-def tamper_action(planted: bytes) -> Machine:
-    return Machine(
-        id="unlock-and-overwrite", state={"planted": planted}, methods={"run": _tamper_run}
-    )
-
-
 def _target_run(ctx, _arg):
     if not _unlock(ctx):
         return None
     return ctx.nature(DEVICE_LOCATION).call("read")
 
 
-def decrypt_target() -> Machine:
-    return Machine(id="two-factor-decrypt-and-produce", methods={"run": _target_run})
-
-
 # --- evidence -----------------------------------------------------------------
-
-
-def _respondent_knows_password(world: World) -> bool:
-    device = world.nature.slots[DEVICE_LOCATION]
-    return world.respondent.state.get("pwd") == device.state["pwd"]
 
 
 def _respondent_finds_second(world: World) -> bool:
     where = world.respondent.state.get("find_second")
     return isinstance(where, Location) and where.index in world.nature.slots
-
-
-def _message_present(world: World) -> bool:
-    return world.nature.slots[DEVICE_LOCATION].state["message"] is not None
 
 
 def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
@@ -277,18 +241,32 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
     return {"weak": weak, "strong": strong}
 
 
-def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
-    merged = dict(DEFAULTS)
-    merged.update(params or {})
-    evidences = build_evidences(merged)
+def build(params: Mapping[str, Any]) -> Scenario:
+    evidences = build_evidences(params)
 
-    exemplar = exemplar_action()
+    exemplar = Machine(id="enter-password-and-code", methods={"run": _exemplar_run})
     family = ActionFamily(
         actions=(
             ("enter-password-and-code", exemplar),
-            ("fumble-code-then-recover", wrong_code_first_action()),
-            ("unlock-and-report", report_action()),
-            ("unlock-and-overwrite", tamper_action(merged["planted"])),
+            (
+                "fumble-code-then-recover",
+                Machine(
+                    id="fumble-code-then-recover",
+                    methods={"run": _wrong_code_first_run},
+                ),
+            ),
+            (
+                "unlock-and-report",
+                Machine(id="unlock-and-report", methods={"run": _report_run}),
+            ),
+            (
+                "unlock-and-overwrite",
+                Machine(
+                    id="unlock-and-overwrite",
+                    state={"planted": params["planted"]},
+                    methods={"run": _tamper_run},
+                ),
+            ),
         ),
         exemplar_label="enter-password-and-code",
     )
@@ -337,10 +315,12 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         name="twofactor",
         title="two-factor authenticated unlock",
         evidences=evidences,
-        verifier=unlocked_verifier(),
+        verifier=Machine(id="two-factor-display-check", methods={"run": _verifier_run}),
         exemplar=exemplar,
-        target=decrypt_target(),
-        post_processor=read_location_post("read-device-after", DEVICE_LOCATION),
+        target=Machine(
+            id="two-factor-decrypt-and-produce", methods={"run": _target_run}
+        ),
+        post_processor=device_reading_post(),
         action_family=family,
         checks=checks,
     )

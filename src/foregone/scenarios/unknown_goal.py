@@ -24,7 +24,7 @@ collapses -- the probe reports that rather than a verdict.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence
@@ -37,6 +37,7 @@ from .common import (
     accept_any_verifier,
     first_message_post,
     fixed_output_post,
+    guesses,
     mind,
 )
 
@@ -96,14 +97,6 @@ def _fresh_commit_target_run(ctx, _arg):
         return None
     coins = ctx.tape.read_bytes(len(secret))
     return SCHEMES[ctx.state["scheme"]].commit(secret, coins)[0]
-
-
-def fresh_commit_target(scheme_name: str) -> Machine:
-    return Machine(
-        id="commit-with-fresh-coins",
-        state={"scheme": scheme_name},
-        methods={"run": _fresh_commit_target_run},
-    )
 
 
 def _pinned_commit_target_run(ctx, _arg):
@@ -211,14 +204,12 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
     return {"whereabouts": whereabouts, "coin": coin, "commitment": commitment}
 
 
-def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
-    merged = dict(DEFAULTS)
-    merged.update(params or {})
-    evidences = build_evidences(merged)
-    place_a = merged["place_a"]
-    secret_a = merged["secret_a"]
-    secret_b = merged["secret_b"]
-    coin = merged["pinned_coin"]
+def build(params: Mapping[str, Any]) -> Scenario:
+    evidences = build_evidences(params)
+    place_a = params["place_a"]
+    secret_a = params["secret_a"]
+    secret_b = params["secret_b"]
+    coin = params["pinned_coin"]
 
     whereabouts_family = ActionFamily(
         actions=(("state-a-location", state_location_action()),),
@@ -255,13 +246,6 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
         ),
     }
 
-    def guesses(value: bytes) -> tuple[tuple[str, Machine], ...]:
-        return (
-            ("echo-first-message", first_message_post()),
-            ("fixed-guess", fixed_output_post("fixed-guess", value)),
-            ("always-zero", fixed_output_post("always-zero", b"\x00")),
-        )
-
     evidences["commitment-pinned"] = evidences["commitment"]
     evidences["commitment-pinned-equivocable"] = evidences["commitment"]
 
@@ -293,7 +277,11 @@ def build(params: Optional[Mapping[str, Any]] = None) -> Scenario:
             kind="probe-random",
             evidence="commitment",
             expected=HOLDS,
-            target=fresh_commit_target("xor-pad"),
+            target=Machine(
+                id="commit-with-fresh-coins",
+                state={"scheme": "xor-pad"},
+                methods={"run": _fresh_commit_target_run},
+            ),
             family=commit_family,
             candidates=guesses(secret_a),
             citation="A fresh commitment to an unverifiable secret moves"

@@ -31,6 +31,7 @@ from foregone.toy_crypto import otp
 from foregone.values import ABSENT
 
 SEEDS_FLAG = "0,1,2,3"
+GOLDEN = Path(__file__).parent / "golden"
 
 REPORT_FIELDS = [
     "scenario",
@@ -125,6 +126,13 @@ def test_list_json_carries_names_and_citations(capsys):
     assert "password" in names and "otp-table" in names
     first_check = payload[0]["checks"][0]
     assert set(first_check) == {"check", "evidence", "expected", "citation"}
+
+
+def test_list_json_matches_the_golden_file(capsys):
+    # Pins every scenario's registered checks, expected verdicts and
+    # citations; regenerate it only for a change that moves them on purpose.
+    assert main(["list", "--json"]) == EXIT_MATCH
+    assert capsys.readouterr().out.encode() == (GOLDEN / "list.json").read_bytes()
 
 
 def test_empty_registry_is_a_diagnosed_config_error(capsys):
@@ -401,7 +409,7 @@ def test_unknown_scenario_names_every_known_one(capsys):
 # --- audit -------------------------------------------------------------------------
 
 
-GOLDEN_AUDIT = Path(__file__).parent / "golden" / "audit.json"
+GOLDEN_AUDIT = GOLDEN / "audit.json"
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -458,3 +466,19 @@ def test_markdown_report_mentions_the_claim(capsys):
 
 def test_toy_sweeps_all_pass():
     assert all(value == "pass" for value in toy_sweeps().values())
+
+
+# --- demos -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "demo", ["password_walkthrough", "counterexample_hunt", "impossibility_probes"]
+)
+def test_demo_output_matches_its_golden_file(demo):
+    script = Path(__file__).resolve().parents[1] / "demos" / f"{demo}.py"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(foregone.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, check=True
+    )
+    assert done.stdout == (GOLDEN / f"demo_{demo}.txt").read_bytes()

@@ -62,8 +62,6 @@ def test_entailment_holds_implies_demonstrability_holds(registry):
             if check.kind != "entailment" or check.expected != HOLDS:
                 continue
             family = check.family or scenario.action_family
-            if not family.includes_exemplar:
-                continue
             verifier = check.verifier or scenario.verifier
             evidence = scenario.evidences[check.evidence]
             report = check_demonstrability(
