@@ -119,28 +119,19 @@ def _rebind(spec: Machine, device: Machine) -> Optional[Machine]:
     return Machine(id=spec.id, state=bound_state, methods=dict(spec.methods))
 
 
-def world_satisfies_full_spec(
-    world: World, location: int, spec: Machine, probe: ProbeSpec
+def _satisfies(
+    world: World, location: int, spec: Machine, probe: ProbeSpec, relation: Callable
 ) -> bool:
+    """Whether the device at ``location`` stands in ``relation``
+    (``bounded_equivalent`` or ``bounded_implements``) to ``spec`` bound
+    to its values.  Callers name the relation at call time, so a wrapper
+    bound over the module-level name (as the benchmark tracer binds one)
+    sees the call."""
     device = world.nature.slots.get(location)
     if device is None:
         return False
     bound = _rebind(spec, device)
-    if bound is None:
-        return False
-    return bounded_equivalent(bound, device, probe.depth, probe.alphabet)
-
-
-def world_satisfies_partial_spec(
-    world: World, location: int, spec: Machine, probe: ProbeSpec
-) -> bool:
-    device = world.nature.slots.get(location)
-    if device is None:
-        return False
-    bound = _rebind(spec, device)
-    if bound is None:
-        return False
-    return bounded_implements(bound, device, probe.depth, probe.alphabet)
+    return bound is not None and relation(bound, device, probe.depth, probe.alphabet)
 
 
 def strengthen_to_full_spec(
@@ -152,7 +143,7 @@ def strengthen_to_full_spec(
     surviving = tuple(
         (label, world)
         for label, world in evidence.worlds
-        if world_satisfies_full_spec(world, location, spec, evidence.probe)
+        if _satisfies(world, location, spec, evidence.probe, bounded_equivalent)
     )
     if not surviving:
         raise EmptyFamilyError(
@@ -231,13 +222,13 @@ def audit(evidence: Evidence) -> list[str]:
     problems: list[str] = []
     for label, world in evidence.worlds:
         for location, spec in evidence.partial_specs.items():
-            if not world_satisfies_partial_spec(world, location, spec, evidence.probe):
+            if not _satisfies(world, location, spec, evidence.probe, bounded_implements):
                 problems.append(
                     f"{evidence.name}/{label}: nature[{location}] does not "
                     f"implement the asserted shape {spec.id!r}"
                 )
         for location, spec in evidence.full_specs.items():
-            if not world_satisfies_full_spec(world, location, spec, evidence.probe):
+            if not _satisfies(world, location, spec, evidence.probe, bounded_equivalent):
                 problems.append(
                     f"{evidence.name}/{label}: nature[{location}] is not "
                     f"exactly the asserted shape {spec.id!r}"

@@ -22,10 +22,17 @@ The moving parts:
 ``run_post`` continues the world and tapes from where an execution left
 them.  None of the three mutates its input: each runs on its own fork.
 
-Access rules are enforced by construction: the respondent is reachable
-only from the action phase.  A verifier that tries to reach the
-respondent sees a no-such-method outcome, and the attempt is recorded
-in the transcript.
+Access rules are enforced by construction.  Every method runs in a
+role, and ``_CAPS`` lists what each role may use.  The role comes with
+the handle the call goes through: each entry point runs its machine as
+the action, verifier, target or post-processor; ``ctx.nature(i)`` hands
+out a nature handle, read-only when ``i`` is a read-only location; and
+``ctx.respondent`` hands out a respondent handle, for the world's
+respondent and for a machine's emulated one alike.  So the respondent
+is reachable only from the action phase and from targets.  A verifier
+that tries to reach it sees a no-such-method outcome, and the attempt
+is recorded in the transcript; any other role that asks for a
+capability it lacks raises ``AccessViolationError``.
 
 Everything is deterministic given (world, machines, seed, budget): two
 runs of the same cell produce bitwise identical transcripts and
@@ -168,13 +175,6 @@ class Nature:
 
     slots: dict[int, Machine] = field(default_factory=dict)
     read_only: frozenset[int] = frozenset()
-
-    def at(self, location: int | Location) -> Machine:
-        index = location.index if isinstance(location, Location) else location
-        try:
-            return self.slots[index]
-        except KeyError:
-            raise NoSuchMethodError(f"nature[{index}]", "<missing>") from None
 
 
 @dataclass
@@ -336,15 +336,28 @@ _CAPS = {
 
 class MachineProxy:
     """Callable handle on another machine, routed through the engine so
-    that every call is recorded and charged against the budget."""
+    that every call is recorded and charged against the budget.  The
+    handle carries the role the callee runs in and whether it sits at a
+    read-only location."""
 
-    def __init__(self, engine: "_Engine", caller_id: str, machine: Machine):
+    def __init__(
+        self,
+        engine: "_Engine",
+        caller_id: str,
+        machine: Machine,
+        role: str,
+        read_only: bool,
+    ):
         self._engine = engine
         self._caller_id = caller_id
         self._machine = machine
+        self._role = role
+        self._read_only = read_only
 
     def call(self, method: str, argument: Any = None) -> Any:
-        return self._engine.invoke(self._caller_id, self._machine, method, argument)
+        return self._engine.invoke(
+            self._caller_id, self._machine, self._role, self._read_only, method, argument
+        )
 
 
 class _RefusingRespondentProxy:
@@ -412,24 +425,24 @@ class MethodContext:
 
     def nature(self, location: int | Location) -> MachineProxy:
         self._require("nature")
-        return MachineProxy(
-            self._engine, self._machine.id, self._engine.world.nature.at(location)
-        )
+        nature = self._engine.world.nature
+        index = location.index if isinstance(location, Location) else location
+        machine = nature.slots.get(index)
+        if machine is None:
+            raise NoSuchMethodError(f"nature[{index}]", "<missing>")
+        read_only = index in nature.read_only
+        return MachineProxy(self._engine, self._machine.id, machine, _ROLE_NATURE, read_only)
 
     @property
     def respondent(self):
-        if self._machine.emulated_respondent is not None:
-            return MachineProxy(
-                self._engine, self._machine.id, self._machine.emulated_respondent
-            )
-        if self._role == _ROLE_VERIFIER:
-            return _RefusingRespondentProxy(
-                self._engine, self._machine.id, self._engine.world.respondent.id
-            )
-        self._require("respondent")
-        return MachineProxy(
-            self._engine, self._machine.id, self._engine.world.respondent
-        )
+        engine, caller = self._engine, self._machine.id
+        respondent = self._machine.emulated_respondent
+        if respondent is None:
+            if self._role == _ROLE_VERIFIER:
+                return _RefusingRespondentProxy(engine, caller, engine.world.respondent.id)
+            self._require("respondent")
+            respondent = engine.world.respondent
+        return MachineProxy(engine, caller, respondent, _ROLE_RESPONDENT, False)
 
     def send(self, value: Any) -> None:
         self._require("send")
@@ -462,21 +475,6 @@ class _Engine:
         self.steps = 0
         self.transcript = Transcript()
         self._cursor = 0  # verifier's position in the message buffer
-        self._roles: dict[int, str] = {}
-        self._read_only_ids = {
-            id(world.nature.slots[loc])
-            for loc in world.nature.read_only
-            if loc in world.nature.slots
-        }
-        self._roles[id(world.respondent)] = _ROLE_RESPONDENT
-
-    def cast(self, machine: Machine, role: str) -> None:
-        self._roles[id(machine)] = role
-        if machine.emulated_respondent is not None:
-            self._roles[id(machine.emulated_respondent)] = _ROLE_RESPONDENT
-
-    def role_of(self, machine: Machine) -> str:
-        return self._roles.get(id(machine), _ROLE_NATURE)
 
     def charge(self) -> None:
         self.steps += 1
@@ -496,14 +494,23 @@ class _Engine:
             CallEvent(caller, callee, method, argument, NO_SUCH_METHOD)
         )
 
-    def invoke(self, caller_id: str, machine: Machine, method: str, argument) -> Any:
+    def invoke(
+        self,
+        caller_id: str,
+        machine: Machine,
+        role: str,
+        read_only: bool,
+        method: str,
+        argument: Any,
+    ) -> Any:
+        """Run ``machine.method(argument)`` in ``role``; a machine at a
+        read-only location answers only ``read``."""
         self.charge()
-        read_only = id(machine) in self._read_only_ids
         fn = machine.methods.get(method)
         if fn is None or (read_only and method != "read"):
             self.record_refusal(caller_id, machine.id, method, argument)
             raise NoSuchMethodError(machine.id, method)
-        ctx = MethodContext(self, machine, self.role_of(machine), method)
+        ctx = MethodContext(self, machine, role, method)
         try:
             output = fn(ctx, argument)
         except KernelError:
@@ -550,28 +557,15 @@ def execute(
     attempt recorded.
     """
     engine = _Engine(_fork(world), RandomnessAssignment(seed), budget)
-    acting = fork_machine(action)
-    checking = fork_machine(verifier)
-    engine.cast(acting, _ROLE_ACTION)
-    engine.cast(checking, _ROLE_VERIFIER)
-
-    verdict: Optional[Verdict] = None
     try:
-        engine.invoke("execution", acting, "run", None)
+        acting, checking = fork_machine(action), fork_machine(verifier)
+        engine.invoke("execution", acting, _ROLE_ACTION, False, "run", None)
+        output = engine.invoke("execution", checking, _ROLE_VERIFIER, False, "run", None)
+        verdict = Verdict.ACCEPT if output is True else Verdict.REJECT
     except NoSuchMethodError:
         verdict = Verdict.REJECT
     except BudgetExceededError:
         verdict = Verdict.BUDGET
-
-    if verdict is None:
-        try:
-            output = engine.invoke("execution", checking, "run", None)
-            verdict = Verdict.ACCEPT if output is True else Verdict.REJECT
-        except NoSuchMethodError:
-            verdict = Verdict.REJECT
-        except BudgetExceededError:
-            verdict = Verdict.BUDGET
-
     engine.transcript.set_verdict(verdict)
     return ExecutionResult(
         engine.transcript, engine.world, engine.assignment, engine.steps
@@ -590,8 +584,7 @@ def run_target(
     """
     engine = _Engine(_fork(world), RandomnessAssignment(seed), budget)
     acting = fork_machine(target)
-    engine.cast(acting, _ROLE_TARGET)
-    output = engine.invoke("execution", acting, "run", None)
+    output = engine.invoke("execution", acting, _ROLE_TARGET, False, "run", None)
     if output is ABSENT:
         raise AbsentOutputError(f"target {target.id!r} produced no output")
     return output
@@ -610,9 +603,7 @@ def run_post(
     engine.transcript.messages_to_verifier.extend(
         result.transcript.messages_to_verifier
     )
-    processing = fork_machine(post)
-    engine.cast(processing, _ROLE_POST)
-    return engine.invoke("execution", processing, "run", None)
+    return engine.invoke("execution", fork_machine(post), _ROLE_POST, False, "run", None)
 
 
 class DirectInvoker:
@@ -634,7 +625,9 @@ class DirectInvoker:
         self._engine = _Engine(world, RandomnessAssignment(seed), budget)
 
     def invoke(self, machine: Machine, method: str, argument: Any = None) -> Any:
-        return self._engine.invoke("bench", machine, method, argument)
+        """Call ``machine.method(argument)`` as a nature machine at a
+        writable location."""
+        return self._engine.invoke("bench", machine, _ROLE_NATURE, False, method, argument)
 
     def fork(self) -> "DirectInvoker":
         """An invoker that goes on from this one's step count and tape
@@ -645,18 +638,6 @@ class DirectInvoker:
         twin._engine = _Engine(_fork(engine.world), engine.assignment.fork(), engine.budget)
         twin._engine.steps = engine.steps
         return twin
-
-
-def invoke_method(
-    machine: Machine,
-    method: str,
-    argument: Any = None,
-    *,
-    world: Optional[World] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Any:
-    """One-shot direct invocation; state updates commit to ``machine``."""
-    return DirectInvoker(world=world, budget=budget).invoke(machine, method, argument)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
-from .base import (
-    CHECK_KINDS,
-    FAILS,
-    HOLDS,
-    HYPOTHESIS_VIOLATED,
-    Scenario,
-    ScenarioCheck,
-    ScenarioError,
-    run_check,
-)
+from .base import CHECK_KINDS, Scenario, ScenarioError, run_check
 from . import (
     decommit,
     deniable,
@@ -115,11 +106,7 @@ def build_registry(
 __all__ = [
     "BUILDERS",
     "CHECK_KINDS",
-    "FAILS",
-    "HOLDS",
-    "HYPOTHESIS_VIOLATED",
     "Scenario",
-    "ScenarioCheck",
     "ScenarioError",
     "UnknownParameterError",
     "build_registry",

@@ -8,11 +8,10 @@ scenario modules:
   memo and ``same_world_content`` compare method functions by identity,
   so two independently built copies of a machine must share them.
 - There are no module-level machine constants: every build makes its
-  own ``Machine`` objects.  ``invoke_method`` and ``DirectInvoker``
-  mutate the machine they are given, and a ``World`` refuses one
-  ``Machine`` object held twice.  (``execute``, ``run_target`` and
-  ``run_post`` fork their inputs, so one build may hand the same
-  verifier or action to several checks.)
+  own ``Machine`` objects.  ``DirectInvoker`` mutates the machine it
+  is given, and a ``World`` refuses one ``Machine`` object held twice.
+  (``execute``, ``run_target`` and ``run_post`` fork their inputs, so
+  one build may hand the same verifier or action to several checks.)
 - Machine ids are output bytes: probe witnesses and rendered
   transcripts name machines by id, so renaming a machine changes
   reports and demo output.

@@ -7,19 +7,22 @@ the file itself, so recovery holds exactly.  With a hash carrying a
 documented collision, a performance that sends the collision partner is
 accepted too, and the defeating cell shows two distinct outputs with
 equal digests -- the dichotomy the digest check leaves open.
+
+Each digest verifier carries its hash in its own state: the collision
+pair of ``toy_crypto.toy_hash``, or ``None`` for the injective hash.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence
 from ..kernel import Machine, Nature, World, read_only_store
 from ..refinement import ProbeSpec
-from ..toy_crypto import HashSpec, make_colliding_hash, make_injective_hash
+from ..toy_crypto import toy_hash
 from ..values import ABSENT, Location
-from .base import FAILS, HOLDS, Scenario, ScenarioCheck
+from .base import FAILS, HOLDS, Scenario, ScenarioCheck, ScenarioError
 from .common import first_message_post, mind, send_fixed_action
 
 FILE_LOCATION = 4
@@ -30,27 +33,20 @@ DEFAULTS: dict[str, Any] = {
     "collision_partner": b"shadow-q3",
 }
 
-HASHES: dict[str, HashSpec] = {}
-
-
-def _register(spec: HashSpec) -> HashSpec:
-    HASHES[spec.name] = spec
-    return spec
-
 
 def _verifier_run(ctx, _arg):
     produced = ctx.receive()
     if produced is ABSENT or not isinstance(produced, bytes):
         return False
-    digest = HASHES[ctx.state["hash"]].evaluate(produced)
-    return digest == ctx.state["digest"]
+    return toy_hash(ctx.state["collision"], produced) == ctx.state["digest"]
 
 
-def digest_verifier(hash_name: str, digest: bytes) -> Machine:
-    """Accepts iff the produced bytes hash to the published digest."""
+def digest_verifier(collision: Optional[tuple[bytes, bytes]], digest: bytes) -> Machine:
+    """Accepts iff the produced bytes hash to the published digest under
+    ``toy_hash(collision, ·)``."""
     return Machine(
         id="digest-check",
-        state={"hash": hash_name, "digest": digest},
+        state={"collision": collision, "digest": digest},
         methods={"run": _verifier_run},
     )
 
@@ -89,27 +85,21 @@ def _world(file_location: int, content: bytes) -> World:
     )
 
 
-def _file_matches_digest(hash_name: str, digest: bytes):
+def _file_matches_digest(collision: Optional[tuple[bytes, bytes]], digest: bytes):
     def check(world: World) -> bool:
         where = world.respondent.state["find_file"]
         content = world.nature.slots[where.index].state["value"]
-        return HASHES[hash_name].evaluate(content) == digest
+        return toy_hash(collision, content) == digest
 
     return check
-
-
-def _specs(params: Mapping[str, Any]) -> tuple[HashSpec, HashSpec]:
-    file_content = params["file"]
-    partner = params["collision_partner"]
-    injective = _register(make_injective_hash(extra_domain=(file_content, partner)))
-    colliding = _register(make_colliding_hash(file_content, partner))
-    return injective, colliding
 
 
 def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
     file_content = params["file"]
     partner = params["collision_partner"]
-    injective, colliding = _specs(params)
+    if file_content == partner:
+        raise ScenarioError("hash.file and hash.collision_partner must differ")
+    digest = toy_hash(None, file_content)
     probe = ProbeSpec(depth=1, alphabet=(None,))
 
     injective_evidence = Evidence(
@@ -122,9 +112,7 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
             Assertion(
                 id="file-matches-digest",
                 text="the located file hashes to the published digest",
-                holds_in=_file_matches_digest(
-                    injective.name, injective.evaluate(file_content)
-                ),
+                holds_in=_file_matches_digest(None, digest),
             ),
         ),
         worlds=(
@@ -144,9 +132,7 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
             Assertion(
                 id="file-matches-digest",
                 text="the located file hashes to the published digest",
-                holds_in=_file_matches_digest(
-                    colliding.name, colliding.evaluate(file_content)
-                ),
+                holds_in=_file_matches_digest((file_content, partner), digest),
             ),
         ),
         worlds=(
@@ -162,13 +148,10 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
 def build(params: Mapping[str, Any]) -> Scenario:
     evidences = build_evidences(params)
     file_content = params["file"]
-    injective, colliding = _specs(params)
-    injective_verifier = digest_verifier(
-        injective.name, injective.evaluate(file_content)
-    )
-    colliding_verifier = digest_verifier(
-        colliding.name, colliding.evaluate(file_content)
-    )
+    digest = toy_hash(None, file_content)
+    injective_verifier = digest_verifier(None, digest)
+    collision = (file_content, params["collision_partner"])
+    colliding_verifier = digest_verifier(collision, digest)
 
     exemplar = Machine(id="produce-located-file", methods={"run": _produce_run})
     injective_family = ActionFamily(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 MAX_INPUT_BYTES = 8
@@ -62,9 +63,16 @@ def complement(message: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _byte_permutation(x: bytes) -> bytes:
-    # 167 is odd, so b -> 167*b + 89 (mod 256) permutes each byte;
-    # length is preserved, so the whole map is injective.
+def toy_hash(collision: Optional[tuple[bytes, bytes]], x: bytes) -> bytes:
+    """The byte permutation b -> 167*b + 89 (mod 256), applied bytewise.
+
+    With ``collision = (first, second)``, ``second`` hashes like
+    ``first``; with ``None`` the map is injective.
+    """
+    if collision is not None and x == collision[1]:
+        x = collision[0]
+    # 167 is odd, so the map permutes each byte; length is preserved, so
+    # the whole map is injective.
     return bytes((b * 167 + 89) % 256 for b in x)
 
 
@@ -99,7 +107,7 @@ def make_injective_hash(extra_domain: tuple[bytes, ...] = ()) -> HashSpec:
     domain = tuple(bytes([i]) for i in range(256)) + tuple(extra_domain)
     return HashSpec(
         name="byte-permutation",
-        evaluate=_byte_permutation,
+        evaluate=partial(toy_hash, None),
         domain=domain,
         declared_injective=True,
     )
@@ -111,18 +119,12 @@ def make_colliding_hash(
     """Byte permutation patched so that ``second`` hashes like ``first``."""
     if first == second:
         raise ValueError("collision witnesses must differ")
-
-    def evaluate(x: bytes) -> bytes:
-        if x == second:
-            return _byte_permutation(first)
-        return _byte_permutation(x)
-
     domain = (
         tuple(bytes([i]) for i in range(256)) + (first, second) + tuple(extra_domain)
     )
     return HashSpec(
         name=f"byte-permutation-colliding[{first.hex()},{second.hex()}]",
-        evaluate=evaluate,
+        evaluate=partial(toy_hash, (first, second)),
         domain=domain,
         declared_injective=False,
         known_collision=(first, second),

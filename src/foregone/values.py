@@ -26,50 +26,22 @@ from dataclasses import dataclass
 from typing import Any
 
 
-class _Absent:
-    """Singleton marker for "the method produced no output"."""
+class _Marker:
+    """A named outcome that is not a value.  Copying or pickling a marker
+    yields the module-level marker of that name, so identity holds."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
-        return "ABSENT"
+        return self.name
 
-    def __deepcopy__(self, memo):
-        return self
-
-    def __copy__(self):
-        return self
+    def __reduce__(self):
+        return self.name
 
 
-ABSENT = _Absent()
-
-
-class _NoSuchMethod:
-    """Singleton marker recorded in transcripts for undefined-method calls."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NO_SUCH_METHOD"
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __copy__(self):
-        return self
-
-
-NO_SUCH_METHOD = _NoSuchMethod()
+ABSENT = _Marker("ABSENT")  # the method produced no output
+NO_SUCH_METHOD = _Marker("NO_SUCH_METHOD")  # recorded for refused calls
 
 
 @dataclass(frozen=True)

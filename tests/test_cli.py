@@ -269,6 +269,13 @@ def test_override_of_the_wrong_type_is_a_config_error(tmp_path, capsys):
     assert "bytes" in err and "int" in err
 
 
+def test_equal_hash_collision_witnesses_are_a_config_error(tmp_path, capsys):
+    overrides = tmp_path / "params.txt"
+    overrides.write_text("hash.file = 0x61\nhash.collision_partner = 0x61\n")
+    assert main(["run", "hash", "--overrides", str(overrides)]) == EXIT_CONFIG
+    assert "hash.file and hash.collision_partner must differ" in capsys.readouterr().err
+
+
 def test_a_fault_in_machine_code_is_a_config_error_naming_the_check(
     registry, monkeypatch, capsys
 ):

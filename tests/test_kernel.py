@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from foregone.kernel import (
     DEFAULT_BUDGET,
     AbsentOutputError,
+    AccessViolationError,
     AliasedMachineError,
     BudgetExceededError,
+    DirectInvoker,
     Machine,
     MalformedValueError,
     MethodFaultError,
@@ -24,7 +26,6 @@ from foregone.kernel import (
     emulate_with_respondent,
     execute,
     fork_machine,
-    invoke_method,
     read_only_store,
     run_post,
     run_target,
@@ -55,29 +56,32 @@ def password_world(pwd=b"hunter2", message=b"tax-records") -> World:
 
 def test_prompt_then_read_discloses_the_message():
     device = password_device(b"hunter2", b"tax-records")
-    assert invoke_method(device, "read") is None  # locked: the null value
-    invoke_method(device, "prompt", b"hunter2")
-    assert invoke_method(device, "read") == b"tax-records"
+    invoker = DirectInvoker()
+    assert invoker.invoke(device, "read") is None  # locked: the null value
+    invoker.invoke(device, "prompt", b"hunter2")
+    assert invoker.invoke(device, "read") == b"tax-records"
 
 
 def test_wrong_password_keeps_the_device_locked():
     device = password_device(b"hunter2", b"tax-records")
-    invoke_method(device, "prompt", b"guess")
-    assert invoke_method(device, "read") is None
+    invoker = DirectInvoker()
+    invoker.invoke(device, "prompt", b"guess")
+    assert invoker.invoke(device, "read") is None
 
 
 def test_undefined_method_raises_without_mutating_state():
     device = plain_store(b"alpha")
     before = copy.deepcopy(device.state)
     with pytest.raises(NoSuchMethodError):
-        invoke_method(device, "write", b"cats")
+        DirectInvoker().invoke(device, "write", b"cats")
     assert device.state == before
 
 
 def test_write_method_present_on_the_writable_variant():
     device = writable_store(b"alpha")
-    invoke_method(device, "write", b"cats")
-    assert invoke_method(device, "read") == b"cats"
+    invoker = DirectInvoker()
+    invoker.invoke(device, "write", b"cats")
+    assert invoker.invoke(device, "read") == b"cats"
 
 
 # --- execute -------------------------------------------------------------------
@@ -134,6 +138,149 @@ def test_verifier_reaching_for_the_respondent_is_refused_and_recorded():
         if e.callee == world.respondent.id and e.output is NO_SUCH_METHOD
     ]
     assert refusals and refusals[0].caller == "nosy-check"
+
+
+# --- capabilities per role ---------------------------------------------------------
+
+# one use per capability: nature, respondent, send, receive, messages
+_CAPABILITY_USES = (
+    lambda ctx: ctx.nature(0),
+    lambda ctx: ctx.respondent.call("name"),
+    lambda ctx: ctx.send(b"m"),
+    lambda ctx: ctx.receive(),
+    lambda ctx: ctx.messages,
+)
+
+
+def _try_each_capability(ctx, _arg):
+    outcomes = []
+    for use in _CAPABILITY_USES:
+        try:
+            use(ctx)
+            outcomes.append(b"ok")
+        except AccessViolationError:
+            outcomes.append(b"denied")
+        except NoSuchMethodError:
+            outcomes.append(b"refused")
+    return b" ".join(outcomes)
+
+
+def _call_nature_by_int(ctx, _arg):
+    return ctx.nature(0).call("run")
+
+
+def _call_nature_by_location(ctx, _arg):
+    return ctx.nature(Location(0)).call("run")
+
+
+def _call_respondent(ctx, _arg):
+    return ctx.respondent.call("run")
+
+
+def _probe():
+    return Machine(id="cap-probe", methods={"run": _try_each_capability})
+
+
+def _capability_world(slot=None, respondent=None):
+    return World(
+        nature=Nature(slots={0: slot or read_only_store("shelf", b"s")}),
+        respondent=respondent or mind("bystander", name=b"r"),
+    )
+
+
+def _outcome_of(callee, result):
+    (event,) = [e for e in result.transcript.events if e.callee == callee]
+    return event.output
+
+
+def _reached_from_an_action(driver, world):
+    action = Machine(id="driver", methods={"run": driver})
+    return _outcome_of("cap-probe", execute(accept_any_verifier(), action, world, 0))
+
+
+_ROLE_CASES = {
+    "action": lambda: _outcome_of(
+        "cap-probe", execute(accept_any_verifier(), _probe(), _capability_world(), 0)
+    ),
+    "verifier": lambda: _outcome_of(
+        "cap-probe", execute(_probe(), do_nothing_action(), _capability_world(), 0)
+    ),
+    "target": lambda: run_target(_probe(), _capability_world(), 0),
+    "post": lambda: run_post(
+        _probe(),
+        execute(accept_any_verifier(), do_nothing_action(), _capability_world(), 0),
+    ),
+    "nature via int": lambda: _reached_from_an_action(
+        _call_nature_by_int, _capability_world(slot=_probe())
+    ),
+    "nature via Location": lambda: _reached_from_an_action(
+        _call_nature_by_location, _capability_world(slot=_probe())
+    ),
+    "respondent": lambda: _reached_from_an_action(
+        _call_respondent, _capability_world(respondent=_probe())
+    ),
+    "an action's emulated respondent": lambda: _outcome_of(
+        "emulated:cap-probe",
+        execute(
+            accept_any_verifier(),
+            emulate_with_respondent(
+                Machine(id="driver", methods={"run": _call_respondent}), _probe()
+            ),
+            _capability_world(),
+            0,
+        ),
+    ),
+    # A machine reached through any emulated-respondent handle runs as the
+    # respondent, also when the handle's owner sits in nature.
+    "a nature machine's emulated respondent": lambda: _reached_from_an_action(
+        _call_nature_by_int,
+        _capability_world(
+            slot=Machine(
+                id="relay", methods={"run": _call_respondent}, emulated_respondent=_probe()
+            )
+        ),
+    ),
+}
+
+_EXPECTED_CAPABILITIES = {
+    "action": "ok ok ok denied denied",
+    "verifier": "ok refused denied ok denied",
+    "target": "ok ok denied denied denied",
+    "post": "ok denied denied denied ok",
+    "nature via int": "ok denied denied denied denied",
+    "nature via Location": "ok denied denied denied denied",
+    "respondent": "denied denied denied denied denied",
+    "an action's emulated respondent": "denied denied denied denied denied",
+    "a nature machine's emulated respondent": "denied denied denied denied denied",
+}
+
+
+@pytest.mark.parametrize("case", list(_ROLE_CASES))
+def test_each_role_uses_exactly_its_capabilities(case):
+    assert _ROLE_CASES[case]().decode() == _EXPECTED_CAPABILITIES[case]
+
+
+def _write_through(ctx, _arg):
+    return ctx.nature(ctx.state["where"]).call("write", b"defaced")
+
+
+@pytest.mark.parametrize("where", [1, Location(1)])
+def test_a_writable_store_at_a_read_only_slot_answers_only_read(where):
+    # the store defines ``write``; only the location's flag refuses it
+    world = World(
+        nature=Nature(slots={1: writable_store(b"sealed")}, read_only=frozenset({1})),
+        respondent=mind("bystander", name=b"r"),
+    )
+    action = Machine(id="vandal", state={"where": where}, methods={"run": _write_through})
+    result = execute(accept_any_verifier(), action, world, 0)
+    assert result.transcript.verdict is Verdict.REJECT
+    assert result.transcript.events[0].output is NO_SUCH_METHOD
+    assert result.post_world.nature.slots[1].state["content"] == b"sealed"
+
+    world.nature.read_only = frozenset()
+    result = execute(accept_any_verifier(), action, world, 0)
+    assert result.transcript.verdict is Verdict.ACCEPT
+    assert result.post_world.nature.slots[1].state["content"] == b"defaced"
 
 
 def test_extra_messages_are_recorded_and_ignored_by_the_verifier():
@@ -354,7 +501,7 @@ def test_a_method_that_stores_mutable_state_is_rejected():
 
     machine = Machine(id="stasher", methods={"run": stash})
     with pytest.raises(MalformedValueError) as excinfo:
-        invoke_method(machine, "run")
+        DirectInvoker().invoke(machine, "run")
     assert "'stasher'" in str(excinfo.value)
     assert "'scratch'" in str(excinfo.value)
 
@@ -368,7 +515,7 @@ def test_an_exception_from_method_code_becomes_a_method_fault():
 
     machine = Machine(id="divider", methods={"divide": divide})
     with pytest.raises(MethodFaultError) as excinfo:
-        invoke_method(machine, "divide", 0)
+        DirectInvoker().invoke(machine, "divide", 0)
     assert str(excinfo.value).startswith(
         "machine 'divider' method 'divide' raised ZeroDivisionError: "
     )
@@ -378,7 +525,7 @@ def test_an_exception_from_method_code_becomes_a_method_fault():
     world = World(nature=Nature(slots={0: machine}), respondent=Machine(id="r"))
     caller = Machine(id="relay", methods={"run": relay})
     with pytest.raises(MethodFaultError, match="'divider' method 'divide'"):
-        invoke_method(caller, "run", 0, world=world)
+        DirectInvoker(world).invoke(caller, "run", 0)
 
 
 def test_a_world_may_not_hold_one_machine_twice():
@@ -448,15 +595,22 @@ def _machines(world, riders):
 
 
 def _drive(world, riders, tapes, calls):
-    """Outcome stream of ``calls`` against one copy of a bundle."""
+    """Outcome stream of ``calls`` against one copy of a bundle.  Each
+    machine runs in the role, and with the read-only flag, that a handle
+    on it carries."""
     engine = _Engine(world, tapes, DEFAULT_BUDGET)
-    for role, machine in riders:
-        engine.cast(machine, role)
     machines = _machines(world, riders)
+    roles = [
+        ("respondent", False),
+        *(("nature", index in world.nature.read_only) for index in world.nature.slots),
+        *((role, False) for role, _ in riders),
+    ]
     outcomes = []
     for which, method, argument in calls:
         try:
-            outcomes.append(engine.invoke("sequence", machines[which], method, argument))
+            outcomes.append(
+                engine.invoke("sequence", machines[which], *roles[which], method, argument)
+            )
         except Exception as exc:  # machine code may reject odd arguments
             outcomes.append(type(exc).__name__)
     return outcomes

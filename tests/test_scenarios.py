@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import foregone
 from foregone.checkers import check_demonstrability, check_monotonicity
 from foregone.cli import _rows_for
 from foregone.evidence import at_least_as_strong, audit as audit_evidence
 from foregone.kernel import DEFAULT_BUDGET, Verdict, execute, run_target
 from foregone.scenarios import build_scenario, run_check
 from foregone.scenarios.base import FAILS, HOLDS, HYPOTHESIS_VIOLATED
-from foregone.toy_crypto import make_colliding_hash
+from foregone.toy_crypto import make_colliding_hash, toy_hash
 from foregone.values import same_value
 
 from conftest import FEW_SEEDS
@@ -154,16 +161,41 @@ def test_twofactor_wrong_code_leaves_the_device_dark(registry):
 def test_digest_verifier_rejects_a_wrong_submission(registry):
     from foregone.scenarios.hashfile import digest_verifier
     from foregone.scenarios.common import send_fixed_action
-    from foregone.toy_crypto import make_injective_hash
 
     scenario = registry["hash"]
-    spec = make_injective_hash()
-    verifier = digest_verifier(spec.name, spec.evaluate(b"q3-report"))
+    verifier = digest_verifier(None, toy_hash(None, b"q3-report"))
     world = scenario.evidences["injective"].world("archive")
     result = execute(
         verifier, send_fixed_action("send-wrong-bytes", b"not-the-file"), world, 0
     )
     assert result.transcript.verdict is Verdict.REJECT
+
+
+def test_a_digest_verifier_needs_no_hash_build_before_it():
+    # A fresh interpreter that never builds the hash scenario: the
+    # verifier's own state names its hash.
+    program = textwrap.dedent(
+        """
+        from foregone.kernel import Nature, World, execute
+        from foregone.scenarios.common import mind, send_fixed_action
+        from foregone.scenarios.hashfile import digest_verifier
+        from foregone.toy_crypto import toy_hash
+
+        world = World(nature=Nature(), respondent=mind("bystander"))
+        for collision in (None, (b"q3-report", b"shadow-q3")):
+            verifier = digest_verifier(collision, toy_hash(None, b"q3-report"))
+            for sent in (b"q3-report", b"shadow-q3"):
+                action = send_fixed_action("send-file", sent)
+                print(execute(verifier, action, world, 0).transcript.verdict.value)
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(foregone.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["Accept", "Reject", "Accept", "Accept"]
 
 
 def test_hash_collision_cell_has_equal_digests_but_different_bytes(registry):

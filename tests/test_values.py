@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import pickle
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,8 +49,11 @@ def test_pairs_compare_structurally():
 
 
 def test_absent_survives_deepcopy_as_the_same_object():
-    assert copy.deepcopy(ABSENT) is ABSENT
-    assert copy.deepcopy(NO_SUCH_METHOD) is NO_SUCH_METHOD
+    for marker in (ABSENT, NO_SUCH_METHOD):
+        assert copy.deepcopy(marker) is marker
+        assert copy.copy(marker) is marker
+        assert pickle.loads(pickle.dumps(marker)) is marker
+    assert not same_value(ABSENT, NO_SUCH_METHOD)
 
 
 @given(values)
