@@ -34,7 +34,7 @@ def main():
     print("    verdict:", result.transcript.verdict.value)
 
     banner("2. The target act and its recovery")
-    print("    target output:", render_value(run_target(scenario.target, world, seed=0)))
+    print("    target output:", render_value(run_target(scenario.target, world, seed=0).output))
     print("    (the examiner recovers it by reading the device afterwards)")
 
     banner("3. Demonstrability across every consistent world")

@@ -10,9 +10,12 @@ two runs of the same check agree byte for byte.
 Each check reads its cells from a cell table (``_Cells``), the one
 place that calls the kernel.  It executes each (world, action, seed)
 once, runs each (target, world, seed) once, and runs post-processors
-on those executions.  A kernel fault other than budget exhaustion
-leaves it as a ``CellFaultError`` naming the world, machine and seed.
-The walks over the table:
+on those executions; a run that read no randomness tape is run once
+for every seed.  A kernel fault other than budget exhaustion leaves it
+as a ``CellFaultError`` naming the world, machine and seed.  When no
+kernel run of a check read a tape, its report notes that the verdict
+holds for every seed, not only the listed ones.  The walks over the
+table:
 
 Conformity        the verifier accepts the action in a given world,
                   for every seed; the table stops at the first seed
@@ -23,9 +26,9 @@ Entailment        for every conforming action, the post-processor's
                   output equals the target's output, cell by cell,
                   under the identical tape assignment.  Actions that do
                   not conform in a world fall outside that world's
-                  quantifier and are skipped with a notice.  Each
-                  world gets its own table, which drops an action's
-                  executions once that action's cells are compared.
+                  quantifier and are skipped with a notice.  The
+                  table drops an action's executions once that
+                  action's cells in a world are compared.
 Monotonicity      strengthening evidence never breaks demonstrability.
                   Both demonstrability walks read one table, so a world
                   object the two families share executes once.
@@ -61,9 +64,14 @@ from .kernel import (
     run_target,
     with_zero_tape,
 )
+from .tapes import RandomnessAssignment
 from .values import ABSENT, NO_SUCH_METHOD, render_value, same_value
 
 DEFAULT_SEEDS: tuple[int, ...] = tuple(range(16))
+SEED_FREE_NOTE = (
+    "no kernel run read a randomness tape, so the verdict holds for every "
+    "seed in 0..2**64-1, not only the listed ones"
+)
 
 
 class CheckerError(Exception):
@@ -150,13 +158,30 @@ class ActionFamily:
 class _Cells:
     """One check's cells under one verifier and budget.
 
-    ``runs`` keeps executions and ``targets`` target outputs, both under
-    ``(id(machine), id(world), seed)``: a walk that meets a cell again,
-    in a second pass or through a second family holding the same world
-    object, reads it instead of running it.  Post-processors run on the
-    kept executions, once per call.  ``worlds`` are the ``(label,
-    world)`` pairs the walks range over, which name the world of a
-    fault.
+    ``runs`` keeps executions under ``(id(world), id(action), seed)``
+    and ``targets`` target outputs under ``(id(target), id(world),
+    seed)``: a walk that meets a cell again, in a second pass or through
+    a second family holding the same world object, reads it instead of
+    running it.  A run that read no tape is kept without its seed and
+    serves every seed, and ``posts`` keeps a post-processor's output
+    under ``(id(post), id(world), id(action))`` when neither it nor the
+    execution before it read a tape.  Each entry holds the objects its
+    key names, so no id in a kept key can be reused by another object.
+    ``worlds`` are the ``(label, world)`` pairs the walks range over,
+    which name the world of a fault.
+
+    Why sharing is sound: the seed reaches a run only through the
+    ``RandomnessAssignment`` the kernel builds from it, and a method
+    reaches that only through ``ctx.tape``.  Two runs of the same
+    machines on the same world under seeds s and s' are therefore
+    identical up to their first tape read, so a run that read no tape
+    under s is, step for step, the run under s': the same transcript,
+    verdict, steps, output and post-world.  Whether a run reads a tape
+    does not depend on the seed either.  Only the tapes a post-processor
+    reads on from differ, and ``post`` gives it fresh tapes for the
+    cell's own seed.  ``read_tape`` records whether any kernel run of
+    the table read a tape; a run that raised reports nothing and counts
+    as one that did.
     """
 
     def __init__(self, verifier: Machine, budget: int, worlds):
@@ -165,19 +190,29 @@ class _Cells:
         self.worlds = worlds
         self.runs = {}
         self.targets = {}
+        self.posts = {}
+        self.read_tape = False
 
     def run(self, world: World, action: Machine, seed: int) -> ExecutionResult:
-        """The execution of one cell, run the first time it is asked for."""
-        key = (id(world), id(action), seed)
-        result = self.runs.get(key)
-        if result is None:
+        """The execution of one cell, run the first time it is asked for.
+
+        An execution that read no tape is every seed's, but its
+        ``post_assignment`` stays that of the seed it ran under: read
+        post-processor outputs through ``post``."""
+        key = (id(world), id(action))
+        entry = self.runs.get(key) or self.runs.get((*key, seed))
+        if entry is None:
             try:
-                result = self.runs[key] = execute(
-                    self.verifier, action, world, seed, self.budget
-                )
+                result = execute(self.verifier, action, world, seed, self.budget)
             except KernelError as exc:
                 self._raise_fault(exc, "action", action, world, seed)
-        return result
+            self.read_tape |= result.read_tape
+            entry = self.runs[(*key, seed) if result.read_tape else key] = (
+                world,
+                action,
+                result,
+            )
+        return entry[-1]
 
     def conforms(self, world: World, action: Machine, seeds: tuple[int, ...]) -> bool:
         """Accepted under every seed; stops at the first seed that is not."""
@@ -187,26 +222,53 @@ class _Cells:
         )
 
     def post(self, post: Machine, world: World, action: Machine, seed: int) -> Any:
-        """``post``'s output after the execution of one cell."""
+        """``post``'s output after the execution of one cell, starting
+        from the tapes that execution left for ``seed``."""
         result = self.run(world, action, seed)
+        key = (id(post), id(world), id(action))
+        if not result.read_tape:
+            entry = self.posts.get(key)
+            if entry is not None:
+                return entry[-1]
+            # the kept execution may have run under another seed
+            result = replace(result, post_assignment=RandomnessAssignment(seed))
         try:
-            return run_post(post, result, self.budget)
+            ran = run_post(post, result, self.budget)
         except KernelError as exc:
             self._raise_fault(exc, "action", action, world, seed)
+        self.read_tape |= ran.read_tape
+        if not (result.read_tape or ran.read_tape):
+            self.posts[key] = (post, world, action, ran.output)
+        return ran.output
 
     def target(self, target: Machine, world: World, seed: int) -> Any:
         """The target's output in ``world`` under ``seed``, run once."""
-        key = (id(target), id(world), seed)
-        if key not in self.targets:
+        key = (id(target), id(world))
+        entry = self.targets.get(key) or self.targets.get((*key, seed))
+        if entry is None:
             try:
-                self.targets[key] = run_target(target, world, seed, self.budget)
+                ran = run_target(target, world, seed, self.budget)
             except KernelError as exc:
                 self._raise_fault(exc, "target", target, world, seed)
-        return self.targets[key]
+            self.read_tape |= ran.read_tape
+            entry = self.targets[(*key, seed) if ran.read_tape else key] = (
+                target,
+                world,
+                ran.output,
+            )
+        return entry[-1]
+
+    def noted(self, report: CheckReport) -> CheckReport:
+        """``report``, noting that its verdict holds for every seed when
+        no kernel run of this table read a tape."""
+        if self.read_tape:
+            return report
+        return replace(report, notes=report.notes + (SEED_FREE_NOTE,))
 
     def _raise_fault(self, exc: KernelError, role, machine, world, seed) -> NoReturn:
         """Re-raise ``exc`` from a kernel call for this cell: as it is for
         budget exhaustion, else as a ``CellFaultError`` naming the cell."""
+        self.read_tape = True
         if isinstance(exc, BudgetExceededError):
             raise exc
         label = next((label for label, w in self.worlds if w is world), "?")
@@ -262,12 +324,16 @@ def check_evidence_conformity(
     at the first world where it does not conform.  Every seed of each
     world walked counts as a cell; no step maximum is kept, and no
     execution outlives its world."""
+    table = _Cells(verifier, budget, evidence.worlds)
     cells = 0
     for label, world in evidence.worlds:
         cells += len(seeds)
-        if not _Cells(verifier, budget, evidence.worlds).conforms(world, exemplar, seeds):
-            return noted_failure(cells, 0, f"exemplar does not conform in world {label!r}")
-    return CheckReport(CheckVerdict.HOLDS, cells_checked=cells)
+        if not table.conforms(world, exemplar, seeds):
+            return table.noted(
+                noted_failure(cells, 0, f"exemplar does not conform in world {label!r}")
+            )
+        table.runs.clear()
+    return table.noted(CheckReport(CheckVerdict.HOLDS, cells_checked=cells))
 
 
 def _respondent_silence(result: ExecutionResult, world: World, exemplar_id: str):
@@ -290,7 +356,8 @@ def check_demonstrability(
     """Holds iff, in every world of the family and under every seed, the
     exemplar's respondent calls all produce output and the verifier
     accepts."""
-    return _demonstrate(_Cells(verifier, budget, evidence.worlds), exemplar, evidence, seeds)
+    table = _Cells(verifier, budget, evidence.worlds)
+    return table.noted(_demonstrate(table, exemplar, evidence, seeds))
 
 
 def _demonstrate(
@@ -336,8 +403,8 @@ def entailment_cell_outputs(
     """(target output, post output, steps) for one cell, both branches
     under the identical tape assignment derived from ``seed``."""
     result = execute(verifier, action, world, seed, budget)
-    got = run_post(post, result, budget)
-    expected = run_target(target, world, seed, budget)
+    got = run_post(post, result, budget).output
+    expected = run_target(target, world, seed, budget).output
     return expected, got, result.steps_used
 
 
@@ -361,13 +428,25 @@ def check_entailment(
     brute-force the goal).
 
     The conformity decision and the comparison read the same execution,
-    and the target runs once per world and seed.
+    and the target runs once per world and seed, or once per world when
+    it reads no tape.
     """
+    table = _Cells(verifier, budget, evidence.worlds)
+    return table.noted(_entail(table, target, post, evidence, family, seeds))
+
+
+def _entail(
+    table: _Cells,
+    target: Machine,
+    post: Machine,
+    evidence: Evidence,
+    family: ActionFamily,
+    seeds: tuple[int, ...],
+) -> CheckReport:
     cells = 0
     max_steps = 0
     skipped: list[tuple[str, str]] = []
     for world_label, world in evidence.worlds:
-        table = _Cells(verifier, budget, evidence.worlds)
         for action_label, action in family.actions:
             if not table.conforms(world, action, seeds):
                 skipped.append((world_label, action_label))
@@ -426,17 +505,19 @@ def check_monotonicity(
     cells = weak_report.cells_checked + strong_report.cells_checked
     max_steps = max(weak_report.max_steps, strong_report.max_steps)
     if weak_report.holds and not strong_report.holds:
-        return replace(
-            strong_report,
-            cells_checked=cells,
-            max_steps=max_steps,
-            notes=(
-                f"demonstrability degraded from {weaker.name!r} "
-                f"to {stronger.name!r}",
-            ),
+        return table.noted(
+            replace(
+                strong_report,
+                cells_checked=cells,
+                max_steps=max_steps,
+                notes=(
+                    f"demonstrability degraded from {weaker.name!r} "
+                    f"to {stronger.name!r}",
+                ),
+            )
         )
-    return CheckReport(
-        verdict=CheckVerdict.HOLDS, cells_checked=cells, max_steps=max_steps
+    return table.noted(
+        CheckReport(verdict=CheckVerdict.HOLDS, cells_checked=cells, max_steps=max_steps)
     )
 
 
@@ -484,8 +565,9 @@ def probe_unknown_goal(
     defeated by such a replayable witness.
 
     The stand-in must conform under every seed, but the post-processors
-    and the target are compared at the first seed only; the report's
-    notes say so.
+    and the target are compared at the first seed only.  When some run
+    read a tape, the report's notes say so; when none did, the first
+    seed stands for every seed, and the notes say that instead.
     """
     languages = languages if languages is not None else evidence.languages
     if languages is None:
@@ -513,11 +595,13 @@ def probe_unknown_goal(
     table = _Cells(verifier, budget, evidence.worlds)
     for label, world in evidence.worlds:
         if not table.conforms(world, stand_in, seeds):
-            return noted_failure(
-                0,
-                0,
-                f"stand-in action does not conform in world {label!r}; "
-                "the probe's construction requires a demonstrable verifier",
+            return table.noted(
+                noted_failure(
+                    0,
+                    0,
+                    f"stand-in action does not conform in world {label!r}; "
+                    "the probe's construction requires a demonstrable verifier",
+                )
             )
 
     seed = seeds[0]
@@ -533,22 +617,26 @@ def probe_unknown_goal(
             outputs.append(table.post(post, world, stand_in, seed))
         first = outputs[0]
         if not all(same_value(first, v) for v in outputs):
-            return noted_failure(
-                cells,
-                max_steps,
-                f"candidate {post_label!r}: output depends on the "
-                "respondent even though the stand-in never consults it",
+            return table.noted(
+                noted_failure(
+                    cells,
+                    max_steps,
+                    f"candidate {post_label!r}: output depends on the "
+                    "respondent even though the stand-in never consults it",
+                )
             )
         for label, world in evidence.worlds:
             if not _language_holds(languages[label], first):
                 expected = table.target(target, world, seed)
                 if not _language_holds(languages[label], expected):
-                    return noted_failure(
-                        cells,
-                        max_steps,
-                        f"world {label!r}: target output "
-                        f"{render_value(expected)} escapes its own "
-                        "declared language; the scenario is inconsistent",
+                    return table.noted(
+                        noted_failure(
+                            cells,
+                            max_steps,
+                            f"world {label!r}: target output "
+                            f"{render_value(expected)} escapes its own "
+                            "declared language; the scenario is inconsistent",
+                        )
                     )
                 witnesses.append(
                     Counterexample(
@@ -558,18 +646,21 @@ def probe_unknown_goal(
                 notes.append(f"candidate {post_label!r} defeated in world {label!r}")
                 break
         else:
-            return noted_failure(
-                cells,
-                max_steps,
-                f"candidate {post_label!r} survives: its output "
-                f"{render_value(first)} lies in every world's language",
+            return table.noted(
+                noted_failure(
+                    cells,
+                    max_steps,
+                    f"candidate {post_label!r} survives: its output "
+                    f"{render_value(first)} lies in every world's language",
+                )
             )
 
-    notes.append(
-        f"outputs compared at seed {seed} only; the stand-in's conformity "
-        f"was checked under all {len(seeds)} seeds"
-    )
-    return _all_defeated(cells, max_steps, witnesses, notes)
+    if table.read_tape:
+        notes.append(
+            f"outputs compared at seed {seed} only; the stand-in's conformity "
+            f"was checked under all {len(seeds)} seeds"
+        )
+    return table.noted(_all_defeated(cells, max_steps, witnesses, notes))
 
 
 def probe_random_target(
@@ -602,11 +693,13 @@ def probe_random_target(
 
     pinned_action = with_zero_tape(family.exemplar())
     if not table.conforms(world, pinned_action, seeds):
-        return noted_failure(
-            0,
-            0,
-            f"zero-coin exemplar does not conform in world {label!r}; "
-            "the probe's construction requires a demonstrable verifier",
+        return table.noted(
+            noted_failure(
+                0,
+                0,
+                f"zero-coin exemplar does not conform in world {label!r}; "
+                "the probe's construction requires a demonstrable verifier",
+            )
         )
 
     cells = 0
@@ -629,11 +722,13 @@ def probe_random_target(
                 notes.append(f"candidate {post_label!r} defeated at seed {seed}")
                 break
         else:
-            return noted_failure(
-                cells,
-                max_steps,
-                *notes,
-                f"candidate {post_label!r} matched every tape setting",
+            return table.noted(
+                noted_failure(
+                    cells,
+                    max_steps,
+                    *notes,
+                    f"candidate {post_label!r} matched every tape setting",
+                )
             )
 
-    return _all_defeated(cells, max_steps, witnesses, notes)
+    return table.noted(_all_defeated(cells, max_steps, witnesses, notes))

@@ -21,6 +21,12 @@ The moving parts:
 ``execute`` and ``run_target`` start from fresh tapes for the seed;
 ``run_post`` continues the world and tapes from where an execution left
 them.  None of the three mutates its input: each runs on its own fork.
+Each reports whether the run read its ``RandomnessAssignment``: the
+engine sets ``read_tape`` when ``ctx.tape`` hands out a tape over the
+assignment, and ``ExecutionResult`` and ``RunOutput`` carry the flag
+out.  A ``force_zero_tape`` machine reads a ``ZeroTape`` and does not
+count.  The seed reaches a run only through the assignment, so a run
+that did not read it is the run under every seed.
 
 Access rules are enforced by construction.  Every method runs in a
 role, and ``_CAPS`` lists what each role may use.  The role comes with
@@ -304,12 +310,23 @@ class Transcript:
 
 @dataclass
 class ExecutionResult:
-    """A transcript plus the world and tapes as the execution left them."""
+    """A transcript plus the world and tapes as the execution left them,
+    and whether the execution read its tapes."""
 
     transcript: Transcript
     post_world: World
     post_assignment: RandomnessAssignment
     steps_used: int
+    read_tape: bool
+
+
+@dataclass(frozen=True)
+class RunOutput:
+    """The output of a target or post-processor run, and whether the run
+    read its tapes."""
+
+    output: Any
+    read_tape: bool
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +429,7 @@ class MethodContext:
     def tape(self) -> _ChargingTape:
         if self._machine.force_zero_tape:
             return _ChargingTape(self._engine, ZeroTape())
+        self._engine.read_tape = True
         return _ChargingTape(
             self._engine, self._engine.assignment.tape_for(self._machine.id)
         )
@@ -473,6 +491,7 @@ class _Engine:
         self.assignment = assignment
         self.budget = budget
         self.steps = 0
+        self.read_tape = False  # set once a tape over ``assignment`` is handed out
         self.transcript = Transcript()
         self._cursor = 0  # verifier's position in the message buffer
 
@@ -568,14 +587,15 @@ def execute(
         verdict = Verdict.BUDGET
     engine.transcript.set_verdict(verdict)
     return ExecutionResult(
-        engine.transcript, engine.world, engine.assignment, engine.steps
+        engine.transcript, engine.world, engine.assignment, engine.steps, engine.read_tape
     )
 
 
 def run_target(
     target: Machine, world: World, seed: int, budget: int = DEFAULT_BUDGET
-) -> Any:
-    """Run a target action to completion and return its output value.
+) -> RunOutput:
+    """Run a target action to completion and return its output value
+    and whether it read a tape.
 
     The target has oracle access to nature and the respondent and draws
     from its own tape under fresh tapes for ``seed``, the same setting
@@ -587,13 +607,14 @@ def run_target(
     output = engine.invoke("execution", acting, _ROLE_TARGET, False, "run", None)
     if output is ABSENT:
         raise AbsentOutputError(f"target {target.id!r} produced no output")
-    return output
+    return RunOutput(output, engine.read_tape)
 
 
 def run_post(
     post: Machine, result: ExecutionResult, budget: int = DEFAULT_BUDGET
-) -> Any:
-    """Run a post-processor after the execution that produced ``result``.
+) -> RunOutput:
+    """Run a post-processor after the execution that produced ``result``
+    and return its output and whether it read a tape.
 
     The post-processor sees nature as the interaction left it plus the
     message log, and reads the tapes on from where the execution
@@ -603,7 +624,8 @@ def run_post(
     engine.transcript.messages_to_verifier.extend(
         result.transcript.messages_to_verifier
     )
-    return engine.invoke("execution", fork_machine(post), _ROLE_POST, False, "run", None)
+    output = engine.invoke("execution", fork_machine(post), _ROLE_POST, False, "run", None)
+    return RunOutput(output, engine.read_tape)
 
 
 class DirectInvoker:

@@ -255,7 +255,7 @@ def test_criterion_08_hash_dichotomy(registry):
     produced = b"q3-report"
     target_file = run_target(
         scenario.target, scenario.evidences["colliding"].world(cell.world), cell.seed
-    )
+    ).output
     assert produced != target_file
     assert colliding_spec.evaluate(produced) == colliding_spec.evaluate(target_file)
     _passed(8, "injective digest entails exactly; collision yields equal-digest cell")
@@ -353,8 +353,8 @@ def test_criterion_11_impossibility_probes(registry):
     witness = report.witnesses[0]
     world = scenario.evidences["whereabouts"].world(witness.world)
     run = execute(scenario.verifier, stand_in, world, witness.seed)
-    got = run_post(dict(whereabouts.candidates)["echo-first-message"], run)
-    expected = run_target(whereabouts.target, world, witness.seed)
+    got = run_post(dict(whereabouts.candidates)["echo-first-message"], run).output
+    expected = run_target(whereabouts.target, world, witness.seed).output
     assert render_value(got) == witness.got
     assert render_value(expected) == witness.expected
 
@@ -373,7 +373,7 @@ def test_criterion_11_impossibility_probes(registry):
         # replay the first witness cell
         witness = report.witnesses[0]
         world = scenario.evidences[check_key].world(witness.world)
-        target_out = run_target(check.target, world, witness.seed)
+        target_out = run_target(check.target, world, witness.seed).output
         assert render_value(target_out) == witness.expected
 
     pinned = scenario.find_check("probe-unknown-goal", "commitment-pinned")

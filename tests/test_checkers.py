@@ -3,10 +3,12 @@ from __future__ import annotations
 import pytest
 
 from foregone.checkers import (
+    SEED_FREE_NOTE,
     ActionFamily,
     CheckVerdict,
     HypothesisViolatedError,
     PreconditionViolatedError,
+    _Cells,
     check_conformity,
     check_demonstrability,
     check_entailment,
@@ -16,7 +18,14 @@ from foregone.checkers import (
     probe_unknown_goal,
 )
 from foregone.evidence import restrict_to
-from foregone.kernel import Machine, execute, run_post, run_target
+from foregone.kernel import (
+    DEFAULT_BUDGET,
+    Machine,
+    execute,
+    run_post,
+    run_target,
+    with_zero_tape,
+)
 from foregone.values import render_value, same_value
 from foregone.scenarios import build_registry, run_check
 from foregone.scenarios.common import (
@@ -283,7 +292,56 @@ def test_monotonicity_executes_each_world_and_seed_once(pwd_evidence, monkeypatc
     )
     assert report.verdict is CheckVerdict.HOLDS
     assert report.cells_checked == (len(weak.worlds) + len(strong.worlds)) * len(SEEDS)
-    assert len(executed) == len(set(executed)) == len(weak.worlds) * len(SEEDS)
+    # The exemplar reads no tape, so the first seed's execution of each
+    # world object serves every seed, and the stronger family's worlds
+    # are the weaker family's own objects.
+    assert executed == [(id(world), SEEDS[0]) for _, world in weak.worlds]
+
+
+def test_registered_checks_make_exactly_these_kernel_runs(registry, monkeypatch):
+    import foregone.checkers as checkers
+
+    calls = {"execute": 0, "run_target": 0, "run_post": 0}
+    for name in calls:
+        real = getattr(checkers, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(checkers, name, counting)
+    seeds = tuple(range(7000, 7032))
+    cells = sum(
+        run_check(scenario, check, seeds)[1].cells_checked
+        for scenario in registry.values()
+        for check in scenario.checks
+    )
+    assert cells == 6686
+    assert calls == {"execute": 266, "run_target": 191, "run_post": 211}
+
+
+def test_a_kept_post_output_is_never_served_to_another_post(pwd_evidence):
+    # Each pinned post is dropped before the next is built, so CPython
+    # is free to give the next one the same address.
+    world = pwd_evidence["weak"].world("locked-basic")
+    action = do_nothing_action()
+    table = _Cells(accept_any_verifier(), DEFAULT_BUDGET, ())
+    for index in range(200):
+        value = index.to_bytes(2, "big")
+        post = with_zero_tape(fixed_output_post(f"guess-{index}", value))
+        assert table.post(post, world, action, 0) == value
+        del post
+
+
+def test_seed_free_note_marks_exactly_the_checks_that_read_no_tape(registry):
+    password = registry["password"]
+    _, report = run_check(
+        password, password.find_check("demonstrability", "weak"), SEEDS
+    )
+    assert report.notes == (SEED_FREE_NOTE,)
+    otp = registry["otp-table"]
+    _, report = run_check(otp, otp.find_check("probe-random", "secret-sampled-key"), SEEDS)
+    assert report.holds and SEED_FREE_NOTE not in report.notes
 
 
 REGISTERED_CHECKS = [
@@ -386,16 +444,15 @@ def test_unknown_goal_probe_defeats_every_candidate(goal_evidence):
         witness = report.witnesses[[l for l, _ in candidate_posts()].index(label)]
         world = evidence.world(witness.world)
         run = execute(accept_any_verifier(), stand_in, world, witness.seed)
-        got = run_post(post, run)
-        expected = run_target(location_target(), world, witness.seed)
+        got = run_post(post, run).output
+        expected = run_target(location_target(), world, witness.seed).output
         assert render_value(got) == witness.got
         assert render_value(expected) == witness.expected
         assert not same_value(got, expected)
-    # outputs are compared at the first seed only, and the notes say so
-    assert report.notes[-2] == (
-        "outputs compared at seed 0 only; the stand-in's conformity was"
-        " checked under all 4 seeds"
-    )
+    # outputs are compared at the first seed only, which stands for
+    # every seed because no run read a tape; the notes say so
+    assert report.notes[-1] == SEED_FREE_NOTE
+    assert not any(note.startswith("outputs compared") for note in report.notes)
     report = probe_unknown_goal(
         accept_any_verifier(),
         evidence,
@@ -405,7 +462,30 @@ def test_unknown_goal_probe_defeats_every_candidate(goal_evidence):
         (7, 3),
     )
     assert {witness.seed for witness in report.witnesses} == {7}
-    assert report.notes[-2].startswith("outputs compared at seed 7 only;")
+    assert report.notes[-1] == SEED_FREE_NOTE
+
+
+def _tossed_coin(ctx, _arg):
+    return b"heads" if ctx.tape.read_bit() == 0 else b"tails"
+
+
+def test_unknown_goal_probe_says_which_seed_it_compared_at_when_a_run_reads_a_tape(
+    goal_evidence,
+):
+    report = probe_unknown_goal(
+        accept_any_verifier(),
+        goal_evidence["whereabouts"],
+        location_target(),
+        (("toss-a-coin", Machine(id="toss-a-coin", methods={"run": _tossed_coin})),),
+        whereabouts_family(),
+        (7, 3),
+    )
+    assert report.holds
+    assert report.notes[-2] == (
+        "outputs compared at seed 7 only; the stand-in's conformity was"
+        " checked under all 2 seeds"
+    )
+    assert SEED_FREE_NOTE not in report.notes
 
 
 def test_unknown_goal_probe_gates_on_a_common_element(goal_evidence):

@@ -1,0 +1,244 @@
+"""Differential tests: every check kind against the plain reference.
+
+``reference_checks`` computes each report with one fresh kernel run per
+cell and nothing shared, so any shortcut the cell table takes (kept
+executions, seed-free sharing, dropped entries) must leave every
+``CheckReport`` field as the plain walk has it.  The registry supplies
+50 checks; the generated worlds below add what it lacks: a machine that
+reads its tape only in some worlds or only after a state change, a
+post-processor that reads its tape after an execution that read none,
+runs that exhaust their budget, and a method that faults.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_checks as plain
+from foregone.checkers import (
+    SEED_FREE_NOTE,
+    ActionFamily,
+    CellFaultError,
+    HypothesisViolatedError,
+    check_demonstrability,
+    check_entailment,
+    check_evidence_conformity,
+    check_monotonicity,
+    probe_random_target,
+    probe_unknown_goal,
+)
+from foregone.evidence import Evidence, restrict_to
+from foregone.kernel import Machine, Nature, World, read_only_store
+from foregone.refinement import ProbeSpec
+from foregone.scenarios import build_registry, run_check
+from foregone.scenarios.common import (
+    accept_any_verifier,
+    first_message_post,
+    fixed_output_post,
+    mind,
+)
+from foregone.values import ABSENT
+
+SEED_SETS = (
+    tuple(range(16)),
+    (5, 9, 2, 11, 40, 3),
+    tuple(range(7000, 7032)),
+    (2**64 - 1, 3, 2**70),
+)
+
+REGISTERED = [
+    (name, check.id) for name, scenario in build_registry().items() for check in scenario.checks
+]
+
+
+@pytest.mark.parametrize("name, check_id", REGISTERED, ids=[f"{n}:{c}" for n, c in REGISTERED])
+def test_registered_check_equals_the_plain_walk(registry, name, check_id):
+    scenario = registry[name]
+    check = next(c for c in scenario.checks if c.id == check_id)
+    for seeds in SEED_SETS:
+        assert run_check(scenario, check, seeds) == plain.registered(scenario, check, seeds)
+
+
+# --- generated worlds ----------------------------------------------------------
+#
+# Nature slot 0 holds the world's mode, slot 1 a writable counter.  The
+# action, the counter and the verifiers read their tapes only in some
+# modes or counter states, so one family mixes runs that read a tape
+# with runs that read none.
+
+MODE, COUNTER = 0, 1
+
+
+def _act_by_mode(ctx, _arg):
+    mode = ctx.nature(MODE).call("read")
+    if mode == b"coin":
+        ctx.send(ctx.tape.read_bytes(1))
+    elif mode == b"spin":
+        while True:
+            ctx.nature(MODE).call("read")
+    elif mode == b"fault":
+        raise TypeError("no such mode")
+    elif mode == b"count":
+        ctx.send(ctx.nature(COUNTER).call("bump"))
+    else:
+        ctx.send(ctx.respondent.call("secret"))
+    return ABSENT
+
+
+def _bump(ctx, _arg):
+    """Counts calls, and draws from its own tape from the second on."""
+    ctx.state["count"] += 1
+    if ctx.state["count"] >= 2:
+        return ctx.tape.read_bytes(1)
+    return b"first"
+
+
+def _draw(ctx, _arg):
+    return ctx.tape.read_bytes(1)
+
+
+def _spin(ctx, _arg):
+    while True:
+        ctx.nature(MODE).call("read")
+
+
+def _secret(ctx, _arg):
+    return ctx.respondent.call("secret")
+
+
+def _send_secret(ctx, _arg):
+    ctx.send(ctx.respondent.call("secret"))
+    return ABSENT
+
+
+def _accept_on_heads(ctx, _arg):
+    return ctx.receive() is not ABSENT and ctx.tape.read_bit() == 0
+
+
+def _world(mode: bytes, count: int = 0, secret: bytes = b"s") -> World:
+    return World(
+        nature=Nature(
+            slots={
+                MODE: read_only_store("mode", mode),
+                COUNTER: Machine(id="counter", state={"count": count}, methods={"bump": _bump}),
+            },
+            read_only=frozenset({MODE}),
+        ),
+        respondent=mind("respondent", secret=secret),
+    )
+
+
+def _evidence(name: str, *worlds: tuple[str, World], languages=None) -> Evidence:
+    return Evidence(name, (), worlds, ProbeSpec(1, (None,)), languages=languages)
+
+
+def _machine(machine_id: str, fn) -> Machine:
+    return Machine(id=machine_id, methods={"run": fn})
+
+
+def _generated_checks():
+    """(name, checker call, plain call) for every generated check."""
+    family_worlds = _evidence(
+        "generated",
+        ("plain", _world(b"plain")),
+        ("coin", _world(b"coin")),
+        ("count-once", _world(b"count", 0)),
+        ("count-twice", _world(b"count", 1)),
+        ("spin", _world(b"spin")),
+    )
+    narrower = restrict_to(family_worlds, ("plain", "count-once"))
+    narrowest = restrict_to(narrower, ("plain",))
+    by_mode = _machine("act-by-mode", _act_by_mode)
+    family = ActionFamily(
+        (("act-by-mode", by_mode), ("send-secret", _machine("send-secret", _send_secret))),
+        exemplar_label="act-by-mode",
+    )
+    accept = accept_any_verifier()
+    heads = _machine("accept-on-heads", _accept_on_heads)
+    draw_target, draw_post = _machine("draw", _draw), _machine("draw", _draw)
+    secret_target = _machine("secret", _secret)
+    echo = first_message_post()
+    spinner = _machine("spinner", _spin)
+    located = _evidence(
+        "located",
+        ("here", _world(b"plain", secret=b"here")),
+        ("there", _world(b"plain", secret=b"there")),
+        languages={"here": frozenset({b"here"}), "there": frozenset({b"there"})},
+    )
+    fixed = ("fixed-s", fixed_output_post("fixed-s", b"s"))
+    candidates = (("echo-first-message", echo), ("draw", draw_post), fixed)
+    coin = _evidence("coin", ("plain", _world(b"plain")), ("coin", _world(b"coin")))
+    faulty = _evidence("faulty", ("plain", _world(b"plain")), ("fault", _world(b"fault")))
+    entail = (check_entailment, plain.entailment)
+    demonstrate = (check_demonstrability, plain.demonstrability)
+    monotone = (check_monotonicity, plain.monotonicity)
+    unknown_goal = (probe_unknown_goal, plain.unknown_goal)
+    return {
+        # the post draws from the tapes of its own cell's seed, as the
+        # target does, after executions that mostly read no tape
+        "entail-draw": (*entail, (accept, draw_target, draw_post, family_worlds, family)),
+        "entail-echo": (*entail, (accept, secret_target, echo, family_worlds, family)),
+        "entail-heads": (*entail, (heads, secret_target, echo, family_worlds, family)),
+        "entail-spinning-post": (*entail, (accept, secret_target, spinner, narrower, family)),
+        "entail-spinning-target": (*entail, (accept, spinner, echo, narrower, family)),
+        "demonstrate": (*demonstrate, (accept, by_mode, narrower)),
+        "demonstrate-spin": (*demonstrate, (accept, by_mode, family_worlds)),
+        "fault": (*demonstrate, (accept, by_mode, faulty)),
+        "conform-heads": (check_evidence_conformity, plain.conformity, (heads, by_mode, narrower)),
+        "monotone": (*monotone, (accept, by_mode, family_worlds, narrower)),
+        "monotone-holds": (*monotone, (accept, by_mode, narrower, narrowest)),
+        "unknown-goal": (*unknown_goal, (accept, located, secret_target, candidates, family)),
+        "unknown-goal-seed-free": (
+            *unknown_goal,
+            (accept, located, secret_target, (("echo-first-message", echo), fixed), family),
+        ),
+        "random-target": (
+            probe_random_target,
+            plain.random_target,
+            (accept, coin, draw_target, candidates, family),
+        ),
+    }
+
+
+GENERATED = _generated_checks()
+
+
+def _outcome(call, args, seeds):
+    try:
+        return call(*args, seeds, budget=300)
+    except (CellFaultError, HypothesisViolatedError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_generated_check_equals_the_plain_walk(name):
+    checker, reference, args = GENERATED[name]
+    for seeds in SEED_SETS:
+        assert _outcome(checker, args, seeds) == _outcome(reference, args, seeds)
+
+
+def test_generated_checks_cover_every_outcome():
+    outcomes = {name: _outcome(c, args, SEED_SETS[0]) for name, (c, _, args) in GENERATED.items()}
+    assert outcomes["entail-draw"].holds
+    assert not outcomes["entail-echo"].holds
+    assert outcomes["entail-spinning-post"].counterexample.got == "budget-exceeded"
+    assert outcomes["entail-spinning-target"].counterexample.got == "budget-exceeded"
+    assert outcomes["demonstrate-spin"].counterexample.got == "Budget"
+    assert outcomes["random-target"].witnesses
+    assert outcomes["unknown-goal"].holds
+    assert SEED_FREE_NOTE not in outcomes["unknown-goal"].notes
+    assert outcomes["unknown-goal-seed-free"].notes[-1] == SEED_FREE_NOTE
+    assert outcomes["fault"] == (
+        "CellFaultError",
+        "world 'fault', action 'act-by-mode', seed 0: machine 'act-by-mode' "
+        "method 'run' raised TypeError: no such mode",
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6, unique=True))
+def test_generated_checks_equal_the_plain_walk_on_drawn_seeds(seeds):
+    for checker, reference, args in GENERATED.values():
+        assert _outcome(checker, args, tuple(seeds)) == _outcome(reference, args, tuple(seeds))

@@ -30,6 +30,7 @@ from foregone.kernel import (
     run_post,
     run_target,
     same_world_content,
+    with_zero_tape,
 )
 from foregone.tapes import RandomnessAssignment
 from foregone.values import ABSENT, NO_SUCH_METHOD, Location, is_value, same_value
@@ -205,11 +206,11 @@ _ROLE_CASES = {
     "verifier": lambda: _outcome_of(
         "cap-probe", execute(_probe(), do_nothing_action(), _capability_world(), 0)
     ),
-    "target": lambda: run_target(_probe(), _capability_world(), 0),
+    "target": lambda: run_target(_probe(), _capability_world(), 0).output,
     "post": lambda: run_post(
         _probe(),
         execute(accept_any_verifier(), do_nothing_action(), _capability_world(), 0),
-    ),
+    ).output,
     "nature via int": lambda: _reached_from_an_action(
         _call_nature_by_int, _capability_world(slot=_probe())
     ),
@@ -314,7 +315,7 @@ def test_entry_points_leave_their_input_world_and_result_unchanged():
     pristine = copy.deepcopy(world)
     result = execute(unlocked_verifier(), exemplar_action(), world, 3)
     assert result.post_world.nature.slots[DEVICE_LOCATION].state["unlocked"]
-    assert run_target(decrypt_target(), world, 3) == b"tax-records"
+    assert run_target(decrypt_target(), world, 3).output == b"tax-records"
     assert world == pristine
     assert not world.nature.slots[DEVICE_LOCATION].state["unlocked"]
 
@@ -348,7 +349,39 @@ def test_post_processor_reads_the_tape_continuing_where_the_execution_stopped():
 
     stream = RandomnessAssignment(9).tape_for("drawer").read_bytes(19)
     assert result.transcript.messages_to_verifier == [stream[:3]]
-    assert run_post(post, result) == stream[3:]
+    assert run_post(post, result).output == stream[3:]
+
+
+def _draw_one(ctx, _arg):
+    return ctx.tape.read_bytes(1)
+
+
+def _send_drawn(ctx, _arg):
+    ctx.send(ctx.nature(0).call("draw"))
+    return ABSENT
+
+
+def test_each_entry_point_reports_whether_its_run_read_a_tape():
+    drawer = Machine(id="drawer", methods={"run": _draw_one})
+    accept = accept_any_verifier()
+    quiet = execute(accept, do_nothing_action(), password_world(), 0)
+    assert not quiet.read_tape
+    assert execute(accept, drawer, password_world(), 0).read_tape
+    # a pinned machine reads a zero tape, which is not the assignment
+    assert not execute(accept, with_zero_tape(drawer), password_world(), 0).read_tape
+    # a nature machine's draw counts for the run that called it
+    world = World(
+        nature=Nature(slots={0: Machine(id="coin", methods={"draw": _draw_one})}),
+        respondent=mind("bystander", name=b"r"),
+    )
+    drawn = execute(accept, Machine(id="a", methods={"run": _send_drawn}), world, 0)
+    assert drawn.read_tape
+    assert run_target(drawer, password_world(), 0).read_tape
+    assert not run_target(decrypt_target(), password_world(), 0).read_tape
+    # a post-processor reports its own draws, not the execution's
+    assert run_post(drawer, quiet).read_tape
+    assert not run_post(with_zero_tape(drawer), quiet).read_tape
+    assert not run_post(do_nothing_action(), drawn).read_tape
 
 
 def test_replay_determinism_of_execute():
@@ -386,7 +419,7 @@ def test_post_world_reflects_committed_updates():
 
 
 def test_target_outputs_the_stored_message():
-    assert run_target(decrypt_target(), password_world(), 0) == b"tax-records"
+    assert run_target(decrypt_target(), password_world(), 0).output == b"tax-records"
 
 
 def test_target_with_a_silenced_mind_outputs_null():
@@ -394,7 +427,7 @@ def test_target_with_a_silenced_mind_outputs_null():
 
     world = password_world()
     world.respondent = silent_mind("empty-handed", "pwd")
-    assert run_target(decrypt_target(), world, 0) is None
+    assert run_target(decrypt_target(), world, 0).output is None
 
 
 def test_target_must_output_something():
@@ -406,7 +439,7 @@ def test_target_must_output_something():
 def test_coin_target_is_fixed_by_the_assignment():
     from foregone.scenarios.unknown_goal import coin_target
 
-    outputs = {run_target(coin_target(), password_world(), s) for s in range(12)}
+    outputs = {run_target(coin_target(), password_world(), s).output for s in range(12)}
     assert outputs <= {b"heads", b"tails"}
     assert len(outputs) == 2  # both faces appear over a dozen tapes
     for seed in range(4):
@@ -420,7 +453,7 @@ def test_post_processor_sees_post_world_and_messages():
 
     world = password_world()
     result = execute(unlocked_verifier(), exemplar_action(), world, 0)
-    assert run_post(device_reading_post(), result) == b"tax-records"
+    assert run_post(device_reading_post(), result).output == b"tax-records"
 
 
 # --- budget ----------------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_hash_collision_cell_has_equal_digests_but_different_bytes(registry):
     produced = b"q3-report"
     target_file = run_target(
         scenario.target, scenario.evidences["colliding"].world(cell.world), 0
-    )
+    ).output
     assert produced != target_file
     assert spec.evaluate(produced) == spec.evaluate(target_file)
 
@@ -236,8 +236,8 @@ def test_decommit_composed_recovery_complements_the_secret(registry):
     from foregone.toy_crypto import complement
 
     world = scenario.evidences["strong"].world("sealed-box")
-    composed = run_target(check.target, world, 0)
-    plain = run_target(scenario.target, world, 0)
+    composed = run_target(check.target, world, 0).output
+    plain = run_target(scenario.target, world, 0).output
     assert composed == complement(plain)
 
 
@@ -269,7 +269,7 @@ def test_xor_pad_languages_cover_every_commitment(registry):
     scenario = registry["unknown-goal"]
     check = scenario.find_check("probe-unknown-goal", "commitment-pinned-equivocable")
     world = scenario.evidences["commitment"].world("holder-a")
-    fresh = run_target(scenario.checks[2].target, world, 0)  # a fresh xor-pad commitment
+    fresh = run_target(scenario.checks[2].target, world, 0).output  # a fresh xor-pad commitment
     assert any(same_value(fresh, member) for member in check.languages["holder-a"])
 
 
