@@ -65,7 +65,7 @@ from .kernel import (
     with_zero_tape,
 )
 from .tapes import RandomnessAssignment
-from .values import ABSENT, NO_SUCH_METHOD, render_value, same_value
+from .values import ABSENT, NO_SUCH_METHOD, is_value, render_value, same_value, value_key
 
 DEFAULT_SEEDS: tuple[int, ...] = tuple(range(16))
 SEED_FREE_NOTE = (
@@ -526,10 +526,6 @@ def check_monotonicity(
 # ---------------------------------------------------------------------------
 
 
-def _language_holds(language: frozenset, value: Any) -> bool:
-    return any(same_value(member, value) for member in language)
-
-
 def _all_defeated(
     cells: int, max_steps: int, witnesses: list[Counterexample], notes: list[str]
 ) -> CheckReport:
@@ -564,6 +560,13 @@ def probe_unknown_goal(
     consistent world's language.  Holds when every candidate is
     defeated by such a replayable witness.
 
+    Every language member must be a value (``PreconditionViolatedError``
+    names the world and the members that are not).  Each language is
+    keyed once by ``value_key``, so the hypothesis gate is a key-set
+    intersection and each membership test a lookup, both agreeing with
+    ``same_value``; a shared-members message lists the first world's
+    shared members in rendered, sorted order.
+
     The stand-in must conform under every seed, but the post-processors
     and the target are compared at the first seed only.  When some run
     read a tape, the report's notes say so; when none did, the first
@@ -577,13 +580,17 @@ def probe_unknown_goal(
     missing = [l for l in evidence.labels() if l not in languages]
     if missing:
         raise PreconditionViolatedError(f"worlds without languages: {missing}")
+    for label in evidence.labels():
+        strays = sorted(render_value(v) for v in languages[label] if not is_value(v))
+        if strays:
+            raise PreconditionViolatedError(
+                f"world {label!r}: language members {strays} are not values"
+            )
 
+    keyed = {label: {value_key(v): v for v in languages[label]} for label in evidence.labels()}
     first_label, *other_labels = evidence.labels()
-    common = [
-        value
-        for value in languages[first_label]
-        if all(_language_holds(languages[label], value) for label in other_labels)
-    ]
+    shared = set(keyed[first_label]).intersection(*(keyed[l] for l in other_labels))
+    common = [keyed[first_label][key] for key in shared]
     if common:
         raise HypothesisViolatedError(
             f"languages share {sorted(render_value(v) for v in common)}; "
@@ -625,10 +632,11 @@ def probe_unknown_goal(
                     "respondent even though the stand-in never consults it",
                 )
             )
+        first_key = value_key(first)
         for label, world in evidence.worlds:
-            if not _language_holds(languages[label], first):
+            if first_key not in keyed[label]:
                 expected = table.target(target, world, seed)
-                if not _language_holds(languages[label], expected):
+                if value_key(expected) not in keyed[label]:
                     return table.noted(
                         noted_failure(
                             cells,

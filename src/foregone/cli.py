@@ -16,7 +16,8 @@ its expectation, 1 on a verdict mismatch (a regression), 2 on a
 configuration error, which includes a fault in machine code (a
 ``KernelError`` such as malformed state, a target without output, or
 any other exception raised by a method, which the kernel wraps in a
-``MethodFaultError``).
+``MethodFaultError``) and a check given inputs outside its contract (a
+``CheckerError`` such as a world without a declared language).
 Reports are byte-identical across runs for a fixed configuration and
 build.
 
@@ -37,7 +38,7 @@ import os
 import sys
 from typing import Any, Mapping, Optional
 
-from .checkers import DEFAULT_SEEDS
+from .checkers import DEFAULT_SEEDS, CheckerError
 from .evidence import audit as audit_evidence
 from .kernel import DEFAULT_BUDGET, KernelError
 from .reports import check_row, render_json, render_markdown
@@ -257,7 +258,7 @@ def _rows_for(
     for check in checks:
         try:
             verdict, report = run_check(scenario, check, seeds, budget)
-        except KernelError as exc:
+        except (KernelError, CheckerError) as exc:
             raise ConfigError(f"{scenario.name} {check.id}: {exc}") from None
         rows.append(
             check_row(

@@ -42,7 +42,7 @@ from .kernel import (
     NoSuchMethodError,
     fork_machine,
 )
-from .values import ABSENT, same_value
+from .values import ABSENT, same_value, value_key
 
 Probe = tuple[tuple[str, Any], ...]
 
@@ -100,14 +100,6 @@ def replay_probe(machine: Machine, probe: Probe, budget: int = DEFAULT_BUDGET) -
     return [_outcome(invoker, subject, method, argument) for method, argument in probe]
 
 
-def _value_key(value: Any) -> tuple:
-    """A hashable key that tells values apart as ``same_value`` does:
-    ``True``/``1``, ``b"1"``/``"1"`` and ``None``/``ABSENT`` differ."""
-    if isinstance(value, tuple):
-        return (tuple, *(_value_key(item) for item in value))
-    return (type(value), value)
-
-
 def _machine_key(machine: Optional[Machine]) -> Optional[tuple]:
     if machine is None:
         return None
@@ -115,7 +107,7 @@ def _machine_key(machine: Optional[Machine]) -> Optional[tuple]:
         machine.id,
         tuple(sorted(machine.methods.items())),
         machine.force_zero_tape,
-        tuple(sorted((name, _value_key(v)) for name, v in machine.state.items())),
+        tuple(sorted((name, value_key(v)) for name, v in machine.state.items())),
         _machine_key(machine.emulated_respondent),
     )
 
@@ -176,7 +168,7 @@ def distinguishing_probe(
         _machine_key(spec),
         _machine_key(candidate),
         depth,
-        tuple(_value_key(letter) for letter in alphabet),
+        tuple(value_key(letter) for letter in alphabet),
         budget,
     )
     if key not in _RESULTS:

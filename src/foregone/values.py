@@ -17,7 +17,12 @@ answer at all.
 
 Equality between values is structural, total, and type-strict:
 ``same_value(True, 1)`` is False even though Python's ``==`` says
-otherwise.
+otherwise.  ``value_key`` is its hashable twin: over values and ABSENT,
+two keys are equal exactly when ``same_value`` holds, so a set of keys
+answers membership without a scan.  Off the algebra the two part ways
+(``same_value`` never equates a 3-tuple, even with itself, and a float
+NaN defeats both), so a caller that keys a collection checks
+``is_value`` on its members first.
 """
 
 from __future__ import annotations
@@ -90,6 +95,15 @@ def same_value(a: Any, b: Any) -> bool:
     return a == b
 
 
+def value_key(value: Any) -> tuple:
+    """A hashable key that tells values apart as ``same_value`` does:
+    ``True``/``1``, ``b"1"``/``1`` and ``None``/``ABSENT`` differ, and
+    pairs are keyed item by item."""
+    if isinstance(value, tuple):
+        return (tuple, *(value_key(item) for item in value))
+    return (type(value), value)
+
+
 def render_value(v: Any) -> str:
     """Stable human-readable rendering used in transcripts and reports."""
     if v is ABSENT:
@@ -109,5 +123,5 @@ def render_value(v: Any) -> str:
     if isinstance(v, Location):
         return repr(v)
     if isinstance(v, tuple):
-        return "(" + render_value(v[0]) + ", " + render_value(v[1]) + ")"
+        return "(" + ", ".join(render_value(item) for item in v) + ")"
     return repr(v)

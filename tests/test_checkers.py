@@ -26,7 +26,7 @@ from foregone.kernel import (
     run_target,
     with_zero_tape,
 )
-from foregone.values import render_value, same_value
+from foregone.values import is_value, render_value, same_value
 from foregone.scenarios import build_registry, run_check
 from foregone.scenarios.common import (
     accept_any_verifier,
@@ -548,6 +548,87 @@ def test_unknown_goal_probe_requires_declared_languages(goal_evidence):
             whereabouts_family(),
             SEEDS,
         )
+
+
+@pytest.mark.parametrize(
+    "stray, rendered",
+    [((1, 2, 3), "(1, 2, 3)"), (1.5, "1.5"), ("Paris", "'Paris'")],
+    ids=["triple", "float", "str"],
+)
+def test_unknown_goal_probe_refuses_a_language_member_that_is_not_a_value(
+    goal_evidence, stray, rendered
+):
+    languages = {
+        "was-in-boston": frozenset({b"Boston"}),
+        "was-in-paris": frozenset({b"Paris", stray}),
+    }
+    with pytest.raises(PreconditionViolatedError) as raised:
+        probe_unknown_goal(
+            accept_any_verifier(),
+            goal_evidence["whereabouts"],
+            location_target(),
+            candidate_posts(),
+            whereabouts_family(),
+            SEEDS,
+            languages=languages,
+        )
+    assert str(raised.value) == (
+        f"world 'was-in-paris': language members {[rendered]} are not values"
+    )
+
+
+def _registered_languages(registry):
+    for name, scenario in registry.items():
+        for check in scenario.checks:
+            if check.kind == "probe-unknown-goal":
+                evidence = scenario.evidences[check.evidence]
+                yield f"{name}:{check.id}", scenario, check, check.languages or evidence.languages
+
+
+def test_every_registered_language_member_is_a_value(registry):
+    languages = list(_registered_languages(registry))
+    assert len(languages) == 6
+    for *_, by_world in languages:
+        assert all(is_value(v) for language in by_world.values() for v in language)
+
+
+def test_unknown_goal_checks_key_each_member_once_and_never_scan(registry, monkeypatch):
+    # The hypothesis gate and the membership tests are key-set lookups:
+    # value_key once per language member plus once per output looked up
+    # (a candidate's output, and the target's in the world it fails),
+    # and same_value only where the candidates' outputs across worlds
+    # are compared, once per world.
+    import foregone.checkers as checkers
+
+    calls = {"same_value": 0, "value_key": 0}
+    for name in calls:
+        real = getattr(checkers, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(checkers, name, counting)
+    counted = {}
+    for check_name, scenario, check, by_world in _registered_languages(registry):
+        calls.update(same_value=0, value_key=0)
+        verdict, report = run_check(scenario, check, SEEDS)
+        members = sum(len(language) for language in by_world.values())
+        assert calls["value_key"] <= members + 2 * len(report.witnesses)
+        counted[check_name] = (verdict, members, calls["same_value"], calls["value_key"])
+    assert counted == {
+        "otp-table:probe-unknown-goal/secret-own-key": ("Holds", 2, 6, 8),
+        "otp-table:probe-unknown-goal/secret-fixed-key": ("Holds", 2, 6, 8),
+        "otp-table:probe-unknown-goal/known-own-key": ("Holds", 2, 6, 8),
+        "unknown-goal:probe-unknown-goal/whereabouts": ("Holds", 2, 8, 10),
+        "unknown-goal:probe-unknown-goal/commitment-pinned": ("Holds", 2, 6, 8),
+        "unknown-goal:probe-unknown-goal/commitment-pinned-equivocable": (
+            "HypothesisViolated",
+            512,
+            0,
+            512,
+        ),
+    }
 
 
 def coin_family():

@@ -294,6 +294,24 @@ def test_a_fault_in_machine_code_is_a_config_error_naming_the_check(
     assert "'hoarder'" in captured.err and "'seen'" in captured.err
 
 
+def test_a_check_given_inputs_outside_its_contract_is_a_config_error_naming_the_check(
+    registry, monkeypatch, capsys
+):
+    scenario = copy.deepcopy(registry["unknown-goal"])
+    check = next(c for c in scenario.checks if c.id == "probe-unknown-goal/commitment-pinned")
+    del check.languages["holder-b"]
+    monkeypatch.setattr(cli, "build_scenario", lambda name, params: scenario)
+    argv = ["run", "unknown-goal", "--check", "probe-unknown-goal", "--seeds", "0,1"]
+    code = main(argv + ["--evidence", "commitment-pinned"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown-goal probe-unknown-goal/commitment-pinned: "
+        "worlds without languages: ['holder-b']\n"
+    )
+
+
 @pytest.mark.parametrize(
     "body, raised",
     [

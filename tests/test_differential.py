@@ -39,7 +39,7 @@ from foregone.scenarios.common import (
     fixed_output_post,
     mind,
 )
-from foregone.values import ABSENT
+from foregone.values import ABSENT, Location, render_value
 
 SEED_SETS = (
     tuple(range(16)),
@@ -169,6 +169,25 @@ def _generated_checks():
     )
     fixed = ("fixed-s", fixed_output_post("fixed-s", b"s"))
     candidates = (("echo-first-message", echo), ("draw", draw_post), fixed)
+    # Languages that Python's == would intersect but same_value does not
+    # (True/1, b"1"/1, (1, b"x")/(True, b"x"), Location(1)/1), and a pair
+    # that shares b"1", None and (1, b"x") outright.
+    ints = frozenset({1, b"1", (1, b"x"), None})
+    bools = frozenset({True, Location(1), (True, b"x"), b"one"})
+    mixed_worlds = (("int", _world(b"plain", secret=1)), ("bool", _world(b"plain", secret=True)))
+    mixed = _evidence("mixed", *mixed_worlds, languages={"int": ints, "bool": bools})
+    overlapping = _evidence(
+        "overlapping",
+        *mixed_worlds,
+        languages={"int": ints, "bool": frozenset({True, b"1", None, (1, b"x"), Location(1)})},
+    )
+    mixed_candidates = (
+        ("echo-first-message", echo),
+        *(
+            (f"fixed-{render_value(v)}", fixed_output_post(f"fixed-{render_value(v)}", v))
+            for v in (True, b"1", (1, b"x"), (True, b"x"), Location(1), None)
+        ),
+    )
     coin = _evidence("coin", ("plain", _world(b"plain")), ("coin", _world(b"coin")))
     faulty = _evidence("faulty", ("plain", _world(b"plain")), ("fault", _world(b"fault")))
     entail = (check_entailment, plain.entailment)
@@ -193,6 +212,14 @@ def _generated_checks():
         "unknown-goal-seed-free": (
             *unknown_goal,
             (accept, located, secret_target, (("echo-first-message", echo), fixed), family),
+        ),
+        "unknown-goal-mixed-types": (
+            *unknown_goal,
+            (accept, mixed, secret_target, mixed_candidates, family),
+        ),
+        "unknown-goal-mixed-types-overlap": (
+            *unknown_goal,
+            (accept, overlapping, secret_target, mixed_candidates, family),
         ),
         "random-target": (
             probe_random_target,
@@ -230,6 +257,16 @@ def test_generated_checks_cover_every_outcome():
     assert outcomes["unknown-goal"].holds
     assert SEED_FREE_NOTE not in outcomes["unknown-goal"].notes
     assert outcomes["unknown-goal-seed-free"].notes[-1] == SEED_FREE_NOTE
+    assert outcomes["unknown-goal-mixed-types"].holds
+    # each candidate lands in one language only, and falls in the other
+    assert [w.world for w in outcomes["unknown-goal-mixed-types"].witnesses] == [
+        "bool", "int", "bool", "bool", "int", "int", "bool"
+    ]
+    assert outcomes["unknown-goal-mixed-types-overlap"] == (
+        "HypothesisViolatedError",
+        """languages share ['"1"', '(1, "x")', '⊥']; the unknown-goal """
+        "hypothesis requires an empty intersection",
+    )
     assert outcomes["fault"] == (
         "CellFaultError",
         "world 'fault', action 'act-by-mode', seed 0: machine 'act-by-mode' "

@@ -13,6 +13,7 @@ from foregone.values import (
     is_value,
     render_value,
     same_value,
+    value_key,
 )
 
 atoms = st.one_of(
@@ -69,6 +70,37 @@ def test_same_value_is_symmetric(a, b):
 @given(values)
 def test_generated_values_are_values(v):
     assert is_value(v)
+
+
+# few atoms that Python's == conflates, so drawn pairs often collide
+close = st.recursive(
+    st.sampled_from([None, False, True, 0, 1, b"", b"1", Location(0), Location(1)]),
+    lambda inner: st.tuples(inner, inner),
+    max_leaves=4,
+)
+keyed = st.one_of(values, close, st.just(ABSENT))
+
+
+@given(keyed, keyed)
+def test_value_key_is_equal_exactly_when_same_value_holds(a, b):
+    assert (value_key(a) == value_key(b)) == same_value(a, b)
+    assert {value_key(a): a}[value_key(a)] is a
+
+
+def test_value_key_tells_apart_what_python_equality_conflates():
+    for a, b in (
+        (True, 1),
+        (False, 0),
+        (b"1", 1),
+        (None, ABSENT),
+        (Location(1), 1),
+        ((1, b"x"), (True, b"x")),
+        ((None, None), None),
+    ):
+        assert not same_value(a, b)
+        assert value_key(a) != value_key(b)
+    distinct = (True, 1, b"1", Location(1), (1, None), (True, None), None, ABSENT)
+    assert len({value_key(v) for v in distinct}) == len(distinct)
 
 
 def test_render_value_is_stable_and_readable():
