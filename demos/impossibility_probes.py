@@ -38,11 +38,11 @@ def main():
     report = probe_unknown_goal(
         scenario.verifier,
         scenario.evidences["whereabouts"],
+        check.languages,
         check.target,
         check.candidates,
-        check.family,
+        scenario.exemplar,
         seeds,
-        languages=check.languages,
     )
     print("    verdict:", report.verdict.value)
     show(report)
@@ -54,7 +54,7 @@ def main():
         scenario.evidences["coin"],
         check.target,
         check.candidates,
-        check.family,
+        check.exemplar,
         seeds,
     )
     print("    verdict:", report.verdict.value)
@@ -67,7 +67,7 @@ def main():
         scenario.evidences["commitment"],
         check.target,
         check.candidates,
-        check.family,
+        check.exemplar,
         seeds,
     )
     print("    verdict:", report.verdict.value)

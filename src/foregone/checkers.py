@@ -133,21 +133,11 @@ class ActionFamily:
     """
 
     actions: tuple[tuple[str, Machine], ...]
-    exemplar_label: Optional[str] = None
 
     def __post_init__(self):
         labels = [label for label, _ in self.actions]
         if len(set(labels)) != len(labels):
             raise CheckerError("action family has duplicate labels")
-        if self.exemplar_label is not None and self.exemplar_label not in labels:
-            raise CheckerError(
-                f"exemplar label {self.exemplar_label!r} is not in the family"
-            )
-
-    def exemplar(self) -> Machine:
-        if self.exemplar_label is None:
-            raise PreconditionViolatedError("family declares no exemplar")
-        return dict(self.actions)[self.exemplar_label]
 
 
 # ---------------------------------------------------------------------------
@@ -542,42 +532,39 @@ def _all_defeated(
 def probe_unknown_goal(
     verifier: Machine,
     evidence: Evidence,
+    languages: dict[str, frozenset],
     target: Machine,
     candidate_posts: tuple[tuple[str, Machine], ...],
-    family: ActionFamily,
+    exemplar: Machine,
     seeds: tuple[int, ...] = DEFAULT_SEEDS,
     budget: int = DEFAULT_BUDGET,
-    languages: Optional[dict[str, frozenset]] = None,
 ) -> CheckReport:
     """Mechanizes the unknown-goal impossibility argument.
 
-    The evidence carries, per world, the finite language in which that
-    world's target output must land.  When the languages share no
-    common element the government cannot check membership, and the
-    stand-in action -- the exemplar run against a hardcoded consistent
-    respondent, touching the real respondent not at all -- makes every
-    candidate post-processor output something that lands outside some
-    consistent world's language.  Holds when every candidate is
-    defeated by such a replayable witness.
+    ``languages`` maps each world label of the evidence to the finite
+    language in which that world's target output must land.  When the
+    languages share no common element the government cannot check
+    membership, and the stand-in action -- ``exemplar`` run against a
+    hardcoded consistent respondent, touching the real respondent not
+    at all -- makes every candidate post-processor output something
+    that lands outside some consistent world's language.  Holds when
+    every candidate is defeated by such a replayable witness.
 
-    Every language member must be a value (``PreconditionViolatedError``
-    names the world and the members that are not).  Each language is
-    keyed once by ``value_key``, so the hypothesis gate is a key-set
-    intersection and each membership test a lookup, both agreeing with
-    ``same_value``; a shared-members message lists the first world's
-    shared members in rendered, sorted order.
+    Every world must have a language, and every language member must
+    be a value; ``PreconditionViolatedError`` names the worlds without
+    one (all of them when ``languages`` is None) or the members that
+    are not.  Each language is keyed once by ``value_key``, so the
+    hypothesis gate is a key-set intersection and each membership test
+    a lookup, both agreeing with ``same_value``; a shared-members
+    message lists the first world's shared members in rendered, sorted
+    order.
 
     The stand-in must conform under every seed, but the post-processors
     and the target are compared at the first seed only.  When some run
     read a tape, the report's notes say so; when none did, the first
     seed stands for every seed, and the notes say that instead.
     """
-    languages = languages if languages is not None else evidence.languages
-    if languages is None:
-        raise PreconditionViolatedError(
-            f"evidence {evidence.name!r} declares no per-world languages"
-        )
-    missing = [l for l in evidence.labels() if l not in languages]
+    missing = [l for l in evidence.labels() if l not in (languages or {})]
     if missing:
         raise PreconditionViolatedError(f"worlds without languages: {missing}")
     for label in evidence.labels():
@@ -597,7 +584,7 @@ def probe_unknown_goal(
             "the unknown-goal hypothesis requires an empty intersection"
         )
 
-    stand_in = emulate_with_respondent(family.exemplar(), evidence.worlds[0][1].respondent)
+    stand_in = emulate_with_respondent(exemplar, evidence.worlds[0][1].respondent)
 
     table = _Cells(verifier, budget, evidence.worlds)
     for label, world in evidence.worlds:
@@ -676,7 +663,7 @@ def probe_random_target(
     evidence: Evidence,
     target: Machine,
     candidate_posts: tuple[tuple[str, Machine], ...],
-    family: ActionFamily,
+    exemplar: Machine,
     seeds: tuple[int, ...] = DEFAULT_SEEDS,
     budget: int = DEFAULT_BUDGET,
 ) -> CheckReport:
@@ -684,7 +671,7 @@ def probe_random_target(
 
     Gate: some world must show at least two distinct target outputs
     across the probed tape settings (the target uses its own coins in a
-    non-trivial way).  Construction: pin the exemplar's and each
+    non-trivial way).  Construction: pin ``exemplar``'s and each
     candidate post-processor's coins to all zeros; the left-hand side
     then cannot track the target's coin-driven variation, so some tape
     setting disagrees.  Holds when every candidate is defeated.
@@ -699,7 +686,7 @@ def probe_random_target(
             "no probed world shows a target output support of size >= 2"
         )
 
-    pinned_action = with_zero_tape(family.exemplar())
+    pinned_action = with_zero_tape(exemplar)
     if not table.conforms(world, pinned_action, seeds):
         return table.noted(
             noted_failure(

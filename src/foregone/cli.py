@@ -49,7 +49,6 @@ from .scenarios import (
     build_registry,
     build_scenario,
     run_check,
-    scenario_names,
     validate_overrides,
 )
 from .toy_crypto import (
@@ -276,15 +275,6 @@ def _rows_for(
     return rows
 
 
-def load_scenario(name: str, overrides: Mapping[str, Mapping[str, Any]]) -> Scenario:
-    """Build just the scenario ``name`` under its overrides."""
-    if name not in scenario_names():
-        raise ConfigError(
-            f"unknown scenario {name!r}; known: {sorted(scenario_names())}"
-        )
-    return build_scenario(name, overrides.get(name))
-
-
 def cmd_run(
     scenario: Scenario,
     check_kind: str,
@@ -407,7 +397,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigError("budget must be positive")
         if args.command == "run":
             return cmd_run(
-                load_scenario(args.scenario, overrides),
+                build_scenario(args.scenario, overrides.get(args.scenario)),
                 args.check,
                 args.evidence,
                 seeds,

@@ -21,7 +21,7 @@ Two refinements move along that ordering:
   * ``drop_assertion`` removes a droppable assertion and enlarges the
     family by that assertion's declared extension worlds.
 
-Membership testing is by structural identity (same machine shapes,
+Membership testing compares ``kernel.world_key`` (same machine shapes,
 same asserted values), which keeps it total and fast; the semantic
 checks live in ``audit`` and run at scenario load.
 """
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .kernel import Machine, World, same_world_content
+from .kernel import Machine, World, world_key
 from .refinement import ProbeSpec, bounded_equivalent, bounded_implements
 
 
@@ -72,7 +72,6 @@ class Evidence:
     probe: ProbeSpec
     partial_specs: dict[int, Machine] = field(default_factory=dict)
     full_specs: dict[int, Machine] = field(default_factory=dict)
-    languages: Optional[dict[str, frozenset]] = None
 
     def __post_init__(self):
         if not self.worlds:
@@ -91,15 +90,12 @@ class Evidence:
         return tuple(label for label, _ in self.worlds)
 
 
-def is_consistent(evidence: Evidence, world: World) -> bool:
-    """Membership of ``world`` in the enumerated family, by structural
-    identity of (nature, respondent); tapes are not part of evidence."""
-    return any(same_world_content(world, member) for _, member in evidence.worlds)
-
-
 def at_least_as_strong(stronger: Evidence, weaker: Evidence) -> bool:
-    """True iff every world of ``stronger`` appears in ``weaker``."""
-    return all(is_consistent(weaker, world) for _, world in stronger.worlds)
+    """True iff every world of ``stronger`` appears in ``weaker``, by
+    ``world_key``; tapes are not part of evidence."""
+    return {world_key(w) for _, w in stronger.worlds} <= {
+        world_key(w) for _, w in weaker.worlds
+    }
 
 
 def _rebind(spec: Machine, device: Machine) -> Optional[Machine]:
@@ -154,19 +150,12 @@ def strengthen_to_full_spec(
     partial.pop(location, None)
     full = dict(evidence.full_specs)
     full[location] = spec
-    languages = None
-    if evidence.languages is not None:
-        keep = {label for label, _ in surviving}
-        languages = {
-            label: lang for label, lang in evidence.languages.items() if label in keep
-        }
     return replace(
         evidence,
         name=f"{evidence.name}+exact@{location}",
         worlds=surviving,
         partial_specs=partial,
         full_specs=full,
-        languages=languages,
     )
 
 
@@ -203,16 +192,10 @@ def restrict_to(evidence: Evidence, labels: tuple[str, ...]) -> Evidence:
     surviving = tuple((l, w) for l, w in evidence.worlds if l in keep)
     if not surviving:
         raise EmptyFamilyError(f"restriction of {evidence.name!r} is empty")
-    languages = None
-    if evidence.languages is not None:
-        languages = {
-            l: lang for l, lang in evidence.languages.items() if l in keep
-        }
     return replace(
         evidence,
         name=f"{evidence.name}|{'+'.join(sorted(keep))}",
         worlds=surviving,
-        languages=languages,
     )
 
 

@@ -69,7 +69,7 @@ from enum import Enum
 from typing import Any, Callable, Optional
 
 from .tapes import RandomnessAssignment, ZeroTape
-from .values import ABSENT, NO_SUCH_METHOD, Location, is_value, render_value, same_value
+from .values import ABSENT, NO_SUCH_METHOD, Location, is_value, render_value, value_key
 
 DEFAULT_BUDGET = 100_000
 
@@ -238,30 +238,33 @@ def _fork(world: World) -> World:
     return twin
 
 
-def _same_machine(a: Optional[Machine], b: Optional[Machine]) -> bool:
-    if a is None or b is None:
-        return a is b
+def machine_key(machine: Optional[Machine]) -> Optional[tuple]:
+    """A hashable, type-strict key of a machine's content: id, method
+    functions, zero-tape flag, state values under ``value_key`` and the
+    emulated respondent's key.  Machines with equal keys run alike."""
+    if machine is None:
+        return None
     return (
-        (a.id, a.methods, a.force_zero_tape, a.state.keys())
-        == (b.id, b.methods, b.force_zero_tape, b.state.keys())
-        and all(same_value(v, b.state[k]) for k, v in a.state.items())
-        and _same_machine(a.emulated_respondent, b.emulated_respondent)
+        machine.id,
+        tuple(sorted(machine.methods.items())),
+        machine.force_zero_tape,
+        tuple(sorted((name, value_key(v)) for name, v in machine.state.items())),
+        machine_key(machine.emulated_respondent),
     )
 
 
-def same_world_content(a: World, b: World) -> bool:
-    """Structural identity of (nature, respondent), with every state
-    value compared by ``same_value``.
+def world_key(world: World) -> tuple:
+    """A hashable key of (nature, respondent): the read-only set and the
+    ``machine_key`` of every slot and of the respondent.
 
     This is the membership notion for evidence families: what the
     government asserts is the shape of nature and of the respondent's
     mind, not a coin sequence.
     """
     return (
-        a.nature.read_only == b.nature.read_only
-        and a.nature.slots.keys() == b.nature.slots.keys()
-        and all(_same_machine(m, b.nature.slots[i]) for i, m in a.nature.slots.items())
-        and _same_machine(a.respondent, b.respondent)
+        world.nature.read_only,
+        tuple(sorted((i, machine_key(m)) for i, m in world.nature.slots.items())),
+        machine_key(world.respondent),
     )
 
 
@@ -408,10 +411,6 @@ class _ChargingTape:
     def read_bit(self) -> int:
         self._engine.charge()
         return self._inner.read_bit()
-
-    def read_below(self, bound: int) -> int:
-        self._engine.charge()
-        return self._inner.read_below(bound)
 
 
 class MethodContext:

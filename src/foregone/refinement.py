@@ -21,8 +21,8 @@ cross-machine call surfaces as the same no-such-method outcome on both
 sides and therefore never separates them by itself.
 
 A comparison is decided once per process: its answer is memoized under
-a type-strict key of both machines (id, method functions, flags, state
-values, emulated respondent), the depth, the alphabet and the budget.
+the ``kernel.machine_key`` of both machines, the depth, the alphabet and
+the budget.
 
 A ``False`` answer always has a concrete witness probe;
 ``replay_probe`` runs it from scratch through the kernel and exhibits
@@ -41,6 +41,7 @@ from .kernel import (
     Machine,
     NoSuchMethodError,
     fork_machine,
+    machine_key,
 )
 from .values import ABSENT, same_value, value_key
 
@@ -100,18 +101,6 @@ def replay_probe(machine: Machine, probe: Probe, budget: int = DEFAULT_BUDGET) -
     return [_outcome(invoker, subject, method, argument) for method, argument in probe]
 
 
-def _machine_key(machine: Optional[Machine]) -> Optional[tuple]:
-    if machine is None:
-        return None
-    return (
-        machine.id,
-        tuple(sorted(machine.methods.items())),
-        machine.force_zero_tape,
-        tuple(sorted((name, value_key(v)) for name, v in machine.state.items())),
-        _machine_key(machine.emulated_respondent),
-    )
-
-
 def _step(node: tuple, method: str, argument) -> tuple[tuple, tuple]:
     """One more call from ``node`` = (machine, invoker): the outcome and
     the child node, both run on forks so the parent stays as it was."""
@@ -165,8 +154,8 @@ def distinguishing_probe(
     exists within the bounds.  A missing method on the candidate counts
     as an immediate witness of length one."""
     key = (
-        _machine_key(spec),
-        _machine_key(candidate),
+        machine_key(spec),
+        machine_key(candidate),
         depth,
         tuple(value_key(letter) for letter in alphabet),
         budget,

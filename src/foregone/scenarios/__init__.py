@@ -87,7 +87,7 @@ def validate_overrides(overrides: Mapping[str, Mapping[str, Any]]) -> None:
 def build_scenario(name: str, params: Optional[Mapping[str, Any]] = None) -> Scenario:
     module = BUILDERS.get(name)
     if module is None:
-        raise ScenarioError(f"unknown scenario {name!r}")
+        raise ScenarioError(f"unknown scenario {name!r}; known: {sorted(BUILDERS)}")
     if params:
         _check_params(name, params)
     return module.build({**module.DEFAULTS, **(params or {})})

@@ -61,7 +61,12 @@ class ScenarioCheck:
     """One registered check with its expected verdict.
 
     Role fields default to the scenario's primary bundle; a check that
-    needs its own verifier, family, target, and so on overrides them.
+    needs its own verifier, exemplar, family, target, and so on
+    overrides them.  Every kind that runs an exemplar (the two probes
+    included) runs ``exemplar or Scenario.exemplar``.  ``languages``
+    maps each world label of a ``probe-unknown-goal`` check's evidence
+    to the language its target output must land in; it lives on the
+    check because checks that share one evidence need different ones.
     """
 
     kind: str
@@ -69,6 +74,7 @@ class ScenarioCheck:
     expected: str
     citation: str
     verifier: Optional[Machine] = None
+    exemplar: Optional[Machine] = None
     target: Optional[Machine] = None
     post: Optional[Machine] = None
     family: Optional[ActionFamily] = None
@@ -146,7 +152,7 @@ def run_check(
 ) -> tuple[str, CheckReport]:
     """Execute one registered check and return (verdict string, report)."""
     verifier = check.verifier or scenario.verifier
-    exemplar = scenario.exemplar
+    exemplar = check.exemplar or scenario.exemplar
     target = check.target or scenario.target
     post = check.post or scenario.post_processor
     family = check.family or scenario.action_family
@@ -166,16 +172,16 @@ def run_check(
             report = probe_unknown_goal(
                 verifier,
                 evidence,
+                check.languages,
                 target,
                 check.candidates,
-                family,
+                exemplar,
                 seeds,
                 budget,
-                languages=check.languages,
             )
         elif check.kind == "probe-random":
             report = probe_random_target(
-                verifier, evidence, target, check.candidates, family, seeds, budget
+                verifier, evidence, target, check.candidates, exemplar, seeds, budget
             )
         else:  # entailment and counterexample
             report = check_entailment(

@@ -4,9 +4,10 @@ Three rules hold for every machine a scenario builds, here and in the
 scenario modules:
 
 - Method functions live at module level, and every parameter a machine
-  depends on sits in its state, never in a closure.  The refinement
-  memo and ``same_world_content`` compare method functions by identity,
-  so two independently built copies of a machine must share them.
+  depends on sits in its state, never in a closure.
+  ``kernel.machine_key``, which keys the refinement memo and evidence
+  membership, compares method functions by identity, so two
+  independently built copies of a machine must share them.
 - There are no module-level machine constants: every build makes its
   own ``Machine`` objects.  ``DirectInvoker`` mutates the machine it
   is given, and a ``World`` refuses one ``Machine`` object held twice.

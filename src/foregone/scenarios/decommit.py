@@ -225,7 +225,6 @@ def build(params: Mapping[str, Any]) -> Scenario:
                 ),
             ),
         ),
-        exemplar_label="reveal-true-opening",
     )
 
     checks = [

@@ -106,7 +106,6 @@ def build(params: Mapping[str, Any]) -> Scenario:
             ("announce-progress", announce_action()),
             ("use-duress-password", duress_action(params["replacement"])),
         ),
-        exemplar_label="enter-password",
     )
 
     checks = [

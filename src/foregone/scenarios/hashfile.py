@@ -163,7 +163,6 @@ def build(params: Mapping[str, Any]) -> Scenario:
             ),
             ("send-memorized-file", send_fixed_action("send-memorized-file", file_content)),
         ),
-        exemplar_label="produce-located-file",
     )
     colliding_family = ActionFamily(
         actions=(
@@ -173,7 +172,6 @@ def build(params: Mapping[str, Any]) -> Scenario:
                 send_fixed_action("send-collision-partner", file_content),
             ),
         ),
-        exemplar_label="produce-located-file",
     )
 
     checks = [

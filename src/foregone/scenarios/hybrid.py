@@ -111,7 +111,6 @@ def build(params: Mapping[str, Any]) -> Scenario:
                 Machine(id="read-and-report", methods={"run": _report_run}),
             ),
         ),
-        exemplar_label="do-nothing",
     )
 
     checks = [

@@ -232,7 +232,6 @@ def build(params: Mapping[str, Any]) -> Scenario:
             ("do-nothing", do_nothing_action()),
             ("send-junk", send_fixed_action("send-junk", b"\x99")),
         ),
-        exemplar_label="send-own-ciphertext",
     )
 
     own_a = otp(params["key_a"], params["secret_a"])

@@ -304,14 +304,13 @@ def build(params: Mapping[str, Any]) -> Scenario:
         ("enter-password-twice", enter_twice_action()),
         ("announce-progress", announce_action()),
     )
-    family_strong = ActionFamily(actions=core, exemplar_label="enter-password")
+    family_strong = ActionFamily(actions=core)
     family_weak = ActionFamily(
         actions=core
         + (
             ("use-duress-password", duress_action(params["replacement"])),
             ("stand-in-respondent", stand_in),
         ),
-        exemplar_label="enter-password",
     )
     family_star = ActionFamily(
         actions=core
@@ -319,7 +318,6 @@ def build(params: Mapping[str, Any]) -> Scenario:
             ("stand-in-respondent", stand_in),
             ("emulate-silent-respondent", never_answers),
         ),
-        exemplar_label="enter-password",
     )
 
     checks = [

@@ -268,7 +268,6 @@ def build(params: Mapping[str, Any]) -> Scenario:
                 ),
             ),
         ),
-        exemplar_label="enter-password-and-code",
     )
 
     checks = [

@@ -162,10 +162,6 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
             ),
         ),
         probe=probe,
-        languages={
-            "was-in-boston": frozenset({params["place_a"]}),
-            "was-in-paris": frozenset({params["place_b"]}),
-        },
     )
     coin = Evidence(
         name="a-coin-to-flip",
@@ -211,22 +207,8 @@ def build(params: Mapping[str, Any]) -> Scenario:
     secret_b = params["secret_b"]
     coin = params["pinned_coin"]
 
-    whereabouts_family = ActionFamily(
-        actions=(("state-a-location", state_location_action()),),
-        exemplar_label="state-a-location",
-    )
-    coin_family = ActionFamily(
-        actions=(("flip-and-send", flip_and_send_action()),),
-        exemplar_label="flip-and-send",
-    )
-    commit_family = ActionFamily(
-        actions=(("send-a-commitment", send_commitment_action("xor-pad", coin)),),
-        exemplar_label="send-a-commitment",
-    )
-    pinned_family = ActionFamily(
-        actions=(("send-a-commitment", send_commitment_action("transparent", coin)),),
-        exemplar_label="send-a-commitment",
-    )
+    exemplar = state_location_action()
+    commit_exemplar = send_commitment_action("xor-pad", coin)
 
     secrets = (secret_a, secret_b)
     transparent_languages = {
@@ -255,9 +237,12 @@ def build(params: Mapping[str, Any]) -> Scenario:
             evidence="whereabouts",
             expected=HOLDS,
             target=location_target(),
-            family=whereabouts_family,
             candidates=guesses(place_a)
             + (("fixed-elsewhere", fixed_output_post("fixed-elsewhere", b"Tokyo")),),
+            languages={
+                "was-in-boston": frozenset({place_a}),
+                "was-in-paris": frozenset({params["place_b"]}),
+            },
             citation="The government cannot check where she was, so any"
             " candidate recovery lands outside some consistent answer set"
             " -- the verifier must accept a made-up answer.",
@@ -267,7 +252,7 @@ def build(params: Mapping[str, Any]) -> Scenario:
             evidence="coin",
             expected=HOLDS,
             target=coin_target(),
-            family=coin_family,
+            exemplar=flip_and_send_action(),
             candidates=guesses(b"heads")
             + (("fixed-tails", fixed_output_post("fixed-tails", b"tails")),),
             citation="A fresh coin announcement cannot be recovered: pinning"
@@ -282,7 +267,7 @@ def build(params: Mapping[str, Any]) -> Scenario:
                 state={"scheme": "xor-pad"},
                 methods={"run": _fresh_commit_target_run},
             ),
-            family=commit_family,
+            exemplar=commit_exemplar,
             candidates=guesses(secret_a),
             citation="A fresh commitment to an unverifiable secret moves"
             " with its coins; no recovery tracks it.",
@@ -292,7 +277,7 @@ def build(params: Mapping[str, Any]) -> Scenario:
             evidence="commitment-pinned",
             expected=HOLDS,
             target=pinned_commit_target("transparent", coin),
-            family=pinned_family,
+            exemplar=send_commitment_action("transparent", coin),
             candidates=guesses(
                 SCHEMES["transparent"].commit(secret_a, coin)[0]
             ),
@@ -306,7 +291,7 @@ def build(params: Mapping[str, Any]) -> Scenario:
             evidence="commitment-pinned-equivocable",
             expected=HYPOTHESIS_VIOLATED,
             target=pinned_commit_target("xor-pad", coin),
-            family=commit_family,
+            exemplar=commit_exemplar,
             candidates=guesses(secret_a),
             languages=equivocable_languages,
             citation="Under the equivocable scheme every commitment opens to"
@@ -320,9 +305,9 @@ def build(params: Mapping[str, Any]) -> Scenario:
         title="unverifiable goals and randomized targets",
         evidences=evidences,
         verifier=accept_any_verifier(),
-        exemplar=state_location_action(),
+        exemplar=exemplar,
         target=location_target(),
         post_processor=first_message_post(),
-        action_family=whereabouts_family,
+        action_family=ActionFamily(actions=(("state-a-location", exemplar),)),
         checks=checks,
     )

@@ -74,19 +74,6 @@ class TapeReader:
     def read_bit(self) -> int:
         return self.read_bytes(1)[0] & 1
 
-    def read_below(self, bound: int) -> int:
-        """Uniform draw from [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        if bound == 1:
-            return 0
-        nbytes = (bound.bit_length() + 7) // 8
-        limit = (256**nbytes // bound) * bound
-        while True:
-            draw = int.from_bytes(self.read_bytes(nbytes), "big")
-            if draw < limit:
-                return draw % bound
-
 
 class ZeroTape:
     """A tape that is all zeros; used to pin an action's coins."""
@@ -97,9 +84,4 @@ class ZeroTape:
         return b"\x00" * n
 
     def read_bit(self) -> int:
-        return 0
-
-    def read_below(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
         return 0

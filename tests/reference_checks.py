@@ -197,9 +197,8 @@ def _in(language, value) -> bool:
 
 
 def unknown_goal(
-    verifier, evidence, target, candidates, family, seeds, budget=DEFAULT_BUDGET, languages=None
+    verifier, evidence, languages, target, candidates, exemplar, seeds, budget=DEFAULT_BUDGET
 ):
-    languages = languages if languages is not None else evidence.languages
     labels = evidence.labels()
     common = [v for v in languages[labels[0]] if all(_in(languages[l], v) for l in labels[1:])]
     if common:
@@ -207,7 +206,7 @@ def unknown_goal(
             f"languages share {sorted(render_value(v) for v in common)}; "
             "the unknown-goal hypothesis requires an empty intersection"
         )
-    stand_in = emulate_with_respondent(family.exemplar(), evidence.worlds[0][1].respondent)
+    stand_in = emulate_with_respondent(exemplar, evidence.worlds[0][1].respondent)
     runs = Runs(verifier, budget, evidence.worlds)
     for label, world in evidence.worlds:
         if not runs.conforms(world, stand_in, seeds):
@@ -267,7 +266,7 @@ def unknown_goal(
     return runs.report(CheckVerdict.HOLDS, cells, max_steps, witnesses=witnesses, notes=notes)
 
 
-def random_target(verifier, evidence, target, candidates, family, seeds, budget=DEFAULT_BUDGET):
+def random_target(verifier, evidence, target, candidates, exemplar, seeds, budget=DEFAULT_BUDGET):
     runs = Runs(verifier, budget, evidence.worlds)
     for label, world in evidence.worlds:
         outputs = [runs.target(target, world, seed) for seed in seeds]
@@ -276,7 +275,7 @@ def random_target(verifier, evidence, target, candidates, family, seeds, budget=
     else:
         raise HypothesisViolatedError("no probed world shows a target output support of size >= 2")
 
-    pinned_action = with_zero_tape(family.exemplar())
+    pinned_action = with_zero_tape(exemplar)
     if not runs.conforms(world, pinned_action, seeds):
         note = (
             f"zero-coin exemplar does not conform in world {label!r}; "
@@ -315,7 +314,7 @@ def registered(scenario, check, seeds, budget=DEFAULT_BUDGET):
     """(verdict string, report) of one registered check, computed the
     plain way."""
     verifier = check.verifier or scenario.verifier
-    exemplar = scenario.exemplar
+    exemplar = check.exemplar or scenario.exemplar
     target = check.target or scenario.target
     post = check.post or scenario.post_processor
     family = check.family or scenario.action_family
@@ -330,12 +329,12 @@ def registered(scenario, check, seeds, budget=DEFAULT_BUDGET):
             report = conformity(verifier, exemplar, evidence, seeds, budget)
         elif check.kind == "probe-unknown-goal":
             report = unknown_goal(
-                verifier, evidence, target, check.candidates, family, seeds, budget,
-                check.languages,
+                verifier, evidence, check.languages, target, check.candidates, exemplar,
+                seeds, budget,
             )
         elif check.kind == "probe-random":
             report = random_target(
-                verifier, evidence, target, check.candidates, family, seeds, budget
+                verifier, evidence, target, check.candidates, exemplar, seeds, budget
             )
         else:
             report = entailment(verifier, target, post, evidence, family, seeds, budget)

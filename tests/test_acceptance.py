@@ -334,11 +334,11 @@ def test_criterion_11_impossibility_probes(registry):
     report = probe_unknown_goal(
         scenario.verifier,
         scenario.evidences["whereabouts"],
+        whereabouts.languages,
         whereabouts.target,
         whereabouts.candidates,
-        whereabouts.family,
+        scenario.exemplar,
         SEEDS,
-        languages=whereabouts.languages,
     )
     assert report.holds
     assert len(report.witnesses) == len(whereabouts.candidates)
@@ -347,7 +347,7 @@ def test_criterion_11_impossibility_probes(registry):
     from foregone.kernel import emulate_with_respondent
 
     stand_in = emulate_with_respondent(
-        whereabouts.family.exemplar(),
+        scenario.exemplar,
         scenario.evidences["whereabouts"].worlds[0][1].respondent,
     )
     witness = report.witnesses[0]
@@ -365,7 +365,7 @@ def test_criterion_11_impossibility_probes(registry):
             scenario.evidences[check_key],
             check.target,
             check.candidates,
-            check.family,
+            check.exemplar,
             SEEDS,
         )
         assert report.holds, check_key

@@ -70,6 +70,12 @@ GOAL_PARAMS = {
     "pinned_coin": b"\x42",
 }
 
+# the languages the unknown-goal scenario declares on its whereabouts check
+WHEREABOUTS = {
+    "was-in-boston": frozenset({b"Boston"}),
+    "was-in-paris": frozenset({b"Paris"}),
+}
+
 
 @pytest.fixture(scope="module")
 def pwd_evidence():
@@ -140,7 +146,6 @@ def family_with_duress():
             ("retry-after-typo", retry_action()),
             ("use-duress-password", duress_action(b"cat-pictures")),
         ),
-        exemplar_label="enter-password",
     )
 
 
@@ -250,10 +255,7 @@ def test_post_processor_budget_exhaustion_fails_the_cell(pwd_evidence):
         decrypt_target(),
         _spinning_post(),
         pwd_evidence["strong"],
-        ActionFamily(
-            actions=(("enter-password", exemplar_action()),),
-            exemplar_label="enter-password",
-        ),
+        ActionFamily(actions=(("enter-password", exemplar_action()),)),
         SEEDS,
         budget=500,
     )
@@ -406,13 +408,6 @@ def test_monotonicity_over_sampled_subfamilies(pwd_evidence):
 # --- impossibility probes -----------------------------------------------------------
 
 
-def whereabouts_family():
-    return ActionFamily(
-        actions=(("state-a-location", state_location_action()),),
-        exemplar_label="state-a-location",
-    )
-
-
 def candidate_posts():
     return (
         ("echo-first-message", first_message_post()),
@@ -425,9 +420,10 @@ def test_unknown_goal_probe_defeats_every_candidate(goal_evidence):
     report = probe_unknown_goal(
         accept_any_verifier(),
         goal_evidence["whereabouts"],
+        WHEREABOUTS,
         location_target(),
         candidate_posts(),
-        whereabouts_family(),
+        state_location_action(),
         SEEDS,
     )
     assert report.verdict is CheckVerdict.HOLDS
@@ -456,9 +452,10 @@ def test_unknown_goal_probe_defeats_every_candidate(goal_evidence):
     report = probe_unknown_goal(
         accept_any_verifier(),
         evidence,
+        WHEREABOUTS,
         location_target(),
         candidate_posts(),
-        whereabouts_family(),
+        state_location_action(),
         (7, 3),
     )
     assert {witness.seed for witness in report.witnesses} == {7}
@@ -475,9 +472,10 @@ def test_unknown_goal_probe_says_which_seed_it_compared_at_when_a_run_reads_a_ta
     report = probe_unknown_goal(
         accept_any_verifier(),
         goal_evidence["whereabouts"],
+        WHEREABOUTS,
         location_target(),
         (("toss-a-coin", Machine(id="toss-a-coin", methods={"run": _tossed_coin})),),
-        whereabouts_family(),
+        state_location_action(),
         (7, 3),
     )
     assert report.holds
@@ -497,11 +495,11 @@ def test_unknown_goal_probe_gates_on_a_common_element(goal_evidence):
         probe_unknown_goal(
             accept_any_verifier(),
             goal_evidence["whereabouts"],
+            languages,
             location_target(),
             candidate_posts(),
-            whereabouts_family(),
+            state_location_action(),
             SEEDS,
-            languages=languages,
         )
 
 
@@ -515,11 +513,11 @@ def test_unknown_goal_probe_intersects_languages_type_strictly(goal_evidence):
     report = probe_unknown_goal(
         accept_any_verifier(),
         goal_evidence["whereabouts"],
+        languages,
         location_target(),
         candidate_posts(),
-        whereabouts_family(),
+        state_location_action(),
         SEEDS,
-        languages=languages,
     )
     assert report.verdict is CheckVerdict.FAILS
     assert "escapes its own declared language" in report.notes[0]
@@ -531,9 +529,10 @@ def test_unknown_goal_probe_gates_on_a_single_respondent(goal_evidence):
         probe_unknown_goal(
             accept_any_verifier(),
             narrowed,
+            WHEREABOUTS,
             location_target(),
             candidate_posts(),
-            whereabouts_family(),
+            state_location_action(),
             SEEDS,
         )
 
@@ -542,10 +541,11 @@ def test_unknown_goal_probe_requires_declared_languages(goal_evidence):
     with pytest.raises(PreconditionViolatedError):
         probe_unknown_goal(
             accept_any_verifier(),
-            goal_evidence["coin"],  # declares no languages
+            goal_evidence["coin"],
+            WHEREABOUTS,  # no language for the coin world
             location_target(),
             candidate_posts(),
-            whereabouts_family(),
+            state_location_action(),
             SEEDS,
         )
 
@@ -566,11 +566,11 @@ def test_unknown_goal_probe_refuses_a_language_member_that_is_not_a_value(
         probe_unknown_goal(
             accept_any_verifier(),
             goal_evidence["whereabouts"],
+            languages,
             location_target(),
             candidate_posts(),
-            whereabouts_family(),
+            state_location_action(),
             SEEDS,
-            languages=languages,
         )
     assert str(raised.value) == (
         f"world 'was-in-paris': language members {[rendered]} are not values"
@@ -581,8 +581,7 @@ def _registered_languages(registry):
     for name, scenario in registry.items():
         for check in scenario.checks:
             if check.kind == "probe-unknown-goal":
-                evidence = scenario.evidences[check.evidence]
-                yield f"{name}:{check.id}", scenario, check, check.languages or evidence.languages
+                yield f"{name}:{check.id}", scenario, check, check.languages
 
 
 def test_every_registered_language_member_is_a_value(registry):
@@ -631,13 +630,6 @@ def test_unknown_goal_checks_key_each_member_once_and_never_scan(registry, monke
     }
 
 
-def coin_family():
-    return ActionFamily(
-        actions=(("flip-and-send", flip_and_send_action()),),
-        exemplar_label="flip-and-send",
-    )
-
-
 def test_random_target_probe_defeats_every_candidate(goal_evidence):
     candidates = (
         ("echo-first-message", first_message_post()),
@@ -649,7 +641,7 @@ def test_random_target_probe_defeats_every_candidate(goal_evidence):
         goal_evidence["coin"],
         coin_target(),
         candidates,
-        coin_family(),
+        flip_and_send_action(),
         tuple(range(12)),
     )
     assert report.verdict is CheckVerdict.HOLDS
@@ -667,11 +659,6 @@ def test_random_target_probe_gates_on_singleton_support(goal_evidence):
             goal_evidence["coin"],
             constant,
             (("echo-first-message", first_message_post()),),
-            coin_family(),
+            flip_and_send_action(),
             SEEDS,
         )
-
-
-def test_action_family_validates_its_exemplar():
-    with pytest.raises(Exception):
-        ActionFamily(actions=(("a", do_nothing_action()),), exemplar_label="missing")

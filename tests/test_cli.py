@@ -312,6 +312,22 @@ def test_a_check_given_inputs_outside_its_contract_is_a_config_error_naming_the_
     )
 
 
+def test_an_unknown_goal_check_without_languages_is_a_config_error_naming_the_check(
+    registry, monkeypatch, capsys
+):
+    scenario = copy.deepcopy(registry["unknown-goal"])
+    scenario.find_check("probe-unknown-goal", "whereabouts").languages = None
+    monkeypatch.setattr(cli, "build_scenario", lambda name, params: scenario)
+    argv = ["run", "unknown-goal", "--check", "probe-unknown-goal", "--seeds", "0,1"]
+    assert main(argv + ["--evidence", "whereabouts"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown-goal probe-unknown-goal/whereabouts: "
+        "worlds without languages: ['was-in-boston', 'was-in-paris']\n"
+    )
+
+
 @pytest.mark.parametrize(
     "body, raised",
     [

@@ -130,8 +130,8 @@ def _world(mode: bytes, count: int = 0, secret: bytes = b"s") -> World:
     )
 
 
-def _evidence(name: str, *worlds: tuple[str, World], languages=None) -> Evidence:
-    return Evidence(name, (), worlds, ProbeSpec(1, (None,)), languages=languages)
+def _evidence(name: str, *worlds: tuple[str, World]) -> Evidence:
+    return Evidence(name, (), worlds, ProbeSpec(1, (None,)))
 
 
 def _machine(machine_id: str, fn) -> Machine:
@@ -153,7 +153,6 @@ def _generated_checks():
     by_mode = _machine("act-by-mode", _act_by_mode)
     family = ActionFamily(
         (("act-by-mode", by_mode), ("send-secret", _machine("send-secret", _send_secret))),
-        exemplar_label="act-by-mode",
     )
     accept = accept_any_verifier()
     heads = _machine("accept-on-heads", _accept_on_heads)
@@ -165,8 +164,8 @@ def _generated_checks():
         "located",
         ("here", _world(b"plain", secret=b"here")),
         ("there", _world(b"plain", secret=b"there")),
-        languages={"here": frozenset({b"here"}), "there": frozenset({b"there"})},
     )
+    places = {"here": frozenset({b"here"}), "there": frozenset({b"there"})}
     fixed = ("fixed-s", fixed_output_post("fixed-s", b"s"))
     candidates = (("echo-first-message", echo), ("draw", draw_post), fixed)
     # Languages that Python's == would intersect but same_value does not
@@ -175,12 +174,9 @@ def _generated_checks():
     ints = frozenset({1, b"1", (1, b"x"), None})
     bools = frozenset({True, Location(1), (True, b"x"), b"one"})
     mixed_worlds = (("int", _world(b"plain", secret=1)), ("bool", _world(b"plain", secret=True)))
-    mixed = _evidence("mixed", *mixed_worlds, languages={"int": ints, "bool": bools})
-    overlapping = _evidence(
-        "overlapping",
-        *mixed_worlds,
-        languages={"int": ints, "bool": frozenset({True, b"1", None, (1, b"x"), Location(1)})},
-    )
+    mixed = _evidence("mixed", *mixed_worlds)
+    disjoint = {"int": ints, "bool": bools}
+    overlapping = {"int": ints, "bool": frozenset({True, b"1", None, (1, b"x"), Location(1)})}
     mixed_candidates = (
         ("echo-first-message", echo),
         *(
@@ -208,23 +204,26 @@ def _generated_checks():
         "conform-heads": (check_evidence_conformity, plain.conformity, (heads, by_mode, narrower)),
         "monotone": (*monotone, (accept, by_mode, family_worlds, narrower)),
         "monotone-holds": (*monotone, (accept, by_mode, narrower, narrowest)),
-        "unknown-goal": (*unknown_goal, (accept, located, secret_target, candidates, family)),
+        "unknown-goal": (
+            *unknown_goal,
+            (accept, located, places, secret_target, candidates, by_mode),
+        ),
         "unknown-goal-seed-free": (
             *unknown_goal,
-            (accept, located, secret_target, (("echo-first-message", echo), fixed), family),
+            (accept, located, places, secret_target, (candidates[0], fixed), by_mode),
         ),
         "unknown-goal-mixed-types": (
             *unknown_goal,
-            (accept, mixed, secret_target, mixed_candidates, family),
+            (accept, mixed, disjoint, secret_target, mixed_candidates, by_mode),
         ),
         "unknown-goal-mixed-types-overlap": (
             *unknown_goal,
-            (accept, overlapping, secret_target, mixed_candidates, family),
+            (accept, mixed, overlapping, secret_target, mixed_candidates, by_mode),
         ),
         "random-target": (
             probe_random_target,
             plain.random_target,
-            (accept, coin, draw_target, candidates, family),
+            (accept, coin, draw_target, candidates, by_mode),
         ),
     }
 

@@ -22,15 +22,15 @@ from foregone.kernel import (
     World,
     _Engine,
     _fork,
-    _same_machine,
     emulate_with_respondent,
     execute,
     fork_machine,
     read_only_store,
     run_post,
+    machine_key,
     run_target,
-    same_world_content,
     with_zero_tape,
+    world_key,
 )
 from foregone.tapes import RandomnessAssignment
 from foregone.values import ABSENT, NO_SUCH_METHOD, Location, is_value, same_value
@@ -670,8 +670,8 @@ def _calls(data, world, riders, max_size):
 def _same_bundle(a, b):
     (world_a, riders_a, tapes_a), (world_b, riders_b, tapes_b) = a, b
     return (
-        same_world_content(world_a, world_b)
-        and all(_same_machine(x, y) for (_, x), (_, y) in zip(riders_a, riders_b))
+        world_key(world_a) == world_key(world_b)
+        and all(machine_key(x) == machine_key(y) for (_, x), (_, y) in zip(riders_a, riders_b))
         and tapes_a.offsets == tapes_b.offsets
     )
 

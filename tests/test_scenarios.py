@@ -68,11 +68,10 @@ def test_entailment_holds_implies_demonstrability_holds(registry):
         for check in scenario.checks:
             if check.kind != "entailment" or check.expected != HOLDS:
                 continue
-            family = check.family or scenario.action_family
             verifier = check.verifier or scenario.verifier
             evidence = scenario.evidences[check.evidence]
             report = check_demonstrability(
-                verifier, family.exemplar(), evidence, FEW_SEEDS
+                verifier, check.exemplar or scenario.exemplar, evidence, FEW_SEEDS
             )
             assert report.holds, (scenario.name, check.id)
             linked += 1
@@ -81,8 +80,8 @@ def test_entailment_holds_implies_demonstrability_holds(registry):
 
 def test_exemplars_belong_to_their_families(registry):
     for scenario in registry.values():
-        labels = [label for label, _ in scenario.action_family.actions]
-        assert scenario.action_family.exemplar_label in labels
+        machines = [machine for _, machine in scenario.action_family.actions]
+        assert any(machine is scenario.exemplar for machine in machines), scenario.name
 
 
 def test_no_scenario_verifier_ever_touches_the_respondent(registry):
@@ -96,7 +95,7 @@ def test_no_scenario_verifier_ever_touches_the_respondent(registry):
             if check.kind == "monotonicity":
                 continue
             verifier = check.verifier or scenario.verifier
-            exemplar = (check.family or scenario.action_family).exemplar()
+            exemplar = check.exemplar or scenario.exemplar
             evidence = scenario.evidences[check.evidence]
             for _, world in evidence.worlds:
                 sealed = {

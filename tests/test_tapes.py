@@ -2,9 +2,6 @@ from __future__ import annotations
 
 import copy
 
-from hypothesis import given
-from hypothesis import strategies as st
-
 from foregone.tapes import RandomnessAssignment, ZeroTape
 
 
@@ -54,15 +51,7 @@ def test_seed_wraps_to_64_bits():
     assert RandomnessAssignment(2**64 + 5).seed == 5
 
 
-@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(2, 100))
-def test_read_below_stays_in_bounds(seed, bound):
-    tape = RandomnessAssignment(seed).tape_for("draws")
-    for _ in range(8):
-        assert 0 <= tape.read_below(bound) < bound
-
-
 def test_zero_tape_is_all_zeros():
     tape = ZeroTape()
     assert tape.read_bytes(4) == b"\x00\x00\x00\x00"
     assert tape.read_bit() == 0
-    assert tape.read_below(17) == 0
