@@ -6,12 +6,14 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import foregone
 from foregone.checkers import check_demonstrability, check_monotonicity
 from foregone.cli import _rows_for
 from foregone.evidence import at_least_as_strong, audit as audit_evidence
 from foregone.kernel import DEFAULT_BUDGET, Verdict, execute, run_target
-from foregone.scenarios import build_scenario, run_check
+from foregone.scenarios import BUILDERS, ScenarioError, build_scenario, run_check
 from foregone.scenarios.base import FAILS, HOLDS, HYPOTHESIS_VIOLATED
 from foregone.toy_crypto import make_colliding_hash, toy_hash
 from foregone.values import same_value
@@ -82,6 +84,54 @@ def test_exemplars_belong_to_their_families(registry):
     for scenario in registry.values():
         machines = [machine for _, machine in scenario.action_family.actions]
         assert any(machine is scenario.exemplar for machine in machines), scenario.name
+
+
+class _Ran(Exception):
+    pass
+
+
+def test_every_kind_runs_the_check_exemplar_else_the_scenario_exemplar(
+    registry, monkeypatch
+):
+    import foregone.scenarios.base as base
+
+    def recorder(position):
+        def record(*args):
+            raise _Ran(args[position])
+
+        return record
+
+    # the argument position of the exemplar in each checker that runs one
+    for name, position in (
+        ("check_monotonicity", 1),
+        ("check_demonstrability", 1),
+        ("check_evidence_conformity", 1),
+        ("probe_unknown_goal", 5),
+        ("probe_random_target", 4),
+    ):
+        monkeypatch.setattr(base, name, recorder(position))
+    overridden = 0
+    for scenario in registry.values():
+        for check in scenario.checks:
+            if check.kind in ("entailment", "counterexample"):
+                continue
+            try:
+                run_check(scenario, check, FEW_SEEDS)
+            except _Ran as ran:
+                expected = check.exemplar or scenario.exemplar
+                assert ran.args[0] is expected, check.id
+                overridden += check.exemplar is not None
+            else:
+                raise AssertionError(f"{check.id} ran no exemplar checker")
+    assert overridden >= 4  # unknown-goal's coin and commitment probes
+
+
+def test_build_scenario_refuses_an_unknown_name_listing_the_known_ones():
+    with pytest.raises(ScenarioError) as raised:
+        build_scenario("no-such-scenario")
+    assert str(raised.value) == (
+        f"unknown scenario 'no-such-scenario'; known: {sorted(BUILDERS)}"
+    )
 
 
 def test_no_scenario_verifier_ever_touches_the_respondent(registry):
