@@ -183,22 +183,6 @@ def drop_assertion(evidence: Evidence, assertion_id: str) -> Evidence:
     )
 
 
-def restrict_to(evidence: Evidence, labels: tuple[str, ...]) -> Evidence:
-    """Sub-evidence over a subset of world labels (a stronger evidence).
-
-    Used by the monotonicity sampler to walk the subfamily lattice.
-    """
-    keep = set(labels)
-    surviving = tuple((l, w) for l, w in evidence.worlds if l in keep)
-    if not surviving:
-        raise EmptyFamilyError(f"restriction of {evidence.name!r} is empty")
-    return replace(
-        evidence,
-        name=f"{evidence.name}|{'+'.join(sorted(keep))}",
-        worlds=surviving,
-    )
-
-
 def audit(evidence: Evidence) -> list[str]:
     """Self-consistency sweep; returns human-readable problems (empty
     when the family passes all of its own assertions' bounded checks)."""

@@ -307,9 +307,6 @@ class Transcript:
             raise KernelError("verdict already set")
         self.verdict = verdict
 
-    def calls_to(self, machine_id: str) -> list[CallEvent]:
-        return [e for e in self.events if e.callee == machine_id]
-
 
 @dataclass
 class ExecutionResult:

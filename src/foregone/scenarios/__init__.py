@@ -5,7 +5,10 @@ the expected verdict of every registered check.  ``build_scenario``
 assembles one scenario and ``build_registry`` all of them (optionally
 with parameter overrides); building a scenario runs its evidence
 self-consistency audit, so a malformed scenario fails at load, not at
-check time.
+check time.  A build defers what only a check reads: the languages of
+the ``probe-unknown-goal`` checks are computed the first time a check
+reads them (``ScenarioCheck.languages``), so ``list`` and a ``run`` of
+any other check never pay for them.
 
 ``build_scenario`` is the one place a scenario's ``DEFAULTS`` meet its
 overrides: it hands the module's ``build`` the complete, merged

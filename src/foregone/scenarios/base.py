@@ -18,7 +18,8 @@ the scenario's expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from ..checkers import (
     ActionFamily,
@@ -67,6 +68,14 @@ class ScenarioCheck:
     maps each world label of a ``probe-unknown-goal`` check's evidence
     to the language its target output must land in; it lives on the
     check because checks that share one evidence need different ones.
+
+    A build runs the evidence audit at load (``Scenario``) but defers
+    the languages: a ``probe-unknown-goal`` check holds
+    ``language_source``, a zero-argument function returning a fresh
+    dict, and ``languages`` calls it on first read and keeps the result
+    on this check.  So a process pays for a check's languages once, and
+    only if something reads them.  Assigning ``languages`` replaces the
+    kept dict.
     """
 
     kind: str
@@ -79,12 +88,16 @@ class ScenarioCheck:
     post: Optional[Machine] = None
     family: Optional[ActionFamily] = None
     candidates: tuple[tuple[str, Machine], ...] = ()
-    languages: Optional[dict[str, frozenset]] = None
+    language_source: Optional[Callable[[], dict[str, frozenset]]] = None
     edge: Optional[tuple[str, str]] = None  # (weaker key, stronger key)
 
     @property
     def id(self) -> str:
         return f"{self.kind}/{self.evidence}"
+
+    @cached_property
+    def languages(self) -> Optional[dict[str, frozenset]]:
+        return None if self.language_source is None else self.language_source()
 
 
 @dataclass

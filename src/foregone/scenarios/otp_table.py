@@ -263,7 +263,10 @@ def build(params: Mapping[str, Any]) -> Scenario:
             expected=HOLDS,
             target=own_key_target(),
             candidates=guesses(own_a),
-            languages={"keeper-a": frozenset({own_a}), "keeper-b": frozenset({own_b})},
+            language_source=lambda: {
+                "keeper-a": frozenset({own_a}),
+                "keeper-b": frozenset({own_b}),
+            },
             citation="With plaintext and key both beyond verification, every"
             " candidate recovery lands outside some consistent answer set.",
         ),
@@ -273,7 +276,7 @@ def build(params: Mapping[str, Any]) -> Scenario:
             expected=HOLDS,
             target=fixed_key_target(params["fixed_key"]),
             candidates=guesses(fixed_a),
-            languages={
+            language_source=lambda: {
                 "keeper-a": frozenset({fixed_a}),
                 "keeper-b": frozenset({fixed_b}),
             },
@@ -295,7 +298,7 @@ def build(params: Mapping[str, Any]) -> Scenario:
             expected=HOLDS,
             target=own_key_target(),
             candidates=guesses(known_own_a),
-            languages={
+            language_source=lambda: {
                 "recorded-a": frozenset({known_own_a}),
                 "recorded-b": frozenset({known_own_b}),
             },

@@ -24,6 +24,7 @@ collapses -- the probe reports that rather than a verdict.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Mapping
 
 from ..checkers import ActionFamily
@@ -130,6 +131,18 @@ def send_commitment_action(scheme_name: str, coin: bytes) -> Machine:
     )
 
 
+def _openable_languages(
+    scheme_name: str, secrets: tuple[bytes, bytes]
+) -> dict[str, frozenset]:
+    """Each holder's language: the commitments in the scheme's image over
+    ``secrets`` that open to that holder's secret."""
+    scheme = SCHEMES[scheme_name]
+    return {
+        label: scheme.openable_commitments(secret, secrets, byte_domain())
+        for label, secret in zip(("holder-a", "holder-b"), secrets)
+    }
+
+
 # --- evidence -------------------------------------------------------------------
 
 
@@ -203,30 +216,13 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
 def build(params: Mapping[str, Any]) -> Scenario:
     evidences = build_evidences(params)
     place_a = params["place_a"]
+    place_b = params["place_b"]
     secret_a = params["secret_a"]
-    secret_b = params["secret_b"]
+    secrets = (secret_a, params["secret_b"])
     coin = params["pinned_coin"]
 
     exemplar = state_location_action()
     commit_exemplar = send_commitment_action("xor-pad", coin)
-
-    secrets = (secret_a, secret_b)
-    transparent_languages = {
-        "holder-a": SCHEMES["transparent"].openable_commitments(
-            secret_a, secrets, byte_domain()
-        ),
-        "holder-b": SCHEMES["transparent"].openable_commitments(
-            secret_b, secrets, byte_domain()
-        ),
-    }
-    equivocable_languages = {
-        "holder-a": SCHEMES["xor-pad"].openable_commitments(
-            secret_a, secrets, byte_domain()
-        ),
-        "holder-b": SCHEMES["xor-pad"].openable_commitments(
-            secret_b, secrets, byte_domain()
-        ),
-    }
 
     evidences["commitment-pinned"] = evidences["commitment"]
     evidences["commitment-pinned-equivocable"] = evidences["commitment"]
@@ -239,9 +235,9 @@ def build(params: Mapping[str, Any]) -> Scenario:
             target=location_target(),
             candidates=guesses(place_a)
             + (("fixed-elsewhere", fixed_output_post("fixed-elsewhere", b"Tokyo")),),
-            languages={
+            language_source=lambda: {
                 "was-in-boston": frozenset({place_a}),
-                "was-in-paris": frozenset({params["place_b"]}),
+                "was-in-paris": frozenset({place_b}),
             },
             citation="The government cannot check where she was, so any"
             " candidate recovery lands outside some consistent answer set"
@@ -281,7 +277,7 @@ def build(params: Mapping[str, Any]) -> Scenario:
             candidates=guesses(
                 SCHEMES["transparent"].commit(secret_a, coin)[0]
             ),
-            languages=transparent_languages,
+            language_source=partial(_openable_languages, "transparent", secrets),
             citation="With a binding scheme and pinned coins, each secret"
             " admits its own openable commitments and the sets are disjoint,"
             " so no candidate recovery survives.",
@@ -293,7 +289,7 @@ def build(params: Mapping[str, Any]) -> Scenario:
             target=pinned_commit_target("xor-pad", coin),
             exemplar=commit_exemplar,
             candidates=guesses(secret_a),
-            languages=equivocable_languages,
+            language_source=partial(_openable_languages, "xor-pad", secrets),
             citation="Under the equivocable scheme every commitment opens to"
             " every secret: the answer sets coincide and the unknown-goal"
             " hypothesis collapses.",

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from helpers import restrict_to
 from foregone.checkers import (
     DEFAULT_SEEDS,
     check_conformity,
@@ -24,7 +25,6 @@ from foregone.checkers import (
     probe_random_target,
     probe_unknown_goal,
 )
-from foregone.evidence import restrict_to
 from foregone.kernel import execute, run_post, run_target
 from foregone.scenarios import build_registry, run_check
 from foregone.scenarios.base import FAILS, HOLDS, HYPOTHESIS_VIOLATED

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import calls_to, restrict_to
 from foregone.checkers import (
     SEED_FREE_NOTE,
     ActionFamily,
@@ -17,7 +18,6 @@ from foregone.checkers import (
     probe_random_target,
     probe_unknown_goal,
 )
-from foregone.evidence import restrict_to
 from foregone.kernel import (
     DEFAULT_BUDGET,
     Machine,
@@ -132,7 +132,7 @@ def test_demonstrability_fails_on_star_with_a_silence_witness(pwd_evidence):
     # replay: the exemplar's respondent call really does yield nothing
     world = pwd_evidence["star"].world(cell.world)
     result = execute(unlocked_verifier(), exemplar_action(), world, cell.seed)
-    respondent_calls = result.transcript.calls_to(world.respondent.id)
+    respondent_calls = calls_to(result.transcript, world.respondent.id)
     assert respondent_calls and render_value(respondent_calls[0].output) == "absent"
 
 

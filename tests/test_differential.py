@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_checks as plain
+from helpers import restrict_to
 from foregone.checkers import (
     SEED_FREE_NOTE,
     ActionFamily,
@@ -29,7 +30,7 @@ from foregone.checkers import (
     probe_random_target,
     probe_unknown_goal,
 )
-from foregone.evidence import Evidence, restrict_to
+from foregone.evidence import Evidence
 from foregone.kernel import Machine, Nature, World, read_only_store
 from foregone.refinement import ProbeSpec
 from foregone.scenarios import build_registry, run_check

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import restrict_to
 from foregone.evidence import (
     EmptyFamilyError,
     UnknownAssertionError,
     at_least_as_strong,
     audit,
     drop_assertion,
-    restrict_to,
     strengthen_to_full_spec,
 )
 from foregone.kernel import world_key

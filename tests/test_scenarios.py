@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import copy
 import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,10 +15,22 @@ from foregone.checkers import check_demonstrability, check_monotonicity
 from foregone.cli import _rows_for
 from foregone.evidence import at_least_as_strong, audit as audit_evidence
 from foregone.kernel import DEFAULT_BUDGET, Verdict, execute, run_target
-from foregone.scenarios import BUILDERS, ScenarioError, build_scenario, run_check
+from foregone.scenarios import (
+    BUILDERS,
+    ScenarioError,
+    build_registry,
+    build_scenario,
+    run_check,
+)
 from foregone.scenarios.base import FAILS, HOLDS, HYPOTHESIS_VIOLATED
-from foregone.toy_crypto import make_colliding_hash, toy_hash
-from foregone.values import same_value
+from foregone.toy_crypto import (
+    SCHEMES,
+    CommitmentScheme,
+    byte_domain,
+    make_colliding_hash,
+    toy_hash,
+)
+from foregone.values import same_value, value_key
 
 from conftest import FEW_SEEDS
 
@@ -320,6 +334,93 @@ def test_xor_pad_languages_cover_every_commitment(registry):
     world = scenario.evidences["commitment"].world("holder-a")
     fresh = run_target(scenario.checks[2].target, world, 0).output  # a fresh xor-pad commitment
     assert any(same_value(fresh, member) for member in check.languages["holder-a"])
+
+
+# --- languages are computed where they are read -------------------------------------
+
+
+def _count_commitment_work(monkeypatch) -> dict[str, int]:
+    """Count ``openable_commitments`` calls, and calls to the xor-pad
+    scheme's ``check``, from here on."""
+    counts = {"openable_commitments": 0, "xor-pad check": 0}
+    real_openable = CommitmentScheme.openable_commitments
+    xor_pad = SCHEMES["xor-pad"]
+
+    def openable(self, *args):
+        counts["openable_commitments"] += 1
+        return real_openable(self, *args)
+
+    def check(*args):
+        counts["xor-pad check"] += 1
+        return xor_pad.check(*args)
+
+    monkeypatch.setattr(CommitmentScheme, "openable_commitments", openable)
+    monkeypatch.setitem(SCHEMES, "xor-pad", replace(xor_pad, check=check))
+    return counts
+
+
+def test_commitment_languages_are_computed_once_by_the_probe_that_reads_them(
+    monkeypatch,
+):
+    counts = _count_commitment_work(monkeypatch)
+    scenario = build_registry()["unknown-goal"]
+    assert counts["openable_commitments"] == 0
+    counts["xor-pad check"] = 0  # decommit's evidence audit opens its xor-pad box
+    equivocable = scenario.find_check(
+        "probe-unknown-goal", "commitment-pinned-equivocable"
+    )
+    for _ in range(2):  # the second run reads the languages the first kept
+        assert run_check(scenario, equivocable, FEW_SEEDS)[0] == HYPOTHESIS_VIOLATED
+        assert counts == {"openable_commitments": 2, "xor-pad check": 65_792}
+    pinned = scenario.find_check("probe-unknown-goal", "commitment-pinned")
+    assert run_check(scenario, pinned, FEW_SEEDS)[0] == HOLDS
+    assert counts == {"openable_commitments": 4, "xor-pad check": 65_792}
+
+
+def _keyed(languages):
+    return {label: {value_key(v) for v in language} for label, language in languages.items()}
+
+
+def test_overridden_parameters_reach_the_languages():
+    params = {
+        "place_b": b"Rome",
+        "secret_a": b"\x05",
+        "secret_b": b"\x07",
+        "pinned_coin": b"\x09",
+    }
+    scenario = build_scenario("unknown-goal", params)
+    secrets = (params["secret_a"], params["secret_b"])
+    expected = {
+        "whereabouts": {"was-in-boston": {b"Boston"}, "was-in-paris": {b"Rome"}},
+    }
+    for evidence, scheme in (
+        ("commitment-pinned", "transparent"),
+        ("commitment-pinned-equivocable", "xor-pad"),
+    ):
+        expected[evidence] = {
+            label: SCHEMES[scheme].openable_commitments(secret, secrets, byte_domain())
+            for label, secret in zip(("holder-a", "holder-b"), secrets)
+        }
+    got = {
+        evidence: _keyed(scenario.find_check("probe-unknown-goal", evidence).languages)
+        for evidence in expected
+    }
+    assert got == {evidence: _keyed(by_world) for evidence, by_world in expected.items()}
+    assert got["commitment-pinned"]["holder-a"] == {value_key(b"C|\x05")}
+
+
+def test_no_two_checks_share_a_language_dict():
+    first = build_scenario("unknown-goal")
+    second = build_scenario("unknown-goal")
+    copied = copy.deepcopy(first)  # before anything has read the languages
+    for check in first.checks:
+        if check.kind != "probe-unknown-goal":
+            continue
+        labels = set(check.languages)
+        assert len(labels) == 2
+        del check.languages[sorted(labels)[0]]
+        for other in (second, copied):
+            assert set(other.find_check(check.kind, check.evidence).languages) == labels
 
 
 # --- tampering is detected ----------------------------------------------------------
