@@ -14,12 +14,19 @@ on those executions; a run that read no randomness tape is run once
 for every seed.  A kernel fault other than budget exhaustion leaves it
 as a ``CellFaultError`` naming the world, machine and seed.  When no
 kernel run of a check read a tape, its report notes that the verdict
-holds for every seed, not only the listed ones.  The walks over the
-table:
+holds for every seed, not only the listed ones.
+
+Every seed of a tape-free cell (``_Cells.seed_free``) reads the same
+kept runs, so a walk reads such a cell once, at the first seed, and
+counts it once per seed: a tape-free cell that fails names the first
+seed as its counterexample, and one that passes passes at every seed.
+Only cells that read a tape are walked seed by seed.  The walks over
+the table:
 
 Conformity        the verifier accepts the action in a given world,
                   for every seed; the table stops at the first seed
-                  that is not accepted.
+                  that is not accepted, or after the first seed when
+                  the execution read no tape.
 Demonstrability   the exemplar conforms in every consistent world and
                   never hits a silent or missing respondent method.
 Entailment        for every conforming action, the post-processor's
@@ -172,6 +179,12 @@ class _Cells:
     cell's own seed.  ``read_tape`` records whether any kernel run of
     the table read a tape; a run that raised reports nothing and counts
     as one that did.
+
+    A cell whose execution, post-processor and target are all kept
+    under seed-free keys is tape-free (``seed_free``): every seed reads
+    the same entries and compares the same objects, so the walks read
+    it once, at the first seed, which names its counterexample if it
+    has one, and count it once for every seed.
     """
 
     def __init__(self, verifier: Machine, budget: int, worlds):
@@ -204,12 +217,32 @@ class _Cells:
             )
         return entry[-1]
 
-    def conforms(self, world: World, action: Machine, seeds: tuple[int, ...]) -> bool:
-        """Accepted under every seed; stops at the first seed that is not."""
-        return all(
-            self.run(world, action, seed).transcript.verdict is Verdict.ACCEPT
-            for seed in seeds
+    def seed_free(
+        self,
+        world: World,
+        action: Optional[Machine] = None,
+        post: Optional[Machine] = None,
+        target: Optional[Machine] = None,
+    ) -> bool:
+        """Whether the runs of a cell that are named here (the execution
+        of ``action``, ``post`` after it, and ``target``) are all kept
+        under seed-free keys, so every seed reads the same entries.
+        False for a run not yet made or one that raised."""
+        return (
+            (action is None or (id(world), id(action)) in self.runs)
+            and (post is None or (id(post), id(world), id(action)) in self.posts)
+            and (target is None or (id(target), id(world)) in self.targets)
         )
+
+    def conforms(self, world: World, action: Machine, seeds: tuple[int, ...]) -> bool:
+        """Accepted under every seed; stops at the first seed that is not,
+        and after the first seed when the execution read no tape."""
+        for seed in seeds:
+            if self.run(world, action, seed).transcript.verdict is not Verdict.ACCEPT:
+                return False
+            if self.seed_free(world, action):
+                break
+        return True
 
     def post(self, post: Machine, world: World, action: Machine, seed: int) -> Any:
         """``post``'s output after the execution of one cell, starting
@@ -288,21 +321,6 @@ def noted_failure(cells: int, max_steps: int, *notes: str) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def check_conformity(
-    verifier: Machine,
-    action: Machine,
-    world: World,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """Accept-with-probability-one, approximated over the seed set.
-
-    Budget exhaustion is non-accepting, hence non-conforming.  The world
-    comes without a label, so a fault names it ``'?'``.
-    """
-    return _Cells(verifier, budget, ()).conforms(world, action, seeds)
-
-
 def check_evidence_conformity(
     verifier: Machine,
     exemplar: Machine,
@@ -356,8 +374,7 @@ def _demonstrate(
     cells = 0
     max_steps = 0
     for label, world in evidence.worlds:
-        for seed in seeds:
-            cells += 1
+        for index, seed in enumerate(seeds):
             result = table.run(world, exemplar, seed)
             max_steps = max(max_steps, result.steps_used)
             silence = _respondent_silence(result, world, exemplar.id)
@@ -368,9 +385,14 @@ def _demonstrate(
                 )
             elif result.transcript.verdict is not Verdict.ACCEPT:
                 failure = (Verdict.ACCEPT.value, result.transcript.verdict.value)
+            elif table.seed_free(world, exemplar):
+                break
             else:
                 continue
-            return _fails_at(cells, max_steps, (), label, exemplar.id, seed, *failure)
+            return _fails_at(
+                cells + index + 1, max_steps, (), label, exemplar.id, seed, *failure
+            )
+        cells += len(seeds)
     return CheckReport(
         verdict=CheckVerdict.HOLDS, cells_checked=cells, max_steps=max_steps
     )
@@ -441,8 +463,7 @@ def _entail(
             if not table.conforms(world, action, seeds):
                 skipped.append((world_label, action_label))
                 continue
-            for seed in seeds:
-                cells += 1
+            for index, seed in enumerate(seeds):
                 try:
                     got = table.post(post, world, action, seed)
                     expected = table.target(target, world, seed)
@@ -451,11 +472,20 @@ def _entail(
                 else:
                     max_steps = max(max_steps, table.run(world, action, seed).steps_used)
                     if same_value(got, expected):
+                        if table.seed_free(world, action, post, target):
+                            break
                         continue
                     failure = (render_value(expected), render_value(got))
                 return _fails_at(
-                    cells, max_steps, skipped, world_label, action_label, seed, *failure
+                    cells + index + 1,
+                    max_steps,
+                    skipped,
+                    world_label,
+                    action_label,
+                    seed,
+                    *failure,
                 )
+            cells += len(seeds)
             # no later cell of this world reads this action's executions
             table.runs.clear()
     return CheckReport(
@@ -678,7 +708,9 @@ def probe_random_target(
     """
     table = _Cells(verifier, budget, evidence.worlds)
     for label, world in evidence.worlds:
-        outputs = [table.target(target, world, seed) for seed in seeds]
+        outputs = [table.target(target, world, seeds[0])]
+        if not table.seed_free(world, target=target):
+            outputs += [table.target(target, world, seed) for seed in seeds[1:]]
         if not all(same_value(outputs[0], value) for value in outputs):
             break
     else:

@@ -16,8 +16,11 @@ its expectation, 1 on a verdict mismatch (a regression), 2 on a
 configuration error, which includes a fault in machine code (a
 ``KernelError`` such as malformed state, a target without output, or
 any other exception raised by a method, which the kernel wraps in a
-``MethodFaultError``) and a check given inputs outside its contract (a
-``CheckerError`` such as a world without a declared language).
+``MethodFaultError``), a check given inputs outside its contract (a
+``CheckerError`` such as a world without a declared language), and a
+toy primitive given inputs outside its own (a ``ToyCryptoError``, such
+as an overridden secret whose length a commitment scheme does not take
+when a probe computes its languages).
 Reports are byte-identical across runs for a fixed configuration and
 build.
 
@@ -53,6 +56,7 @@ from .scenarios import (
 )
 from .toy_crypto import (
     SCHEMES,
+    ToyCryptoError,
     byte_domain,
     hiding_profile,
     make_colliding_hash,
@@ -257,7 +261,7 @@ def _rows_for(
     for check in checks:
         try:
             verdict, report = run_check(scenario, check, seeds, budget)
-        except (KernelError, CheckerError) as exc:
+        except (KernelError, CheckerError, ToyCryptoError) as exc:
             raise ConfigError(f"{scenario.name} {check.id}: {exc}") from None
         rows.append(
             check_row(

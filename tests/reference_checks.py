@@ -141,6 +141,13 @@ def demonstrability(verifier, exemplar, evidence, seeds, budget=DEFAULT_BUDGET):
     return runs.report(verdict, cells, max_steps, cell)
 
 
+def conforms(verifier, action, world, seeds, budget=DEFAULT_BUDGET) -> bool:
+    """Accept-with-probability-one of ``action`` in one world, over the
+    seed set; budget exhaustion does not accept.  The world comes without
+    a label, so a fault names it ``'?'``."""
+    return Runs(verifier, budget, ()).conforms(world, action, seeds)
+
+
 def conformity(verifier, exemplar, evidence, seeds, budget=DEFAULT_BUDGET):
     runs = Runs(verifier, budget, evidence.worlds)
     cells = 0

@@ -15,9 +15,9 @@ import random
 import pytest
 
 from helpers import restrict_to
+from reference_checks import conforms
 from foregone.checkers import (
     DEFAULT_SEEDS,
-    check_conformity,
     check_demonstrability,
     check_entailment,
     check_monotonicity,
@@ -70,7 +70,7 @@ def test_criterion_02_password_entailment_under_full_spec(registry):
         conforming = [
             label
             for label, action in family.actions
-            if check_conformity(scenario.verifier, action, world, SEEDS)
+            if conforms(scenario.verifier, action, world, SEEDS)
         ]
         assert len(conforming) >= 3
     report = check_entailment(
@@ -200,11 +200,11 @@ def test_criterion_06_monotonicity_lemma(registry):
         assert report.holds, (scenario.name, evidence.name, outer, inner)
         # conformity never degrades either
         if all(
-            check_conformity(scenario.verifier, scenario.exemplar, world, (0, 1))
+            conforms(scenario.verifier, scenario.exemplar, world, (0, 1))
             for _, world in weaker.worlds
         ):
             assert all(
-                check_conformity(scenario.verifier, scenario.exemplar, world, (0, 1))
+                conforms(scenario.verifier, scenario.exemplar, world, (0, 1))
                 for _, world in stronger.worlds
             )
         sampled += 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import calls_to, restrict_to
+from reference_checks import conforms
 from foregone.checkers import (
     SEED_FREE_NOTE,
     ActionFamily,
@@ -10,7 +11,6 @@ from foregone.checkers import (
     HypothesisViolatedError,
     PreconditionViolatedError,
     _Cells,
-    check_conformity,
     check_demonstrability,
     check_entailment,
     check_monotonicity,
@@ -92,19 +92,19 @@ def goal_evidence():
 
 def test_exemplar_conforms_in_the_basic_world(pwd_evidence):
     world = pwd_evidence["weak"].world("locked-basic")
-    assert check_conformity(unlocked_verifier(), exemplar_action(), world, SEEDS)
+    assert conforms(unlocked_verifier(), exemplar_action(), world, SEEDS)
 
 
 def test_doing_nothing_does_not_conform(pwd_evidence):
     world = pwd_evidence["weak"].world("locked-basic")
-    assert not check_conformity(unlocked_verifier(), do_nothing_action(), world, SEEDS)
+    assert not conforms(unlocked_verifier(), do_nothing_action(), world, SEEDS)
 
 
 def test_duress_conforms_exactly_where_the_device_is_deniable(pwd_evidence):
     weak = pwd_evidence["weak"]
     duress = duress_action(b"cat-pictures")
-    assert check_conformity(unlocked_verifier(), duress, weak.world("deniable"), SEEDS)
-    assert not check_conformity(
+    assert conforms(unlocked_verifier(), duress, weak.world("deniable"), SEEDS)
+    assert not conforms(
         unlocked_verifier(), duress, weak.world("locked-basic"), SEEDS
     )
 
@@ -300,26 +300,45 @@ def test_monotonicity_executes_each_world_and_seed_once(pwd_evidence, monkeypatc
     assert executed == [(id(world), SEEDS[0]) for _, world in weak.worlds]
 
 
-def test_registered_checks_make_exactly_these_kernel_runs(registry, monkeypatch):
+def test_registered_checks_make_exactly_these_kernel_runs_and_table_reads(
+    registry, monkeypatch
+):
     import foregone.checkers as checkers
 
     calls = {"execute": 0, "run_target": 0, "run_post": 0}
-    for name in calls:
-        real = getattr(checkers, name)
+    reads = {"run": 0, "post": 0, "target": 0}
+    for owner, counted in ((checkers, calls), (_Cells, reads)):
+        for name in counted:
 
-        def counting(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+            def counting(*args, _real=getattr(owner, name), _counted=counted, _name=name):
+                _counted[_name] += 1
+                return _real(*args)
 
-        monkeypatch.setattr(checkers, name, counting)
+            monkeypatch.setattr(owner, name, counting)
+    compared = {}
+    kind = None
+
+    def counting_same_value(a, b):
+        compared[kind] = compared.get(kind, 0) + 1
+        return same_value(a, b)
+
+    monkeypatch.setattr(checkers, "same_value", counting_same_value)
     seeds = tuple(range(7000, 7032))
-    cells = sum(
-        run_check(scenario, check, seeds)[1].cells_checked
-        for scenario in registry.values()
-        for check in scenario.checks
-    )
+    cells = 0
+    for scenario in registry.values():
+        for check in scenario.checks:
+            kind = check.kind
+            cells += run_check(scenario, check, seeds)[1].cells_checked
     assert cells == 6686
     assert calls == {"execute": 266, "run_target": 191, "run_post": 211}
+    # a tape-free cell is read and compared once, not once per seed
+    assert reads == {"run": 703, "post": 213, "target": 325}
+    assert compared == {
+        "entailment": 117,
+        "counterexample": 49,
+        "probe-unknown-goal": 32,
+        "probe-random": 24,
+    }
 
 
 def test_a_kept_post_output_is_never_served_to_another_post(pwd_evidence):

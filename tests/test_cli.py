@@ -329,6 +329,38 @@ def test_an_unknown_goal_check_without_languages_is_a_config_error_naming_the_ch
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["run", "unknown-goal", "--check", "probe-unknown-goal"]
+            + ["--evidence", "commitment-pinned-equivocable"],
+            "error: unknown-goal probe-unknown-goal/commitment-pinned-equivocable: "
+            "key length 2 != message length 1\n",
+        ),
+        # the audit meets the mismatch first inside the kernel, in an
+        # earlier unknown-goal check that sends a commitment
+        (
+            ["audit"],
+            "error: unknown-goal probe-random/commitment: world 'holder-a', "
+            "action 'send-a-commitment+zero-coins', seed 0: machine "
+            "'send-a-commitment+zero-coins' method 'run' raised LengthMismatchError: "
+            "key length 2 != message length 1\n",
+        ),
+    ],
+    ids=["run", "audit"],
+)
+def test_a_secret_the_commitment_scheme_cannot_take_is_a_config_error_naming_the_check(
+    tmp_path, capsys, argv, message
+):
+    overrides = tmp_path / "params.txt"
+    overrides.write_text("unknown-goal.secret_a = 0x1133\n")
+    assert main(argv + ["--seeds", "0,1", "--overrides", str(overrides)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize(
     "body, raised",
     [
         (lambda ctx, _arg: len(ctx), "TypeError"),
@@ -477,6 +509,16 @@ def test_audit_passes_and_is_byte_identical(tmp_path, monkeypatch):
     assert payload["mismatches"] == 0
     assert all(v == "pass" for v in payload["toy_sweeps"].values())
     assert payload["evidence_audit"] == ["pass"]
+
+
+def test_audit_over_32_seeds_matches_its_golden_file(tmp_path, monkeypatch):
+    # Pins the rows a longer, non-default seed list gives: cell counts
+    # of 32 per tape-free cell and counterexamples at the first seed.
+    monkeypatch.delenv("FOREGONE_SEED", raising=False)
+    out = tmp_path / "audit.json"
+    seeds = ",".join(str(seed) for seed in range(7000, 7032))
+    assert main(["audit", "--json", "--seeds", seeds, "--out", str(out)]) == EXIT_MATCH
+    assert out.read_bytes() == (GOLDEN / "audit-seeds-7000-7031.json").read_bytes()
 
 
 def test_audit_bytes_do_not_depend_on_the_hash_seed():

@@ -7,7 +7,8 @@ executions, seed-free sharing, dropped entries) must leave every
 50 checks; the generated worlds below add what it lacks: a machine that
 reads its tape only in some worlds or only after a state change, a
 post-processor that reads its tape after an execution that read none,
-runs that exhaust their budget, and a method that faults.
+a target that alone reads its tape, runs that exhaust their budget, and
+a method that faults.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from foregone.checkers import (
     probe_unknown_goal,
 )
 from foregone.evidence import Evidence
-from foregone.kernel import Machine, Nature, World, read_only_store
+from foregone.kernel import Machine, Nature, World, read_only_store, run_target
 from foregone.refinement import ProbeSpec
 from foregone.scenarios import build_registry, run_check
 from foregone.scenarios.common import (
@@ -272,6 +273,23 @@ def test_generated_checks_cover_every_outcome():
         "world 'fault', action 'act-by-mode', seed 0: machine 'act-by-mode' "
         "method 'run' raised TypeError: no such mode",
     )
+
+
+def test_a_cell_whose_target_alone_reads_a_tape_is_walked_seed_by_seed():
+    # The execution and the post-processor read no tape and the target
+    # draws from its own: the post-processor outputs the target's draw at
+    # the first seed, so the first cell matches and a later one does not.
+    evidence = _evidence("plain", ("plain", _world(b"plain")))
+    family = ActionFamily((("send-secret", _machine("send-secret", _send_secret)),))
+    draw = _machine("draw", _draw)
+    for seeds in SEED_SETS:
+        first = run_target(draw, evidence.worlds[0][1], seeds[0]).output
+        post = fixed_output_post("first-draw", first)
+        args = (accept_any_verifier(), draw, post, evidence, family)
+        report = _outcome(check_entailment, args, seeds)
+        assert report == _outcome(plain.entailment, args, seeds)
+        assert not report.holds and report.counterexample.seed != seeds[0]
+        assert SEED_FREE_NOTE not in report.notes
 
 
 @settings(max_examples=10, deadline=None)
