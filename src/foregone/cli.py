@@ -19,8 +19,8 @@ any other exception raised by a method, which the kernel wraps in a
 ``MethodFaultError``), a check given inputs outside its contract (a
 ``CheckerError`` such as a world without a declared language), and a
 toy primitive given inputs outside its own (a ``ToyCryptoError``, such
-as an overridden secret whose length a commitment scheme does not take
-when a probe computes its languages).
+as an overridden secret whose length a commitment scheme does not take,
+met while a scenario builds or when a probe computes its languages).
 Reports are byte-identical across runs for a fixed configuration and
 build.
 

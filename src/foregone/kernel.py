@@ -630,6 +630,11 @@ class DirectInvoker:
     Used by probes and tests that need sequential stateful invocations
     ("call prompt, then call read") against a machine as such.  Calls
     mutate the machine object that is passed in.
+
+    Besides the world, the budget and the seed, what the next call sees
+    is the invoker's ``position``: the steps charged so far and the tape
+    offsets consumed.  ``move_to`` sets it, so one invoker can run
+    calls from many positions over the same world.
     """
 
     def __init__(
@@ -647,15 +652,18 @@ class DirectInvoker:
         writable location."""
         return self._engine.invoke("bench", machine, _ROLE_NATURE, False, method, argument)
 
-    def fork(self) -> "DirectInvoker":
-        """An invoker that goes on from this one's step count and tape
-        offsets over its own fork of the world; the two then advance
-        independently.  The transcript of the fork starts empty."""
+    @property
+    def position(self) -> tuple[int, tuple[tuple[str, int], ...]]:
+        """The steps charged so far and the tape offsets consumed, as
+        (stream id, offset) pairs sorted by stream id."""
         engine = self._engine
-        twin = object.__new__(DirectInvoker)
-        twin._engine = _Engine(_fork(engine.world), engine.assignment.fork(), engine.budget)
-        twin._engine.steps = engine.steps
-        return twin
+        return engine.steps, tuple(sorted(engine.assignment.offsets.items()))
+
+    def move_to(self, position: tuple[int, tuple[tuple[str, int], ...]]) -> None:
+        """Go on from ``position``, as ``position`` returned it."""
+        steps, offsets = position
+        self._engine.steps = steps
+        self._engine.assignment.offsets = dict(offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,26 @@ machines under identical tapes, and the outcome streams are compared.
 
 The call sequences form a tree, walked level by level.  A node holds
 each side's state after its probe: a fork of the machine (with any
-emulated respondent), its step count and its tape offsets.  A child
-forks its parent once and makes one more call on each side, so a probe
-inherits its prefix instead of replaying it, and a comparison costs
-sum |O|^L invocations per side over lengths L, for |O| options.  The
-outcome of a call depends only on the probe up to it, so the first
-diverging node of the walk is the shortest diverging probe, and among
-those the first in option order.  Machines are probed in isolation: a
-cross-machine call surfaces as the same no-such-method outcome on both
-sides and therefore never separates them by itself.
+emulated respondent) and the invoker's position, its step count and
+tape offsets.  A child forks its parent's machine and makes one more
+call on each side, so a probe inherits its prefix instead of replaying
+it.  Every call of a search runs through one invoker over one probe
+world, under seed 0 and the search's budget; a subject runs in the
+nature role, which reaches neither nature's slots (the probe world has
+none) nor the world's respondent, so no call changes that world.
+
+The outcome of a call depends only on the node it starts from, keyed
+per side by the machine's ``kernel.machine_key`` (state under
+``value_key``, emulated respondent and zero-tape flag included), the
+step count and the sorted tape offsets.  A search therefore expands
+each distinct (left, right) node once: a child whose key it has seen
+has its own outcome compared but is not expanded again, since its
+subtree repeats that of a node at the same level or a shallower one.
+So the first diverging node of the walk is still the shortest
+diverging probe, and among those the first in option order.  Machines
+are probed in isolation: a cross-machine call surfaces as the same
+no-such-method outcome on both sides and therefore never separates them
+by itself.
 
 A comparison is decided once per process: its answer is memoized under
 the ``kernel.machine_key`` of both machines, the depth, the alphabet and
@@ -101,12 +112,20 @@ def replay_probe(machine: Machine, probe: Probe, budget: int = DEFAULT_BUDGET) -
     return [_outcome(invoker, subject, method, argument) for method, argument in probe]
 
 
-def _step(node: tuple, method: str, argument) -> tuple[tuple, tuple]:
-    """One more call from ``node`` = (machine, invoker): the outcome and
-    the child node, both run on forks so the parent stays as it was."""
-    machine, invoker = node
-    machine, invoker = fork_machine(machine), invoker.fork()
-    return _outcome(invoker, machine, method, argument), (machine, invoker)
+_Node = tuple[Machine, tuple]  # (machine, invoker position)
+
+
+def _step(invoker: DirectInvoker, node: _Node, method: str, argument) -> tuple[tuple, _Node]:
+    """One more call from ``node``: the outcome and the child node.  The
+    call runs on a fork of the machine, so the node stays as it was."""
+    machine, position = node
+    machine = fork_machine(machine)
+    invoker.move_to(position)
+    return _outcome(invoker, machine, method, argument), (machine, invoker.position)
+
+
+def _key(left: _Node, right: _Node) -> tuple:
+    return tuple((machine_key(machine), position) for machine, position in (left, right))
 
 
 def _search(
@@ -123,21 +142,23 @@ def _search(
     options = [
         (name, letter) for name in spec.method_names() for letter in alphabet
     ]
-    root = (
-        (_subject(spec), DirectInvoker(budget=budget)),
-        (_subject(candidate), DirectInvoker(budget=budget)),
-    )
+    invoker = DirectInvoker(budget=budget)
+    root = ((_subject(spec), invoker.position), (_subject(candidate), invoker.position))
+    seen = {_key(*root)}
     level = [((), *root)]
     for length in range(1, depth + 1):
         children = []
         for probe, left, right in level:
             for option in options:
-                a, left_child = _step(left, *option)
-                b, right_child = _step(right, *option)
+                a, left_child = _step(invoker, left, *option)
+                b, right_child = _step(invoker, right, *option)
                 if not _same_outcome(a, b):
                     return probe + (option,)
                 if length < depth:
-                    children.append((probe + (option,), left_child, right_child))
+                    key = _key(left_child, right_child)
+                    if key not in seen:
+                        seen.add(key)
+                        children.append((probe + (option,), left_child, right_child))
         level = children
     return None
 

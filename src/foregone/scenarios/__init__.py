@@ -12,7 +12,11 @@ any other check never pay for them.
 
 ``build_scenario`` is the one place a scenario's ``DEFAULTS`` meet its
 overrides: it hands the module's ``build`` the complete, merged
-parameter mapping, so no ``build`` merges defaults itself.
+parameter mapping, so no ``build`` merges defaults itself.  A toy
+primitive that refuses an overridden value while the scenario builds
+(a ``ToyCryptoError``, such as a secret whose length the commitment
+scheme does not take) comes out as a ``ScenarioError`` naming the
+scenario.
 
 ``validate_overrides`` checks a whole overrides mapping (unknown
 scenarios, unknown parameters, wrong types) without building anything.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
+from ..toy_crypto import ToyCryptoError
 from .base import CHECK_KINDS, Scenario, ScenarioError, run_check
 from . import (
     decommit,
@@ -93,7 +98,10 @@ def build_scenario(name: str, params: Optional[Mapping[str, Any]] = None) -> Sce
         raise ScenarioError(f"unknown scenario {name!r}; known: {sorted(BUILDERS)}")
     if params:
         _check_params(name, params)
-    return module.build({**module.DEFAULTS, **(params or {})})
+    try:
+        return module.build({**module.DEFAULTS, **(params or {})})
+    except ToyCryptoError as exc:
+        raise ScenarioError(f"scenario {name!r} cannot be built: {exc}") from exc
 
 
 def build_registry(

@@ -361,6 +361,44 @@ def test_a_secret_the_commitment_scheme_cannot_take_is_a_config_error_naming_the
 
 
 @pytest.mark.parametrize(
+    "override, message",
+    [
+        (
+            "decommit.secret = 0x11",
+            "'decommit' cannot be built: key length 1 != message length 8",
+        ),
+        (
+            "decommit.pad_opening = 0x11",
+            "'decommit' cannot be built: key length 8 != message length 1",
+        ),
+        (
+            "otp-table.key_a = 0x1122",
+            "'otp-table' cannot be built: key length 2 != message length 1",
+        ),
+        (
+            "otp-table.secret_a = 0x1122",
+            "'otp-table' cannot be built: key length 1 != message length 2",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["list", "run", "audit"])
+def test_an_override_a_toy_primitive_refuses_at_build_is_a_config_error_naming_the_scenario(
+    tmp_path, capsys, override, message, command
+):
+    overrides = tmp_path / "params.txt"
+    overrides.write_text(override + "\n")
+    argv = {
+        "list": ["list"],
+        "run": ["run", override.split(".")[0], "--check", "audit-all", "--seeds", "0,1"],
+        "audit": ["audit", "--seeds", "0,1"],
+    }[command]
+    assert main(argv + ["--overrides", str(overrides)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: scenario {message}\n"
+
+
+@pytest.mark.parametrize(
     "body, raised",
     [
         (lambda ctx, _arg: len(ctx), "TypeError"),

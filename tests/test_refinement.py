@@ -3,10 +3,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import foregone.refinement as refinement
 from foregone.cli import audit_evidences
-from foregone.kernel import DEFAULT_BUDGET, Machine
+from foregone.kernel import AccessViolationError, DEFAULT_BUDGET, Machine
 from foregone.refinement import (
     ProbeSpec,
     bounded_equivalent,
@@ -14,7 +16,7 @@ from foregone.refinement import (
     distinguishing_probe,
     replay_probe,
 )
-from foregone.scenarios import build_registry
+from foregone.scenarios import build_registry, build_scenario
 from foregone.scenarios.hybrid import plain_store, writable_store
 from foregone.tapes import RandomnessAssignment
 from foregone.values import ABSENT
@@ -245,6 +247,146 @@ def test_a_budget_exhausted_mid_probe_is_the_outcome_of_the_rest_of_it():
         assert refinement._search(*args) == _enumerated_probe(*args)
 
 
+def _reach_nature(ctx, _arg):
+    return ctx.nature(0).call("read")
+
+
+def _reach_respondent(ctx, _arg):
+    return ctx.respondent.call("say")
+
+
+def test_a_subject_reaches_no_part_of_the_shared_probe_world():
+    # Every call of a search runs over one probe world.  A subject runs in
+    # the nature role: nature has no slot 0, and the role may not reach
+    # the world's respondent, so no call can change that world.
+    seeker = Machine(id="seeker", methods={"go": _reach_nature})
+    idler = Machine(id="idler", methods={"go": _wait})
+    assert replay_probe(seeker, (("go", None),) * 2) == [("no-such-method",)] * 2
+    assert refinement._search(seeker, seeker, 3, (None,), DEFAULT_BUDGET) is None
+    assert refinement._search(idler, seeker, 3, (None,), DEFAULT_BUDGET) == (("go", None),)
+    asker = Machine(id="asker", methods={"go": _reach_respondent})
+    with pytest.raises(AccessViolationError, match="no 'respondent' capability"):
+        refinement._search(asker, asker, 1, (None,), DEFAULT_BUDGET)
+
+
+# --- generated finite-state machines against the enumeration ------------------------
+
+
+def _fsm(ctx, method: int, argument):
+    """One transition of a finite-state machine whose table is a byte
+    string: entry = next state | output << 2 | draw << 3.  A draw n > 0
+    reads n - 1 tape bytes in one charged step, so steps and offsets
+    move apart, and the last byte read sets the output's second bit."""
+    table, state = ctx.state["table"], ctx.state["s"]
+    entry = table[4 * state + 2 * method + (argument is not None)]
+    ctx.state["s"] = entry & 3
+    output, draw = entry >> 2 & 1, entry >> 3
+    if draw:
+        coins = ctx.tape.read_bytes(draw - 1)
+        output += 2 * (coins[-1] & 1 if coins else 0)
+    return output
+
+
+def _fsm_a(ctx, argument):
+    return _fsm(ctx, 0, argument)
+
+
+def _fsm_b(ctx, argument):
+    return _fsm(ctx, 1, argument)
+
+
+def _fsm_machine(table, zero_coins: bool = False) -> Machine:
+    return Machine(
+        id="fsm",
+        state={"s": 0, "table": bytes(table)},
+        methods={"a": _fsm_a, "b": _fsm_b},
+        force_zero_tape=zero_coins,
+    )
+
+
+@st.composite
+def _fsm_pairs(draw):
+    """Two machines over one state space: the candidate's table is the
+    spec's with at most two entries redrawn, and either side may have
+    its coins pinned to zero."""
+    size = draw(st.integers(1, 3))
+    entries = st.builds(
+        lambda state, output, drawn: state | output << 2 | drawn << 3,
+        st.integers(0, size - 1),
+        st.integers(0, 1),
+        st.integers(0, 3),
+    )
+    spec = draw(st.lists(entries, min_size=4 * size, max_size=4 * size))
+    candidate = list(spec)
+    for index in draw(st.lists(st.integers(0, 4 * size - 1), max_size=2)):
+        candidate[index] = draw(entries)
+    return tuple(_fsm_machine(table, draw(st.booleans())) for table in (spec, candidate))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=_fsm_pairs(),
+    depth=st.integers(1, 4),
+    letters=st.integers(1, 2),
+    budget=st.integers(3, 8),
+)
+def test_the_walk_equals_the_enumeration_on_generated_machines(pair, depth, letters, budget):
+    args = (*pair, depth, (None, b"x")[:letters], budget)
+    assert refinement._search(*args) == _enumerated_probe(*args)
+
+
+def _one_state(a, b, zero_coins=False):
+    """A one-state machine: methods ``a`` and ``b`` answer every letter
+    with the (output, draw) pair given for them."""
+    entries = [output << 2 | draw << 3 for output, draw in (a, a, b, b)]
+    return _fsm_machine(entries, zero_coins)
+
+
+assert [byte & 1 for byte in _STREAM[:3]] == [1, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "spec, candidate, budget, expected",
+    [
+        # Zero coins: a draw costs a step and moves no offset.  After
+        # ("a",) both sides have spent 2 steps, after ("b",) 2 and 1, so
+        # the nodes differ only in steps; from ("a",) a following "b"
+        # runs the spec out of its budget of 3 and not the candidate.
+        (
+            _one_state((0, 1), (0, 2), zero_coins=True),
+            _one_state((0, 1), (0, 0), zero_coins=True),
+            3,
+            (("a", None), ("b", None)),
+        ),
+        # Every node has the same spec side; only the candidate side
+        # tells ("b",) from ("a",), and from ("b",) it runs out first.
+        (
+            _one_state((0, 0), (1, 0)),
+            _one_state((0, 0), (1, 1)),
+            3,
+            (("b", None), ("b", None)),
+        ),
+        # "b" costs both sides 2 steps but reads no byte on the spec side
+        # and two on the candidate's, so after ("b",) the sides read on
+        # from offsets 0 and 2, whose first bits differ; after ("a",)
+        # they read on from offset 1 on both sides.
+        (
+            _one_state((0, 2), (1, 1)),
+            _one_state((0, 2), (1, 3)),
+            7,
+            (("b", None), ("a", None)),
+        ),
+    ],
+    ids=["steps", "both-sides", "tape-offsets"],
+)
+def test_the_node_key_holds_both_sides_with_their_steps_and_tape_offsets(
+    spec, candidate, budget, expected
+):
+    args = (spec, candidate, 2, (None,), budget)
+    assert _enumerated_probe(*args) == expected
+    assert refinement._search(*args) == expected
+
+
 # --- the memo -----------------------------------------------------------------------
 
 
@@ -341,3 +483,27 @@ def test_the_build_searches_each_distinct_comparison_once(monkeypatch):
     assert len(calls) == 18
     assert audit_evidences(registry) == []
     assert len(calls) == 18
+
+
+@pytest.mark.parametrize(
+    "name, steps",
+    [(None, 376), ("password", 156), ("deniable", 120), ("twofactor", 192)],
+    ids=["registry", "password", "deniable", "twofactor"],
+)
+def test_the_build_expands_each_distinct_probe_node_once(monkeypatch, name, steps):
+    # one call on one side is one ``_step``; a node whose (left, right)
+    # key the search has seen is compared but not expanded again
+    calls = []
+    step = refinement._step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(refinement, "_RESULTS", {})
+    monkeypatch.setattr(refinement, "_step", counted)
+    if name is None:
+        build_registry()
+    else:
+        build_scenario(name)
+    assert len(calls) == steps
