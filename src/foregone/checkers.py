@@ -705,13 +705,22 @@ def probe_random_target(
     candidate post-processor's coins to all zeros; the left-hand side
     then cannot track the target's coin-driven variation, so some tape
     setting disagrees.  Holds when every candidate is defeated.
+
+    The gate reads worlds in order and each world's seeds in order, and
+    stops at the first target output that is not ``same_value`` as that
+    world's first: a seed that differs from the first is support >= 2,
+    and that world is the support world.  A world with support 1 is
+    read at every seed, or at its first only when its target read no
+    tape.  The candidates read the support world's targets from the same
+    table, each up to its witness, so, as in entailment, a target run
+    that would fault past the gate's stop and every witness is never
+    made.
     """
     table = _Cells(verifier, budget, evidence.worlds)
     for label, world in evidence.worlds:
-        outputs = [table.target(target, world, seeds[0])]
-        if not table.seed_free(world, target=target):
-            outputs += [table.target(target, world, seed) for seed in seeds[1:]]
-        if not all(same_value(outputs[0], value) for value in outputs):
+        first = table.target(target, world, seeds[0])
+        rest = () if table.seed_free(world, target=target) else seeds[1:]
+        if any(not same_value(first, table.target(target, world, seed)) for seed in rest):
             break
     else:
         raise HypothesisViolatedError(

@@ -25,7 +25,7 @@ from ..kernel import Machine, Nature, World, read_only_store
 from ..refinement import ProbeSpec
 from ..toy_crypto import SCHEMES, BindingClass, complement, otp
 from ..values import ABSENT
-from .base import FAILS, HOLDS, Scenario, ScenarioCheck
+from .base import FAILS, HOLDS, Scenario, ScenarioCheck, ScenarioError
 from .common import mind
 
 COMMITMENT_LOCATION = 2
@@ -207,6 +207,20 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
 
 def build(params: Mapping[str, Any]) -> Scenario:
     evidences = build_evidences(params)
+    # The equivocating action opens the xor-pad commitment to ``chosen``,
+    # which must be another message of the commitment's length: one of
+    # another length never verifies, and the committed message itself is
+    # no equivocation.  Either way the weak family would lose the failure
+    # its checks expect.
+    openable = evidences["weak"].world("openable-box")
+    lodged = openable.nature.slots[COMMITMENT_LOCATION].state["value"]
+    if len(params["chosen"]) != len(lodged):
+        raise ScenarioError(
+            "scenario 'decommit' cannot be built: decommit.chosen length "
+            f"{len(params['chosen'])} != lodged commitment length {len(lodged)}"
+        )
+    if params["chosen"] == params["secret"]:
+        raise ScenarioError("decommit.chosen and decommit.secret must differ")
 
     exemplar = Machine(id="reveal-true-opening", methods={"run": _reveal_run})
     family = ActionFamily(

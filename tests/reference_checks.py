@@ -275,9 +275,11 @@ def unknown_goal(
 
 def random_target(verifier, evidence, target, candidates, exemplar, seeds, budget=DEFAULT_BUDGET):
     runs = Runs(verifier, budget, evidence.worlds)
+    # seeds in order, stopping at the first output that differs from
+    # the first seed's: a target run past it is never made
     for label, world in evidence.worlds:
-        outputs = [runs.target(target, world, seed) for seed in seeds]
-        if not all(same_value(outputs[0], value) for value in outputs):
+        first = runs.target(target, world, seeds[0])
+        if any(not same_value(first, runs.target(target, world, seed)) for seed in seeds[1:]):
             break
     else:
         raise HypothesisViolatedError("no probed world shows a target output support of size >= 2")

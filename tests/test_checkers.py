@@ -325,19 +325,32 @@ def test_registered_checks_make_exactly_these_kernel_runs_and_table_reads(
     monkeypatch.setattr(checkers, "same_value", counting_same_value)
     seeds = tuple(range(7000, 7032))
     cells = 0
-    for scenario in registry.values():
+    random_targets = {}
+    for name, scenario in registry.items():
         for check in scenario.checks:
             kind = check.kind
+            before = calls["run_target"]
             cells += run_check(scenario, check, seeds)[1].cells_checked
+            if kind == "probe-random":
+                random_targets[f"{name}:{check.id}"] = calls["run_target"] - before
     assert cells == 6686
-    assert calls == {"execute": 266, "run_target": 191, "run_post": 211}
+    assert calls == {"execute": 266, "run_target": 72, "run_post": 211}
     # a tape-free cell is read and compared once, not once per seed
-    assert reads == {"run": 703, "post": 213, "target": 325}
+    assert reads == {"run": 703, "post": 213, "target": 206}
     assert compared == {
         "entailment": 117,
         "counterexample": 49,
         "probe-unknown-goal": 32,
-        "probe-random": 24,
+        "probe-random": 20,
+    }
+    # the support gate stops at the first seed whose target output
+    # differs from the first seed's, so each target reads its tape only
+    # up to the gate's stop and the candidates' witnesses
+    assert random_targets == {
+        "otp-table:probe-random/secret-sampled-key": 2,
+        "otp-table:probe-random/known-sampled-key": 2,
+        "unknown-goal:probe-random/coin": 3,
+        "unknown-goal:probe-random/commitment": 2,
     }
 
 

@@ -25,7 +25,7 @@ from foregone.cli import (
     parse_seed_list,
     toy_sweeps,
 )
-from foregone.kernel import Machine
+from foregone.kernel import Machine, run_target
 from foregone.scenarios import BUILDERS, scenario_names
 from foregone.toy_crypto import otp
 from foregone.values import ABSENT
@@ -399,6 +399,48 @@ def test_an_override_a_toy_primitive_refuses_at_build_is_a_config_error_naming_t
 
 
 @pytest.mark.parametrize(
+    "chosen, message",
+    [
+        *(
+            (
+                b"\x00" * length,
+                "scenario 'decommit' cannot be built: decommit.chosen length "
+                f"{length} != lodged commitment length 8",
+            )
+            for length in (1, 9, 16)
+        ),
+        (b"ledger42", "decommit.chosen and decommit.secret must differ"),
+    ],
+    ids=["1-byte", "9-byte", "16-byte", "the-secret"],
+)
+@pytest.mark.parametrize("command", ["list", "run", "audit"])
+def test_a_chosen_message_the_weak_family_cannot_equivocate_to_is_a_config_error(
+    tmp_path, capsys, chosen, message, command
+):
+    # Without the check, `run decommit` reported Holds against an expected
+    # Fails for the weak family and exited 1, the code for a mismatch.
+    overrides = tmp_path / "params.txt"
+    overrides.write_text(f"decommit.chosen = 0x{chosen.hex()}\n")
+    argv = {
+        "list": ["list"],
+        "run": ["run", "decommit", "--seeds", "0,1"],
+        "audit": ["audit", "--seeds", "0,1"],
+    }[command]
+    assert main(argv + ["--overrides", str(overrides)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_chosen_message_of_the_lodged_commitments_length_builds(tmp_path, capsys):
+    assert main(["run", "decommit", "--seeds", "0,1"]) == EXIT_MATCH
+    overrides = tmp_path / "params.txt"
+    overrides.write_text(f"decommit.chosen = 0x{b'blue-pg!'.hex()}\n")
+    assert main(["run", "decommit", "--seeds", "0,1", "--overrides", str(overrides)]) == EXIT_MATCH
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
     "body, raised",
     [
         (lambda ctx, _arg: len(ctx), "TypeError"),
@@ -474,6 +516,34 @@ def test_a_fault_in_a_cell_names_the_world_the_machine_and_the_seed(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: hybrid {check}: {message}")
+
+
+def test_a_probe_random_target_that_faults_before_its_witness_names_the_cell(
+    registry, monkeypatch, capsys
+):
+    # The target outputs at seed 5 and faults at seed 6, the seed the
+    # support gate reads next, before any output could differ.
+    scenario = copy.deepcopy(registry["otp-table"])
+    check = scenario.find_check("probe-random", "secret-sampled-key")
+    world_label, world = scenario.evidences[check.evidence].worlds[0]
+    draw = Machine(id="faulty", methods={"run": lambda ctx, _arg: ctx.tape.read_bytes(8)})
+    first = run_target(draw, world, 5).output
+
+    def fault_after_seed_five(ctx, _arg):
+        if ctx.tape.read_bytes(8) != first:
+            raise TypeError("a later seed")
+        return first
+
+    check.target = Machine(id="faulty", methods={"run": fault_after_seed_five})
+    monkeypatch.setattr(cli, "build_scenario", lambda name, params: scenario)
+    argv = ["run", "otp-table", "--check", "probe-random", "--evidence", check.evidence]
+    assert main(argv + ["--seeds", "5,6"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: otp-table probe-random/secret-sampled-key: world {world_label!r}, "
+        f"target 'faulty', seed 6: {RAISED}a later seed\n"
+    )
 
 
 def test_run_builds_only_the_named_scenario(monkeypatch, capsys):

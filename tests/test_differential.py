@@ -8,7 +8,8 @@ executions, seed-free sharing, dropped entries) must leave every
 reads its tape only in some worlds or only after a state change, a
 post-processor that reads its tape after an execution that read none,
 a target that alone reads its tape, runs that exhaust their budget, and
-a method that faults.
+a method that faults.  Keyed targets place the first seed whose output
+differs, and a fault, at chosen seeds for the probe-random support gate.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import reference_checks as plain
 from helpers import restrict_to
+import foregone.checkers as checkers
 from foregone.checkers import (
     SEED_FREE_NOTE,
     ActionFamily,
@@ -297,3 +299,128 @@ def test_a_cell_whose_target_alone_reads_a_tape_is_walked_seed_by_seed():
 def test_generated_checks_equal_the_plain_walk_on_drawn_seeds(seeds):
     for checker, reference, args in GENERATED.values():
         assert _outcome(checker, args, tuple(seeds)) == _outcome(reference, args, tuple(seeds))
+
+
+# --- the probe-random support gate ---------------------------------------------
+#
+# A keyed target draws 8 bytes from its tape and looks them up among the
+# draws of the listed seeds, so a test decides which seed's output is
+# which.  The gate reads each world seed by seed and stops at the first
+# output that differs from the world's first; the candidates then read
+# the support world's targets up to their witnesses.
+
+FAULT = "fault"
+KEYED = "keyed"
+
+
+def _keyed_target(seeds, by_seed, in_mode=None):
+    """A target that outputs ``by_seed[s]`` at seed ``s`` of ``seeds``
+    (``FAULT`` raises) and b"same" at every other listed seed; with
+    ``in_mode``, it draws in every world but outputs b"same" outside
+    worlds of that mode."""
+    draw = _machine(KEYED, lambda ctx, _arg: ctx.tape.read_bytes(8))
+    draws = [run_target(draw, _world(b"plain"), seed).output for seed in seeds]
+    assert len(set(draws)) == len(seeds)
+    outputs = {d: by_seed.get(seed, b"same") for d, seed in zip(draws, seeds)}
+
+    def run(ctx, _arg):
+        output = outputs[ctx.tape.read_bytes(8)]
+        if in_mode is not None and ctx.nature(MODE).call("read") != in_mode:
+            return b"same"
+        if output is FAULT:
+            raise TypeError("faulted")
+        return output
+
+    return _machine(KEYED, run)
+
+
+GATE_SEEDS = (4, 8, 15, 16, 23, 42)
+SAME = ("fixed-same", fixed_output_post("fixed-same", b"same"))
+ONE_WORLD = _evidence("one", ("plain", _world(b"plain")))
+FLAT_FIRST = _evidence("flat-first", ("flat", _world(b"plain")), ("support", _world(b"coin")))
+
+
+def _gate_case(evidence, target, seeds=GATE_SEEDS):
+    """(checker outcome, plain outcome, (world label, seed) of every
+    target run the checker made, in order)."""
+    ran = []
+    real = checkers.run_target
+
+    def recording(target, world, seed, budget):
+        ran.append((next(l for l, w in evidence.worlds if w is world), seed))
+        return real(target, world, seed, budget)
+
+    exemplar = _machine("send-secret", _send_secret)
+    args = (accept_any_verifier(), evidence, target, (SAME,), exemplar)
+    checkers.run_target = recording
+    try:
+        got = _outcome(probe_random_target, args, seeds)
+    finally:
+        checkers.run_target = real
+    return got, _outcome(plain.random_target, args, seeds), ran
+
+
+def test_the_gate_reads_to_the_last_seed_when_support_first_shows_there():
+    target = _keyed_target(GATE_SEEDS, {GATE_SEEDS[-1]: b"other"})
+    report, reference, ran = _gate_case(ONE_WORLD, target)
+    assert report == reference
+    assert report.holds and report.notes[0] == "support world: 'plain'"
+    assert [w.seed for w in report.witnesses] == [GATE_SEEDS[-1]]
+    assert ran == [("plain", seed) for seed in GATE_SEEDS]
+
+
+def test_a_world_with_support_one_is_read_in_full_before_the_support_world():
+    target = _keyed_target(GATE_SEEDS, {GATE_SEEDS[1]: b"other"}, in_mode=b"coin")
+    report, reference, ran = _gate_case(FLAT_FIRST, target)
+    assert report == reference
+    assert report.holds and report.notes[0] == "support world: 'support'"
+    assert [w.seed for w in report.witnesses] == [GATE_SEEDS[1]]
+    assert ran == [("flat", seed) for seed in GATE_SEEDS] + [
+        ("support", seed) for seed in GATE_SEEDS[:2]
+    ]
+
+
+def test_a_target_fault_past_the_witness_is_not_reached():
+    # a gate that read every seed of the support world would fault here
+    target = _keyed_target(GATE_SEEDS, {GATE_SEEDS[1]: b"other", GATE_SEEDS[3]: FAULT})
+    report, reference, ran = _gate_case(ONE_WORLD, target)
+    assert report == reference
+    assert report.holds and [w.seed for w in report.witnesses] == [GATE_SEEDS[1]]
+    assert ran == [("plain", seed) for seed in GATE_SEEDS[:2]]
+
+
+def test_a_target_fault_before_the_witness_names_the_cell():
+    target = _keyed_target(GATE_SEEDS, {GATE_SEEDS[1]: FAULT, GATE_SEEDS[2]: b"other"})
+    outcome, reference, _ = _gate_case(ONE_WORLD, target)
+    assert outcome == reference == (
+        "CellFaultError",
+        f"world 'plain', target 'keyed', seed {GATE_SEEDS[1]}: machine 'keyed' "
+        "method 'run' raised TypeError: faulted",
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6, unique=True),
+    data=st.data(),
+    flat_first=st.booleans(),
+)
+def test_the_gate_equals_the_plain_walk_wherever_support_first_shows(seeds, data, flat_first):
+    # the first seed that differs, and a fault, each at a drawn position
+    # or nowhere (index len(seeds))
+    differs = data.draw(st.integers(1, len(seeds)), label="differs")
+    faults = data.draw(st.integers(0, len(seeds)), label="faults")
+    by_seed = dict.fromkeys(seeds[differs:differs + 1], b"other")
+    by_seed.update(dict.fromkeys(seeds[faults:faults + 1], FAULT))
+    evidence = FLAT_FIRST if flat_first else ONE_WORLD
+    target = _keyed_target(tuple(seeds), by_seed, b"coin" if flat_first else None)
+    outcome, reference, ran = _gate_case(evidence, target, seeds=tuple(seeds))
+    assert outcome == reference
+    support = evidence.worlds[-1][0]
+    if faults < min(differs + 1, len(seeds)):
+        assert outcome[0] == "CellFaultError"
+    elif differs == len(seeds):
+        assert outcome[0] == "HypothesisViolatedError"
+    else:
+        assert outcome.holds and [w.seed for w in outcome.witnesses] == [seeds[differs]]
+        assert ran[-1] == (support, seeds[differs])
