@@ -52,7 +52,6 @@ the kernel, as a reference independent of the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, NoReturn, Optional
 
@@ -72,7 +71,7 @@ from .kernel import (
     with_zero_tape,
 )
 from .tapes import RandomnessAssignment
-from .values import ABSENT, NO_SUCH_METHOD, is_value, render_value, same_value, value_key
+from .values import ABSENT, NO_SUCH_METHOD, Frozen, is_value, render_value, same_value, value_key
 
 DEFAULT_SEEDS: tuple[int, ...] = tuple(range(16))
 SEED_FREE_NOTE = (
@@ -105,33 +104,76 @@ class CheckVerdict(Enum):
     FAILS = "Fails"
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    """One replayable violating cell, with rendered expected/got values."""
-
-    world: str
-    action: str
-    seed: int
-    expected: str
-    got: str
+def _fields(record) -> tuple:
+    return tuple(getattr(record, name) for name in record.__slots__)
 
 
-@dataclass
+class Counterexample(Frozen):
+    """One replayable violating cell, with rendered expected/got values.
+    Counterexamples compare and hash by their fields."""
+
+    __slots__ = ("world", "action", "seed", "expected", "got")
+
+    def __init__(self, world: str, action: str, seed: int, expected: str, got: str):
+        object.__setattr__(self, "world", world)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "got", got)
+
+    def __eq__(self, other):
+        if type(other) is not Counterexample:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    def __hash__(self):
+        return hash(_fields(self))
+
+
 class CheckReport:
-    verdict: CheckVerdict
-    counterexample: Optional[Counterexample] = None
-    cells_checked: int = 0
-    max_steps: int = 0
-    skipped: tuple[tuple[str, str], ...] = ()
-    witnesses: tuple[Counterexample, ...] = ()
-    notes: tuple[str, ...] = ()
+    """A check's verdict and what the walk saw on the way.  Reports
+    compare by their fields (and so are not hashable)."""
+
+    __slots__ = (
+        "verdict",
+        "counterexample",
+        "cells_checked",
+        "max_steps",
+        "skipped",
+        "witnesses",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        verdict: CheckVerdict,
+        counterexample: Optional[Counterexample] = None,
+        cells_checked: int = 0,
+        max_steps: int = 0,
+        skipped: tuple[tuple[str, str], ...] = (),
+        witnesses: tuple[Counterexample, ...] = (),
+        notes: tuple[str, ...] = (),
+    ):
+        self.verdict = verdict
+        self.counterexample = counterexample
+        self.cells_checked = cells_checked
+        self.max_steps = max_steps
+        self.skipped = skipped
+        self.witnesses = witnesses
+        self.notes = notes
+
+    def __eq__(self, other):
+        if type(other) is not CheckReport:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    __hash__ = None
 
     @property
     def holds(self) -> bool:
         return self.verdict is CheckVerdict.HOLDS
 
 
-@dataclass
 class ActionFamily:
     """The finite family of candidate actions a check ranges over.
 
@@ -139,12 +181,13 @@ class ActionFamily:
     the claim's argument turns on; nothing detects a too-small family.
     """
 
-    actions: tuple[tuple[str, Machine], ...]
+    __slots__ = ("actions",)
 
-    def __post_init__(self):
-        labels = [label for label, _ in self.actions]
+    def __init__(self, actions: tuple[tuple[str, Machine], ...]):
+        labels = [label for label, _ in actions]
         if len(set(labels)) != len(labels):
             raise CheckerError("action family has duplicate labels")
+        self.actions = actions
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +297,13 @@ class _Cells:
             if entry is not None:
                 return entry[-1]
             # the kept execution may have run under another seed
-            result = replace(result, post_assignment=RandomnessAssignment(seed))
+            result = ExecutionResult(
+                result.transcript,
+                result.post_world,
+                RandomnessAssignment(seed),
+                result.steps_used,
+                result.read_tape,
+            )
         try:
             ran = run_post(post, result, self.budget)
         except KernelError as exc:
@@ -286,7 +335,15 @@ class _Cells:
         no kernel run of this table read a tape."""
         if self.read_tape:
             return report
-        return replace(report, notes=report.notes + (SEED_FREE_NOTE,))
+        return CheckReport(
+            report.verdict,
+            report.counterexample,
+            report.cells_checked,
+            report.max_steps,
+            report.skipped,
+            report.witnesses,
+            report.notes + (SEED_FREE_NOTE,),
+        )
 
     def _raise_fault(self, exc: KernelError, role, machine, world, seed) -> NoReturn:
         """Re-raise ``exc`` from a kernel call for this cell: as it is for
@@ -526,11 +583,14 @@ def check_monotonicity(
     max_steps = max(weak_report.max_steps, strong_report.max_steps)
     if weak_report.holds and not strong_report.holds:
         return table.noted(
-            replace(
-                strong_report,
-                cells_checked=cells,
-                max_steps=max_steps,
-                notes=(
+            CheckReport(
+                strong_report.verdict,
+                strong_report.counterexample,
+                cells,
+                max_steps,
+                strong_report.skipped,
+                strong_report.witnesses,
+                (
                     f"demonstrability degraded from {weaker.name!r} "
                     f"to {stronger.name!r}",
                 ),

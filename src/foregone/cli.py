@@ -212,8 +212,11 @@ def toy_sweeps() -> dict[str, str]:
 def _emit(payload: dict[str, Any], as_json: bool, out_path: Optional[str]) -> None:
     text = render_json(payload) if as_json else render_markdown(payload)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {out_path!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -289,6 +292,8 @@ def cmd_run(
     out_path: Optional[str],
 ) -> int:
     if check_kind == "audit-all":
+        if evidence is not None:
+            raise ConfigError("--evidence needs --check KIND")
         checks = scenario.checks
     else:
         checks = [scenario.find_check(check_kind, evidence)]

@@ -28,11 +28,11 @@ checks live in ``audit`` and run at scenario load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .kernel import Machine, World, world_key
 from .refinement import ProbeSpec, bounded_equivalent, bounded_implements
+from .values import Frozen
 
 
 class EvidenceError(Exception):
@@ -48,8 +48,7 @@ class UnknownAssertionError(EvidenceError):
     pass
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(Frozen):
     """One human-readable claim the evidence makes, with optional hooks.
 
     ``holds_in`` is a per-world predicate run by the audit.  Droppable
@@ -57,28 +56,49 @@ class Assertion:
     the assertion is gone.
     """
 
-    id: str
-    text: str
-    droppable: bool = False
-    extension_worlds: tuple[tuple[str, World], ...] = ()
-    holds_in: Optional[Callable[[World], bool]] = None
+    __slots__ = ("id", "text", "droppable", "extension_worlds", "holds_in")
+
+    def __init__(
+        self,
+        id: str,
+        text: str,
+        droppable: bool = False,
+        extension_worlds: tuple[tuple[str, World], ...] = (),
+        holds_in: Optional[Callable[[World], bool]] = None,
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "droppable", droppable)
+        object.__setattr__(self, "extension_worlds", extension_worlds)
+        object.__setattr__(self, "holds_in", holds_in)
 
 
-@dataclass
 class Evidence:
-    name: str
-    assertions: tuple[Assertion, ...]
-    worlds: tuple[tuple[str, World], ...]
-    probe: ProbeSpec
-    partial_specs: dict[int, Machine] = field(default_factory=dict)
-    full_specs: dict[int, Machine] = field(default_factory=dict)
+    """A named, non-empty family of labelled worlds, the assertions that
+    describe it, and the machine shapes it asserts per location."""
 
-    def __post_init__(self):
-        if not self.worlds:
-            raise EmptyFamilyError(f"evidence {self.name!r} has no consistent world")
-        labels = [label for label, _ in self.worlds]
+    __slots__ = ("name", "assertions", "worlds", "probe", "partial_specs", "full_specs")
+
+    def __init__(
+        self,
+        name: str,
+        assertions: tuple[Assertion, ...],
+        worlds: tuple[tuple[str, World], ...],
+        probe: ProbeSpec,
+        partial_specs: Optional[dict[int, Machine]] = None,
+        full_specs: Optional[dict[int, Machine]] = None,
+    ):
+        if not worlds:
+            raise EmptyFamilyError(f"evidence {name!r} has no consistent world")
+        labels = [label for label, _ in worlds]
         if len(set(labels)) != len(labels):
-            raise EvidenceError(f"evidence {self.name!r} has duplicate world labels")
+            raise EvidenceError(f"evidence {name!r} has duplicate world labels")
+        self.name = name
+        self.assertions = assertions
+        self.worlds = worlds
+        self.probe = probe
+        self.partial_specs = {} if partial_specs is None else partial_specs
+        self.full_specs = {} if full_specs is None else full_specs
 
     def world(self, label: str) -> World:
         for candidate, world in self.worlds:
@@ -150,12 +170,13 @@ def strengthen_to_full_spec(
     partial.pop(location, None)
     full = dict(evidence.full_specs)
     full[location] = spec
-    return replace(
-        evidence,
-        name=f"{evidence.name}+exact@{location}",
-        worlds=surviving,
-        partial_specs=partial,
-        full_specs=full,
+    return Evidence(
+        f"{evidence.name}+exact@{location}",
+        evidence.assertions,
+        surviving,
+        evidence.probe,
+        partial,
+        full,
     )
 
 
@@ -172,11 +193,13 @@ def drop_assertion(evidence: Evidence, assertion_id: str) -> Evidence:
                 a for a in evidence.assertions if a.id != assertion_id
             )
             extended = evidence.worlds + assertion.extension_worlds
-            return replace(
-                evidence,
-                name=f"{evidence.name}-minus-{assertion_id}",
-                assertions=remaining,
-                worlds=extended,
+            return Evidence(
+                f"{evidence.name}-minus-{assertion_id}",
+                remaining,
+                extended,
+                evidence.probe,
+                evidence.partial_specs,
+                evidence.full_specs,
             )
     raise UnknownAssertionError(
         f"evidence {evidence.name!r} has no assertion {assertion_id!r}"

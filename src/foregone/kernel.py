@@ -64,12 +64,11 @@ A method that produces nothing must ``return ABSENT`` explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Optional
 
 from .tapes import RandomnessAssignment, ZeroTape
-from .values import ABSENT, NO_SUCH_METHOD, Location, is_value, render_value, value_key
+from .values import ABSENT, NO_SUCH_METHOD, Frozen, Location, is_value, render_value, value_key
 
 DEFAULT_BUDGET = 100_000
 
@@ -132,7 +131,6 @@ class MethodFaultError(KernelError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Machine:
     """A stateful machine: identifier, variable store, and method table.
 
@@ -147,13 +145,21 @@ class Machine:
     probes).
     """
 
-    id: str
-    state: dict[str, Any] = field(default_factory=dict)
-    methods: dict[str, MethodFn] = field(default_factory=dict)
-    force_zero_tape: bool = False
-    emulated_respondent: Optional["Machine"] = None
+    __slots__ = ("id", "state", "methods", "force_zero_tape", "emulated_respondent")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        id: str,
+        state: Optional[dict[str, Any]] = None,
+        methods: Optional[dict[str, MethodFn]] = None,
+        force_zero_tape: bool = False,
+        emulated_respondent: Optional[Machine] = None,
+    ):
+        self.id = id
+        self.state = {} if state is None else state
+        self.methods = {} if methods is None else methods
+        self.force_zero_tape = force_zero_tape
+        self.emulated_respondent = emulated_respondent
         _check_state(self)
 
     def method_names(self) -> tuple[str, ...]:
@@ -171,7 +177,6 @@ def _check_state(machine: Machine) -> None:
             )
 
 
-@dataclass
 class Nature:
     """Location-indexed machines plus the set of read-only locations.
 
@@ -179,20 +184,28 @@ class Nature:
     mutated; any other call yields a no-such-method outcome.
     """
 
-    slots: dict[int, Machine] = field(default_factory=dict)
-    read_only: frozenset[int] = frozenset()
+    __slots__ = ("slots", "read_only")
+
+    def __init__(
+        self,
+        slots: Optional[dict[int, Machine]] = None,
+        read_only: frozenset[int] = frozenset(),
+    ):
+        self.slots = {} if slots is None else slots
+        self.read_only = read_only
 
 
-@dataclass
 class World:
-    """Nature and a respondent; the tape seed is not part of a world."""
+    """Nature and a respondent; the tape seed is not part of a world.
+    No machine object may appear in a world twice."""
 
-    nature: Nature
-    respondent: Machine
+    __slots__ = ("nature", "respondent")
 
-    def __post_init__(self):
+    def __init__(self, nature: Nature, respondent: Machine):
+        self.nature = nature
+        self.respondent = respondent
         seen: set[int] = set()
-        for machine in (*self.nature.slots.values(), self.respondent):
+        for machine in (*nature.slots.values(), respondent):
             while machine is not None:
                 if id(machine) in seen:
                     raise AliasedMachineError(
@@ -207,8 +220,8 @@ def fork_machine(machine: Machine) -> Machine:
     the state dict (and of its emulated respondent's).
 
     State values are immutable (``_check_state``), so copying the dict is
-    enough; the method table is shared.  The copy skips
-    ``__post_init__``: the state it copies has already passed the check.
+    enough; the method table is shared.  The copy skips ``__init__``:
+    the state it copies has already passed the check.
     """
     twin = object.__new__(Machine)
     twin.id = machine.id
@@ -225,7 +238,7 @@ def _fork(world: World) -> World:
     with ``fork_machine`` and nature gets a new slot dict under the same
     read-only set.  Running on the copy leaves ``world`` unchanged.
 
-    The copy skips ``World.__post_init__``: one fork per machine keeps
+    The copy skips ``World.__init__``: one fork per machine keeps
     the no-aliasing property the source already passed.
     """
     nature = Nature(
@@ -279,13 +292,15 @@ class Verdict(Enum):
     BUDGET = "Budget"
 
 
-@dataclass(frozen=True)
-class CallEvent:
-    caller: str
-    callee: str
-    method: str
-    argument: Any
-    output: Any  # value, ABSENT, or NO_SUCH_METHOD
+class CallEvent(Frozen):
+    __slots__ = ("caller", "callee", "method", "argument", "output")
+
+    def __init__(self, caller: str, callee: str, method: str, argument: Any, output: Any):
+        object.__setattr__(self, "caller", caller)
+        object.__setattr__(self, "callee", callee)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "argument", argument)
+        object.__setattr__(self, "output", output)  # value, ABSENT, or NO_SUCH_METHOD
 
     def render(self) -> str:
         return (
@@ -294,13 +309,20 @@ class CallEvent:
         )
 
 
-@dataclass
 class Transcript:
     """Ordered record of one execution: calls, messages, verdict."""
 
-    events: list[CallEvent] = field(default_factory=list)
-    messages_to_verifier: list[Any] = field(default_factory=list)
-    verdict: Optional[Verdict] = None
+    __slots__ = ("events", "messages_to_verifier", "verdict")
+
+    def __init__(
+        self,
+        events: Optional[list[CallEvent]] = None,
+        messages_to_verifier: Optional[list[Any]] = None,
+        verdict: Optional[Verdict] = None,
+    ):
+        self.events = [] if events is None else events
+        self.messages_to_verifier = [] if messages_to_verifier is None else messages_to_verifier
+        self.verdict = verdict
 
     def set_verdict(self, verdict: Verdict) -> None:
         if self.verdict is not None:
@@ -308,25 +330,36 @@ class Transcript:
         self.verdict = verdict
 
 
-@dataclass
 class ExecutionResult:
     """A transcript plus the world and tapes as the execution left them,
     and whether the execution read its tapes."""
 
-    transcript: Transcript
-    post_world: World
-    post_assignment: RandomnessAssignment
-    steps_used: int
-    read_tape: bool
+    __slots__ = ("transcript", "post_world", "post_assignment", "steps_used", "read_tape")
+
+    def __init__(
+        self,
+        transcript: Transcript,
+        post_world: World,
+        post_assignment: RandomnessAssignment,
+        steps_used: int,
+        read_tape: bool,
+    ):
+        self.transcript = transcript
+        self.post_world = post_world
+        self.post_assignment = post_assignment
+        self.steps_used = steps_used
+        self.read_tape = read_tape
 
 
-@dataclass(frozen=True)
-class RunOutput:
+class RunOutput(Frozen):
     """The output of a target or post-processor run, and whether the run
     read its tapes."""
 
-    output: Any
-    read_tape: bool
+    __slots__ = ("output", "read_tape")
+
+    def __init__(self, output: Any, read_tape: bool):
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "read_tape", read_tape)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ the divergent outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from .kernel import (
@@ -54,7 +53,7 @@ from .kernel import (
     fork_machine,
     machine_key,
 )
-from .values import ABSENT, same_value, value_key
+from .values import ABSENT, Frozen, same_value, value_key
 
 Probe = tuple[tuple[str, Any], ...]
 
@@ -64,18 +63,18 @@ _PROBE_ID = "probe-subject"
 _RESULTS: dict[tuple, Optional[Probe]] = {}
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
+class ProbeSpec(Frozen):
     """Bounds a scenario declares sufficient to separate its machines."""
 
-    depth: int
-    alphabet: tuple[Any, ...]
+    __slots__ = ("depth", "alphabet")
 
-    def __post_init__(self):
-        if self.depth < 1:
+    def __init__(self, depth: int, alphabet: tuple[Any, ...]):
+        if depth < 1:
             raise ValueError("probe depth must be at least 1")
-        if not self.alphabet:
+        if not alphabet:
             raise ValueError("probe alphabet must be non-empty")
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "alphabet", alphabet)
 
 
 def _outcome(invoker: DirectInvoker, machine: Machine, method: str, argument) -> tuple:

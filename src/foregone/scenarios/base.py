@@ -17,7 +17,6 @@ the scenario's expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -57,7 +56,6 @@ class ScenarioError(Exception):
     pass
 
 
-@dataclass
 class ScenarioCheck:
     """One registered check with its expected verdict.
 
@@ -75,21 +73,36 @@ class ScenarioCheck:
     dict, and ``languages`` calls it on first read and keeps the result
     on this check.  So a process pays for a check's languages once, and
     only if something reads them.  Assigning ``languages`` replaces the
-    kept dict.
+    kept dict, which lives in the instance ``__dict__``.
     """
 
-    kind: str
-    evidence: str
-    expected: str
-    citation: str
-    verifier: Optional[Machine] = None
-    exemplar: Optional[Machine] = None
-    target: Optional[Machine] = None
-    post: Optional[Machine] = None
-    family: Optional[ActionFamily] = None
-    candidates: tuple[tuple[str, Machine], ...] = ()
-    language_source: Optional[Callable[[], dict[str, frozenset]]] = None
-    edge: Optional[tuple[str, str]] = None  # (weaker key, stronger key)
+    def __init__(
+        self,
+        kind: str,
+        evidence: str,
+        expected: str,
+        citation: str,
+        verifier: Optional[Machine] = None,
+        exemplar: Optional[Machine] = None,
+        target: Optional[Machine] = None,
+        post: Optional[Machine] = None,
+        family: Optional[ActionFamily] = None,
+        candidates: tuple[tuple[str, Machine], ...] = (),
+        language_source: Optional[Callable[[], dict[str, frozenset]]] = None,
+        edge: Optional[tuple[str, str]] = None,  # (weaker key, stronger key)
+    ):
+        self.kind = kind
+        self.evidence = evidence
+        self.expected = expected
+        self.citation = citation
+        self.verifier = verifier
+        self.exemplar = exemplar
+        self.target = target
+        self.post = post
+        self.family = family
+        self.candidates = candidates
+        self.language_source = language_source
+        self.edge = edge
 
     @property
     def id(self) -> str:
@@ -100,45 +113,71 @@ class ScenarioCheck:
         return None if self.language_source is None else self.language_source()
 
 
-@dataclass
 class Scenario:
-    name: str
-    title: str
-    evidences: dict[str, Evidence]
-    verifier: Machine
-    exemplar: Machine
-    target: Machine
-    post_processor: Machine
-    action_family: ActionFamily
-    checks: list[ScenarioCheck] = field(default_factory=list)
+    """One fact pattern: its evidences, its primary machines and family,
+    and the checks it registers.  Construction refuses duplicate or
+    malformed checks and runs every evidence audit."""
 
-    def __post_init__(self):
-        ids = [check.id for check in self.checks]
+    __slots__ = (
+        "name",
+        "title",
+        "evidences",
+        "verifier",
+        "exemplar",
+        "target",
+        "post_processor",
+        "action_family",
+        "checks",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        title: str,
+        evidences: dict[str, Evidence],
+        verifier: Machine,
+        exemplar: Machine,
+        target: Machine,
+        post_processor: Machine,
+        action_family: ActionFamily,
+        checks: Optional[list[ScenarioCheck]] = None,
+    ):
+        checks = [] if checks is None else checks
+        ids = [check.id for check in checks]
         if len(set(ids)) != len(ids):
-            raise ScenarioError(f"scenario {self.name!r} registers duplicate checks")
-        for check in self.checks:
+            raise ScenarioError(f"scenario {name!r} registers duplicate checks")
+        for check in checks:
             if check.kind not in CHECK_KINDS:
                 raise ScenarioError(f"unknown check kind {check.kind!r}")
             if check.kind == "monotonicity":
                 if check.edge is None or not all(
-                    key in self.evidences for key in check.edge
+                    key in evidences for key in check.edge
                 ):
                     raise ScenarioError(
                         f"check {check.id!r} needs an edge over known evidences"
                     )
-            elif check.evidence not in self.evidences:
+            elif check.evidence not in evidences:
                 raise ScenarioError(
                     f"check {check.id!r} names unknown evidence {check.evidence!r}"
                 )
         problems = [
             problem
-            for evidence in self.evidences.values()
+            for evidence in evidences.values()
             for problem in audit_evidence(evidence)
         ]
         if problems:
             raise ScenarioError(
-                f"scenario {self.name!r} fails its evidence audit: " + "; ".join(problems)
+                f"scenario {name!r} fails its evidence audit: " + "; ".join(problems)
             )
+        self.name = name
+        self.title = title
+        self.evidences = evidences
+        self.verifier = verifier
+        self.exemplar = exemplar
+        self.target = target
+        self.post_processor = post_processor
+        self.action_family = action_family
+        self.checks = checks
 
     @property
     def edges(self) -> list[tuple[str, str]]:

@@ -18,7 +18,7 @@ post-processor continue every stream from exactly where it stopped.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from typing import Optional
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 32  # sha256 digest size
@@ -29,20 +29,19 @@ def _block(seed: int, stream_id: str, index: int) -> bytes:
     return hashlib.sha256(material).digest()
 
 
-@dataclass
 class RandomnessAssignment:
     """One setting of every machine's randomness tape.
 
-    ``offsets`` records consumed prefix lengths per stream id and is the
-    only mutable part; a copy and the original advance independently
-    but identically.
+    The seed is kept masked to 64 bits.  ``offsets`` records consumed
+    prefix lengths per stream id and is the only mutable part; a copy
+    and the original advance independently but identically.
     """
 
-    seed: int
-    offsets: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("seed", "offsets")
 
-    def __post_init__(self):
-        self.seed = self.seed & _MASK64
+    def __init__(self, seed: int, offsets: Optional[dict[str, int]] = None):
+        self.seed = seed & _MASK64
+        self.offsets = {} if offsets is None else offsets
 
     def fork(self) -> "RandomnessAssignment":
         """A copy that reads on from the same offsets independently."""

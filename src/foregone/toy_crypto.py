@@ -19,10 +19,11 @@ corner the evidence puts the scheme in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable, Optional
+
+from .values import Frozen
 
 MAX_INPUT_BYTES = 8
 
@@ -76,8 +77,7 @@ def toy_hash(collision: Optional[tuple[bytes, bytes]], x: bytes) -> bytes:
     return bytes((b * 167 + 89) % 256 for b in x)
 
 
-@dataclass(frozen=True)
-class HashSpec:
+class HashSpec(Frozen):
     """A toy hash with a declared finite domain.
 
     ``known_collision`` is a documented witness pair when the function
@@ -85,11 +85,21 @@ class HashSpec:
     verifies rather than trusts.
     """
 
-    name: str
-    evaluate: Callable[[bytes], bytes]
-    domain: tuple[bytes, ...]
-    declared_injective: bool
-    known_collision: Optional[tuple[bytes, bytes]] = None
+    __slots__ = ("name", "evaluate", "domain", "declared_injective", "known_collision")
+
+    def __init__(
+        self,
+        name: str,
+        evaluate: Callable[[bytes], bytes],
+        domain: tuple[bytes, ...],
+        declared_injective: bool,
+        known_collision: Optional[tuple[bytes, bytes]] = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "evaluate", evaluate)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "declared_injective", declared_injective)
+        object.__setattr__(self, "known_collision", known_collision)
 
     def injectivity_witness(self) -> Optional[tuple[bytes, bytes]]:
         """Exhaustive sweep over the domain; returns a colliding pair or
@@ -141,8 +151,7 @@ class BindingClass(Enum):
     EQUIVOCABLE = "equivocable"
 
 
-@dataclass(frozen=True)
-class CommitmentScheme:
+class CommitmentScheme(Frozen):
     """Commit/check pair with a claimed binding class.
 
     ``commit(x, r) -> (c, d)`` and ``check(c, d, x) -> bool`` satisfy the
@@ -151,11 +160,21 @@ class CommitmentScheme:
     schemes also expose ``equivocate(c, x') -> d'``.
     """
 
-    name: str
-    commit: Callable[[bytes, bytes], tuple[bytes, bytes]]
-    check: Callable[[bytes, bytes, bytes], bool]
-    binding_class: BindingClass
-    equivocate: Optional[Callable[[bytes, bytes], bytes]] = None
+    __slots__ = ("name", "commit", "check", "binding_class", "equivocate")
+
+    def __init__(
+        self,
+        name: str,
+        commit: Callable[[bytes, bytes], tuple[bytes, bytes]],
+        check: Callable[[bytes, bytes, bytes], bool],
+        binding_class: BindingClass,
+        equivocate: Optional[Callable[[bytes, bytes], bytes]] = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "commit", commit)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "binding_class", binding_class)
+        object.__setattr__(self, "equivocate", equivocate)
 
     def double_opening_witness(
         self, message_domain: tuple[bytes, ...], opening_domain: tuple[bytes, ...]

@@ -27,7 +27,6 @@ NaN defeats both), so a caller that keys a collection checks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 
@@ -49,16 +48,45 @@ ABSENT = _Marker("ABSENT")  # the method produced no output
 NO_SUCH_METHOD = _Marker("NO_SUCH_METHOD")  # recorded for refused calls
 
 
-@dataclass(frozen=True)
-class Location:
+class Frozen:
+    """Base of the records whose fields are set once, in ``__init__``
+    (through ``object.__setattr__``): assigning or deleting a field
+    raises ``AttributeError``.  ``__setstate__`` lets ``copy`` and
+    ``pickle`` restore the slots all the same."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Location(Frozen):
     """A slot index into nature.  Locations are values and may be passed
-    between machines (e.g. a respondent revealing where a device is)."""
+    between machines (e.g. a respondent revealing where a device is).
+    Two locations are equal when their indices are, and a location
+    equals nothing else."""
 
-    index: int
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 0:
+    def __init__(self, index: int):
+        if index < 0:
             raise ValueError("locations are non-negative")
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if type(other) is not Location:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self):
+        return hash((self.index,))
 
     def __repr__(self):
         return f"@{self.index}"

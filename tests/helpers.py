@@ -1,15 +1,17 @@
 """Test-only helpers over the package's types.
 
-The tool itself never narrows an evidence family or filters a
-transcript by callee, so these live beside the tests that do.
+The tool itself never narrows an evidence family, filters a transcript
+by callee or compares whole transcripts, so these live beside the
+tests that do.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from typing import Any
 
 from foregone.evidence import EmptyFamilyError, Evidence
-from foregone.kernel import CallEvent, Transcript
+from foregone.kernel import CallEvent, RunOutput, Transcript
+from foregone.values import ABSENT, NO_SUCH_METHOD, value_key
 
 
 def restrict_to(evidence: Evidence, labels: tuple[str, ...]) -> Evidence:
@@ -18,11 +20,47 @@ def restrict_to(evidence: Evidence, labels: tuple[str, ...]) -> Evidence:
     surviving = tuple((l, w) for l, w in evidence.worlds if l in keep)
     if not surviving:
         raise EmptyFamilyError(f"restriction of {evidence.name!r} is empty")
-    return replace(
-        evidence,
-        name=f"{evidence.name}|{'+'.join(sorted(keep))}",
-        worlds=surviving,
+    return Evidence(
+        f"{evidence.name}|{'+'.join(sorted(keep))}",
+        evidence.assertions,
+        surviving,
+        evidence.probe,
+        evidence.partial_specs,
+        evidence.full_specs,
     )
+
+
+def outcome_key(outcome: Any) -> Any:
+    """A type-strict key of a value, with the ``ABSENT`` and
+    ``NO_SUCH_METHOD`` markers as themselves."""
+    return outcome if outcome is ABSENT or outcome is NO_SUCH_METHOD else value_key(outcome)
+
+
+def event_key(event: CallEvent) -> tuple:
+    """A type-strict key of one transcript event: ``True`` and ``1``
+    as argument or output give different keys."""
+    return (
+        event.caller,
+        event.callee,
+        event.method,
+        outcome_key(event.argument),
+        outcome_key(event.output),
+    )
+
+
+def transcript_key(transcript: Transcript) -> tuple:
+    """A type-strict key of a whole transcript: events, messages and
+    verdict."""
+    return (
+        tuple(event_key(e) for e in transcript.events),
+        tuple(value_key(m) for m in transcript.messages_to_verifier),
+        transcript.verdict,
+    )
+
+
+def run_key(ran: RunOutput) -> tuple:
+    """A type-strict key of a target or post-processor run."""
+    return (outcome_key(ran.output), ran.read_tape)
 
 
 def calls_to(transcript: Transcript, machine_id: str) -> list[CallEvent]:

@@ -206,6 +206,23 @@ def test_run_exit_codes_for_config_errors(capsys):
     capsys.readouterr()
 
 
+def test_evidence_without_a_check_is_refused(capsys):
+    assert main(["run", "password", "--evidence", "nope"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --evidence needs --check KIND\n"
+
+
+@pytest.mark.parametrize("command", [["run", "password"], ["audit"]])
+def test_an_out_path_that_cannot_be_written_is_a_config_error(command, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(command + ["--seeds", "0", "--out", str(target)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report to {str(target)!r}: ")
+    assert not target.parent.exists()
+
+
 def test_verdict_mismatch_exits_one(registry, capsys):
     scenario = copy.deepcopy(registry["hybrid"])
     scenario.find_check("entailment", "strong").expected = "Fails"

@@ -5,6 +5,7 @@ import pytest
 from helpers import restrict_to
 from foregone.evidence import (
     EmptyFamilyError,
+    Evidence,
     UnknownAssertionError,
     at_least_as_strong,
     audit,
@@ -142,10 +143,14 @@ def test_audit_flags_a_violated_assertion(evidences):
         password_device(b"hunter2", b"tax-records"),
         mind("knows-password", pwd=b"not-actually"),
     )
-    from dataclasses import replace
-
-    tampered = replace(
-        evidences["weak"], worlds=evidences["weak"].worlds + (("imposter", broken),)
+    weak = evidences["weak"]
+    tampered = Evidence(
+        weak.name,
+        weak.assertions,
+        weak.worlds + (("imposter", broken),),
+        weak.probe,
+        weak.partial_specs,
+        weak.full_specs,
     )
     problems = audit(tampered)
     assert any("respondent-knows-password" in p for p in problems)

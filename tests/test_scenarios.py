@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -355,7 +354,10 @@ def _count_commitment_work(monkeypatch) -> dict[str, int]:
         return xor_pad.check(*args)
 
     monkeypatch.setattr(CommitmentScheme, "openable_commitments", openable)
-    monkeypatch.setitem(SCHEMES, "xor-pad", replace(xor_pad, check=check))
+    counted = CommitmentScheme(
+        xor_pad.name, xor_pad.commit, check, xor_pad.binding_class, xor_pad.equivocate
+    )
+    monkeypatch.setitem(SCHEMES, "xor-pad", counted)
     return counts
 
 

@@ -1,9 +1,13 @@
-"""Static checks over the package source: every import is used, and
-every module-level function body is written once."""
+"""Static checks over the package source: every import is used, every
+module-level function body is written once, and no record type is
+generated by ``dataclasses``."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -53,3 +57,31 @@ def test_no_two_module_level_functions_share_arguments_and_body():
                 key = ast.dump(node.args) + "".join(map(ast.dump, body))
                 owners[key].append(f"{path.relative_to(PACKAGE)}:{node.name}")
     assert [names for names in owners.values() if len(names) > 1] == []
+
+
+def test_no_module_imports_dataclasses():
+    # each generated method costs an ``exec`` at import time
+    importers = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "dataclasses" in names:
+                importers.append(str(path.relative_to(PACKAGE)))
+    assert importers == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = (
+        "import sys, foregone.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
