@@ -499,6 +499,10 @@ def check_entailment(
     The conformity decision and the comparison read the same execution,
     and the target runs once per world and seed, or once per world when
     it reads no tape.
+
+    When no action conforms in any world there is no cell to compare,
+    and the check raises ``PreconditionViolatedError`` rather than hold
+    over nothing.
     """
     table = _Cells(verifier, budget, evidence.worlds)
     return table.noted(_entail(table, target, post, evidence, family, seeds))
@@ -545,6 +549,8 @@ def _entail(
             cells += len(seeds)
             # no later cell of this world reads this action's executions
             table.runs.clear()
+    if len(skipped) == len(evidence.worlds) * len(family.actions):
+        raise PreconditionViolatedError("no action conforms in any world")
     return CheckReport(
         verdict=CheckVerdict.HOLDS,
         cells_checked=cells,
@@ -775,6 +781,11 @@ def probe_random_target(
     table, each up to its witness, so, as in entailment, a target run
     that would fault past the gate's stop and every witness is never
     made.
+
+    One seed cannot show support >= 2, so with one seed a gate whose
+    target read a tape raises ``PreconditionViolatedError``.  A target
+    that read no tape has support 1 under every seed, and its gate
+    raises ``HypothesisViolatedError`` whatever the seeds.
     """
     table = _Cells(verifier, budget, evidence.worlds)
     for label, world in evidence.worlds:
@@ -783,6 +794,11 @@ def probe_random_target(
         if any(not same_value(first, table.target(target, world, seed)) for seed in rest):
             break
     else:
+        if len(seeds) < 2 and table.read_tape:
+            raise PreconditionViolatedError(
+                "the target reads a tape, and one seed cannot show a target "
+                "output support of size >= 2"
+            )
         raise HypothesisViolatedError(
             "no probed world shows a target output support of size >= 2"
         )

@@ -44,9 +44,10 @@ Everything is deterministic given (world, machines, seed, budget): two
 runs of the same cell produce bitwise identical transcripts and
 post-worlds.  Method code keeps everything it remembers in ``ctx.state``
 (never in captured closures), and every state value is an immutable
-value of the algebra or a ``str``: ``Machine`` construction and every
-method return enforce this with ``MalformedValueError``.  That rule is
-what lets a fork copy each machine's state dict and share the values.
+value of the algebra or a ``str``: ``Machine`` construction and the
+engine, after every call whether the method returned or raised, enforce
+this with ``MalformedValueError``.  That rule is what lets a fork copy
+each machine's state dict and share the values.
 
 Any exception that method code raises and that is not a
 ``KernelError`` leaves ``invoke`` as a ``MethodFaultError`` naming the
@@ -73,6 +74,13 @@ from .values import ABSENT, NO_SUCH_METHOD, Frozen, Location, is_value, render_v
 DEFAULT_BUDGET = 100_000
 
 MethodFn = Callable[["MethodContext", Any], Any]
+
+# The exact types that ``is_value`` accepts without looking further.  A
+# check tests a value's exact type against these first and falls back
+# to the full predicate for anything else (a pair, a subclass, a
+# non-value), so the accepted set is exactly ``is_value``'s.
+_ATOM_TYPES = frozenset({type(None), bool, int, bytes, Location})
+_STATE_TYPES = _ATOM_TYPES | {str}
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +178,7 @@ def _check_state(machine: Machine) -> None:
     """Reject a state value that is neither a value nor a ``str``: forks
     share state values, so each one must be immutable."""
     for key, value in machine.state.items():
-        if not (isinstance(value, str) or is_value(value)):
+        if type(value) not in _STATE_TYPES and not (isinstance(value, str) or is_value(value)):
             raise MalformedValueError(
                 f"machine {machine.id!r} stores non-value {value!r} "
                 f"under state key {key!r}"
@@ -309,6 +317,25 @@ class CallEvent(Frozen):
         )
 
 
+_set_caller, _set_callee, _set_method, _set_argument, _set_output = (
+    CallEvent.__dict__[name].__set__ for name in CallEvent.__slots__
+)
+
+
+def _event(caller: str, callee: str, method: str, argument: Any, output: Any) -> CallEvent:
+    """``CallEvent(caller, callee, method, argument, output)`` as the
+    kernel builds it on every call: each slot is set through its own
+    descriptor, which ``Frozen.__setattr__`` does not intercept, instead
+    of through five ``object.__setattr__`` calls."""
+    event = object.__new__(CallEvent)
+    _set_caller(event, caller)
+    _set_callee(event, callee)
+    _set_method(event, method)
+    _set_argument(event, argument)
+    _set_output(event, output)
+    return event
+
+
 class Transcript:
     """Ordered record of one execution: calls, messages, verdict."""
 
@@ -390,6 +417,8 @@ class MachineProxy:
     handle carries the role the callee runs in and whether it sits at a
     read-only location."""
 
+    __slots__ = ("_engine", "_caller_id", "_machine", "_role", "_read_only")
+
     def __init__(
         self,
         engine: "_Engine",
@@ -446,6 +475,8 @@ class _ChargingTape:
 class MethodContext:
     """What a running method sees: its state, its tape, the name it was
     invoked under, and whatever capability handles its role grants."""
+
+    __slots__ = ("_engine", "_machine", "_role", "method", "state")
 
     def __init__(self, engine: "_Engine", machine: Machine, role: str, method: str):
         self._engine = engine
@@ -538,9 +569,7 @@ class _Engine:
         return value
 
     def record_refusal(self, caller: str, callee: str, method: str, argument) -> None:
-        self.transcript.events.append(
-            CallEvent(caller, callee, method, argument, NO_SUCH_METHOD)
-        )
+        self.transcript.events.append(_event(caller, callee, method, argument, NO_SUCH_METHOD))
 
     def invoke(
         self,
@@ -553,7 +582,9 @@ class _Engine:
     ) -> Any:
         """Run ``machine.method(argument)`` in ``role``; a machine at a
         read-only location answers only ``read``."""
-        self.charge()
+        self.steps += 1  # ``charge()``, inlined on the per-call path
+        if self.steps > self.budget:
+            raise BudgetExceededError(f"step budget of {self.budget} exhausted")
         fn = machine.methods.get(method)
         if fn is None or (read_only and method != "read"):
             self.record_refusal(caller_id, machine.id, method, argument)
@@ -570,13 +601,11 @@ class _Engine:
             ) from exc
         finally:
             _check_state(machine)
-        if output is not ABSENT and not is_value(output):
+        if type(output) not in _ATOM_TYPES and output is not ABSENT and not is_value(output):
             raise MalformedValueError(
                 f"{machine.id}.{method} returned non-value {output!r}"
             )
-        self.transcript.events.append(
-            CallEvent(caller_id, machine.id, method, argument, output)
-        )
+        self.transcript.events.append(_event(caller_id, machine.id, method, argument, output))
         return output
 
 

@@ -51,7 +51,13 @@ def otp(key: bytes, message: bytes) -> bytes:
         raise LengthMismatchError(
             f"key length {len(key)} != message length {len(message)}"
         )
-    return bytes(k ^ m for k, m in zip(key, message))
+    return _xor(key, message)
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    """Bitwise XOR of byte strings whose lengths the caller has checked
+    to be equal, as one integer XOR."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def complement(message: bytes) -> bytes:
@@ -247,7 +253,7 @@ def _xor_pad_commit(x: bytes, r: bytes) -> tuple[bytes, bytes]:
 def _xor_pad_check(c: bytes, d: bytes, x: bytes) -> bool:
     if len(c) != len(d) or len(c) != len(x):
         return False
-    return otp(c, d) == x
+    return _xor(c, d) == x
 
 
 def _xor_pad_equivocate(c: bytes, x: bytes) -> bytes:

@@ -21,6 +21,7 @@ from foregone.checkers import (
     CheckVerdict,
     Counterexample,
     HypothesisViolatedError,
+    PreconditionViolatedError,
 )
 from foregone.kernel import (
     DEFAULT_BUDGET,
@@ -184,6 +185,8 @@ def entailment(verifier, target, post, evidence, family, seeds, budget=DEFAULT_B
                     expected, got = render_value(expected), render_value(got)
                 cell = Counterexample(world_label, action_label, seed, expected, got)
                 return runs.report(CheckVerdict.FAILS, cells, max_steps, cell, skipped)
+    if len(skipped) == len(evidence.worlds) * len(family.actions):
+        raise PreconditionViolatedError("no action conforms in any world")
     return runs.report(CheckVerdict.HOLDS, cells, max_steps, skipped=skipped)
 
 
@@ -282,6 +285,11 @@ def random_target(verifier, evidence, target, candidates, exemplar, seeds, budge
         if any(not same_value(first, runs.target(target, world, seed)) for seed in seeds[1:]):
             break
     else:
+        if len(seeds) < 2 and runs.read_tape:
+            raise PreconditionViolatedError(
+                "the target reads a tape, and one seed cannot show a target "
+                "output support of size >= 2"
+            )
         raise HypothesisViolatedError("no probed world shows a target output support of size >= 2")
 
     pinned_action = with_zero_tape(exemplar)

@@ -186,6 +186,23 @@ def test_entailment_fails_on_weak_with_the_duress_cell(pwd_evidence):
     assert cell.expected == render_value(b"tax-records")
 
 
+def test_entailment_in_which_no_action_conforms_is_refused(pwd_evidence):
+    # one step runs out before the exemplar reaches the device, so no
+    # action conforms in any world and there is no cell to compare
+    args = (
+        unlocked_verifier(),
+        decrypt_target(),
+        device_reading_post(),
+        pwd_evidence["weak"],
+        family_with_duress(),
+        SEEDS,
+    )
+    with pytest.raises(PreconditionViolatedError, match="^no action conforms in any world$"):
+        check_entailment(*args, budget=1)
+    # one conforming pair is enough to walk
+    assert check_entailment(*args[:-1], (0,)).cells_checked > 0
+
+
 def test_counterexamples_are_replayable(pwd_evidence):
     report = check_entailment(
         unlocked_verifier(),
@@ -680,6 +697,19 @@ def test_random_target_probe_defeats_every_candidate(goal_evidence):
     assert len(report.witnesses) == len(candidates)
 
 
+def test_random_target_probe_refuses_one_seed_when_its_target_reads_a_tape(goal_evidence):
+    args = (
+        accept_any_verifier(),
+        goal_evidence["coin"],
+        coin_target(),
+        (("echo-first-message", first_message_post()),),
+        flip_and_send_action(),
+    )
+    with pytest.raises(PreconditionViolatedError, match="the target reads a tape"):
+        probe_random_target(*args, (7,))
+    assert probe_random_target(*args, (7, 8, 9)).holds
+
+
 def test_random_target_probe_gates_on_singleton_support(goal_evidence):
     constant = fixed_output_post("always-the-same", b"same")
     constant = Machine(
@@ -693,4 +723,15 @@ def test_random_target_probe_gates_on_singleton_support(goal_evidence):
             (("echo-first-message", first_message_post()),),
             flip_and_send_action(),
             SEEDS,
+        )
+    # a target that reads no tape has support 1 under every seed, so one
+    # seed is no reason to refuse
+    with pytest.raises(HypothesisViolatedError):
+        probe_random_target(
+            accept_any_verifier(),
+            goal_evidence["coin"],
+            constant,
+            (("echo-first-message", first_message_post()),),
+            flip_and_send_action(),
+            (7,),
         )

@@ -216,7 +216,7 @@ def test_evidence_without_a_check_is_refused(capsys):
 @pytest.mark.parametrize("command", [["run", "password"], ["audit"]])
 def test_an_out_path_that_cannot_be_written_is_a_config_error(command, tmp_path, capsys):
     target = tmp_path / "missing" / "report.json"
-    assert main(command + ["--seeds", "0", "--out", str(target)]) == EXIT_CONFIG
+    assert main(command + ["--seeds", "0,1", "--out", str(target)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write report to {str(target)!r}: ")
@@ -327,6 +327,36 @@ def test_a_check_given_inputs_outside_its_contract_is_a_config_error_naming_the_
         "error: unknown-goal probe-unknown-goal/commitment-pinned: "
         "worlds without languages: ['holder-b']\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["audit", "--budget", "5"],
+            "twofactor entailment/strong: no action conforms in any world",
+        ),
+        (
+            ["run", "password", "--check", "entailment", "--evidence", "weak", "--budget", "1"],
+            "password entailment/weak: no action conforms in any world",
+        ),
+        (
+            ["audit", "--seeds", "0"],
+            "otp-table probe-random/secret-sampled-key: the target reads a tape, "
+            "and one seed cannot show a target output support of size >= 2",
+        ),
+        (
+            ["run", "unknown-goal", "--seeds", "1"],
+            "unknown-goal probe-random/coin: the target reads a tape, "
+            "and one seed cannot show a target output support of size >= 2",
+        ),
+    ],
+)
+def test_a_verdict_that_would_rest_on_nothing_is_a_config_error(argv, message, capsys):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_an_unknown_goal_check_without_languages_is_a_config_error_naming_the_check(

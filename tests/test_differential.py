@@ -26,6 +26,7 @@ from foregone.checkers import (
     ActionFamily,
     CellFaultError,
     HypothesisViolatedError,
+    PreconditionViolatedError,
     check_demonstrability,
     check_entailment,
     check_evidence_conformity,
@@ -238,7 +239,7 @@ GENERATED = _generated_checks()
 def _outcome(call, args, seeds):
     try:
         return call(*args, seeds, budget=300)
-    except (CellFaultError, HypothesisViolatedError) as exc:
+    except (CellFaultError, HypothesisViolatedError, PreconditionViolatedError) as exc:
         return (type(exc).__name__, str(exc))
 
 
@@ -253,6 +254,10 @@ def test_generated_checks_cover_every_outcome():
     outcomes = {name: _outcome(c, args, SEED_SETS[0]) for name, (c, _, args) in GENERATED.items()}
     assert outcomes["entail-draw"].holds
     assert not outcomes["entail-echo"].holds
+    # the verifier accepts on heads only, so no action conforms under 16 seeds
+    assert outcomes["entail-heads"] == (
+        "PreconditionViolatedError", "no action conforms in any world"
+    )
     assert outcomes["entail-spinning-post"].counterexample.got == "budget-exceeded"
     assert outcomes["entail-spinning-target"].counterexample.got == "budget-exceeded"
     assert outcomes["demonstrate-spin"].counterexample.got == "Budget"
@@ -419,6 +424,9 @@ def test_the_gate_equals_the_plain_walk_wherever_support_first_shows(seeds, data
     support = evidence.worlds[-1][0]
     if faults < min(differs + 1, len(seeds)):
         assert outcome[0] == "CellFaultError"
+    elif len(seeds) == 1:
+        # the keyed target reads a tape, and one seed cannot show support
+        assert outcome[0] == "PreconditionViolatedError"
     elif differs == len(seeds):
         assert outcome[0] == "HypothesisViolatedError"
     else:

@@ -549,6 +549,117 @@ def test_a_method_that_stores_mutable_state_is_rejected():
     assert "'scratch'" in str(excinfo.value)
 
 
+class _Int(int):
+    pass
+
+
+class _Bytes(bytes):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Place(Location):
+    __slots__ = ()
+
+
+# The kernel tests a value's exact type first and falls back to
+# ``is_value`` for anything else: draw every atom, the subclasses and
+# non-values that only the fallback judges, and pairs, triples and
+# lists nested around them.
+_ATOMS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.binary(max_size=3),
+    st.builds(Location, st.integers(0, 9)),
+    st.text(max_size=3),
+    st.builds(_Int, st.integers()),
+    st.builds(_Bytes, st.binary(max_size=3)),
+    st.builds(_Str, st.text(max_size=3)),
+    st.builds(_Place, st.integers(0, 9)),
+    st.builds(bytearray, st.binary(max_size=3)),
+    st.floats(allow_nan=False),
+)
+_NESTED = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner),
+        st.tuples(inner, inner, inner),
+        st.lists(inner, max_size=2),
+    ),
+    max_leaves=6,
+)
+# a recursive strategy seldom draws a bare atom, so draw atoms half the time
+_VALUES = st.one_of(_ATOMS, _NESTED)
+
+
+def _keep(ctx, argument):
+    ctx.state["kept"] = argument
+    return ABSENT
+
+
+def _give(ctx, argument):
+    return argument
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_VALUES)
+def test_the_kernel_refuses_exactly_what_the_value_checks_refuse(value):
+    state_ok = isinstance(value, str) or is_value(value)
+    keeper = Machine(id="keeper", methods={"run": _keep})
+    if state_ok:
+        DirectInvoker().invoke(keeper, "run", value)
+        assert keeper.state["kept"] is value
+        assert Machine(id="built", state={"kept": value}).state["kept"] is value
+    else:
+        with pytest.raises(MalformedValueError, match="'keeper'"):
+            DirectInvoker().invoke(keeper, "run", value)
+        with pytest.raises(MalformedValueError, match="'kept'"):
+            Machine(id="built", state={"kept": value})
+
+    giver = Machine(id="giver", methods={"run": _give})
+    invoker = DirectInvoker()
+    if is_value(value):
+        assert invoker.invoke(giver, "run", value) is value
+        [event] = invoker._engine.transcript.events
+        assert event.output is value and event.argument is value
+    else:
+        with pytest.raises(MalformedValueError, match="giver.run returned non-value"):
+            invoker.invoke(giver, "run", value)
+        assert invoker._engine.transcript.events == []
+
+
+def test_the_kernel_records_call_events_as_the_constructor_builds_them():
+    world = password_world()
+    result = execute(unlocked_verifier(), exemplar_action(), world, 0)
+    events = result.transcript.events
+    assert events and all(type(event) is CallEvent for event in events)
+    rebuilt = [
+        CallEvent(e.caller, e.callee, e.method, e.argument, e.output) for e in events
+    ]
+    assert [event_key(e) for e in rebuilt] == [event_key(e) for e in events]
+    event = events[0]
+    assert not hasattr(event, "__dict__")
+    assert event != rebuilt[0] and event == event  # compared by identity
+    with pytest.raises(AttributeError):
+        event.output = None
+    # a refused call is recorded the same way
+    def grab(ctx, _arg):
+        ctx.nature(DEVICE_LOCATION).call("eject", b"x")
+        return ABSENT
+
+    action = Machine(id="try-eject", methods={"run": grab})
+    [attempt] = execute(accept_any_verifier(), action, world, 0).transcript.events
+    device = world.nature.slots[DEVICE_LOCATION].id
+    assert type(attempt) is CallEvent
+    assert event_key(attempt) == event_key(
+        CallEvent("try-eject", device, "eject", b"x", NO_SUCH_METHOD)
+    )
+
+
 def test_an_exception_from_method_code_becomes_a_method_fault():
     def divide(ctx, argument):
         return 1 // argument

@@ -41,6 +41,19 @@ def test_otp_rejects_mismatched_lengths():
         otp(b"\x00", b"ab")
 
 
+@pytest.mark.parametrize("length", range(9))
+@given(data=st.data())
+def test_otp_is_the_bytewise_xor_at_every_length(length, data):
+    key = data.draw(st.binary(min_size=length, max_size=length))
+    message = data.draw(st.binary(min_size=length, max_size=length))
+    assert otp(key, message) == bytes(k ^ m for k, m in zip(key, message))
+    longer = data.draw(st.binary(min_size=1, max_size=8))
+    with pytest.raises(LengthMismatchError):
+        otp(key, message + longer)
+    with pytest.raises(LengthMismatchError):
+        otp(key + longer, message)
+
+
 # --- hashes ---------------------------------------------------------------------
 
 
