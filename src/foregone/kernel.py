@@ -69,18 +69,23 @@ from enum import Enum
 from typing import Any, Callable, Optional
 
 from .tapes import RandomnessAssignment, ZeroTape
-from .values import ABSENT, NO_SUCH_METHOD, Frozen, Location, is_value, render_value, value_key
+from .values import (
+    ABSENT,
+    ATOM_TYPES,
+    NO_SUCH_METHOD,
+    Frozen,
+    Location,
+    is_value,
+    render_value,
+    value_key,
+)
 
 DEFAULT_BUDGET = 100_000
 
 MethodFn = Callable[["MethodContext", Any], Any]
 
-# The exact types that ``is_value`` accepts without looking further.  A
-# check tests a value's exact type against these first and falls back
-# to the full predicate for anything else (a pair, a subclass, a
-# non-value), so the accepted set is exactly ``is_value``'s.
-_ATOM_TYPES = frozenset({type(None), bool, int, bytes, Location})
-_STATE_TYPES = _ATOM_TYPES | {str}
+# A state value may also be a ``str``; see ``values.ATOM_TYPES``.
+_STATE_TYPES = ATOM_TYPES | {str}
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +309,14 @@ class CallEvent(Frozen):
     __slots__ = ("caller", "callee", "method", "argument", "output")
 
     def __init__(self, caller: str, callee: str, method: str, argument: Any, output: Any):
-        object.__setattr__(self, "caller", caller)
-        object.__setattr__(self, "callee", callee)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "argument", argument)
-        object.__setattr__(self, "output", output)  # value, ABSENT, or NO_SUCH_METHOD
+        # The kernel builds one event per call, so each slot is set
+        # through its own descriptor, which ``Frozen.__setattr__`` does
+        # not intercept, rather than through ``object.__setattr__``.
+        _set_caller(self, caller)
+        _set_callee(self, callee)
+        _set_method(self, method)
+        _set_argument(self, argument)
+        _set_output(self, output)  # value, ABSENT, or NO_SUCH_METHOD
 
     def render(self) -> str:
         return (
@@ -320,20 +328,6 @@ class CallEvent(Frozen):
 _set_caller, _set_callee, _set_method, _set_argument, _set_output = (
     CallEvent.__dict__[name].__set__ for name in CallEvent.__slots__
 )
-
-
-def _event(caller: str, callee: str, method: str, argument: Any, output: Any) -> CallEvent:
-    """``CallEvent(caller, callee, method, argument, output)`` as the
-    kernel builds it on every call: each slot is set through its own
-    descriptor, which ``Frozen.__setattr__`` does not intercept, instead
-    of through five ``object.__setattr__`` calls."""
-    event = object.__new__(CallEvent)
-    _set_caller(event, caller)
-    _set_callee(event, callee)
-    _set_method(event, method)
-    _set_argument(event, argument)
-    _set_output(event, output)
-    return event
 
 
 class Transcript:
@@ -569,7 +563,7 @@ class _Engine:
         return value
 
     def record_refusal(self, caller: str, callee: str, method: str, argument) -> None:
-        self.transcript.events.append(_event(caller, callee, method, argument, NO_SUCH_METHOD))
+        self.transcript.events.append(CallEvent(caller, callee, method, argument, NO_SUCH_METHOD))
 
     def invoke(
         self,
@@ -582,9 +576,7 @@ class _Engine:
     ) -> Any:
         """Run ``machine.method(argument)`` in ``role``; a machine at a
         read-only location answers only ``read``."""
-        self.steps += 1  # ``charge()``, inlined on the per-call path
-        if self.steps > self.budget:
-            raise BudgetExceededError(f"step budget of {self.budget} exhausted")
+        self.charge()
         fn = machine.methods.get(method)
         if fn is None or (read_only and method != "read"):
             self.record_refusal(caller_id, machine.id, method, argument)
@@ -601,11 +593,11 @@ class _Engine:
             ) from exc
         finally:
             _check_state(machine)
-        if type(output) not in _ATOM_TYPES and output is not ABSENT and not is_value(output):
+        if type(output) not in ATOM_TYPES and output is not ABSENT and not is_value(output):
             raise MalformedValueError(
                 f"{machine.id}.{method} returned non-value {output!r}"
             )
-        self.transcript.events.append(_event(caller_id, machine.id, method, argument, output))
+        self.transcript.events.append(CallEvent(caller_id, machine.id, method, argument, output))
         return output
 
 

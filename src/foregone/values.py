@@ -92,9 +92,16 @@ class Location(Frozen):
         return f"@{self.index}"
 
 
+# The exact types of the atoms.  ``is_value`` tests a value's exact type
+# against these first, so a caller on a hot path may do the same and
+# call ``is_value`` only for anything else (a pair, a subclass, a
+# non-value) without changing what is accepted.
+ATOM_TYPES = frozenset({type(None), bool, int, bytes, Location})
+
+
 def is_value(v: Any) -> bool:
     """True iff ``v`` belongs to the value algebra (ABSENT does not)."""
-    if v is None or isinstance(v, (bool, int, bytes, Location)):
+    if type(v) in ATOM_TYPES or isinstance(v, (bool, int, bytes, Location)):
         return True
     if isinstance(v, tuple) and len(v) == 2:
         return is_value(v[0]) and is_value(v[1])

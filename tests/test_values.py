@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from foregone.values import (
     ABSENT,
+    ATOM_TYPES,
     NO_SUCH_METHOD,
     Location,
     is_value,
@@ -30,6 +31,12 @@ def test_null_is_a_value_and_absent_is_not():
     assert is_value(None)
     assert not is_value(ABSENT)
     assert not is_value(NO_SUCH_METHOD)
+
+
+def test_the_atoms_are_exactly_the_five_algebra_types():
+    assert ATOM_TYPES == {type(None), bool, int, bytes, Location}
+    for non_value in ("s", 1.0, bytearray(b"x"), [1], (1, 2, 3), (1, 1.0), {1: 2}):
+        assert not is_value(non_value)
 
 
 def test_absent_distinct_from_every_value():
