@@ -16,12 +16,12 @@ as a ``CellFaultError`` naming the world, machine and seed.  When no
 kernel run of a check read a tape, its report notes that the verdict
 holds for every seed, not only the listed ones.
 
-Every seed of a tape-free cell (``_Cells.seed_free``) reads the same
-kept runs, so a walk reads such a cell once, at the first seed, and
-counts it once per seed: a tape-free cell that fails names the first
-seed as its counterexample, and one that passes passes at every seed.
-Only cells that read a tape are walked seed by seed.  The walks over
-the table:
+The table holds the seeds, and ``_Cells.walk`` is the one loop over
+them.  Every seed of a tape-free cell reads the same kept runs, so the
+walk stops such a cell after the first seed, and the check counts it
+once per seed: a tape-free cell that fails names the first seed as its
+counterexample, and one that passes passes at every seed.  Only cells
+that read a tape are walked seed by seed.  The walks over the table:
 
 Conformity        the verifier accepts the action in a given world,
                   for every seed; the table stops at the first seed
@@ -53,7 +53,7 @@ the kernel, as a reference independent of the table.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, NoReturn, Optional
+from typing import Any, Iterator, NoReturn, Optional
 
 from .evidence import Evidence, at_least_as_strong
 from .kernel import (
@@ -208,7 +208,8 @@ class _Cells:
     execution before it read a tape.  Each entry holds the objects its
     key names, so no id in a kept key can be reused by another object.
     ``worlds`` are the ``(label, world)`` pairs the walks range over,
-    which name the world of a fault.
+    which name the world of a fault, and ``seeds`` the seeds that stand
+    in for every tape; ``walk`` is the only loop over them.
 
     Why sharing is sound: the seed reaches a run only through the
     ``RandomnessAssignment`` the kernel builds from it, and a method
@@ -224,16 +225,22 @@ class _Cells:
     as one that did.
 
     A cell whose execution, post-processor and target are all kept
-    under seed-free keys is tape-free (``seed_free``): every seed reads
-    the same entries and compares the same objects, so the walks read
-    it once, at the first seed, which names its counterexample if it
-    has one, and count it once for every seed.
+    under seed-free keys is tape-free: every seed reads the same entries
+    and compares the same objects, so ``walk`` stops it after the first
+    seed, which names its counterexample if it has one, and the walks
+    count it once for every seed.
+
+    A table without seeds raises ``PreconditionViolatedError``: a
+    verdict over no seed would rest on nothing.
     """
 
-    def __init__(self, verifier: Machine, budget: int, worlds):
+    def __init__(self, verifier: Machine, budget: int, worlds, seeds: tuple[int, ...]):
+        if not seeds:
+            raise PreconditionViolatedError("no seeds to check")
         self.verifier = verifier
         self.budget = budget
         self.worlds = worlds
+        self.seeds = seeds
         self.runs = {}
         self.targets = {}
         self.posts = {}
@@ -260,32 +267,38 @@ class _Cells:
             )
         return entry[-1]
 
-    def seed_free(
+    def walk(
         self,
         world: World,
         action: Optional[Machine] = None,
         post: Optional[Machine] = None,
         target: Optional[Machine] = None,
-    ) -> bool:
-        """Whether the runs of a cell that are named here (the execution
-        of ``action``, ``post`` after it, and ``target``) are all kept
-        under seed-free keys, so every seed reads the same entries.
-        False for a run not yet made or one that raised."""
-        return (
-            (action is None or (id(world), id(action)) in self.runs)
-            and (post is None or (id(post), id(world), id(action)) in self.posts)
-            and (target is None or (id(target), id(world)) in self.targets)
-        )
+    ) -> Iterator[tuple[int, int]]:
+        """``(index, seed)`` for the table's seeds in order.  After the
+        caller has run a seed, the walk stops if the runs of the cell
+        named here (the execution of ``action``, ``post`` after it, and
+        ``target``) are all kept under seed-free keys, so every later
+        seed would read the same entries; a run not yet made or one
+        that raised is not.  Whether a cell is tape-free is known only
+        after its first seed has run, so the walk yields a seed's index,
+        not a weight, and a caller whose walk ends without a failing
+        seed counts one cell for every seed of the table."""
+        for index, seed in enumerate(self.seeds):
+            yield index, seed
+            if (
+                (action is None or (id(world), id(action)) in self.runs)
+                and (post is None or (id(post), id(world), id(action)) in self.posts)
+                and (target is None or (id(target), id(world)) in self.targets)
+            ):
+                return
 
-    def conforms(self, world: World, action: Machine, seeds: tuple[int, ...]) -> bool:
+    def conforms(self, world: World, action: Machine) -> bool:
         """Accepted under every seed; stops at the first seed that is not,
         and after the first seed when the execution read no tape."""
-        for seed in seeds:
-            if self.run(world, action, seed).transcript.verdict is not Verdict.ACCEPT:
-                return False
-            if self.seed_free(world, action):
-                break
-        return True
+        return all(
+            self.run(world, action, seed).transcript.verdict is Verdict.ACCEPT
+            for _, seed in self.walk(world, action)
+        )
 
     def post(self, post: Machine, world: World, action: Machine, seed: int) -> Any:
         """``post``'s output after the execution of one cell, starting
@@ -333,17 +346,9 @@ class _Cells:
     def noted(self, report: CheckReport) -> CheckReport:
         """``report``, noting that its verdict holds for every seed when
         no kernel run of this table read a tape."""
-        if self.read_tape:
-            return report
-        return CheckReport(
-            report.verdict,
-            report.counterexample,
-            report.cells_checked,
-            report.max_steps,
-            report.skipped,
-            report.witnesses,
-            report.notes + (SEED_FREE_NOTE,),
-        )
+        if not self.read_tape:
+            report.notes += (SEED_FREE_NOTE,)
+        return report
 
     def _raise_fault(self, exc: KernelError, role, machine, world, seed) -> NoReturn:
         """Re-raise ``exc`` from a kernel call for this cell: as it is for
@@ -389,11 +394,11 @@ def check_evidence_conformity(
     at the first world where it does not conform.  Every seed of each
     world walked counts as a cell; no step maximum is kept, and no
     execution outlives its world."""
-    table = _Cells(verifier, budget, evidence.worlds)
+    table = _Cells(verifier, budget, evidence.worlds, seeds)
     cells = 0
     for label, world in evidence.worlds:
         cells += len(seeds)
-        if not table.conforms(world, exemplar, seeds):
+        if not table.conforms(world, exemplar):
             return table.noted(
                 noted_failure(cells, 0, f"exemplar does not conform in world {label!r}")
             )
@@ -421,17 +426,15 @@ def check_demonstrability(
     """Holds iff, in every world of the family and under every seed, the
     exemplar's respondent calls all produce output and the verifier
     accepts."""
-    table = _Cells(verifier, budget, evidence.worlds)
-    return table.noted(_demonstrate(table, exemplar, evidence, seeds))
+    table = _Cells(verifier, budget, evidence.worlds, seeds)
+    return table.noted(_demonstrate(table, exemplar, evidence))
 
 
-def _demonstrate(
-    table: _Cells, exemplar: Machine, evidence: Evidence, seeds: tuple[int, ...]
-) -> CheckReport:
+def _demonstrate(table: _Cells, exemplar: Machine, evidence: Evidence) -> CheckReport:
     cells = 0
     max_steps = 0
     for label, world in evidence.worlds:
-        for index, seed in enumerate(seeds):
+        for index, seed in table.walk(world, exemplar):
             result = table.run(world, exemplar, seed)
             max_steps = max(max_steps, result.steps_used)
             silence = _respondent_silence(result, world, exemplar.id)
@@ -442,14 +445,12 @@ def _demonstrate(
                 )
             elif result.transcript.verdict is not Verdict.ACCEPT:
                 failure = (Verdict.ACCEPT.value, result.transcript.verdict.value)
-            elif table.seed_free(world, exemplar):
-                break
             else:
                 continue
             return _fails_at(
                 cells + index + 1, max_steps, (), label, exemplar.id, seed, *failure
             )
-        cells += len(seeds)
+        cells += len(table.seeds)
     return CheckReport(
         verdict=CheckVerdict.HOLDS, cells_checked=cells, max_steps=max_steps
     )
@@ -504,27 +505,22 @@ def check_entailment(
     and the check raises ``PreconditionViolatedError`` rather than hold
     over nothing.
     """
-    table = _Cells(verifier, budget, evidence.worlds)
-    return table.noted(_entail(table, target, post, evidence, family, seeds))
+    table = _Cells(verifier, budget, evidence.worlds, seeds)
+    return table.noted(_entail(table, target, post, evidence, family))
 
 
 def _entail(
-    table: _Cells,
-    target: Machine,
-    post: Machine,
-    evidence: Evidence,
-    family: ActionFamily,
-    seeds: tuple[int, ...],
+    table: _Cells, target: Machine, post: Machine, evidence: Evidence, family: ActionFamily
 ) -> CheckReport:
     cells = 0
     max_steps = 0
     skipped: list[tuple[str, str]] = []
     for world_label, world in evidence.worlds:
         for action_label, action in family.actions:
-            if not table.conforms(world, action, seeds):
+            if not table.conforms(world, action):
                 skipped.append((world_label, action_label))
                 continue
-            for index, seed in enumerate(seeds):
+            for index, seed in table.walk(world, action, post, target):
                 try:
                     got = table.post(post, world, action, seed)
                     expected = table.target(target, world, seed)
@@ -533,8 +529,6 @@ def _entail(
                 else:
                     max_steps = max(max_steps, table.run(world, action, seed).steps_used)
                     if same_value(got, expected):
-                        if table.seed_free(world, action, post, target):
-                            break
                         continue
                     failure = (render_value(expected), render_value(got))
                 return _fails_at(
@@ -546,7 +540,7 @@ def _entail(
                     seed,
                     *failure,
                 )
-            cells += len(seeds)
+            cells += len(table.seeds)
             # no later cell of this world reads this action's executions
             table.runs.clear()
     if len(skipped) == len(evidence.worlds) * len(family.actions):
@@ -578,33 +572,23 @@ def check_monotonicity(
     The stronger family's worlds are mostly the weaker family's own
     objects, so the second walk reads the first walk's executions.
     """
+    table = _Cells(verifier, budget, weaker.worlds + stronger.worlds, seeds)
     if not at_least_as_strong(stronger, weaker):
         raise PreconditionViolatedError(
             f"{stronger.name!r} is not at least as strong as {weaker.name!r}"
         )
-    table = _Cells(verifier, budget, weaker.worlds + stronger.worlds)
-    weak_report = _demonstrate(table, exemplar, weaker, seeds)
-    strong_report = _demonstrate(table, exemplar, stronger, seeds)
-    cells = weak_report.cells_checked + strong_report.cells_checked
-    max_steps = max(weak_report.max_steps, strong_report.max_steps)
-    if weak_report.holds and not strong_report.holds:
-        return table.noted(
-            CheckReport(
-                strong_report.verdict,
-                strong_report.counterexample,
-                cells,
-                max_steps,
-                strong_report.skipped,
-                strong_report.witnesses,
-                (
-                    f"demonstrability degraded from {weaker.name!r} "
-                    f"to {stronger.name!r}",
-                ),
-            )
+    weak = _demonstrate(table, exemplar, weaker)
+    report = _demonstrate(table, exemplar, stronger)
+    if not weak.holds:
+        # the implication holds whatever the stronger evidence shows
+        report.verdict, report.counterexample = CheckVerdict.HOLDS, None
+    elif not report.holds:
+        report.notes = (
+            f"demonstrability degraded from {weaker.name!r} to {stronger.name!r}",
         )
-    return table.noted(
-        CheckReport(verdict=CheckVerdict.HOLDS, cells_checked=cells, max_steps=max_steps)
-    )
+    report.cells_checked += weak.cells_checked
+    report.max_steps = max(report.max_steps, weak.max_steps)
+    return table.noted(report)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +644,7 @@ def probe_unknown_goal(
     read a tape, the report's notes say so; when none did, the first
     seed stands for every seed, and the notes say that instead.
     """
+    table = _Cells(verifier, budget, evidence.worlds, seeds)
     missing = [l for l in evidence.labels() if l not in (languages or {})]
     if missing:
         raise PreconditionViolatedError(f"worlds without languages: {missing}")
@@ -681,10 +666,8 @@ def probe_unknown_goal(
         )
 
     stand_in = emulate_with_respondent(exemplar, evidence.worlds[0][1].respondent)
-
-    table = _Cells(verifier, budget, evidence.worlds)
     for label, world in evidence.worlds:
-        if not table.conforms(world, stand_in, seeds):
+        if not table.conforms(world, stand_in):
             return table.noted(
                 noted_failure(
                     0,
@@ -787,11 +770,13 @@ def probe_random_target(
     that read no tape has support 1 under every seed, and its gate
     raises ``HypothesisViolatedError`` whatever the seeds.
     """
-    table = _Cells(verifier, budget, evidence.worlds)
+    table = _Cells(verifier, budget, evidence.worlds, seeds)
     for label, world in evidence.worlds:
-        first = table.target(target, world, seeds[0])
-        rest = () if table.seed_free(world, target=target) else seeds[1:]
-        if any(not same_value(first, table.target(target, world, seed)) for seed in rest):
+        outputs = (
+            table.target(target, world, seed) for _, seed in table.walk(world, target=target)
+        )
+        first = next(outputs)
+        if any(not same_value(first, output) for output in outputs):
             break
     else:
         if len(seeds) < 2 and table.read_tape:
@@ -804,7 +789,7 @@ def probe_random_target(
         )
 
     pinned_action = with_zero_tape(exemplar)
-    if not table.conforms(world, pinned_action, seeds):
+    if not table.conforms(world, pinned_action):
         return table.noted(
             noted_failure(
                 0,
@@ -820,7 +805,8 @@ def probe_random_target(
     witnesses: list[Counterexample] = []
     for post_label, post in candidate_posts:
         pinned_post = with_zero_tape(post)
-        for seed in seeds:
+        # the support world's target reads a tape, so no seed is skipped
+        for _, seed in table.walk(world, pinned_action, pinned_post, target):
             cells += 1
             max_steps = max(max_steps, table.run(world, pinned_action, seed).steps_used)
             got = table.post(pinned_post, world, pinned_action, seed)

@@ -376,7 +376,7 @@ def test_a_kept_post_output_is_never_served_to_another_post(pwd_evidence):
     # is free to give the next one the same address.
     world = pwd_evidence["weak"].world("locked-basic")
     action = do_nothing_action()
-    table = _Cells(accept_any_verifier(), DEFAULT_BUDGET, ())
+    table = _Cells(accept_any_verifier(), DEFAULT_BUDGET, (), (0,))
     for index in range(200):
         value = index.to_bytes(2, "big")
         post = with_zero_tape(fixed_output_post(f"guess-{index}", value))
@@ -393,6 +393,25 @@ def test_seed_free_note_marks_exactly_the_checks_that_read_no_tape(registry):
     otp = registry["otp-table"]
     _, report = run_check(otp, otp.find_check("probe-random", "secret-sampled-key"), SEEDS)
     assert report.holds and SEED_FREE_NOTE not in report.notes
+
+
+def test_a_check_over_no_seeds_is_refused(registry, goal_evidence):
+    # With no seed there is no cell, so a verdict would rest on nothing.
+    for scenario in registry.values():
+        for check in scenario.checks:
+            with pytest.raises(PreconditionViolatedError, match="^no seeds to check$"):
+                run_check(scenario, check, ())
+    # The seeds are refused before any other input is looked at.
+    with pytest.raises(PreconditionViolatedError, match="^no seeds to check$"):
+        probe_unknown_goal(
+            accept_any_verifier(),
+            goal_evidence["whereabouts"],
+            None,
+            location_target(),
+            candidate_posts(),
+            state_location_action(),
+            (),
+        )
 
 
 REGISTERED_CHECKS = [

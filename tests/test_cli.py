@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import foregone
 import foregone.cli as cli
@@ -634,6 +638,43 @@ def test_unknown_scenario_names_every_known_one(capsys):
     )
 
 
+@st.composite
+def _edge_runs(draw):
+    """A scenario, 1-3 distinct seeds, a small budget or the default, and
+    0-2 byte-string overrides of that scenario's parameters."""
+    name = draw(st.sampled_from(scenario_names()))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True))
+    budget = draw(st.one_of(st.none(), st.integers(1, 64)))
+    known = sorted(BUILDERS[name].DEFAULTS)
+    params = draw(st.lists(st.sampled_from(known), max_size=2, unique=True))
+    overrides = {param: draw(st.binary(min_size=1, max_size=9)) for param in params}
+    return name, seeds, budget, overrides
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge=_edge_runs())
+def test_a_run_at_the_edges_exits_with_a_code_and_no_verdict_rests_on_nothing(
+    tmp_path_factory, edge
+):
+    name, seeds, budget, overrides = edge
+    path = tmp_path_factory.getbasetemp() / "edge-overrides.txt"
+    path.write_text("".join(f"{name}.{p} = 0x{v.hex()}\n" for p, v in overrides.items()))
+    argv = ["run", name, "--json", "--seeds", ",".join(map(str, seeds))]
+    argv += ["--overrides", str(path)]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_MATCH, EXIT_MISMATCH, EXIT_CONFIG)
+    if code == EXIT_CONFIG:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and name in err.getvalue()
+        return
+    rows = json.loads(out.getvalue())["reports"]
+    assert all(row["cells"] >= 1 for row in rows if row["verdict"] == "Holds")
+
+
 # --- audit -------------------------------------------------------------------------
 
 
@@ -674,6 +715,14 @@ def test_audit_over_32_seeds_matches_its_golden_file(tmp_path, monkeypatch):
     seeds = ",".join(str(seed) for seed in range(7000, 7032))
     assert main(["audit", "--json", "--seeds", seeds, "--out", str(out)]) == EXIT_MATCH
     assert out.read_bytes() == (GOLDEN / "audit-seeds-7000-7031.json").read_bytes()
+
+
+def test_markdown_audit_matches_its_golden_file(tmp_path, monkeypatch):
+    # The golden file is ``foregone audit`` under the default seeds.
+    monkeypatch.delenv("FOREGONE_SEED", raising=False)
+    out = tmp_path / "audit.md"
+    assert main(["audit", "--out", str(out)]) == EXIT_MATCH
+    assert out.read_bytes() == (GOLDEN / "audit.md").read_bytes()
 
 
 def test_audit_bytes_do_not_depend_on_the_hash_seed():

@@ -1,6 +1,7 @@
 """Static checks over the package source: every import is used, every
-module-level function body is written once, and no record type is
-generated by ``dataclasses``."""
+module-level function body is written once, no record type is
+generated by ``dataclasses``, and one method of the cell table is the
+only loop over a check's seeds."""
 
 from __future__ import annotations
 
@@ -85,3 +86,39 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+def _refers_to_seeds(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "seeds") or (
+        isinstance(node, ast.Attribute) and node.attr == "seeds"
+    )
+
+
+def _owners(tree: ast.Module):
+    """``(name, node)`` for each module-level statement, with each method
+    of a class as its own ``Class.method`` entry."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield f"{node.name}.{getattr(item, 'name', '<body>')}", item
+        else:
+            yield getattr(node, "name", "<module>"), node
+
+
+def test_only_the_cell_walk_loops_over_the_seeds():
+    # ``_Cells.walk`` decides alone when a tape-free cell may stop, so a
+    # change to how seeds stand in for tapes has one loop to change.  The
+    # one subscript left is the unknown-goal probe's first-seed compare.
+    offenders = []
+    for owner, node in _owners(_tree(PACKAGE / "checkers.py")):
+        if owner == "_Cells.walk":
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, (ast.For, ast.comprehension)):
+                if any(map(_refers_to_seeds, ast.walk(inner.iter))):
+                    offenders.append((owner, "loop", inner.iter.lineno))
+            elif isinstance(inner, ast.Subscript) and _refers_to_seeds(inner.value):
+                first_seed = isinstance(inner.slice, ast.Constant) and inner.slice.value == 0
+                if not (owner == "probe_unknown_goal" and first_seed):
+                    offenders.append((owner, "subscript", inner.lineno))
+    assert offenders == []
