@@ -16,6 +16,19 @@ as a ``CellFaultError`` naming the world, machine and seed.  When no
 kernel run of a check read a tape, its report notes that the verdict
 holds for every seed, not only the listed ones.
 
+Consecutive checks under the same verifier object, budget and seed
+list share their kept runs: an entailment and its counterexample twin,
+or the weak, strong and star checks of one scenario, read the cells
+an earlier check already ran.  One set of kept runs lives at a
+time, and a table with another verifier, budget or seed list replaces
+it.  A registered check that runs again under the same ones drops them
+first (``share_kept_cells``), so it runs every cell afresh.  The sharing
+rests on a contract: the machines and worlds a check is given are not
+changed in place while their runs may be kept, or another check may be
+served runs of the unchanged build.  A changed build is a new object,
+as ``copy.deepcopy`` or ``build_scenario`` gives; ``drop_kept_cells``
+forgets every kept run.
+
 The table holds the seeds, and ``_Cells.walk`` is the one loop over
 them.  Every seed of a tape-free cell reads the same kept runs, so the
 walk stops such a cell after the first seed, and the check counts it
@@ -33,9 +46,7 @@ Entailment        for every conforming action, the post-processor's
                   output equals the target's output, cell by cell,
                   under the identical tape assignment.  Actions that do
                   not conform in a world fall outside that world's
-                  quantifier and are skipped with a notice.  The
-                  table drops an action's executions once that
-                  action's cells in a world are compared.
+                  quantifier and are skipped with a notice.
 Monotonicity      strengthening evidence never breaks demonstrability.
                   Both demonstrability walks read one table, so a world
                   object the two families share executes once.
@@ -195,6 +206,44 @@ class ActionFamily:
 # ---------------------------------------------------------------------------
 
 
+# The runs the last cell table kept, with the verifier, budget, seed
+# list and kernel entry points they were kept under and the checks they
+# were shared with, by id:
+# (verifier, budget, seeds, kernel, shared, runs, targets, posts).
+_kept: Optional[tuple] = None
+
+
+def drop_kept_cells() -> None:
+    """Forget every kept run, so the next cell table starts empty."""
+    global _kept
+    _kept = None
+
+
+def _kept_under(verifier: Machine, budget: int, seeds: tuple[int, ...]) -> tuple:
+    """The runs kept under ``verifier``, ``budget`` and ``seeds``; runs
+    kept under any other verifier, budget or seed list are dropped, and
+    so are runs made through other kernel entry points: a caller that
+    rebinds ``execute``, ``run_target`` or ``run_post`` here, to trace or
+    count the runs, sees every run its functions make."""
+    global _kept
+    kernel = (execute, run_target, run_post)
+    if _kept is None or _kept[0] is not verifier or _kept[1:4] != (budget, seeds, kernel):
+        _kept = (verifier, budget, seeds, kernel, {}, {}, {}, {})
+    return _kept
+
+
+def share_kept_cells(check, verifier: Machine, budget: int, seeds: tuple[int, ...]) -> None:
+    """Let ``check`` read the runs kept under ``verifier``, ``budget`` and
+    ``seeds`` unless it has read them before.  A check that runs again
+    under them drops them first, so it runs every cell afresh and sees
+    any change made in place since its last run."""
+    shared = _kept_under(verifier, budget, seeds)[4]
+    if id(check) in shared:
+        drop_kept_cells()
+        shared = _kept_under(verifier, budget, seeds)[4]
+    shared[id(check)] = check
+
+
 class _Cells:
     """One check's cells under one verifier and budget.
 
@@ -224,6 +273,19 @@ class _Cells:
     the table read a tape; a run that raised reports nothing and counts
     as one that did.
 
+    The three dicts outlive the table.  A new table under the same
+    verifier object, an equal budget and an equal seed list reads and
+    extends them, and any other table replaces them, so one set of kept
+    runs lives at a time and a new seed list starts empty.  They are
+    also dropped when ``execute``, ``run_target`` or ``run_post`` is
+    rebound here, and by ``share_kept_cells`` when a registered check
+    that has read them runs again.  A check
+    sharing them may be served a run another check made; it then counts
+    as that check's own, and a kept run that read a tape sets
+    ``read_tape``, which stays per table.  Kept runs are keyed by object
+    identity, so the machines and worlds given to a check must not be
+    changed in place between checks: a changed build is a new object.
+
     A cell whose execution, post-processor and target are all kept
     under seed-free keys is tape-free: every seed reads the same entries
     and compares the same objects, so ``walk`` stops it after the first
@@ -241,9 +303,7 @@ class _Cells:
         self.budget = budget
         self.worlds = worlds
         self.seeds = seeds
-        self.runs = {}
-        self.targets = {}
-        self.posts = {}
+        self.runs, self.targets, self.posts = _kept_under(verifier, budget, seeds)[5:]
         self.read_tape = False
 
     def run(self, world: World, action: Machine, seed: int) -> ExecutionResult:
@@ -259,13 +319,14 @@ class _Cells:
                 result = execute(self.verifier, action, world, seed, self.budget)
             except KernelError as exc:
                 self._raise_fault(exc, "action", action, world, seed)
-            self.read_tape |= result.read_tape
             entry = self.runs[(*key, seed) if result.read_tape else key] = (
                 world,
                 action,
                 result,
             )
-        return entry[-1]
+        result = entry[-1]
+        self.read_tape |= result.read_tape
+        return result
 
     def walk(
         self,
@@ -335,13 +396,14 @@ class _Cells:
                 ran = run_target(target, world, seed, self.budget)
             except KernelError as exc:
                 self._raise_fault(exc, "target", target, world, seed)
-            self.read_tape |= ran.read_tape
             entry = self.targets[(*key, seed) if ran.read_tape else key] = (
                 target,
                 world,
-                ran.output,
+                ran,
             )
-        return entry[-1]
+        ran = entry[-1]
+        self.read_tape |= ran.read_tape
+        return ran.output
 
     def noted(self, report: CheckReport) -> CheckReport:
         """``report``, noting that its verdict holds for every seed when
@@ -392,8 +454,7 @@ def check_evidence_conformity(
 ) -> CheckReport:
     """Conformity of the exemplar in every world of the family, failing
     at the first world where it does not conform.  Every seed of each
-    world walked counts as a cell; no step maximum is kept, and no
-    execution outlives its world."""
+    world walked counts as a cell; no step maximum is kept."""
     table = _Cells(verifier, budget, evidence.worlds, seeds)
     cells = 0
     for label, world in evidence.worlds:
@@ -402,7 +463,6 @@ def check_evidence_conformity(
             return table.noted(
                 noted_failure(cells, 0, f"exemplar does not conform in world {label!r}")
             )
-        table.runs.clear()
     return table.noted(CheckReport(CheckVerdict.HOLDS, cells_checked=cells))
 
 
@@ -541,8 +601,6 @@ def _entail(
                     *failure,
                 )
             cells += len(table.seeds)
-            # no later cell of this world reads this action's executions
-            table.runs.clear()
     if len(skipped) == len(evidence.worlds) * len(family.actions):
         raise PreconditionViolatedError("no action conforms in any world")
     return CheckReport(

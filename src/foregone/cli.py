@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from typing import Any, Mapping, Optional
 
 from .checkers import DEFAULT_SEEDS, CheckerError
@@ -89,10 +90,11 @@ def parse_seed_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad seed list {text!r}: {exc}") from None
     if not seeds:
         raise ConfigError("seed list is empty")
+    counts = Counter(seeds)
     for seed in seeds:
         if not 0 <= seed < 2**64:
             raise ConfigError(f"seed {seed} in {text!r} is outside 0..2**64-1")
-        if seeds.count(seed) > 1:
+        if counts[seed] > 1:
             raise ConfigError(f"seed list {text!r} repeats seed {seed}")
     return seeds
 

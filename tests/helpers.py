@@ -66,3 +66,17 @@ def run_key(ran: RunOutput) -> tuple:
 def calls_to(transcript: Transcript, machine_id: str) -> list[CallEvent]:
     """The calls of ``transcript`` made to ``machine_id``, in order."""
     return [e for e in transcript.events if e.callee == machine_id]
+
+
+def count_calls(monkeypatch, owner: Any, names: tuple[str, ...]) -> dict[str, int]:
+    """Count every call to each attribute of ``owner`` in ``names`` from
+    here on; the returned dict holds the counts by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counting(*args, _real=getattr(owner, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 
-from helpers import calls_to, restrict_to
+from conftest import FEW_SEEDS
+from helpers import calls_to, count_calls, restrict_to
 from reference_checks import conforms
 from foregone.checkers import (
     SEED_FREE_NOTE,
@@ -14,6 +17,7 @@ from foregone.checkers import (
     check_demonstrability,
     check_entailment,
     check_monotonicity,
+    drop_kept_cells,
     entailment_cell_outputs,
     probe_random_target,
     probe_unknown_goal,
@@ -27,7 +31,7 @@ from foregone.kernel import (
     with_zero_tape,
 )
 from foregone.values import is_value, render_value, same_value
-from foregone.scenarios import build_registry, run_check
+from foregone.scenarios import build_registry, build_scenario, run_check
 from foregone.scenarios.common import (
     accept_any_verifier,
     do_nothing_action,
@@ -35,6 +39,7 @@ from foregone.scenarios.common import (
     fixed_output_post,
 )
 from foregone.scenarios.password import (
+    DEVICE_LOCATION,
     build_evidences,
     decrypt_target,
     device_reading_post,
@@ -317,21 +322,14 @@ def test_monotonicity_executes_each_world_and_seed_once(pwd_evidence, monkeypatc
     assert executed == [(id(world), SEEDS[0]) for _, world in weak.worlds]
 
 
-def test_registered_checks_make_exactly_these_kernel_runs_and_table_reads(
-    registry, monkeypatch
-):
+def _registry_pass_calls(registry, monkeypatch, drop_between: bool) -> dict[str, int]:
+    """The kernel runs of one registry-order pass at seeds 7000..7031,
+    dropping the kept runs before each check when ``drop_between``.
+    Everything else the pass does is the same either way."""
     import foregone.checkers as checkers
 
-    calls = {"execute": 0, "run_target": 0, "run_post": 0}
-    reads = {"run": 0, "post": 0, "target": 0}
-    for owner, counted in ((checkers, calls), (_Cells, reads)):
-        for name in counted:
-
-            def counting(*args, _real=getattr(owner, name), _counted=counted, _name=name):
-                _counted[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(owner, name, counting)
+    calls = count_calls(monkeypatch, checkers, ("execute", "run_target", "run_post"))
+    reads = count_calls(monkeypatch, _Cells, ("run", "post", "target"))
     compared = {}
     kind = None
 
@@ -345,13 +343,14 @@ def test_registered_checks_make_exactly_these_kernel_runs_and_table_reads(
     random_targets = {}
     for name, scenario in registry.items():
         for check in scenario.checks:
+            if drop_between:
+                drop_kept_cells()
             kind = check.kind
             before = calls["run_target"]
             cells += run_check(scenario, check, seeds)[1].cells_checked
             if kind == "probe-random":
                 random_targets[f"{name}:{check.id}"] = calls["run_target"] - before
     assert cells == 6686
-    assert calls == {"execute": 266, "run_target": 72, "run_post": 211}
     # a tape-free cell is read and compared once, not once per seed
     assert reads == {"run": 703, "post": 213, "target": 206}
     assert compared == {
@@ -369,6 +368,71 @@ def test_registered_checks_make_exactly_these_kernel_runs_and_table_reads(
         "unknown-goal:probe-random/coin": 3,
         "unknown-goal:probe-random/commitment": 2,
     }
+    return calls
+
+
+def test_registered_checks_make_exactly_these_kernel_runs_and_table_reads(
+    registry, monkeypatch
+):
+    # Consecutive checks under one verifier and seed list share kept
+    # runs: a counterexample check reads its entailment twin's cells.
+    calls = _registry_pass_calls(registry, monkeypatch, drop_between=False)
+    assert calls == {"execute": 110, "run_target": 45, "run_post": 125}
+
+
+def test_each_registered_check_alone_makes_exactly_these_kernel_runs(registry, monkeypatch):
+    calls = _registry_pass_calls(registry, monkeypatch, drop_between=True)
+    assert calls == {"execute": 266, "run_target": 72, "run_post": 211}
+
+
+def test_a_changed_copy_of_a_scenario_is_not_served_runs_kept_for_the_original(registry):
+    # Kept runs are keyed by object identity, so a changed build must be
+    # a new object; a deep copy is one, and its check runs afresh.
+    scenario = registry["deniable"]
+    check = scenario.find_check("counterexample", "weak")
+    assert run_check(scenario, check, FEW_SEEDS)[0] == "Fails"
+    tampered = copy.deepcopy(scenario)
+    device = tampered.evidences["weak"].world("deniable").nature.slots[DEVICE_LOCATION]
+    del device.methods["duress"]
+    verdict, report = run_check(tampered, tampered.find_check("counterexample", "weak"), FEW_SEEDS)
+    assert verdict == "Holds"
+    assert report.skipped == (
+        ("locked-basic", "use-duress-password"),
+        ("deniable", "use-duress-password"),
+    )
+    assert run_check(scenario, check, FEW_SEEDS)[0] == "Fails"
+
+
+def _disable_duress(scenario) -> None:
+    device = scenario.evidences["weak"].world("deniable").nature.slots[DEVICE_LOCATION]
+    del device.methods["duress"]
+
+
+def test_after_an_in_place_change_only_a_check_run_again_runs_afresh():
+    # The contract run_check states: a twin under the same verifier,
+    # budget and seeds reads the runs kept before the change, and a
+    # check that already read them drops them when it runs again.
+    scenario = build_scenario("deniable")
+    twin, check = (scenario.find_check(kind, "weak") for kind in ("entailment", "counterexample"))
+    assert run_check(scenario, twin, FEW_SEEDS)[0] == "Fails"
+    _disable_duress(scenario)
+    assert run_check(scenario, check, FEW_SEEDS)[0] == "Fails"
+    assert run_check(scenario, check, FEW_SEEDS)[0] == "Holds"
+
+
+def test_rebinding_a_kernel_entry_point_starts_from_no_kept_runs(registry, monkeypatch):
+    import foregone.checkers as checkers
+
+    scenario = registry["deniable"]
+    twin, check = (scenario.find_check(kind, "weak") for kind in ("entailment", "counterexample"))
+    run_check(scenario, twin, SEEDS)
+    calls = count_calls(monkeypatch, checkers, ("execute",))
+    run_check(scenario, check, SEEDS)
+    assert calls["execute"] > 0
+    # under the same entry points the twin reads every kept execution
+    calls["execute"] = 0
+    run_check(scenario, twin, SEEDS)
+    assert calls == {"execute": 0}
 
 
 def test_a_kept_post_output_is_never_served_to_another_post(pwd_evidence):
@@ -384,15 +448,35 @@ def test_a_kept_post_output_is_never_served_to_another_post(pwd_evidence):
         del post
 
 
-def test_seed_free_note_marks_exactly_the_checks_that_read_no_tape(registry):
+def test_seed_free_note_marks_exactly_the_checks_that_read_no_tape(registry, monkeypatch):
+    import foregone.checkers as checkers
+
     password = registry["password"]
     _, report = run_check(
         password, password.find_check("demonstrability", "weak"), SEEDS
     )
     assert report.notes == (SEED_FREE_NOTE,)
     otp = registry["otp-table"]
-    _, report = run_check(otp, otp.find_check("probe-random", "secret-sampled-key"), SEEDS)
+    check = otp.find_check("probe-random", "secret-sampled-key")
+    calls = count_calls(monkeypatch, checkers, ("run_target",))
+    _, report = run_check(otp, check, SEEDS)
     assert report.holds and SEED_FREE_NOTE not in report.notes
+    # run again, the check drops the kept runs and runs afresh
+    ran = calls["run_target"]
+    assert run_check(otp, check, SEEDS)[1] == report
+    assert calls["run_target"] == 2 * ran
+    # the probe called again reads the kept targets, which read a tape,
+    # so it still reads as one that did
+    again = probe_random_target(
+        check.verifier or otp.verifier,
+        otp.evidences[check.evidence],
+        check.target or otp.target,
+        check.candidates,
+        check.exemplar or otp.exemplar,
+        SEEDS,
+        DEFAULT_BUDGET,
+    )
+    assert calls["run_target"] == 2 * ran and again == report
 
 
 def test_a_check_over_no_seeds_is_refused(registry, goal_evidence):
@@ -667,15 +751,7 @@ def test_unknown_goal_checks_key_each_member_once_and_never_scan(registry, monke
     # are compared, once per world.
     import foregone.checkers as checkers
 
-    calls = {"same_value": 0, "value_key": 0}
-    for name in calls:
-        real = getattr(checkers, name)
-
-        def counting(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(checkers, name, counting)
+    calls = count_calls(monkeypatch, checkers, ("same_value", "value_key"))
     counted = {}
     for check_name, scenario, check, by_world in _registered_languages(registry):
         calls.update(same_value=0, value_key=0)

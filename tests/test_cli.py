@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,31 @@ def test_seed_list_parsing():
     for text in ("", "1,zebra", "1,1", "0,3,0", "-1", "0,18446744073709551616"):
         with pytest.raises(ConfigError):
             parse_seed_list(text)
+
+
+def test_a_repeated_seed_is_named_by_its_first_place_in_the_list():
+    for text, named in (("1,2,2,1", 1), ("3,1,2,2", 2), ("5,2**70,5", 5)):
+        text = text.replace("2**70", str(2**70))
+        with pytest.raises(ConfigError) as raised:
+            parse_seed_list(text)
+        assert str(raised.value) == f"seed list {text!r} repeats seed {named}"
+    with pytest.raises(ConfigError, match="is outside"):
+        parse_seed_list(f"{2**70},5,5")
+
+
+def test_a_long_seed_list_parses_in_linear_time():
+    # Ten times the seeds must take well under a hundred times as long,
+    # which a quadratic parse would; the best of three runs damps noise.
+    def parse_s(count):
+        text = ",".join(str(seed) for seed in range(count))
+        spent = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert parse_seed_list(text) == tuple(range(count))
+            spent.append(time.perf_counter() - start)
+        return min(spent)
+
+    assert parse_s(30_000) < 30 * parse_s(3_000)
 
 
 def test_a_repeated_seed_is_a_config_error_from_the_flag_and_the_environment(

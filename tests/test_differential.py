@@ -10,16 +10,22 @@ post-processor that reads its tape after an execution that read none,
 a target that alone reads its tape, runs that exhaust their budget, and
 a method that faults.  Keyed targets place the first seed whose output
 differs, and a fault, at chosen seeds for the probe-random support gate.
+Consecutive checks share kept runs, so the registered checks are also
+run in registry order, in a shuffled order and each alone, and every
+report must come out the same.
 """
 
 from __future__ import annotations
+
+import copy
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_checks as plain
-from helpers import restrict_to
+from helpers import count_calls, restrict_to
 import foregone.checkers as checkers
 from foregone.checkers import (
     SEED_FREE_NOTE,
@@ -31,11 +37,20 @@ from foregone.checkers import (
     check_entailment,
     check_evidence_conformity,
     check_monotonicity,
+    drop_kept_cells,
     probe_random_target,
     probe_unknown_goal,
 )
 from foregone.evidence import Evidence
-from foregone.kernel import Machine, Nature, World, read_only_store, run_target
+from foregone.kernel import (
+    DEFAULT_BUDGET,
+    KernelError,
+    Machine,
+    Nature,
+    World,
+    read_only_store,
+    run_target,
+)
 from foregone.refinement import ProbeSpec
 from foregone.scenarios import build_registry, run_check
 from foregone.scenarios.common import (
@@ -247,7 +262,10 @@ def _outcome(call, args, seeds):
 def test_generated_check_equals_the_plain_walk(name):
     checker, reference, args = GENERATED[name]
     for seeds in SEED_SETS:
-        assert _outcome(checker, args, seeds) == _outcome(reference, args, seeds)
+        expected = _outcome(reference, args, seeds)
+        assert _outcome(checker, args, seeds) == expected
+        # run again, the check reads the first run's kept runs
+        assert _outcome(checker, args, seeds) == expected
 
 
 def test_generated_checks_cover_every_outcome():
@@ -432,3 +450,72 @@ def test_the_gate_equals_the_plain_walk_wherever_support_first_shows(seeds, data
     else:
         assert outcome.holds and [w.seed for w in outcome.witnesses] == [seeds[differs]]
         assert ran[-1] == (support, seeds[differs])
+
+
+# --- checks in any order -----------------------------------------------------
+#
+# Consecutive checks under one verifier, budget and seed list read each
+# other's kept runs.  No report may depend on which checks ran before.
+
+ORDER_SEEDS = (tuple(range(16)), tuple(range(7000, 7032)), (5, 3, 9))
+
+
+def _registered_outcomes(registry, order, seeds, budget, alone=False):
+    """Each check's (verdict, report), or the error it raised, running
+    the registered checks in ``order``; ``alone`` drops the kept runs
+    before every check."""
+    checks = [(scenario, check) for scenario in registry.values() for check in scenario.checks]
+    drop_kept_cells()
+    outcomes = {}
+    for index in order:
+        if alone:
+            drop_kept_cells()
+        scenario, check = checks[index]
+        try:
+            outcomes[index] = run_check(scenario, check, seeds, budget)
+        except (checkers.CheckerError, KernelError) as exc:
+            outcomes[index] = (type(exc).__name__, str(exc))
+    return outcomes
+
+
+@pytest.mark.parametrize("budget", (DEFAULT_BUDGET, 40))
+@pytest.mark.parametrize("seeds", ORDER_SEEDS, ids=("0-15", "7000-7031", "5-3-9"))
+def test_every_registered_report_is_the_same_in_any_check_order(registry, seeds, budget):
+    count = len(REGISTERED)
+    in_order = _registered_outcomes(registry, range(count), seeds, budget)
+    shuffled = list(range(count))
+    random.Random(f"{budget}:{seeds}").shuffle(shuffled)
+    assert _registered_outcomes(registry, shuffled, seeds, budget) == in_order
+    assert _registered_outcomes(registry, range(count), seeds, budget, alone=True) == in_order
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    (
+        # the lists overlap in 15 seeds
+        ((tuple(range(16)), DEFAULT_BUDGET), (tuple(range(1, 17)), DEFAULT_BUDGET)),
+        ((tuple(range(16)), DEFAULT_BUDGET), (tuple(range(16)), 40)),
+    ),
+    ids=("seed-list", "budget"),
+)
+def test_a_new_seed_list_or_budget_reuses_no_kept_run(registry, monkeypatch, first, second):
+    # Any run kept across the two would show as a missing kernel call.
+    # The first run is of a copy of the check: the check itself run
+    # again would drop the kept runs whatever their seeds and budget.
+    calls = count_calls(monkeypatch, checkers, ("execute", "run_target", "run_post"))
+
+    def second_calls(scenario, check, before):
+        drop_kept_cells()
+        if before is not None:
+            run_check(scenario, copy.copy(check), *before)
+        counted = dict(calls)
+        run_check(scenario, check, *second)
+        return {name: calls[name] - counted[name] for name in calls}
+
+    made = 0
+    for scenario in registry.values():
+        for check in scenario.checks:
+            fresh = second_calls(scenario, check, None)
+            made += sum(fresh.values())
+            assert second_calls(scenario, check, first) == fresh, check.id
+    assert made > 0
