@@ -82,7 +82,16 @@ from .kernel import (
     with_zero_tape,
 )
 from .tapes import RandomnessAssignment
-from .values import ABSENT, NO_SUCH_METHOD, Frozen, is_value, render_value, same_value, value_key
+from .values import (
+    ABSENT,
+    ATOM_TYPES,
+    NO_SUCH_METHOD,
+    Frozen,
+    is_value,
+    render_value,
+    same_value,
+    value_key,
+)
 
 DEFAULT_SEEDS: tuple[int, ...] = tuple(range(16))
 SEED_FREE_NOTE = (
@@ -707,7 +716,11 @@ def probe_unknown_goal(
     if missing:
         raise PreconditionViolatedError(f"worlds without languages: {missing}")
     for label in evidence.labels():
-        strays = sorted(render_value(v) for v in languages[label] if not is_value(v))
+        strays = sorted(
+            render_value(v)
+            for v in languages[label]
+            if type(v) not in ATOM_TYPES and not is_value(v)
+        )
         if strays:
             raise PreconditionViolatedError(
                 f"world {label!r}: language members {strays} are not values"

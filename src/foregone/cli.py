@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from collections import Counter
 from typing import Any, Mapping, Optional
@@ -114,7 +115,7 @@ def parse_override_value(text: str) -> Any:
             return bytes.fromhex(body)
         except ValueError as exc:
             raise ConfigError(f"bad hex byte string {text!r}: {exc}") from None
-    if text.lstrip("-").isdigit():
+    if re.fullmatch(r"-?[0-9]+", text):
         return int(text)
     raise ConfigError(
         f"override value {text!r} is neither an integer nor a 0x-prefixed hex"

@@ -22,8 +22,9 @@ Two refinements move along that ordering:
     family by that assertion's declared extension worlds.
 
 Membership testing compares ``kernel.world_key`` (same machine shapes,
-same asserted values), which keeps it total and fast; the semantic
-checks live in ``audit`` and run at scenario load.
+same asserted values), which keeps it total and fast; a world that is
+one of the weaker family's own objects is a member without keying.
+The semantic checks live in ``audit`` and run at scenario load.
 """
 
 from __future__ import annotations
@@ -112,8 +113,15 @@ class Evidence:
 
 def at_least_as_strong(stronger: Evidence, weaker: Evidence) -> bool:
     """True iff every world of ``stronger`` appears in ``weaker``, by
-    ``world_key``; tapes are not part of evidence."""
-    return {world_key(w) for _, w in stronger.worlds} <= {
+    ``world_key``; tapes are not part of evidence.
+
+    A world of ``stronger`` that is one of ``weaker``'s own objects
+    appears in it without being keyed: one object has one key during
+    the call.  Only the other worlds, and then ``weaker``'s, are keyed.
+    """
+    own = {id(w) for _, w in weaker.worlds}
+    others = [w for _, w in stronger.worlds if id(w) not in own]
+    return not others or {world_key(w) for w in others} <= {
         world_key(w) for _, w in weaker.worlds
     }
 

@@ -141,6 +141,11 @@ def value_key(value: Any) -> tuple:
 
 def render_value(v: Any) -> str:
     """Stable human-readable rendering used in transcripts and reports."""
+    if isinstance(v, bytes):  # first: the commonest, and no other case is bytes
+        # an ASCII text is printable exactly when each byte is in 32..126
+        if v and v.isascii() and (text := v.decode("ascii")).isprintable():
+            return '"' + text + '"'
+        return "0x" + v.hex()
     if v is ABSENT:
         return "absent"
     if v is NO_SUCH_METHOD:
@@ -151,10 +156,6 @@ def render_value(v: Any) -> str:
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, bytes):
-        if v and all(32 <= b < 127 for b in v):
-            return '"' + v.decode("ascii") + '"'
-        return "0x" + v.hex()
     if isinstance(v, Location):
         return repr(v)
     if isinstance(v, tuple):

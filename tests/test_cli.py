@@ -109,6 +109,20 @@ def test_override_value_parsing():
         parse_override_value("0xzz")
     with pytest.raises(ConfigError):
         parse_override_value("not-a-value")
+    # these pass str.isdigit once the minus signs are stripped; int
+    # refuses the first two and would read the last two as 5 and 3
+    for text in ("--5", "²", "５", "٣"):
+        with pytest.raises(ConfigError, match="is neither an integer"):
+            parse_override_value(text)
+
+
+def test_an_override_that_only_looks_like_an_integer_is_a_config_error(tmp_path, capsys):
+    overrides = tmp_path / "params.txt"
+    overrides.write_text("decommit.secret = --5\n")
+    assert main(["run", "decommit", "--overrides", str(overrides)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: override value '--5'")
 
 
 def test_overrides_file_parsing():

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
-import pytest
+import copy
 
-from helpers import restrict_to
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import FEW_SEEDS
+from helpers import count_calls, restrict_to
 from foregone.evidence import (
     EmptyFamilyError,
     Evidence,
@@ -13,6 +18,7 @@ from foregone.evidence import (
     strengthen_to_full_spec,
 )
 from foregone.kernel import world_key
+from foregone.scenarios import run_check
 from foregone.scenarios.password import (
     DEVICE_LOCATION,
     _world,
@@ -85,6 +91,55 @@ def test_ordering_is_reflexive_and_follows_the_chain(evidences):
     assert at_least_as_strong(strong, star)
     assert not at_least_as_strong(star, weak)
     assert not at_least_as_strong(weak, strong)
+
+
+# Worlds for the ordering: the weak family's own objects, deep copies
+# of them, and two worlds that differ only by True against 1 in state.
+_DEVICE = password_device(b"hunter2", b"tax-records")
+_BASE = build_evidences(PARAMS)
+_OWN = [world for _, world in _BASE["weak"].worlds] + [
+    _world(_DEVICE, mind("knows", v=True)),
+    _world(_DEVICE, mind("knows", v=1)),
+]
+_POOL = _OWN + copy.deepcopy(_OWN)
+
+
+def _family(name, indices):
+    worlds = tuple((f"w{i}", _POOL[i]) for i in indices)
+    return Evidence(name, (), worlds, _BASE["weak"].probe)
+
+
+_indices = st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=8, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stronger=_indices, weaker=_indices)
+def test_ordering_equals_family_inclusion_by_world_key(stronger, weaker):
+    stronger, weaker = _family("stronger", stronger), _family("weaker", weaker)
+    by_key = {world_key(w) for _, w in stronger.worlds} <= {
+        world_key(w) for _, w in weaker.worlds
+    }
+    assert at_least_as_strong(stronger, weaker) == by_key
+
+
+def test_the_registered_edges_are_ordered_without_keying_a_world(registry, monkeypatch):
+    # every world of each stronger family is one of the weaker family's
+    # own objects, so identity settles the order
+    import foregone.evidence as evidence
+
+    calls = count_calls(monkeypatch, evidence, ("world_key",))
+    edges = [
+        (scenario, check)
+        for scenario in registry.values()
+        for check in scenario.checks
+        if check.kind == "monotonicity"
+    ]
+    assert len(edges) == 6
+    for scenario, check in edges:
+        weaker, stronger = (scenario.evidences[key] for key in check.edge)
+        assert at_least_as_strong(stronger, weaker)
+        assert run_check(scenario, check, FEW_SEEDS)[0] == check.expected
+    assert calls["world_key"] == 0
 
 
 def test_strengthen_drops_exactly_the_deniable_world(evidences):

@@ -117,3 +117,12 @@ def test_render_value_is_stable_and_readable():
     assert render_value(b"\x00\xff") == "0x00ff"
     assert render_value(Location(7)) == "@7"
     assert render_value((True, 3)) == "(true, 3)"
+
+
+def test_render_value_quotes_exactly_the_nonempty_printable_ascii_bytes():
+    # printable ASCII is the bytes 32..126; DEL (127) and controls are not
+    quoted = {b for b in range(256) if render_value(bytes([b])).startswith('"')}
+    assert quoted == set(range(32, 127))
+    assert render_value(b" ~") == '" ~"'
+    for text in (b"", b"ab\x7f", b"\x1fab", b"a\xe9"):
+        assert render_value(text) == "0x" + text.hex()
