@@ -30,11 +30,13 @@ as ``copy.deepcopy`` or ``build_scenario`` gives; ``drop_kept_cells``
 forgets every kept run.
 
 The table holds the seeds, and ``_Cells.walk`` is the one loop over
-them.  Every seed of a tape-free cell reads the same kept runs, so the
-walk stops such a cell after the first seed, and the check counts it
-once per seed: a tape-free cell that fails names the first seed as its
-counterexample, and one that passes passes at every seed.  Only cells
-that read a tape are walked seed by seed.  The walks over the table:
+them, with one rule: a seed at which no run read a tape stands for
+every seed.  The walk learns this from the runs the table made or
+served, not from its caller, so it stops a tape-free cell after the
+first seed, and the check counts it once per seed: a tape-free cell
+that fails names the first seed as its counterexample, and one that
+passes passes at every seed.  Only cells that read a tape are walked
+seed by seed.  The walks over the table:
 
 Conformity        the verifier accepts the action in a given world,
                   for every seed; the table stops at the first seed
@@ -278,9 +280,10 @@ class _Cells:
     verdict, steps, output and post-world.  Whether a run reads a tape
     does not depend on the seed either.  Only the tapes a post-processor
     reads on from differ, and ``post`` gives it fresh tapes for the
-    cell's own seed.  ``read_tape`` records whether any kernel run of
-    the table read a tape; a run that raised reports nothing and counts
-    as one that did.
+    cell's own seed.  ``tape_runs`` counts the runs the table made or
+    served that read a tape; a run that raised reports nothing and counts
+    as one that did.  The count only grows, so a walk abandoned at a
+    failing seed loses no earlier read.
 
     The three dicts outlive the table.  A new table under the same
     verifier object, an equal budget and an equal seed list reads and
@@ -288,18 +291,18 @@ class _Cells:
     runs lives at a time and a new seed list starts empty.  They are
     also dropped when ``execute``, ``run_target`` or ``run_post`` is
     rebound here, and by ``share_kept_cells`` when a registered check
-    that has read them runs again.  A check
-    sharing them may be served a run another check made; it then counts
-    as that check's own, and a kept run that read a tape sets
-    ``read_tape``, which stays per table.  Kept runs are keyed by object
-    identity, so the machines and worlds given to a check must not be
-    changed in place between checks: a changed build is a new object.
+    that has read them runs again.  A check sharing them may be served a
+    run another check made; it then counts as that check's own, and a
+    kept run that read a tape adds to ``tape_runs``, which stays per
+    table.  Kept runs are keyed by object identity, so the machines and
+    worlds given to a check must not be changed in place between checks:
+    a changed build is a new object.
 
-    A cell whose execution, post-processor and target are all kept
-    under seed-free keys is tape-free: every seed reads the same entries
-    and compares the same objects, so ``walk`` stops it after the first
-    seed, which names its counterexample if it has one, and the walks
-    count it once for every seed.
+    The one rule of the walk: a seed at which no run read a tape stands
+    for every seed.  Every later seed would make the same runs and read
+    the same seed-free entries, so ``walk`` stops such a cell after its
+    first seed, which names its counterexample if it has one, and the
+    walks count it once for every seed.
 
     A table without seeds raises ``PreconditionViolatedError``: a
     verdict over no seed would rest on nothing.
@@ -313,7 +316,7 @@ class _Cells:
         self.worlds = worlds
         self.seeds = seeds
         self.runs, self.targets, self.posts = _kept_under(verifier, budget, seeds)[5:]
-        self.read_tape = False
+        self.tape_runs = 0
 
     def run(self, world: World, action: Machine, seed: int) -> ExecutionResult:
         """The execution of one cell, run the first time it is asked for.
@@ -334,32 +337,23 @@ class _Cells:
                 result,
             )
         result = entry[-1]
-        self.read_tape |= result.read_tape
+        self.tape_runs += result.read_tape
         return result
 
-    def walk(
-        self,
-        world: World,
-        action: Optional[Machine] = None,
-        post: Optional[Machine] = None,
-        target: Optional[Machine] = None,
-    ) -> Iterator[tuple[int, int]]:
-        """``(index, seed)`` for the table's seeds in order.  After the
-        caller has run a seed, the walk stops if the runs of the cell
-        named here (the execution of ``action``, ``post`` after it, and
-        ``target``) are all kept under seed-free keys, so every later
-        seed would read the same entries; a run not yet made or one
-        that raised is not.  Whether a cell is tape-free is known only
-        after its first seed has run, so the walk yields a seed's index,
-        not a weight, and a caller whose walk ends without a failing
-        seed counts one cell for every seed of the table."""
+    def walk(self) -> Iterator[tuple[int, int]]:
+        """``(index, seed)`` for the table's seeds in order.  A seed at
+        which no run read a tape stands for every seed, so once the
+        caller has run a seed and ``tape_runs`` did not grow while it
+        did, the walk stops: every later seed would make the same runs.
+        The caller names no machine; whatever it runs through the table
+        is counted.  Whether a cell is tape-free is known only after its
+        first seed has run, so the walk yields a seed's index, not a
+        weight, and a caller whose walk ends without a failing seed
+        counts one cell for every seed of the table."""
         for index, seed in enumerate(self.seeds):
+            tape_runs = self.tape_runs
             yield index, seed
-            if (
-                (action is None or (id(world), id(action)) in self.runs)
-                and (post is None or (id(post), id(world), id(action)) in self.posts)
-                and (target is None or (id(target), id(world)) in self.targets)
-            ):
+            if self.tape_runs == tape_runs:
                 return
 
     def conforms(self, world: World, action: Machine) -> bool:
@@ -367,7 +361,7 @@ class _Cells:
         and after the first seed when the execution read no tape."""
         return all(
             self.run(world, action, seed).transcript.verdict is Verdict.ACCEPT
-            for _, seed in self.walk(world, action)
+            for _, seed in self.walk()
         )
 
     def post(self, post: Machine, world: World, action: Machine, seed: int) -> Any:
@@ -391,7 +385,7 @@ class _Cells:
             ran = run_post(post, result, self.budget)
         except KernelError as exc:
             self._raise_fault(exc, "action", action, world, seed)
-        self.read_tape |= ran.read_tape
+        self.tape_runs += ran.read_tape
         if not (result.read_tape or ran.read_tape):
             self.posts[key] = (post, world, action, ran.output)
         return ran.output
@@ -411,20 +405,20 @@ class _Cells:
                 ran,
             )
         ran = entry[-1]
-        self.read_tape |= ran.read_tape
+        self.tape_runs += ran.read_tape
         return ran.output
 
     def noted(self, report: CheckReport) -> CheckReport:
         """``report``, noting that its verdict holds for every seed when
         no kernel run of this table read a tape."""
-        if not self.read_tape:
+        if not self.tape_runs:
             report.notes += (SEED_FREE_NOTE,)
         return report
 
     def _raise_fault(self, exc: KernelError, role, machine, world, seed) -> NoReturn:
         """Re-raise ``exc`` from a kernel call for this cell: as it is for
         budget exhaustion, else as a ``CellFaultError`` naming the cell."""
-        self.read_tape = True
+        self.tape_runs += 1
         if isinstance(exc, BudgetExceededError):
             raise exc
         label = next((label for label, w in self.worlds if w is world), "?")
@@ -503,7 +497,7 @@ def _demonstrate(table: _Cells, exemplar: Machine, evidence: Evidence) -> CheckR
     cells = 0
     max_steps = 0
     for label, world in evidence.worlds:
-        for index, seed in table.walk(world, exemplar):
+        for index, seed in table.walk():
             result = table.run(world, exemplar, seed)
             max_steps = max(max_steps, result.steps_used)
             silence = _respondent_silence(result, world, exemplar.id)
@@ -589,7 +583,7 @@ def _entail(
             if not table.conforms(world, action):
                 skipped.append((world_label, action_label))
                 continue
-            for index, seed in table.walk(world, action, post, target):
+            for index, seed in table.walk():
                 try:
                     got = table.post(post, world, action, seed)
                     expected = table.target(target, world, seed)
@@ -800,7 +794,7 @@ def probe_unknown_goal(
                 )
             )
 
-    if table.read_tape:
+    if table.tape_runs:
         notes.append(
             f"outputs compared at seed {seed} only; the stand-in's conformity "
             f"was checked under all {len(seeds)} seeds"
@@ -843,14 +837,12 @@ def probe_random_target(
     """
     table = _Cells(verifier, budget, evidence.worlds, seeds)
     for label, world in evidence.worlds:
-        outputs = (
-            table.target(target, world, seed) for _, seed in table.walk(world, target=target)
-        )
+        outputs = (table.target(target, world, seed) for _, seed in table.walk())
         first = next(outputs)
         if any(not same_value(first, output) for output in outputs):
             break
     else:
-        if len(seeds) < 2 and table.read_tape:
+        if len(seeds) < 2 and table.tape_runs:
             raise PreconditionViolatedError(
                 "the target reads a tape, and one seed cannot show a target "
                 "output support of size >= 2"
@@ -877,7 +869,7 @@ def probe_random_target(
     for post_label, post in candidate_posts:
         pinned_post = with_zero_tape(post)
         # the support world's target reads a tape, so no seed is skipped
-        for _, seed in table.walk(world, pinned_action, pinned_post, target):
+        for _, seed in table.walk():
             cells += 1
             max_steps = max(max_steps, table.run(world, pinned_action, seed).steps_used)
             got = table.post(pinned_post, world, pinned_action, seed)

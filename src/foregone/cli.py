@@ -31,7 +31,8 @@ must name distinct seeds in 0..2**64-1: the tapes take a seed modulo
 report another seed's tapes under its own number.  Parameter overrides
 come from a flat key-value file: one ``scenario.param = value``
 per line, where values are 0x-prefixed hex byte strings or plain
-integers; ``#`` starts a comment line.
+integers; ``#`` starts a comment line.  An integer, in a seed list, a
+``--budget`` or an override, is written ``-?[0-9]+`` and nothing else.
 """
 
 from __future__ import annotations
@@ -83,10 +84,19 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def integer(text: str) -> int:
+    """``text`` as an integer written ``-?[0-9]+``, else ``ValueError``.
+    ``int`` alone also reads ``+5``, ``1_0``, surrounding spaces and
+    other scripts' digits such as ``٣``."""
+    if re.fullmatch(r"-?[0-9]+", text):
+        return int(text)
+    raise ValueError(f"{text!r} is not an integer")
+
+
 def parse_seed_list(text: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     try:
-        seeds = tuple(int(p) for p in parts)
+        seeds = tuple(map(integer, parts))
     except ValueError as exc:
         raise ConfigError(f"bad seed list {text!r}: {exc}") from None
     if not seeds:
@@ -115,12 +125,13 @@ def parse_override_value(text: str) -> Any:
             return bytes.fromhex(body)
         except ValueError as exc:
             raise ConfigError(f"bad hex byte string {text!r}: {exc}") from None
-    if re.fullmatch(r"-?[0-9]+", text):
-        return int(text)
-    raise ConfigError(
-        f"override value {text!r} is neither an integer nor a 0x-prefixed hex"
-        " byte string"
-    )
+    try:
+        return integer(text)
+    except ValueError:
+        raise ConfigError(
+            f"override value {text!r} is neither an integer nor a 0x-prefixed hex"
+            " byte string"
+        ) from None
 
 
 def parse_overrides(text: str) -> dict[str, dict[str, Any]]:
@@ -372,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seeds", help="comma-separated seed list")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
         p.add_argument("--overrides", help="path to a scenario.param = value file")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--json", action="store_true", help="emit JSON")

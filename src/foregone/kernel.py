@@ -685,21 +685,17 @@ class DirectInvoker:
     ("call prompt, then call read") against a machine as such.  Calls
     mutate the machine object that is passed in.
 
-    Besides the world, the budget and the seed, what the next call sees
-    is the invoker's ``position``: the steps charged so far and the tape
+    Every call runs under seed 0, so the refinement probes do too.
+    Besides the world and the budget, what the next call sees is the
+    invoker's ``position``: the steps charged so far and the tape
     offsets consumed.  ``move_to`` sets it, so one invoker can run
     calls from many positions over the same world.
     """
 
-    def __init__(
-        self,
-        world: Optional[World] = None,
-        budget: int = DEFAULT_BUDGET,
-        seed: int = 0,
-    ):
+    def __init__(self, world: Optional[World] = None, budget: int = DEFAULT_BUDGET):
         if world is None:
             world = World(nature=Nature(), respondent=Machine(id="bench-respondent"))
-        self._engine = _Engine(world, RandomnessAssignment(seed), budget)
+        self._engine = _Engine(world, RandomnessAssignment(0), budget)
 
     def invoke(self, machine: Machine, method: str, argument: Any = None) -> Any:
         """Call ``machine.method(argument)`` as a nature machine at a

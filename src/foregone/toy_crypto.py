@@ -194,10 +194,7 @@ class CommitmentScheme(Frozen):
         every (c, x, d) triple in the worst case, which is the whole
         declared domain.
         """
-        commitments = {
-            self.commit(x, r)[0] for x in message_domain for r in opening_domain
-        }
-        for c in sorted(commitments):
+        for c in sorted(self._image(message_domain, opening_domain)):
             opened: Optional[tuple[bytes, bytes]] = None
             for x in message_domain:
                 for d in opening_domain:
@@ -218,14 +215,18 @@ class CommitmentScheme(Frozen):
     ) -> frozenset[bytes]:
         """All commitments in the scheme's image that can be opened to
         ``message`` with some opening from the domain."""
-        commitments = {
-            self.commit(x, r)[0] for x in message_domain for r in opening_domain
-        }
         return frozenset(
             c
-            for c in commitments
+            for c in self._image(message_domain, opening_domain)
             if any(self.check(c, d, message) for d in opening_domain)
         )
+
+    def _image(
+        self, message_domain: tuple[bytes, ...], opening_domain: tuple[bytes, ...]
+    ) -> set[bytes]:
+        """The commitments ``commit`` gives over the message domain
+        crossed with the opening domain."""
+        return {self.commit(x, r)[0] for x in message_domain for r in opening_domain}
 
 
 _TRANSPARENT_TAG = b"C|"
@@ -286,12 +287,10 @@ def byte_domain() -> tuple[bytes, ...]:
     return tuple(bytes([i]) for i in range(256))
 
 
-def small_byte_domain(size: int = 16) -> tuple[bytes, ...]:
-    """The first ``size`` single-byte strings; a declared opening domain
-    small enough for the cubic binding sweep to stay quick."""
-    if not 1 <= size <= 256:
-        raise ValueError("size must be in [1, 256]")
-    return tuple(bytes([i]) for i in range(size))
+def small_byte_domain() -> tuple[bytes, ...]:
+    """The first 16 single-byte strings; a declared opening domain small
+    enough for the cubic binding sweep to stay quick."""
+    return tuple(bytes([i]) for i in range(16))
 
 
 def hiding_profile(

@@ -448,7 +448,49 @@ def test_a_kept_post_output_is_never_served_to_another_post(pwd_evidence):
         del post
 
 
-def test_seed_free_note_marks_exactly_the_checks_that_read_no_tape(registry, monkeypatch):
+def _byte_target() -> Machine:
+    return Machine(id="draw-a-byte", methods={"run": lambda ctx, _arg: ctx.tape.read_bytes(1)})
+
+
+@pytest.mark.parametrize(
+    "target, walked", [(_byte_target, SEEDS), (location_target, SEEDS[:1])]
+)
+def test_the_walk_learns_from_the_runs_whether_a_cell_read_a_tape(
+    goal_evidence, target, walked
+):
+    # The action reads no tape; the walk stops after the first seed only
+    # when no run the caller makes there reads one, the target included.
+    world = goal_evidence["whereabouts"].worlds[0][1]
+    action, target = state_location_action(), target()
+    table = _Cells(accept_any_verifier(), DEFAULT_BUDGET, (), SEEDS)
+    seen = []
+    for _, seed in table.walk():
+        assert not table.run(world, action, seed).read_tape
+        table.target(target, world, seed)
+        seen.append(seed)
+    assert tuple(seen) == walked
+
+
+def test_a_kept_run_that_read_a_tape_walks_every_seed_of_the_table_it_serves(
+    goal_evidence, monkeypatch
+):
+    import foregone.checkers as checkers
+
+    # The second table is served every run the first made, and a served
+    # run that read a tape counts as one its own walk made.
+    calls = count_calls(monkeypatch, checkers, ("run_target",))
+    world = goal_evidence["whereabouts"].worlds[0][1]
+    verifier, target = accept_any_verifier(), _byte_target()
+    first = _Cells(verifier, DEFAULT_BUDGET, (), SEEDS)
+    outputs = [first.target(target, world, seed) for _, seed in first.walk()]
+    table = _Cells(verifier, DEFAULT_BUDGET, (), SEEDS)
+    assert [table.target(target, world, seed) for _, seed in table.walk()] == outputs
+    assert calls == {"run_target": len(SEEDS)}
+
+
+def test_seed_free_note_marks_exactly_the_checks_that_read_no_tape(
+    registry, goal_evidence, monkeypatch
+):
     import foregone.checkers as checkers
 
     password = registry["password"]
@@ -477,6 +519,20 @@ def test_seed_free_note_marks_exactly_the_checks_that_read_no_tape(registry, mon
         DEFAULT_BUDGET,
     )
     assert calls["run_target"] == 2 * ran and again == report
+    # an entailment whose target reads a tape and that fails past the
+    # first seed read a tape at every seed it walked
+    world = goal_evidence["whereabouts"].worlds[0][1]
+    drawn = run_target(_byte_target(), world, SEEDS[0]).output
+    report = check_entailment(
+        accept_any_verifier(),
+        _byte_target(),
+        fixed_output_post("fixed-first-draw", drawn),
+        goal_evidence["whereabouts"],
+        ActionFamily(actions=(("state-a-location", state_location_action()),)),
+        SEEDS,
+    )
+    assert report.counterexample.seed != SEEDS[0]
+    assert SEED_FREE_NOTE not in report.notes
 
 
 def test_a_check_over_no_seeds_is_refused(registry, goal_evidence):

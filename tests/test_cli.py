@@ -62,6 +62,14 @@ def test_seed_list_parsing():
     for text in ("", "1,zebra", "1,1", "0,3,0", "-1", "0,18446744073709551616"):
         with pytest.raises(ConfigError):
             parse_seed_list(text)
+    # int would read these as 3, 10, 5 and 5
+    for text in ("٣", "1_0", "+5", "0,５"):
+        with pytest.raises(ConfigError, match=r"^bad seed list .* is not an integer$"):
+            parse_seed_list(text)
+    for text, seed in (("-1", -1), ("0,18446744073709551616", 2**64)):
+        with pytest.raises(ConfigError) as raised:
+            parse_seed_list(text)
+        assert str(raised.value) == f"seed {seed} in {text!r} is outside 0..2**64-1"
 
 
 def test_a_repeated_seed_is_named_by_its_first_place_in_the_list():
@@ -101,6 +109,30 @@ def test_a_repeated_seed_is_a_config_error_from_the_flag_and_the_environment(
     assert captured.err == "error: seed list '1,1' repeats seed 1\n" * 2
 
 
+@pytest.mark.parametrize(
+    "flag, text",
+    [(flag, text) for flag in ("--seeds", "--budget") for text in ("٣", "1_0", "+5")],
+)
+def test_an_integer_only_int_would_read_is_refused_from_the_flags_and_the_environment(
+    flag, text, capsys, monkeypatch
+):
+    # argparse refuses a --budget itself, exiting 2 as main returns it
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    argv = ["run", "password", "--check", "demonstrability", "--evidence", "weak"]
+    assert exit_code(argv + [flag, text]) == EXIT_CONFIG
+    if flag == "--seeds":
+        monkeypatch.setenv("FOREGONE_SEED", text)
+        assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and repr(text) in captured.err
+
+
 def test_override_value_parsing():
     assert parse_override_value("0x68756e74") == b"hunt"
     assert parse_override_value("12345") == 12345
@@ -109,9 +141,8 @@ def test_override_value_parsing():
         parse_override_value("0xzz")
     with pytest.raises(ConfigError):
         parse_override_value("not-a-value")
-    # these pass str.isdigit once the minus signs are stripped; int
-    # refuses the first two and would read the last two as 5 and 3
-    for text in ("--5", "²", "５", "٣"):
+    # int refuses the first two and would read the rest as 5, 3, 5 and 10
+    for text in ("--5", "²", "５", "٣", "+5", "1_0"):
         with pytest.raises(ConfigError, match="is neither an integer"):
             parse_override_value(text)
 

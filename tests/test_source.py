@@ -122,3 +122,20 @@ def test_only_the_cell_walk_loops_over_the_seeds():
                 if not (owner == "probe_unknown_goal" and first_seed):
                     offenders.append((owner, "subscript", inner.lineno))
     assert offenders == []
+
+
+def test_the_cell_walk_is_given_nothing_but_its_table():
+    # The walk learns from the table's runs which cells read a tape, so
+    # no caller names the machines of a cell to it.
+    tree = _tree(PACKAGE / "checkers.py")
+    walk = dict(_owners(tree))["_Cells.walk"]
+    assert [arg.arg for arg in walk.args.args] == ["self"]
+    assert not (walk.args.vararg or walk.args.kwarg or walk.args.kwonlyargs)
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "walk"
+    ]
+    assert calls and all(not (call.args or call.keywords) for call in calls)
