@@ -110,6 +110,16 @@ def parse_seed_list(text: str) -> tuple[int, ...]:
     return seeds
 
 
+def parse_budget(text: str) -> int:
+    try:
+        budget = integer(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad budget {text!r}: {exc}") from None
+    if budget <= 0:
+        raise ConfigError("budget must be positive")
+    return budget
+
+
 def default_seeds() -> tuple[int, ...]:
     env = os.environ.get("FOREGONE_SEED")
     if env is None:
@@ -208,11 +218,8 @@ def toy_sweeps() -> dict[str, str]:
         "pass" if len(histograms) == 1 else "fail: message-dependent histogram"
     )
 
-    involution_ok = all(
-        otp(bytes([k]), otp(bytes([k]), bytes([m]))) == bytes([m])
-        for k in range(0, 256, 51)
-        for m in range(256)
-    )
+    keys = [bytes([k]) for k in range(0, 256, 51)]
+    involution_ok = all(otp(key, otp(key, m)) == m for key in keys for m in messages)
     results["otp-involution-sweep"] = "pass" if involution_ok else "fail"
 
     return results
@@ -383,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seeds", help="comma-separated seed list")
-        p.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", default=str(DEFAULT_BUDGET))
         p.add_argument("--overrides", help="path to a scenario.param = value file")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--json", action="store_true", help="emit JSON")
@@ -416,21 +423,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "list":
             return cmd_list(build_registry(overrides), args.json)
         seeds = parse_seed_list(args.seeds) if args.seeds is not None else default_seeds()
-        if args.budget <= 0:
-            raise ConfigError("budget must be positive")
+        budget = parse_budget(args.budget)
         if args.command == "run":
             return cmd_run(
                 build_scenario(args.scenario, overrides.get(args.scenario)),
                 args.check,
                 args.evidence,
                 seeds,
-                args.budget,
+                budget,
                 args.json,
                 args.out,
             )
         if args.command == "audit":
             return cmd_audit(
-                build_registry(overrides), seeds, args.budget, args.json, args.out
+                build_registry(overrides), seeds, budget, args.json, args.out
             )
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ScenarioError, KernelError) as exc:

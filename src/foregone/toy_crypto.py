@@ -110,9 +110,10 @@ class HashSpec(Frozen):
     def injectivity_witness(self) -> Optional[tuple[bytes, bytes]]:
         """Exhaustive sweep over the domain; returns a colliding pair or
         None when the function is injective on the domain."""
+        evaluate = self.evaluate
         seen: dict[bytes, bytes] = {}
         for x in self.domain:
-            y = self.evaluate(x)
+            y = evaluate(x)
             if y in seen and seen[y] != x:
                 return (seen[y], x)
             seen[y] = x
@@ -190,21 +191,27 @@ class CommitmentScheme(Frozen):
         over the message domain crossed with the opening domain.
 
         Per commitment, each message's first valid opening is recorded;
-        two differently-messaged records are a witness.  This visits
-        every (c, x, d) triple in the worst case, which is the whole
-        declared domain.
+        two differently-messaged records are a witness.  ``check`` is a
+        black box, so a scheme with no witness costs the whole sweep.
+        For a perfectly binding scheme whose pinned message opens at the
+        first opening tried (``TRANSPARENT``'s check ignores the
+        opening), each of the |C| commitments fails every opening of the
+        |X| − 1 other messages: |C|·((|X|−1)·|D|+1) ``check`` calls, or
+        1,044,736 over 256 messages and 16 openings.
         """
+        check = self.check
         for c in sorted(self._image(message_domain, opening_domain)):
             opened: Optional[tuple[bytes, bytes]] = None
             for x in message_domain:
                 for d in opening_domain:
-                    if not self.check(c, d, x):
-                        continue
-                    if opened is not None and opened[0] != x:
-                        return (opened[0], x, opened[1], d, c)
-                    if opened is None:
-                        opened = (x, d)
-                    break
+                    if check(c, d, x):
+                        break
+                else:
+                    continue
+                if opened is None:
+                    opened = (x, d)
+                elif opened[0] != x:
+                    return (opened[0], x, opened[1], d, c)
         return None
 
     def openable_commitments(
@@ -215,18 +222,22 @@ class CommitmentScheme(Frozen):
     ) -> frozenset[bytes]:
         """All commitments in the scheme's image that can be opened to
         ``message`` with some opening from the domain."""
-        return frozenset(
-            c
-            for c in self._image(message_domain, opening_domain)
-            if any(self.check(c, d, message) for d in opening_domain)
-        )
+        check = self.check
+        openable: set[bytes] = set()
+        for c in self._image(message_domain, opening_domain):
+            for d in opening_domain:
+                if check(c, d, message):
+                    openable.add(c)
+                    break
+        return frozenset(openable)
 
     def _image(
         self, message_domain: tuple[bytes, ...], opening_domain: tuple[bytes, ...]
     ) -> set[bytes]:
         """The commitments ``commit`` gives over the message domain
         crossed with the opening domain."""
-        return {self.commit(x, r)[0] for x in message_domain for r in opening_domain}
+        commit = self.commit
+        return {commit(x, r)[0] for x in message_domain for r in opening_domain}
 
 
 _TRANSPARENT_TAG = b"C|"
@@ -301,11 +312,12 @@ def hiding_profile(
     A perfectly hiding scheme shows the same histogram for every
     message; a transparent one shows point masses.
     """
+    commit = scheme.commit
     profile: dict[bytes, dict[bytes, int]] = {}
     for x in messages:
         counts: dict[bytes, int] = {}
         for r in opening_domain:
-            c = scheme.commit(x, r)[0]
+            c = commit(x, r)[0]
             counts[c] = counts.get(c, 0) + 1
         profile[x] = counts
     return profile

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import foregone
 import foregone.cli as cli
+import foregone.toy_crypto as toy_crypto
 
 from foregone.cli import (
     ConfigError,
@@ -116,21 +117,17 @@ def test_a_repeated_seed_is_a_config_error_from_the_flag_and_the_environment(
 def test_an_integer_only_int_would_read_is_refused_from_the_flags_and_the_environment(
     flag, text, capsys, monkeypatch
 ):
-    # argparse refuses a --budget itself, exiting 2 as main returns it
-    def exit_code(argv):
-        try:
-            return main(argv)
-        except SystemExit as exc:
-            return exc.code
-
+    # main refuses both flags itself: one error line each, not argparse's usage block
     argv = ["run", "password", "--check", "demonstrability", "--evidence", "weak"]
-    assert exit_code(argv + [flag, text]) == EXIT_CONFIG
+    assert main(argv + [flag, text]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and repr(text) in captured.err
     if flag == "--seeds":
         monkeypatch.setenv("FOREGONE_SEED", text)
         assert main(argv) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error:" in captured.err and repr(text) in captured.err
+        assert capsys.readouterr().err == captured.err
 
 
 def test_override_value_parsing():
@@ -824,6 +821,41 @@ def test_markdown_report_mentions_the_claim(capsys):
 
 def test_toy_sweeps_all_pass():
     assert all(value == "pass" for value in toy_sweeps().values())
+
+
+def test_one_toy_sweep_pass_makes_exactly_these_black_box_calls(monkeypatch):
+    # each primitive is a black box to the sweeps: a binding proof over the
+    # transparent scheme's 256 commitments x 256 messages x 16 openings
+    # calls check 256 * (255 * 16 + 1) times
+    counts: dict[str, int] = {}
+
+    def counted(name, primitive):
+        def call(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return primitive(*args)
+
+        return call
+
+    for name, scheme in list(toy_crypto.SCHEMES.items()):
+        wrapped = toy_crypto.CommitmentScheme(
+            scheme.name,
+            counted(f"{name} commit", scheme.commit),
+            counted(f"{name} check", scheme.check),
+            scheme.binding_class,
+            scheme.equivocate,
+        )
+        monkeypatch.setitem(toy_crypto.SCHEMES, name, wrapped)
+    monkeypatch.setattr(toy_crypto, "toy_hash", counted("toy_hash", toy_crypto.toy_hash))
+    monkeypatch.setattr(cli, "otp", counted("otp", cli.otp))
+    assert all(value == "pass" for value in toy_sweeps().values())
+    assert counts == {
+        "transparent check": 1_044_736,
+        "transparent commit": 4_096,
+        "xor-pad check": 3,
+        "xor-pad commit": 4_608,
+        "otp": 3_072,
+        "toy_hash": 259,
+    }
 
 
 # --- demos -------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from foregone.toy_crypto import (
     SCHEMES,
     BindingClass,
+    CommitmentScheme,
     DomainExceededError,
     LengthMismatchError,
     byte_domain,
@@ -101,7 +102,7 @@ def test_transparent_scheme_passes_the_double_opening_sweep():
 def test_xor_pad_scheme_fails_binding_with_a_verified_witness():
     scheme = SCHEMES["xor-pad"]
     witness = scheme.double_opening_witness(byte_domain(), small_byte_domain())
-    assert witness is not None
+    assert witness == (b"\x00", b"\x01", b"\x00", b"\x01", b"\x00")
     x, xp, d, dp, c = witness
     assert x != xp
     assert scheme.check(c, d, x)
@@ -151,3 +152,74 @@ def test_openable_commitments_drive_the_language_construction():
 def test_transparent_commit_rejects_oversized_inputs():
     with pytest.raises(DomainExceededError):
         SCHEMES["transparent"].commit(b"123456789", b"r")
+
+
+# --- the sweeps against a brute-force reference ---------------------------------
+
+# b"" is falsy, so a sweep that tests an opening's truth in place of its
+# presence would show
+_TINY = (b"", b"\x00", b"\x01", b"\x02")
+_COMMITMENTS = (b"c0", b"c1", b"c2")
+
+
+def _double_opening_reference(accepts, commitments, messages, openings):
+    """The witness and the ``check`` calls of the plain triple loop: per
+    sorted commitment, each message in order tries the openings in order
+    up to its first accepted one; the first message whose first opening
+    is found after another message's is the witness."""
+    calls = []
+    for c in sorted(commitments):
+        firsts = []
+        for x in messages:
+            for d in openings:
+                calls.append((c, d, x))
+                if (c, d, x) in accepts:
+                    firsts.append((x, d))
+                    break
+            if firsts and firsts[-1][0] != firsts[0][0]:
+                (x0, d0), (x1, d1) = firsts[0], firsts[-1]
+                return (x0, x1, d0, d1, c), calls
+    return None, calls
+
+
+def _openings_tried(accepts, c, message, openings):
+    """The ``check`` calls that look for an opening of ``c`` to
+    ``message``: the openings in order, up to the first accepted one."""
+    tried = []
+    for d in openings:
+        tried.append((c, d, message))
+        if (c, d, message) in accepts:
+            break
+    return tried
+
+
+@given(data=st.data())
+def test_the_opening_sweeps_are_the_brute_force_searches_call_for_call(data):
+    messages = tuple(data.draw(st.lists(st.sampled_from(_TINY), max_size=5)))
+    openings = tuple(data.draw(st.lists(st.sampled_from(_TINY), max_size=4)))
+    commits = {
+        (x, r): data.draw(st.sampled_from(_COMMITMENTS)) for x in messages for r in openings
+    }
+    accepts = data.draw(
+        st.frozensets(st.tuples(*map(st.sampled_from, (_COMMITMENTS, _TINY, _TINY))))
+    )
+    calls = []
+
+    def check(c, d, x):
+        calls.append((c, d, x))
+        return (c, d, x) in accepts
+
+    scheme = CommitmentScheme(
+        "table", lambda x, r: (commits[x, r], r), check, BindingClass.EQUIVOCABLE
+    )
+    witness = scheme.double_opening_witness(messages, openings)
+    assert (witness, calls) == _double_opening_reference(
+        accepts, set(commits.values()), messages, openings
+    )
+    for message in _TINY:
+        calls.clear()
+        tried = {c: _openings_tried(accepts, c, message, openings) for c in commits.values()}
+        assert scheme.openable_commitments(message, messages, openings) == {
+            c for c, tries in tried.items() if tries and tries[-1] in accepts
+        }
+        assert sorted(calls) == sorted(call for tries in tried.values() for call in tries)
