@@ -21,13 +21,7 @@ list share their kept runs: an entailment and its counterexample twin,
 or the weak, strong and star checks of one scenario, read the cells
 an earlier check already ran.  One set of kept runs lives at a
 time, and a table with another verifier, budget or seed list replaces
-it.  A registered check that runs again under the same ones drops them
-first (``share_kept_cells``), so it runs every cell afresh.  The sharing
-rests on a contract: the machines and worlds a check is given are not
-changed in place while their runs may be kept, or another check may be
-served runs of the unchanged build.  A changed build is a new object,
-as ``copy.deepcopy`` or ``build_scenario`` gives; ``drop_kept_cells``
-forgets every kept run.
+it.
 
 The table holds the seeds, and ``_Cells.walk`` is the one loop over
 them, with one rule: a seed at which no run read a tape stands for
@@ -196,7 +190,7 @@ class CheckReport:
         return self.verdict is CheckVerdict.HOLDS
 
 
-class ActionFamily:
+class ActionFamily(Frozen):
     """The finite family of candidate actions a check ranges over.
 
     The family for a failure claim must contain the adversarial actions
@@ -209,7 +203,7 @@ class ActionFamily:
         labels = [label for label, _ in actions]
         if len(set(labels)) != len(labels):
             raise CheckerError("action family has duplicate labels")
-        self.actions = actions
+        object.__setattr__(self, "actions", tuple(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +212,8 @@ class ActionFamily:
 
 
 # The runs the last cell table kept, with the verifier, budget, seed
-# list and kernel entry points they were kept under and the checks they
-# were shared with, by id:
-# (verifier, budget, seeds, kernel, shared, runs, targets, posts).
+# list and kernel entry points they were kept under:
+# (verifier, budget, seeds, kernel, runs, targets, posts).
 _kept: Optional[tuple] = None
 
 
@@ -239,20 +232,8 @@ def _kept_under(verifier: Machine, budget: int, seeds: tuple[int, ...]) -> tuple
     global _kept
     kernel = (execute, run_target, run_post)
     if _kept is None or _kept[0] is not verifier or _kept[1:4] != (budget, seeds, kernel):
-        _kept = (verifier, budget, seeds, kernel, {}, {}, {}, {})
+        _kept = (verifier, budget, seeds, kernel, {}, {}, {})
     return _kept
-
-
-def share_kept_cells(check, verifier: Machine, budget: int, seeds: tuple[int, ...]) -> None:
-    """Let ``check`` read the runs kept under ``verifier``, ``budget`` and
-    ``seeds`` unless it has read them before.  A check that runs again
-    under them drops them first, so it runs every cell afresh and sees
-    any change made in place since its last run."""
-    shared = _kept_under(verifier, budget, seeds)[4]
-    if id(check) in shared:
-        drop_kept_cells()
-        shared = _kept_under(verifier, budget, seeds)[4]
-    shared[id(check)] = check
 
 
 class _Cells:
@@ -290,13 +271,11 @@ class _Cells:
     extends them, and any other table replaces them, so one set of kept
     runs lives at a time and a new seed list starts empty.  They are
     also dropped when ``execute``, ``run_target`` or ``run_post`` is
-    rebound here, and by ``share_kept_cells`` when a registered check
-    that has read them runs again.  A check sharing them may be served a
-    run another check made; it then counts as that check's own, and a
-    kept run that read a tape adds to ``tape_runs``, which stays per
-    table.  Kept runs are keyed by object identity, so the machines and
-    worlds given to a check must not be changed in place between checks:
-    a changed build is a new object.
+    rebound here.  A check sharing them may be served a run another
+    check made, or that it made itself when it ran before; the run then
+    counts as this check's own, and a kept run that read a tape adds to
+    ``tape_runs``, which stays per table.  A build cannot change, so an
+    identity key is a content key.
 
     The one rule of the walk: a seed at which no run read a tape stands
     for every seed.  Every later seed would make the same runs and read
@@ -315,7 +294,7 @@ class _Cells:
         self.budget = budget
         self.worlds = worlds
         self.seeds = seeds
-        self.runs, self.targets, self.posts = _kept_under(verifier, budget, seeds)[5:]
+        self.runs, self.targets, self.posts = _kept_under(verifier, budget, seeds)[4:]
         self.tape_runs = 0
 
     def run(self, world: World, action: Machine, seed: int) -> ExecutionResult:

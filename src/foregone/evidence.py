@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 from .kernel import Machine, World, world_key
 from .refinement import ProbeSpec, bounded_equivalent, bounded_implements
-from .values import Frozen
+from .values import Frozen, read_only_copy
 
 
 class EvidenceError(Exception):
@@ -74,9 +74,11 @@ class Assertion(Frozen):
         object.__setattr__(self, "holds_in", holds_in)
 
 
-class Evidence:
+class Evidence(Frozen):
     """A named, non-empty family of labelled worlds, the assertions that
-    describe it, and the machine shapes it asserts per location."""
+    describe it, and the machine shapes it asserts per location.  The
+    spec maps are read-only views of copies of the dicts given, so an
+    evidence cannot change."""
 
     __slots__ = ("name", "assertions", "worlds", "probe", "partial_specs", "full_specs")
 
@@ -94,12 +96,12 @@ class Evidence:
         labels = [label for label, _ in worlds]
         if len(set(labels)) != len(labels):
             raise EvidenceError(f"evidence {name!r} has duplicate world labels")
-        self.name = name
-        self.assertions = assertions
-        self.worlds = worlds
-        self.probe = probe
-        self.partial_specs = {} if partial_specs is None else partial_specs
-        self.full_specs = {} if full_specs is None else full_specs
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "assertions", tuple(assertions))
+        object.__setattr__(self, "worlds", tuple(worlds))
+        object.__setattr__(self, "probe", probe)
+        object.__setattr__(self, "partial_specs", read_only_copy(partial_specs))
+        object.__setattr__(self, "full_specs", read_only_copy(full_specs))
 
     def world(self, label: str) -> World:
         for candidate, world in self.worlds:
@@ -140,7 +142,7 @@ def _rebind(spec: Machine, device: Machine) -> Optional[Machine]:
         bound_state = {name: device.state[name] for name in spec.state}
     except KeyError:
         return None
-    return Machine(id=spec.id, state=bound_state, methods=dict(spec.methods))
+    return Machine(id=spec.id, state=bound_state, methods=spec.methods)
 
 
 def _satisfies(

@@ -18,10 +18,15 @@ The moving parts:
     messages in order and queries nature.  The verifier's final output
     fixes the verdict.
 
+A built ``Machine``, ``Nature`` or ``World`` cannot change: its fields
+are frozen, and its ``state``, ``methods`` or ``slots`` is a read-only
+view of a copy of the dict it was built from.
+
 ``execute`` and ``run_target`` start from fresh tapes for the seed;
 ``run_post`` continues the world and tapes from where an execution left
-them.  None of the three mutates its input: each runs on its own fork.
-Each reports whether the run read its ``RandomnessAssignment``: the
+them.  Each runs on running copies (``fork_machine``, ``_fork``), whose
+state is a plain dict that only that run writes, and each reports
+whether the run read its ``RandomnessAssignment``: the
 engine sets ``read_tape`` when ``ctx.tape`` hands out a tape over the
 assignment, and ``ExecutionResult`` and ``RunOutput`` carry the flag
 out.  A ``force_zero_tape`` machine reads a ``ZeroTape`` and does not
@@ -47,7 +52,8 @@ post-worlds.  Method code keeps everything it remembers in ``ctx.state``
 value of the algebra or a ``str``: ``Machine`` construction and the
 engine, after every call whether the method returned or raised, enforce
 this with ``MalformedValueError``.  That rule is what lets a fork copy
-each machine's state dict and share the values.
+each machine's state dict and share the values.  A method that writes
+the state of a built machine, not of a running copy, faults.
 
 Any exception that method code raises and that is not a
 ``KernelError`` leaves ``invoke`` as a ``MethodFaultError`` naming the
@@ -76,6 +82,7 @@ from .values import (
     Frozen,
     Location,
     is_value,
+    read_only_copy,
     render_value,
     value_key,
 )
@@ -144,7 +151,7 @@ class MethodFaultError(KernelError):
 # ---------------------------------------------------------------------------
 
 
-class Machine:
+class Machine(Frozen):
     """A stateful machine: identifier, variable store, and method table.
 
     Two machines are structurally identical when they share an id, equal
@@ -156,6 +163,9 @@ class Machine:
     ``emulated_respondent`` replaces the machine's view of the
     respondent with a private emulated copy (used by the impossibility
     probes).
+
+    ``state`` and ``methods`` are read-only views of copies of the
+    dicts given, so a built machine cannot change.
     """
 
     __slots__ = ("id", "state", "methods", "force_zero_tape", "emulated_respondent")
@@ -168,11 +178,11 @@ class Machine:
         force_zero_tape: bool = False,
         emulated_respondent: Optional[Machine] = None,
     ):
-        self.id = id
-        self.state = {} if state is None else state
-        self.methods = {} if methods is None else methods
-        self.force_zero_tape = force_zero_tape
-        self.emulated_respondent = emulated_respondent
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "state", read_only_copy(state))
+        object.__setattr__(self, "methods", read_only_copy(methods))
+        object.__setattr__(self, "force_zero_tape", force_zero_tape)
+        object.__setattr__(self, "emulated_respondent", emulated_respondent)
         _check_state(self)
 
     def method_names(self) -> tuple[str, ...]:
@@ -190,11 +200,14 @@ def _check_state(machine: Machine) -> None:
             )
 
 
-class Nature:
-    """Location-indexed machines plus the set of read-only locations.
+class Nature(Frozen):
+    """Location-indexed machines plus the set of read-only locations;
+    ``slots`` is a read-only view of a copy of the dict given.
 
-    A read-only location answers only ``read()`` and its state is never
-    mutated; any other call yields a no-such-method outcome.
+    A read-only location answers only ``read()``, and any other call
+    yields a no-such-method outcome.  A run is handed the built machine
+    there, not a running copy, so a ``read`` that writes its state
+    faults.
     """
 
     __slots__ = ("slots", "read_only")
@@ -204,19 +217,19 @@ class Nature:
         slots: Optional[dict[int, Machine]] = None,
         read_only: frozenset[int] = frozenset(),
     ):
-        self.slots = {} if slots is None else slots
-        self.read_only = read_only
+        object.__setattr__(self, "slots", read_only_copy(slots))
+        object.__setattr__(self, "read_only", frozenset(read_only))
 
 
-class World:
+class World(Frozen):
     """Nature and a respondent; the tape seed is not part of a world.
     No machine object may appear in a world twice."""
 
     __slots__ = ("nature", "respondent")
 
     def __init__(self, nature: Nature, respondent: Machine):
-        self.nature = nature
-        self.respondent = respondent
+        object.__setattr__(self, "nature", nature)
+        object.__setattr__(self, "respondent", respondent)
         seen: set[int] = set()
         for machine in (*nature.slots.values(), respondent):
             while machine is not None:
@@ -228,17 +241,39 @@ class World:
                 machine = machine.emulated_respondent
 
 
-def fork_machine(machine: Machine) -> Machine:
-    """A machine with the same id, methods and flags and its own copy of
-    the state dict (and of its emulated respondent's).
+# Running copies, private to the one run that made them (``fork_machine``,
+# ``_fork``): the fields of a build, held in plain slots, and a running
+# machine's ``state`` is a plain dict that its run writes.  A fork that
+# set a frozen record's fields through their slot descriptors instead
+# took about twice as long.  The kernel reaches a machine, nature or
+# world only through these fields, so it runs builds and running copies
+# alike.
+
+
+class RunningMachine:
+    __slots__ = Machine.__slots__
+
+
+class RunningNature:
+    __slots__ = Nature.__slots__
+
+
+class RunningWorld:
+    __slots__ = World.__slots__
+
+
+def fork_machine(machine: Machine | RunningMachine) -> RunningMachine:
+    """A running copy of ``machine``: the same id, methods and flags, a
+    plain dict copy of the state, and a running copy of its emulated
+    respondent.
 
     State values are immutable (``_check_state``), so copying the dict is
     enough; the method table is shared.  The copy skips ``__init__``:
     the state it copies has already passed the check.
     """
-    twin = object.__new__(Machine)
+    twin = object.__new__(RunningMachine)
     twin.id = machine.id
-    twin.state = dict(machine.state)
+    twin.state = machine.state.copy()
     twin.methods = machine.methods
     twin.force_zero_tape = machine.force_zero_tape
     emulated = machine.emulated_respondent
@@ -246,19 +281,23 @@ def fork_machine(machine: Machine) -> Machine:
     return twin
 
 
-def _fork(world: World) -> World:
-    """A private copy of ``world`` for one run: every machine is forked
-    with ``fork_machine`` and nature gets a new slot dict under the same
-    read-only set.  Running on the copy leaves ``world`` unchanged.
+def _fork(world: World | RunningWorld) -> RunningWorld:
+    """A running copy of ``world`` for one run: nature's writable slots
+    and the respondent are forked with ``fork_machine``, and a read-only
+    slot keeps its machine, which answers only ``read``.  Running on the
+    copy leaves ``world`` unchanged.
 
-    The copy skips ``World.__init__``: one fork per machine keeps
-    the no-aliasing property the source already passed.
+    The copy skips ``__init__``: one fork per machine keeps the
+    no-aliasing property the source already passed.
     """
-    nature = Nature(
-        {index: fork_machine(m) for index, m in world.nature.slots.items()},
-        world.nature.read_only,
-    )
-    twin = object.__new__(World)
+    read_only = world.nature.read_only
+    nature = object.__new__(RunningNature)
+    nature.slots = {
+        index: machine if index in read_only else fork_machine(machine)
+        for index, machine in world.nature.slots.items()
+    }
+    nature.read_only = read_only
+    twin = object.__new__(RunningWorld)
     twin.nature = nature
     twin.respondent = fork_machine(world.respondent)
     return twin
@@ -678,12 +717,20 @@ def run_post(
     return RunOutput(output, engine.read_tape)
 
 
+# The world of a ``DirectInvoker`` given none: an empty nature and a
+# respondent that a machine run as nature cannot reach.  A build cannot
+# change, so one world serves every such invoker.
+_NO_WORLD = World(Nature(), Machine("bench-respondent"))
+
+
 class DirectInvoker:
     """Drives machines one call at a time, outside any execution.
 
     Used by probes and tests that need sequential stateful invocations
     ("call prompt, then call read") against a machine as such.  Calls
-    mutate the machine object that is passed in.
+    run on the machine object that is passed in: a caller that wants
+    them to change its state passes a running copy (``fork_machine``),
+    since a method that writes a built machine's state faults.
 
     Every call runs under seed 0, so the refinement probes do too.
     Besides the world and the budget, what the next call sees is the
@@ -692,9 +739,7 @@ class DirectInvoker:
     calls from many positions over the same world.
     """
 
-    def __init__(self, world: Optional[World] = None, budget: int = DEFAULT_BUDGET):
-        if world is None:
-            world = World(nature=Nature(), respondent=Machine(id="bench-respondent"))
+    def __init__(self, world: World = _NO_WORLD, budget: int = DEFAULT_BUDGET):
         self._engine = _Engine(world, RandomnessAssignment(0), budget)
 
     def invoke(self, machine: Machine, method: str, argument: Any = None) -> Any:
@@ -739,20 +784,24 @@ def emulate_with_respondent(action: Machine, respondent: Machine) -> Machine:
     The real respondent receives no calls at all, so the execution (and
     anything computed from it) is independent of who the respondent is.
     """
-    stand_in = fork_machine(respondent)
-    stand_in.id = f"emulated:{respondent.id}"
+    stand_in = Machine(
+        f"emulated:{respondent.id}",
+        respondent.state,
+        respondent.methods,
+        respondent.force_zero_tape,
+        respondent.emulated_respondent,
+    )
     return Machine(
-        id=f"{action.id}+emulating-{respondent.id}",
-        state=dict(action.state),
-        methods=dict(action.methods),
-        force_zero_tape=action.force_zero_tape,
-        emulated_respondent=stand_in,
+        f"{action.id}+emulating-{respondent.id}",
+        action.state,
+        action.methods,
+        action.force_zero_tape,
+        stand_in,
     )
 
 
 def with_zero_tape(action: Machine) -> Machine:
     """Copy of ``action`` with its randomness tape pinned to all zeros."""
-    pinned = fork_machine(action)
-    pinned.id = f"{action.id}+zero-coins"
-    pinned.force_zero_tape = True
-    return pinned
+    return Machine(
+        f"{action.id}+zero-coins", action.state, action.methods, True, action.emulated_respondent
+    )

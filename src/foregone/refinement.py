@@ -98,15 +98,19 @@ def _same_outcome(a: tuple, b: tuple) -> bool:
 
 
 def _subject(machine: Machine) -> Machine:
-    subject = fork_machine(machine)
-    subject.id = _PROBE_ID
-    return subject
+    return Machine(
+        _PROBE_ID,
+        machine.state,
+        machine.methods,
+        machine.force_zero_tape,
+        machine.emulated_respondent,
+    )
 
 
 def replay_probe(machine: Machine, probe: Probe, budget: int = DEFAULT_BUDGET) -> list[tuple]:
     """Run a call sequence against a fresh copy of ``machine`` and return
     the outcome stream.  Used to confirm witnesses independently."""
-    subject = _subject(machine)
+    subject = fork_machine(_subject(machine))
     invoker = DirectInvoker(budget=budget)
     return [_outcome(invoker, subject, method, argument) for method, argument in probe]
 

@@ -14,10 +14,7 @@ claims monotone, are derived from its monotonicity checks.
 in ``checkers``; the registry audit compares it against the scenario's
 expectation.  Consecutive checks under one verifier, budget and seed
 list read each other's kept runs, which leaves every report as the
-check alone makes it, provided no machine or world a check was given is
-changed in place afterwards: tamper with a ``copy.deepcopy`` of a
-scenario, or build a new one.  A check that runs again drops the kept
-runs and runs afresh.
+check alone makes it.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from ..checkers import (
     noted_failure,
     probe_random_target,
     probe_unknown_goal,
-    share_kept_cells,
 )
 from ..evidence import Evidence, audit as audit_evidence
 from ..kernel import DEFAULT_BUDGET, Machine
@@ -211,13 +207,7 @@ def run_check(
     """Execute one registered check and return (verdict string, report).
 
     Runs kept by earlier checks under the same verifier object, budget
-    and seed list are read, not re-run (see ``checkers._Cells``).  If
-    ``check`` itself read them before, they are dropped first and every
-    cell runs afresh.  Another check, such as an entailment twin, still
-    reads them: after a machine or world was changed in place, its
-    verdict may be that of the unchanged build.  Change a
-    ``copy.deepcopy`` of the scenario instead, or call
-    ``checkers.drop_kept_cells`` first."""
+    and seed list are read, not re-run (see ``checkers._Cells``)."""
     verifier = check.verifier or scenario.verifier
     exemplar = check.exemplar or scenario.exemplar
     target = check.target or scenario.target
@@ -225,7 +215,6 @@ def run_check(
     family = check.family or scenario.action_family
     # None for monotonicity, whose edge names two evidences
     evidence = scenario.evidences.get(check.evidence)
-    share_kept_cells(check, verifier, budget, seeds)
     try:
         if check.kind == "monotonicity":
             weaker, stronger = (scenario.evidences[key] for key in check.edge)

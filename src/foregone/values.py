@@ -27,6 +27,7 @@ NaN defeats both), so a caller that keys a collection checks
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any
 
 
@@ -52,9 +53,13 @@ class Frozen:
     """Base of the records whose fields are set once, in ``__init__``
     (through ``object.__setattr__``): assigning or deleting a field
     raises ``AttributeError``.  ``__setstate__`` lets ``copy`` and
-    ``pickle`` restore the slots all the same."""
+    ``pickle`` restore the slots all the same, and a deep copy is the
+    record itself, whose fields cannot change."""
 
     __slots__ = ()
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
@@ -65,6 +70,15 @@ class Frozen:
     def __setstate__(self, state):
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
+
+
+def read_only_copy(mapping) -> MappingProxyType:
+    """A read-only view of a copy of ``mapping``, a dict or a read-only
+    view of one (of an empty dict for None).  A ``Frozen`` record keeps
+    a dict it is given this way, so neither the record's holders nor its
+    builder can change it.  ``copy`` copies the dict under a view, where
+    ``dict(view)`` would take the slow generic path."""
+    return MappingProxyType((mapping or {}).copy())
 
 
 class Location(Frozen):

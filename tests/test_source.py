@@ -1,7 +1,8 @@
 """Static checks over the package source: every import is used, every
 module-level function body is written once, no record type is
 generated by ``dataclasses``, and one method of the cell table is the
-only loop over a check's seeds."""
+only loop over a check's seeds.  Last, a check that the code-size
+counter, ``tools/code_tokens.py``, counts what it says it counts."""
 
 from __future__ import annotations
 
@@ -139,3 +140,16 @@ def test_the_cell_walk_is_given_nothing_but_its_table():
         and node.func.attr == "walk"
     ]
     assert calls and all(not (call.args or call.keywords) for call in calls)
+
+
+def test_the_code_size_counter_skips_docstrings_comments_and_layout(tmp_path):
+    (tmp_path / "sample.py").write_text(
+        '"""Module docstring."""\n\n# a comment\ndef f(x):\n'
+        '    """Docstring."""\n    return "text" + x\n'
+    )
+    counter = Path(__file__).resolve().parent.parent / "tools" / "code_tokens.py"
+    ran = subprocess.run(
+        [sys.executable, str(counter), str(tmp_path)], capture_output=True, text=True, check=True
+    )
+    # def f ( x ) : return "text" + x
+    assert ran.stdout == "10\n"
