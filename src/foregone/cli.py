@@ -21,7 +21,8 @@ any other exception raised by a method, which the kernel wraps in a
 ``CheckerError`` such as a world without a declared language), and a
 toy primitive given inputs outside its own (a ``ToyCryptoError``, such
 as an overridden secret whose length a commitment scheme does not take,
-met while a scenario builds or when a probe computes its languages).
+met while a scenario builds, when a probe computes its languages, or
+in the audit's toy-crypto sweeps).
 Reports are byte-identical across runs for a fixed configuration and
 build.
 
@@ -180,7 +181,9 @@ def load_overrides(path: Optional[str]) -> dict[str, dict[str, Any]]:
 
 def toy_sweeps() -> dict[str, str]:
     """Exhaustive property sweeps over the toy primitives; every entry
-    must come back 'pass' for the audit to succeed."""
+    must come back 'pass' for the audit to succeed.  The commitment
+    sweeps are spread over the usable CPUs with the same calls and
+    results as one process (``CommitmentScheme.double_opening_witness``)."""
     results: dict[str, str] = {}
     messages = byte_domain()
     openings = small_byte_domain()
@@ -345,7 +348,10 @@ def cmd_audit(
         rows.extend(_rows_for(scenario, scenario.checks, seeds, budget))
     mismatches = sum(1 for row in rows if row["verdict"] != row["expected"])
 
-    sweeps = toy_sweeps()
+    try:
+        sweeps = toy_sweeps()
+    except ToyCryptoError as exc:
+        raise ConfigError(f"toy sweeps: {exc}") from None
     sweeps_ok = all(value == "pass" for value in sweeps.values())
 
     payload = {

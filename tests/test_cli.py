@@ -826,7 +826,10 @@ def test_toy_sweeps_all_pass():
 def test_one_toy_sweep_pass_makes_exactly_these_black_box_calls(monkeypatch):
     # each primitive is a black box to the sweeps: a binding proof over the
     # transparent scheme's 256 commitments x 256 messages x 16 openings
-    # calls check 256 * (255 * 16 + 1) times
+    # calls check 256 * (255 * 16 + 1) times.  The counters are closures of
+    # this process, so the sweeps run on one worker here;
+    # test_toy_crypto.py sums a two-worker sweep's calls across processes
+    monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 1)
     counts: dict[str, int] = {}
 
     def counted(name, primitive):
@@ -856,6 +859,47 @@ def test_one_toy_sweep_pass_makes_exactly_these_black_box_calls(monkeypatch):
         "otp": 3_072,
         "toy_hash": 259,
     }
+
+
+def _raising_hash(x):
+    raise toy_crypto.DomainExceededError(f"no hash of {x!r} here")
+
+
+def _check_raising_in_a_worker(parent: int):
+    """The transparent check, but raising at the first commitment of the
+    binding sweep's second half when a forked worker asks."""
+
+    def check(c, d, x):
+        if c == b"C|\x80" and os.getpid() != parent:
+            raise toy_crypto.DomainExceededError(f"no opening of {c!r} here")
+        return toy_crypto.TRANSPARENT.check(c, d, x)
+
+    return check
+
+
+@pytest.mark.parametrize("where", ["this process", "a worker"])
+def test_a_toy_sweep_that_raises_is_a_diagnosed_config_error(where, monkeypatch, capsys):
+    if where == "this process":
+        monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 1)
+        spec = toy_crypto.HashSpec("raising", _raising_hash, (b"\x00",), True)
+        monkeypatch.setattr(cli, "make_injective_hash", lambda: spec)
+        message = "error: toy sweeps: no hash of b'\\x00' here\n"
+    else:
+        # the second half of the sorted commitments is searched in a
+        # forked worker, whose exception comes back with its type and message
+        monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 2)
+        transparent = toy_crypto.TRANSPARENT
+        raising = toy_crypto.CommitmentScheme(
+            transparent.name,
+            transparent.commit,
+            _check_raising_in_a_worker(os.getpid()),
+            transparent.binding_class,
+        )
+        monkeypatch.setitem(toy_crypto.SCHEMES, "transparent", raising)
+        message = "error: toy sweeps: no opening of b'C|\\x80' here\n"
+    assert main(["audit", "--seeds", SEEDS_FLAG]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
 
 
 # --- demos -------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import foregone
+import foregone.toy_crypto as toy_crypto
 from foregone.checkers import check_demonstrability, check_monotonicity
 from foregone.cli import _rows_for
 from foregone.evidence import at_least_as_strong, audit as audit_evidence
@@ -339,7 +340,9 @@ def test_xor_pad_languages_cover_every_commitment(registry):
 
 def _count_commitment_work(monkeypatch) -> dict[str, int]:
     """Count ``openable_commitments`` calls, and calls to the xor-pad
-    scheme's ``check``, from here on."""
+    scheme's ``check``, from here on.  The counters are closures of this
+    process, so the searches run on one worker."""
+    monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 1)
     counts = {"openable_commitments": 0, "xor-pad check": 0}
     real_openable = CommitmentScheme.openable_commitments
     xor_pad = SCHEMES["xor-pad"]
