@@ -18,10 +18,10 @@ holds for every seed, not only the listed ones.
 
 Consecutive checks under the same verifier object, budget and seed
 list share their kept runs: an entailment and its counterexample twin,
-or the weak, strong and star checks of one scenario, read the cells
-an earlier check already ran.  One set of kept runs lives at a
-time, and a table with another verifier, budget or seed list replaces
-it.
+the weak, strong and star checks of one scenario, or a probe run
+again, read the cells an earlier check already ran.  One set of kept
+runs lives at a time, and a table with another verifier, budget or
+seed list replaces it.
 
 The table holds the seeds, and ``_Cells.walk`` is the one loop over
 them, with one rule: a seed at which no run read a tape stands for
@@ -59,7 +59,9 @@ the kernel, as a reference independent of the table.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from enum import Enum
+from types import MappingProxyType
 from typing import Any, Iterator, NoReturn, Optional
 
 from .evidence import Evidence, at_least_as_strong
@@ -204,6 +206,86 @@ class ActionFamily(Frozen):
         if len(set(labels)) != len(labels):
             raise CheckerError("action family has duplicate labels")
         object.__setattr__(self, "actions", tuple(actions))
+
+
+class Languages(Frozen, Mapping):
+    """The unknown-goal probe's languages: each world label's finite
+    language, a frozenset of values.  It is read-only: a mapping over a
+    read-only view of a copy of the one given, so setting or deleting
+    an item raises ``TypeError`` and neither its holders nor its
+    builder can change it.
+
+    The probe's gate depends on nothing but the languages and the world
+    labels it asks about, so ``keyed`` works it out once per label tuple
+    and keeps the outcome here, with the value it was worked out from.
+    """
+
+    __slots__ = ("_by_world", "_gates")
+
+    def __init__(self, by_world: Mapping[str, Iterable]):
+        object.__setattr__(
+            self,
+            "_by_world",
+            MappingProxyType(
+                {label: frozenset(language) for label, language in by_world.items()}
+            ),
+        )
+        object.__setattr__(self, "_gates", {})
+
+    def __getitem__(self, label: str) -> frozenset:
+        return self._by_world[label]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._by_world)
+
+    def __len__(self) -> int:
+        return len(self._by_world)
+
+    def keyed(self, labels: tuple[str, ...]) -> dict[str, dict[tuple, Any]]:
+        """Each of ``labels``' language as ``{value_key(member): member}``,
+        once the gate has passed.  The gate raises
+        ``PreconditionViolatedError`` naming the labels without a
+        language, or the members of a language that are not values, and
+        ``HypothesisViolatedError`` when the languages share a member,
+        listed as the first label's shared members, rendered and sorted.
+        The outcome, the keyed languages or the error's type and message,
+        is worked out on the first call for ``labels`` and read on every
+        later one."""
+        outcome = self._gates.get(labels)
+        if outcome is None:
+            try:
+                outcome = self._gate(labels)
+            except (PreconditionViolatedError, HypothesisViolatedError) as exc:
+                outcome = (type(exc), str(exc))
+            self._gates[labels] = outcome
+        if type(outcome) is tuple:
+            raise outcome[0](outcome[1])
+        return outcome
+
+    def _gate(self, labels: tuple[str, ...]) -> dict[str, dict[tuple, Any]]:
+        missing = [label for label in labels if label not in self._by_world]
+        if missing:
+            raise PreconditionViolatedError(f"worlds without languages: {missing}")
+        for label in labels:
+            strays = sorted(
+                render_value(v)
+                for v in self._by_world[label]
+                if type(v) not in ATOM_TYPES and not is_value(v)
+            )
+            if strays:
+                raise PreconditionViolatedError(
+                    f"world {label!r}: language members {strays} are not values"
+                )
+        keyed = {label: {value_key(v): v for v in self._by_world[label]} for label in labels}
+        first_label, *other_labels = labels
+        shared = set(keyed[first_label]).intersection(*(keyed[l] for l in other_labels))
+        if shared:
+            common = sorted(render_value(keyed[first_label][key]) for key in shared)
+            raise HypothesisViolatedError(
+                f"languages share {common}; "
+                "the unknown-goal hypothesis requires an empty intersection"
+            )
+        return keyed
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +734,7 @@ def _all_defeated(
 def probe_unknown_goal(
     verifier: Machine,
     evidence: Evidence,
-    languages: dict[str, frozenset],
+    languages: Optional[Mapping[str, frozenset]],
     target: Machine,
     candidate_posts: tuple[tuple[str, Machine], ...],
     exemplar: Machine,
@@ -673,41 +755,27 @@ def probe_unknown_goal(
     Every world must have a language, and every language member must
     be a value; ``PreconditionViolatedError`` names the worlds without
     one (all of them when ``languages`` is None) or the members that
-    are not.  Each language is keyed once by ``value_key``, so the
+    are not.  Each language is keyed by ``value_key``, so the
     hypothesis gate is a key-set intersection and each membership test
     a lookup, both agreeing with ``same_value``; a shared-members
     message lists the first world's shared members in rendered, sorted
-    order.
+    order.  A ``Languages`` value works its gate out once per tuple of
+    world labels and keeps it (``Languages.keyed``), so a probe run
+    again with the same value keys no member; any other mapping is
+    copied into a new ``Languages`` for this run.
 
-    The stand-in must conform under every seed, but the post-processors
-    and the target are compared at the first seed only.  When some run
-    read a tape, the report's notes say so; when none did, the first
-    seed stands for every seed, and the notes say that instead.
+    The stand-in (``emulate_with_respondent``) is the same object on
+    every run over the same built machines, so a run again under the
+    same verifier, budget and seeds reads the runs the first one kept.
+    It must conform under every seed, but the post-processors and the
+    target are compared at the first seed only.  When some run read a
+    tape, the report's notes say so; when none did, the first seed
+    stands for every seed, and the notes say that instead.
     """
     table = _Cells(verifier, budget, evidence.worlds, seeds)
-    missing = [l for l in evidence.labels() if l not in (languages or {})]
-    if missing:
-        raise PreconditionViolatedError(f"worlds without languages: {missing}")
-    for label in evidence.labels():
-        strays = sorted(
-            render_value(v)
-            for v in languages[label]
-            if type(v) not in ATOM_TYPES and not is_value(v)
-        )
-        if strays:
-            raise PreconditionViolatedError(
-                f"world {label!r}: language members {strays} are not values"
-            )
-
-    keyed = {label: {value_key(v): v for v in languages[label]} for label in evidence.labels()}
-    first_label, *other_labels = evidence.labels()
-    shared = set(keyed[first_label]).intersection(*(keyed[l] for l in other_labels))
-    common = [keyed[first_label][key] for key in shared]
-    if common:
-        raise HypothesisViolatedError(
-            f"languages share {sorted(render_value(v) for v in common)}; "
-            "the unknown-goal hypothesis requires an empty intersection"
-        )
+    if type(languages) is not Languages:
+        languages = Languages(languages or {})
+    keyed = languages.keyed(evidence.labels())
 
     stand_in = emulate_with_respondent(exemplar, evidence.worlds[0][1].respondent)
     for label, world in evidence.worlds:
@@ -813,6 +881,10 @@ def probe_random_target(
     target read a tape raises ``PreconditionViolatedError``.  A target
     that read no tape has support 1 under every seed, and its gate
     raises ``HypothesisViolatedError`` whatever the seeds.
+
+    The zero-coin machines (``with_zero_tape``) are the same objects on
+    every run over the same built machines, so a run again under the
+    same verifier, budget and seeds reads the runs the first one kept.
     """
     table = _Cells(verifier, budget, evidence.worlds, seeds)
     for label, world in evidence.worlds:

@@ -72,6 +72,7 @@ A method that produces nothing must ``return ABSENT`` explicitly.
 from __future__ import annotations
 
 from enum import Enum
+from functools import wraps
 from typing import Any, Callable, Optional
 
 from .tapes import RandomnessAssignment, ZeroTape
@@ -165,10 +166,20 @@ class Machine(Frozen):
     probes).
 
     ``state`` and ``methods`` are read-only views of copies of the
-    dicts given, so a built machine cannot change.
+    dicts given, so a built machine cannot change.  ``_derived`` keeps
+    the machines ``with_zero_tape`` and ``emulate_with_respondent``
+    derive from this one (``_kept_on_the_build``): they depend on
+    nothing but built machines, so each is built once per build.
     """
 
-    __slots__ = ("id", "state", "methods", "force_zero_tape", "emulated_respondent")
+    __slots__ = (
+        "id",
+        "state",
+        "methods",
+        "force_zero_tape",
+        "emulated_respondent",
+        "_derived",
+    )
 
     def __init__(
         self,
@@ -183,6 +194,7 @@ class Machine(Frozen):
         object.__setattr__(self, "methods", read_only_copy(methods))
         object.__setattr__(self, "force_zero_tape", force_zero_tape)
         object.__setattr__(self, "emulated_respondent", emulated_respondent)
+        object.__setattr__(self, "_derived", None)
         _check_state(self)
 
     def method_names(self) -> tuple[str, ...]:
@@ -251,7 +263,7 @@ class World(Frozen):
 
 
 class RunningMachine:
-    __slots__ = Machine.__slots__
+    __slots__ = ("id", "state", "methods", "force_zero_tape", "emulated_respondent")
 
 
 class RunningNature:
@@ -777,12 +789,39 @@ def read_only_store(machine_id: str, value: Any) -> Machine:
     return Machine(id=machine_id, state={"value": value}, methods={"read": _read_stored})
 
 
+def _kept_on_the_build(derive: Callable[..., Machine]) -> Callable[..., Machine]:
+    """``derive``, returning the same object for the same built machines:
+    the first result is kept on the first machine (``Machine._derived``)
+    under ``derive`` and the other machines, and read on every later
+    call.  A running copy among the inputs gets a new result, since its
+    state changes as its run goes on."""
+
+    @wraps(derive)
+    def kept(machine: Machine, *others: Machine) -> Machine:
+        if type(machine) is not Machine or any(type(m) is not Machine for m in others):
+            return derive(machine, *others)
+        derived = machine._derived
+        if derived is None:
+            derived = {}
+            object.__setattr__(machine, "_derived", derived)
+        key = (derive, *others)
+        made = derived.get(key)
+        if made is None:
+            made = derived[key] = derive(machine, *others)
+        return made
+
+    return kept
+
+
+@_kept_on_the_build
 def emulate_with_respondent(action: Machine, respondent: Machine) -> Machine:
     """The action that runs ``action``'s code against a private emulated
     copy of ``respondent`` instead of the world's actual respondent.
 
     The real respondent receives no calls at all, so the execution (and
     anything computed from it) is independent of who the respondent is.
+    For two built machines the result is the same object every time, so
+    runs kept under its identity serve a probe run again.
     """
     stand_in = Machine(
         f"emulated:{respondent.id}",
@@ -800,8 +839,10 @@ def emulate_with_respondent(action: Machine, respondent: Machine) -> Machine:
     )
 
 
+@_kept_on_the_build
 def with_zero_tape(action: Machine) -> Machine:
-    """Copy of ``action`` with its randomness tape pinned to all zeros."""
+    """Copy of ``action`` with its randomness tape pinned to all zeros;
+    the same object every time for a built machine."""
     return Machine(
         f"{action.id}+zero-coins", action.state, action.methods, True, action.emulated_respondent
     )

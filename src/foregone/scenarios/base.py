@@ -19,7 +19,7 @@ check alone makes it.
 
 from __future__ import annotations
 
-from functools import cached_property
+from collections.abc import Mapping
 from typing import Callable, Optional
 
 from ..checkers import (
@@ -28,6 +28,7 @@ from ..checkers import (
     CheckVerdict,
     DEFAULT_SEEDS,
     HypothesisViolatedError,
+    Languages,
     check_demonstrability,
     check_entailment,
     check_evidence_conformity,
@@ -74,8 +75,13 @@ class ScenarioCheck:
     ``language_source``, a zero-argument function returning a fresh
     dict, and ``languages`` calls it on first read and keeps the result
     on this check.  So a process pays for a check's languages once, and
-    only if something reads them.  Assigning ``languages`` replaces the
-    kept dict, which lives in the instance ``__dict__``.
+    only if something reads them.
+
+    ``languages`` is a read-only ``checkers.Languages`` value (or None),
+    so changing it in place raises ``TypeError``.  Assigning a mapping
+    replaces it with a ``Languages`` copy of that mapping; assigning
+    None leaves the check without languages.  The probe keeps its gate
+    outcome with the value, so each value is gated once per process.
     """
 
     def __init__(
@@ -110,9 +116,18 @@ class ScenarioCheck:
     def id(self) -> str:
         return f"{self.kind}/{self.evidence}"
 
-    @cached_property
-    def languages(self) -> Optional[dict[str, frozenset]]:
-        return None if self.language_source is None else self.language_source()
+    @property
+    def languages(self) -> Optional[Languages]:
+        if "_languages" not in self.__dict__:
+            source = self.language_source
+            self.languages = None if source is None else source()
+        return self._languages
+
+    @languages.setter
+    def languages(self, by_world: Optional[Mapping[str, frozenset]]) -> None:
+        if by_world is not None and type(by_world) is not Languages:
+            by_world = Languages(by_world)
+        self._languages = by_world
 
 
 class Scenario:

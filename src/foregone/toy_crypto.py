@@ -335,19 +335,24 @@ def _search_in_chunks(
 
     Chunk 0 is searched in this process while every other chunk is
     searched in a forked child, which sends back its outcome, the result
-    or the exception raised, pickled over a pipe.  Outcomes are read in
-    chunk order, and a child's exception is raised here when its chunk
-    is reached.  A chunk whose child could not be forked, or exited
-    without an outcome (killed, say), is searched here instead, so a
-    missing worker costs time, never the answer.  Children still running
-    when this returns or raises are killed and reaped.
+    or the exception raised, pickled over a pipe.  The first commitment
+    of chunk 0 is searched before anything is forked, as a chunk of its
+    own, and a search that it decides forks no worker.  Outcomes are
+    read in chunk order, and a child's exception is raised here when its
+    chunk is reached.  A chunk whose child could not be forked, or
+    exited without an outcome (killed, say), is searched here instead,
+    so a missing worker costs time, never the answer.  Children still
+    running when this returns or raises are killed and reaped.
     """
     workers = max(1, min(_worker_count(len(commitments)), len(commitments)))
     size, extra = divmod(len(commitments), workers)
     bounds = [k * size + min(k, extra) for k in range(workers + 1)]
     chunks = [commitments[a:b] for a, b in zip(bounds, bounds[1:])]
+    outcomes = [search(chunks[0][:1])]
+    if until(outcomes[0]):
+        return outcomes
+    chunks[0] = chunks[0][1:]
     children: list[Optional[tuple[int, BinaryIO]]] = [None] * workers
-    outcomes: list[_T] = []
     try:
         for k in range(1, workers):
             try:

@@ -10,6 +10,7 @@ from foregone.checkers import (
     ActionFamily,
     CheckVerdict,
     HypothesisViolatedError,
+    Languages,
     PreconditionViolatedError,
     _Cells,
     check_demonstrability,
@@ -377,19 +378,22 @@ def test_registered_checks_make_exactly_these_kernel_runs_and_table_reads(
     registry, monkeypatch
 ):
     # Consecutive checks under one verifier and seed list share kept
-    # runs: a counterexample check reads its entailment twin's cells.
+    # runs: a counterexample check reads its entailment twin's cells, and
+    # otp-table's secret-fixed-key probe reads the 2 executions of the
+    # secret-own-key probe before it, whose stand-in is the same object.
     calls = _registry_pass_calls(registry, monkeypatch, drop_between=False)
-    assert calls == {"execute": 110, "run_target": 45, "run_post": 125}
+    assert calls == {"execute": 108, "run_target": 45, "run_post": 125}
 
 
 def test_a_registry_pass_makes_exactly_these_forks(registry, monkeypatch):
     import foregone.kernel as kernel
 
     # A run hands a read-only slot its built machine, which answers only
-    # ``read`` and cannot change, so only the other machines are forked.
+    # ``read`` and cannot change, so only the other machines are forked;
+    # the 2 executions one probe reads from another fork 4 machines each.
     forks = count_calls(monkeypatch, kernel, ("fork_machine",))
     _registry_pass_calls(registry, monkeypatch, drop_between=False)
-    assert forks == {"fork_machine": 862}
+    assert forks == {"fork_machine": 854}
 
 
 def test_each_registered_check_alone_makes_exactly_these_kernel_runs(registry, monkeypatch):
@@ -443,6 +447,10 @@ def _builds() -> dict:
             {"partial_specs": {1: Machine("p")}, "full_specs": {2: Machine("f")}},
         ),
         "ActionFamily": (lambda: ActionFamily((("a", Machine("a")),)), {}),
+        "Languages": (
+            lambda _by_world: Languages(_by_world),
+            {"_by_world": {"w": frozenset({b"x"})}},
+        ),
     }
 
 
@@ -851,6 +859,80 @@ def test_unknown_goal_probe_refuses_a_language_member_that_is_not_a_value(
     )
 
 
+@pytest.mark.parametrize(
+    "evidence, by_world, error, message",
+    [
+        (
+            "whereabouts",
+            {
+                "was-in-boston": {b"Boston", b"Springfield"},
+                "was-in-paris": {b"Paris", b"Springfield"},
+            },
+            HypothesisViolatedError,
+            """languages share ['"Springfield"']; the unknown-goal hypothesis """
+            "requires an empty intersection",
+        ),
+        (
+            "whereabouts",
+            {"was-in-boston": {b"Boston"}, "was-in-paris": {b"Paris", 1.5}},
+            PreconditionViolatedError,
+            "world 'was-in-paris': language members ['1.5'] are not values",
+        ),
+        (
+            "coin",
+            {"was-in-boston": {b"Boston"}},
+            PreconditionViolatedError,
+            "worlds without languages: ['coin-flipper']",
+        ),
+    ],
+    ids=["shared", "stray", "missing"],
+)
+def test_a_kept_gate_error_is_raised_again_with_the_same_message(
+    goal_evidence, monkeypatch, evidence, by_world, error, message
+):
+    import foregone.checkers as checkers
+
+    languages = Languages(by_world)
+    keys = count_calls(monkeypatch, checkers, ("value_key",))
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            probe_unknown_goal(
+                accept_any_verifier(),
+                goal_evidence[evidence],
+                languages,
+                location_target(),
+                candidate_posts(),
+                state_location_action(),
+                SEEDS,
+            )
+        raised.append(str(caught.value))
+    assert raised == [message, message]
+    # the members were keyed on the first run only, if the gate got that far
+    assert keys == {"value_key": 4 if error is HypothesisViolatedError else 0}
+
+
+def test_a_probe_run_again_reads_every_run_it_kept(registry, monkeypatch):
+    import foregone.checkers as checkers
+
+    # The probes' stand-ins and pinned machines are built once per build,
+    # so the runs kept under their identity serve a second run.
+    seeds = tuple(range(7000, 7032))
+    probes = [
+        (scenario, check)
+        for scenario in registry.values()
+        for check in scenario.checks
+        if check.kind.startswith("probe-")
+    ]
+    assert len(probes) == 10
+    calls = count_calls(monkeypatch, checkers, ("execute", "run_target", "run_post"))
+    for scenario, check in probes:
+        first = run_check(scenario, check, seeds)
+        calls.update(execute=0, run_target=0, run_post=0)
+        assert run_check(scenario, check, seeds) == first
+        assert calls == {"execute": 0, "run_target": 0, "run_post": 0}, check.id
+
+
 def _registered_languages(registry):
     for name, scenario in registry.items():
         for check in scenario.checks:
@@ -865,23 +947,26 @@ def test_every_registered_language_member_is_a_value(registry):
         assert all(is_value(v) for language in by_world.values() for v in language)
 
 
-def test_unknown_goal_checks_key_each_member_once_and_never_scan(registry, monkeypatch):
+def test_unknown_goal_checks_key_each_member_once_and_never_scan(monkeypatch):
     # The hypothesis gate and the membership tests are key-set lookups:
     # value_key once per language member plus once per output looked up
     # (a candidate's output, and the target's in the world it fails),
     # and same_value only where the candidates' outputs across worlds
-    # are compared, once per world.
+    # are compared, once per world.  A fresh build has gated nothing,
+    # and each languages value keeps its gate, so a second run of each
+    # check keys its outputs only.
     import foregone.checkers as checkers
 
     calls = count_calls(monkeypatch, checkers, ("same_value", "value_key"))
-    counted = {}
-    for check_name, scenario, check, by_world in _registered_languages(registry):
-        calls.update(same_value=0, value_key=0)
-        verdict, report = run_check(scenario, check, SEEDS)
+    first, second = {}, {}
+    for check_name, scenario, check, by_world in _registered_languages(build_registry()):
         members = sum(len(language) for language in by_world.values())
-        assert calls["value_key"] <= members + 2 * len(report.witnesses)
-        counted[check_name] = (verdict, members, calls["same_value"], calls["value_key"])
-    assert counted == {
+        for counted in (first, second):
+            calls.update(same_value=0, value_key=0)
+            verdict, report = run_check(scenario, check, SEEDS)
+            assert calls["value_key"] <= members + 2 * len(report.witnesses)
+            counted[check_name] = (verdict, members, calls["same_value"], calls["value_key"])
+    assert first == {
         "otp-table:probe-unknown-goal/secret-own-key": ("Holds", 2, 6, 8),
         "otp-table:probe-unknown-goal/secret-fixed-key": ("Holds", 2, 6, 8),
         "otp-table:probe-unknown-goal/known-own-key": ("Holds", 2, 6, 8),
@@ -893,6 +978,10 @@ def test_unknown_goal_checks_key_each_member_once_and_never_scan(registry, monke
             0,
             512,
         ),
+    }
+    assert second == {
+        name: (verdict, members, compared, keyed - members)
+        for name, (verdict, members, compared, keyed) in first.items()
     }
 
 

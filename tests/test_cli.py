@@ -388,7 +388,7 @@ def test_a_check_given_inputs_outside_its_contract_is_a_config_error_naming_the_
 ):
     scenario = copy.deepcopy(registry["unknown-goal"])
     check = next(c for c in scenario.checks if c.id == "probe-unknown-goal/commitment-pinned")
-    del check.languages["holder-b"]
+    check.languages = {"holder-a": check.languages["holder-a"]}
     monkeypatch.setattr(cli, "build_scenario", lambda name, params: scenario)
     argv = ["run", "unknown-goal", "--check", "probe-unknown-goal", "--seeds", "0,1"]
     code = main(argv + ["--evidence", "commitment-pinned"])

@@ -719,6 +719,31 @@ def test_an_emulated_respondent_is_forked_with_its_action():
     assert stand_in.emulated_respondent.state["unlocked"] is False
 
 
+def test_a_derived_machine_is_built_once_per_built_machine():
+    # Runs are kept under machine identity, so a probe that derives its
+    # stand-in again must get the same object; a running copy's state
+    # changes as it runs, so it gets a new one each time.
+    action = Machine(id="a", state={"x": 1}, methods={"run": _draw_one})
+    respondent = password_device(b"hunter2", b"tax-records")
+    assert with_zero_tape(action) is with_zero_tape(action)
+    stand_in = emulate_with_respondent(action, respondent)
+    assert emulate_with_respondent(action, respondent) is stand_in
+    assert with_zero_tape(stand_in) is with_zero_tape(stand_in)
+    twin = password_device(b"hunter2", b"tax-records")
+    assert emulate_with_respondent(action, twin) is not stand_in
+    for running in (
+        lambda: with_zero_tape(fork_machine(action)),
+        lambda: emulate_with_respondent(fork_machine(action), respondent),
+        lambda: emulate_with_respondent(action, fork_machine(respondent)),
+    ):
+        assert running() is not running()
+    # whichever way it was built, a derived machine has the same content
+    assert machine_key(with_zero_tape(fork_machine(action))) == machine_key(
+        with_zero_tape(action)
+    )
+    assert machine_key(emulate_with_respondent(action, twin)) == machine_key(stand_in)
+
+
 def _scenario_bundles(registry):
     """(world, riders) per registered world: riders are the machines the
     scenario's checks run against that world, with the role each plays."""

@@ -19,6 +19,7 @@ from foregone.checkers import (
     CheckReport,
     CheckVerdict,
     Counterexample,
+    Languages,
 )
 from foregone.evidence import Assertion, EmptyFamilyError, Evidence, EvidenceError
 from foregone.kernel import (
@@ -88,6 +89,7 @@ def _frozen_records() -> list:
         _world(),
         Evidence("e", (), (("w", _world()),), PROBE),
         ActionFamily(()),
+        Languages({"w": frozenset({b"x"})}),
     ]
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import foregone
 import foregone.toy_crypto as toy_crypto
-from foregone.checkers import check_demonstrability, check_monotonicity
+from foregone.checkers import Languages, check_demonstrability, check_monotonicity
 from foregone.cli import _rows_for
 from foregone.evidence import at_least_as_strong, audit as audit_evidence
 from foregone.kernel import DEFAULT_BUDGET, Verdict, execute, run_target
@@ -422,9 +422,29 @@ def test_no_two_checks_share_a_language_dict():
             continue
         labels = set(check.languages)
         assert len(labels) == 2
-        del check.languages[sorted(labels)[0]]
+        kept = sorted(labels)[1]
+        check.languages = {kept: check.languages[kept]}
+        assert set(check.languages) == {kept}
         for other in (second, copied):
             assert set(other.find_check(check.kind, check.evidence).languages) == labels
+
+
+def test_a_check_s_languages_refuse_an_in_place_change_but_take_a_new_value():
+    check = build_scenario("unknown-goal").find_check("probe-unknown-goal", "whereabouts")
+    languages = check.languages
+    assert type(languages) is Languages
+    with pytest.raises(TypeError):
+        languages["was-in-boston"] = frozenset()
+    with pytest.raises(TypeError):
+        del languages["was-in-boston"]
+    assert check.languages is languages
+    given = {"was-in-boston": {b"Boston"}}
+    check.languages = given
+    given["was-in-paris"] = {b"Paris"}  # the value holds a copy of what it was given
+    assert type(check.languages) is Languages
+    assert dict(check.languages) == {"was-in-boston": frozenset({b"Boston"})}
+    check.languages = None
+    assert check.languages is None
 
 
 # --- tampering is detected ----------------------------------------------------------

@@ -374,6 +374,25 @@ def test_two_workers_split_the_transparent_sweep_calls_between_them(monkeypatch)
     assert sum(counts) == 1_044_736
 
 
+def test_a_search_decided_at_its_first_commitment_forks_no_worker(monkeypatch):
+    # the first commitment is searched before any worker is forked: xor-pad
+    # opens it to two messages, while the transparent sweep needs them all
+    monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 2)
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(True)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    early = (b"\x00", b"\x01", b"\x00", b"\x01", b"\x00")
+    assert XOR_PAD.double_opening_witness(byte_domain(), small_byte_domain()) == early
+    assert forks == []
+    assert TRANSPARENT.double_opening_witness(byte_domain(), small_byte_domain()) is None
+    assert forks == [True]
+
+
 def _searches(scheme, messages, openings):
     return (
         scheme.double_opening_witness(messages, openings),
@@ -453,6 +472,16 @@ def _sleeping_in_a_worker(check, parent):
     return sleepy
 
 
+def _past_the_first(check, first):
+    """``check``, but commitment ``first`` opens to nothing, so a search
+    is not decided before its workers are forked."""
+
+    def later(c, d, x):
+        return c != first and check(c, d, x)
+
+    return later
+
+
 def _raising(c, d, x):
     raise DomainExceededError("refused")
 
@@ -474,15 +503,16 @@ def test_no_worker_outlives_its_search(monkeypatch):
     sleepy = CommitmentScheme(
         XOR_PAD.name,
         XOR_PAD.commit,
-        _sleeping_in_a_worker(XOR_PAD.check, parent),
+        _sleeping_in_a_worker(_past_the_first(XOR_PAD.check, b"\x00"), parent),
         XOR_PAD.binding_class,
     )
-    assert sleepy.double_opening_witness(byte_domain(), small_byte_domain()) == early
+    second = (b"\x00", b"\x01", b"\x01", b"\x00", b"\x01")
+    assert sleepy.double_opening_witness(byte_domain(), small_byte_domain()) == second
     no_child_left()
     raising = CommitmentScheme(
         "raising",
         TRANSPARENT.commit,
-        _sleeping_in_a_worker(_raising, parent),
+        _sleeping_in_a_worker(_past_the_first(_raising, b"C|\x00"), parent),
         BindingClass.PERFECTLY_BINDING,
     )
     for search in (
