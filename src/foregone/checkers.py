@@ -210,7 +210,9 @@ class ActionFamily(Frozen):
 
 class Languages(Frozen, Mapping):
     """The unknown-goal probe's languages: each world label's finite
-    language, a frozenset of values.  It is read-only: a mapping over a
+    language, a tuple of members distinct under ``value_key``, in the
+    order first given.  So ``True`` and ``1`` are two members, where a
+    set would merge them.  It is read-only: a mapping over a
     read-only view of a copy of the one given, so setting or deleting
     an item raises ``TypeError`` and neither its holders nor its
     builder can change it.
@@ -227,12 +229,15 @@ class Languages(Frozen, Mapping):
             self,
             "_by_world",
             MappingProxyType(
-                {label: frozenset(language) for label, language in by_world.items()}
+                {
+                    label: tuple({value_key(v): v for v in language}.values())
+                    for label, language in by_world.items()
+                }
             ),
         )
         object.__setattr__(self, "_gates", {})
 
-    def __getitem__(self, label: str) -> frozenset:
+    def __getitem__(self, label: str) -> tuple:
         return self._by_world[label]
 
     def __iter__(self) -> Iterator[str]:
@@ -340,7 +345,7 @@ class _Cells:
     machines on the same world under seeds s and s' are therefore
     identical up to their first tape read, so a run that read no tape
     under s is, step for step, the run under s': the same transcript,
-    verdict, steps, output and post-world.  Whether a run reads a tape
+    verdict, steps, output and machine states.  Whether a run reads a tape
     does not depend on the seed either.  Only the tapes a post-processor
     reads on from differ, and ``post`` gives it fresh tapes for the
     cell's own seed.  ``tape_runs`` counts the runs the table made or
@@ -437,7 +442,8 @@ class _Cells:
             # the kept execution may have run under another seed
             result = ExecutionResult(
                 result.transcript,
-                result.post_world,
+                result.world,
+                result.states,
                 RandomnessAssignment(seed),
                 result.steps_used,
                 result.read_tape,
@@ -734,7 +740,7 @@ def _all_defeated(
 def probe_unknown_goal(
     verifier: Machine,
     evidence: Evidence,
-    languages: Optional[Mapping[str, frozenset]],
+    languages: Optional[Mapping[str, Iterable]],
     target: Machine,
     candidate_posts: tuple[tuple[str, Machine], ...],
     exemplar: Machine,

@@ -23,15 +23,19 @@ are frozen, and its ``state``, ``methods`` or ``slots`` is a read-only
 view of a copy of the dict it was built from.
 
 ``execute`` and ``run_target`` start from fresh tapes for the seed;
-``run_post`` continues the world and tapes from where an execution left
-them.  Each runs on running copies (``fork_machine``, ``_fork``), whose
-state is a plain dict that only that run writes, and each reports
-whether the run read its ``RandomnessAssignment``: the
-engine sets ``read_tape`` when ``ctx.tape`` hands out a tape over the
-assignment, and ``ExecutionResult`` and ``RunOutput`` carry the flag
-out.  A ``force_zero_tape`` machine reads a ``ZeroTape`` and does not
-count.  The seed reaches a run only through the assignment, so a run
-that did not read it is the run under every seed.
+``run_post`` continues the machine states and tapes from where an
+execution left them.  A run keeps the states it writes in an overlay, a
+dict from a built machine to that run's private state dict.  A machine
+gets its entry, a copy of its built state, on its first invoke at a
+writable place, so a run copies only the machines it calls; a
+read-only slot never gets one.  An ``ExecutionResult`` carries its
+overlay out as ``states``.  Each run also reports whether it read its
+``RandomnessAssignment``: the engine sets ``read_tape`` when
+``ctx.tape`` hands out a tape over the assignment, and
+``ExecutionResult`` and ``RunOutput`` carry the flag out.  A
+``force_zero_tape`` machine reads a ``ZeroTape`` and does not count.
+The seed reaches a run only through the assignment, so a run that did
+not read it is the run under every seed.
 
 Access rules are enforced by construction.  Every method runs in a
 role, and ``_CAPS`` lists what each role may use.  The role comes with
@@ -47,13 +51,15 @@ capability it lacks raises ``AccessViolationError``.
 
 Everything is deterministic given (world, machines, seed, budget): two
 runs of the same cell produce bitwise identical transcripts and
-post-worlds.  Method code keeps everything it remembers in ``ctx.state``
-(never in captured closures), and every state value is an immutable
-value of the algebra or a ``str``: ``Machine`` construction and the
-engine, after every call whether the method returned or raised, enforce
-this with ``MalformedValueError``.  That rule is what lets a fork copy
-each machine's state dict and share the values.  A method that writes
-the state of a built machine, not of a running copy, faults.
+machine states.  Method code keeps everything it remembers in
+``ctx.state`` (never in captured closures), and every state value is an
+immutable value of the algebra or a ``str``: ``Machine`` construction
+and the engine, after every call whether the method returned or raised,
+enforce this with ``MalformedValueError``.  That rule is what lets an
+overlay copy a machine's state dict and share the values.  The overlay
+is keyed by machine object, so a run refuses one object in two places
+with ``AliasedMachineError``, as a ``World`` does.  A method that
+writes the built state of a read-only slot faults.
 
 Any exception that method code raises and that is not a
 ``KernelError`` leaves ``invoke`` as a ``MethodFaultError`` naming the
@@ -73,7 +79,8 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import wraps
-from typing import Any, Callable, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Optional
 
 from .tapes import RandomnessAssignment, ZeroTape
 from .values import (
@@ -195,21 +202,35 @@ class Machine(Frozen):
         object.__setattr__(self, "force_zero_tape", force_zero_tape)
         object.__setattr__(self, "emulated_respondent", emulated_respondent)
         object.__setattr__(self, "_derived", None)
-        _check_state(self)
+        _check_state(id, self.state)
 
     def method_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.methods))
 
 
-def _check_state(machine: Machine) -> None:
-    """Reject a state value that is neither a value nor a ``str``: forks
-    share state values, so each one must be immutable."""
-    for key, value in machine.state.items():
+def _check_state(machine_id: str, state) -> None:
+    """Reject a state value that is neither a value nor a ``str``: an
+    overlay shares state values, so each one must be immutable."""
+    for key, value in state.items():
         if type(value) not in _STATE_TYPES and not (isinstance(value, str) or is_value(value)):
             raise MalformedValueError(
-                f"machine {machine.id!r} stores non-value {value!r} "
+                f"machine {machine_id!r} stores non-value {value!r} "
                 f"under state key {key!r}"
             )
+
+
+def _refuse_aliases(*machines: Machine, seen: set) -> set:
+    """``seen`` with ``machines`` and their emulated respondents added.
+    Raise ``AliasedMachineError`` when one machine object is there
+    twice: states are kept by machine object, so the two places would
+    share one state."""
+    for machine in machines:
+        while machine is not None:
+            if machine in seen:
+                raise AliasedMachineError(f"machine {machine.id!r} is held more than once")
+            seen.add(machine)
+            machine = machine.emulated_respondent
+    return seen
 
 
 class Nature(Frozen):
@@ -217,9 +238,8 @@ class Nature(Frozen):
     ``slots`` is a read-only view of a copy of the dict given.
 
     A read-only location answers only ``read()``, and any other call
-    yields a no-such-method outcome.  A run is handed the built machine
-    there, not a running copy, so a ``read`` that writes its state
-    faults.
+    yields a no-such-method outcome.  A run never copies the state of
+    the machine there, so a ``read`` that writes its state faults.
     """
 
     __slots__ = ("slots", "read_only")
@@ -235,98 +255,38 @@ class Nature(Frozen):
 
 class World(Frozen):
     """Nature and a respondent; the tape seed is not part of a world.
-    No machine object may appear in a world twice."""
+    No machine object may appear in a world twice; ``_machines`` holds
+    each one, emulated respondents included."""
 
-    __slots__ = ("nature", "respondent")
+    __slots__ = ("nature", "respondent", "_machines")
 
     def __init__(self, nature: Nature, respondent: Machine):
         object.__setattr__(self, "nature", nature)
         object.__setattr__(self, "respondent", respondent)
-        seen: set[int] = set()
-        for machine in (*nature.slots.values(), respondent):
-            while machine is not None:
-                if id(machine) in seen:
-                    raise AliasedMachineError(
-                        f"world holds machine {machine.id!r} more than once"
-                    )
-                seen.add(id(machine))
-                machine = machine.emulated_respondent
+        held = _refuse_aliases(*nature.slots.values(), respondent, seen=set())
+        object.__setattr__(self, "_machines", frozenset(held))
 
 
-# Running copies, private to the one run that made them (``fork_machine``,
-# ``_fork``): the fields of a build, held in plain slots, and a running
-# machine's ``state`` is a plain dict that its run writes.  A fork that
-# set a frozen record's fields through their slot descriptors instead
-# took about twice as long.  The kernel reaches a machine, nature or
-# world only through these fields, so it runs builds and running copies
-# alike.
+# The states of no machine: every machine reads its built state.
+_NO_STATES = MappingProxyType({})
 
 
-class RunningMachine:
-    __slots__ = ("id", "state", "methods", "force_zero_tape", "emulated_respondent")
-
-
-class RunningNature:
-    __slots__ = Nature.__slots__
-
-
-class RunningWorld:
-    __slots__ = World.__slots__
-
-
-def fork_machine(machine: Machine | RunningMachine) -> RunningMachine:
-    """A running copy of ``machine``: the same id, methods and flags, a
-    plain dict copy of the state, and a running copy of its emulated
-    respondent.
-
-    State values are immutable (``_check_state``), so copying the dict is
-    enough; the method table is shared.  The copy skips ``__init__``:
-    the state it copies has already passed the check.
-    """
-    twin = object.__new__(RunningMachine)
-    twin.id = machine.id
-    twin.state = machine.state.copy()
-    twin.methods = machine.methods
-    twin.force_zero_tape = machine.force_zero_tape
-    emulated = machine.emulated_respondent
-    twin.emulated_respondent = None if emulated is None else fork_machine(emulated)
-    return twin
-
-
-def _fork(world: World | RunningWorld) -> RunningWorld:
-    """A running copy of ``world`` for one run: nature's writable slots
-    and the respondent are forked with ``fork_machine``, and a read-only
-    slot keeps its machine, which answers only ``read``.  Running on the
-    copy leaves ``world`` unchanged.
-
-    The copy skips ``__init__``: one fork per machine keeps the
-    no-aliasing property the source already passed.
-    """
-    read_only = world.nature.read_only
-    nature = object.__new__(RunningNature)
-    nature.slots = {
-        index: machine if index in read_only else fork_machine(machine)
-        for index, machine in world.nature.slots.items()
-    }
-    nature.read_only = read_only
-    twin = object.__new__(RunningWorld)
-    twin.nature = nature
-    twin.respondent = fork_machine(world.respondent)
-    return twin
-
-
-def machine_key(machine: Optional[Machine]) -> Optional[tuple]:
+def machine_key(machine: Optional[Machine], states: Mapping = _NO_STATES) -> Optional[tuple]:
     """A hashable, type-strict key of a machine's content: id, method
     functions, zero-tape flag, state values under ``value_key`` and the
-    emulated respondent's key.  Machines with equal keys run alike."""
+    emulated respondent's key.  Machines with equal keys run alike.  A
+    machine's state, and its emulated respondent's, is read from
+    ``states`` (a run's ``states``) where it has one there."""
     if machine is None:
         return None
     return (
         machine.id,
         tuple(sorted(machine.methods.items())),
         machine.force_zero_tape,
-        tuple(sorted((name, value_key(v)) for name, v in machine.state.items())),
-        machine_key(machine.emulated_respondent),
+        tuple(
+            sorted((name, value_key(v)) for name, v in states.get(machine, machine.state).items())
+        ),
+        machine_key(machine.emulated_respondent, states),
     )
 
 
@@ -403,21 +363,25 @@ class Transcript:
 
 
 class ExecutionResult:
-    """A transcript plus the world and tapes as the execution left them,
-    and whether the execution read its tapes."""
+    """A transcript, the world the execution ran in, the machine states
+    and tapes as it left them, and whether it read its tapes.  ``states``
+    holds the state of each machine the execution called at a writable
+    place, keyed by the machine object; any other machine is as built."""
 
-    __slots__ = ("transcript", "post_world", "post_assignment", "steps_used", "read_tape")
+    __slots__ = ("transcript", "world", "states", "post_assignment", "steps_used", "read_tape")
 
     def __init__(
         self,
         transcript: Transcript,
-        post_world: World,
+        world: World,
+        states: Mapping,
         post_assignment: RandomnessAssignment,
         steps_used: int,
         read_tape: bool,
     ):
         self.transcript = transcript
-        self.post_world = post_world
+        self.world = world
+        self.states = states
         self.post_assignment = post_assignment
         self.steps_used = steps_used
         self.read_tape = read_tape
@@ -523,12 +487,12 @@ class MethodContext:
 
     __slots__ = ("_engine", "_machine", "_role", "method", "state")
 
-    def __init__(self, engine: "_Engine", machine: Machine, role: str, method: str):
+    def __init__(self, engine: "_Engine", machine: Machine, role: str, method: str, state):
         self._engine = engine
         self._machine = machine
         self._role = role
         self.method = method
-        self.state = machine.state
+        self.state = state
 
     @property
     def tape(self) -> _ChargingTape:
@@ -591,10 +555,29 @@ class MethodContext:
 
 
 class _Engine:
-    def __init__(self, world: World, assignment: RandomnessAssignment, budget: int):
+    """One run over ``world``: its tapes, budget, transcript and
+    ``states``, the overlay of the states it writes.  A machine's entry
+    there is made on its first invoke at a writable place, as a copy of
+    its state in ``base``, the states the run goes on from, or else of
+    its built state.  The run's own ``machines`` (the action and the
+    verifier, a target or a post-processor) must be distinct from the
+    world's and from those ``base`` holds states of
+    (``AliasedMachineError``)."""
+
+    def __init__(
+        self,
+        world: World,
+        assignment: RandomnessAssignment,
+        budget: int,
+        *machines: Machine,
+        base: Mapping = _NO_STATES,
+    ):
+        _refuse_aliases(*machines, seen={*world._machines, *base})
         self.world = world
         self.assignment = assignment
         self.budget = budget
+        self.base = base
+        self.states = {}
         self.steps = 0
         self.read_tape = False  # set once a tape over ``assignment`` is handed out
         self.transcript = Transcript()
@@ -625,14 +608,21 @@ class _Engine:
         method: str,
         argument: Any,
     ) -> Any:
-        """Run ``machine.method(argument)`` in ``role``; a machine at a
-        read-only location answers only ``read``."""
+        """Run ``machine.method(argument)`` in ``role`` on the machine's
+        state in this run; a machine at a read-only location answers only
+        ``read``, on its built state."""
         self.charge()
         fn = machine.methods.get(method)
         if fn is None or (read_only and method != "read"):
             self.record_refusal(caller_id, machine.id, method, argument)
             raise NoSuchMethodError(machine.id, method)
-        ctx = MethodContext(self, machine, role, method)
+        if read_only:
+            state = machine.state
+        else:
+            state = self.states.get(machine)
+            if state is None:
+                state = self.states[machine] = self.base.get(machine, machine.state).copy()
+        ctx = MethodContext(self, machine, role, method, state)
         try:
             output = fn(ctx, argument)
         except KernelError:
@@ -643,7 +633,7 @@ class _Engine:
                 f"{type(exc).__name__}: {exc}"
             ) from exc
         finally:
-            _check_state(machine)
+            _check_state(machine.id, state)
         if type(output) not in ATOM_TYPES and output is not ABSENT and not is_value(output):
             raise MalformedValueError(
                 f"{machine.id}.{method} returned non-value {output!r}"
@@ -667,8 +657,10 @@ def execute(
     """Two-phase run of ``verifier`` against ``action`` in ``world``
     under fresh tapes for ``seed``.
 
-    The verifier, action and world are all driven as private copies, so
-    calling code can reuse the same objects across cells.
+    The run keeps the states it writes in an overlay of its own, so
+    calling code can reuse the same objects across cells.  One machine
+    object in two places of the run (the action and the verifier, or a
+    machine of the world) is refused with ``AliasedMachineError``.
 
     Verdicts: the verifier's output ``True`` means accept, anything else
     (including ⊥ or no output) rejects.  Exhausting the budget yields
@@ -676,11 +668,10 @@ def execute(
     the acting machine does not survive yields ``Reject`` with the
     attempt recorded.
     """
-    engine = _Engine(_fork(world), RandomnessAssignment(seed), budget)
+    engine = _Engine(world, RandomnessAssignment(seed), budget, action, verifier)
     try:
-        acting, checking = fork_machine(action), fork_machine(verifier)
-        engine.invoke("execution", acting, _ROLE_ACTION, False, "run", None)
-        output = engine.invoke("execution", checking, _ROLE_VERIFIER, False, "run", None)
+        engine.invoke("execution", action, _ROLE_ACTION, False, "run", None)
+        output = engine.invoke("execution", verifier, _ROLE_VERIFIER, False, "run", None)
         verdict = Verdict.ACCEPT if output is True else Verdict.REJECT
     except NoSuchMethodError:
         verdict = Verdict.REJECT
@@ -688,7 +679,12 @@ def execute(
         verdict = Verdict.BUDGET
     engine.transcript.set_verdict(verdict)
     return ExecutionResult(
-        engine.transcript, engine.world, engine.assignment, engine.steps, engine.read_tape
+        engine.transcript,
+        world,
+        engine.states,
+        engine.assignment,
+        engine.steps,
+        engine.read_tape,
     )
 
 
@@ -701,11 +697,11 @@ def run_target(
     The target has oracle access to nature and the respondent and draws
     from its own tape under fresh tapes for ``seed``, the same setting
     an execution of that seed starts from.  A target that produces no
-    output is an error.
+    output is an error, and so is a target that is also a machine of
+    ``world`` (``AliasedMachineError``).
     """
-    engine = _Engine(_fork(world), RandomnessAssignment(seed), budget)
-    acting = fork_machine(target)
-    output = engine.invoke("execution", acting, _ROLE_TARGET, False, "run", None)
+    engine = _Engine(world, RandomnessAssignment(seed), budget, target)
+    output = engine.invoke("execution", target, _ROLE_TARGET, False, "run", None)
     if output is ABSENT:
         raise AbsentOutputError(f"target {target.id!r} produced no output")
     return RunOutput(output, engine.read_tape)
@@ -719,13 +715,19 @@ def run_post(
 
     The post-processor sees nature as the interaction left it plus the
     message log, and reads the tapes on from where the execution
-    stopped; it has no respondent access.  ``result`` is left unchanged.
+    stopped; it has no respondent access.  A machine's first invoke
+    copies its state from ``result.states``, so ``result`` is left
+    unchanged.  A post-processor that is also a machine of the world,
+    or one the execution called, is refused with
+    ``AliasedMachineError``.
     """
-    engine = _Engine(_fork(result.post_world), result.post_assignment.fork(), budget)
+    engine = _Engine(
+        result.world, result.post_assignment.fork(), budget, post, base=result.states
+    )
     engine.transcript.messages_to_verifier.extend(
         result.transcript.messages_to_verifier
     )
-    output = engine.invoke("execution", fork_machine(post), _ROLE_POST, False, "run", None)
+    output = engine.invoke("execution", post, _ROLE_POST, False, "run", None)
     return RunOutput(output, engine.read_tape)
 
 
@@ -739,16 +741,15 @@ class DirectInvoker:
     """Drives machines one call at a time, outside any execution.
 
     Used by probes and tests that need sequential stateful invocations
-    ("call prompt, then call read") against a machine as such.  Calls
-    run on the machine object that is passed in: a caller that wants
-    them to change its state passes a running copy (``fork_machine``),
-    since a method that writes a built machine's state faults.
+    ("call prompt, then call read") against a machine as such.  Like a
+    run, the invoker keeps the states its calls write in an overlay of
+    its own, so the machine passed in stays as it was built.
 
     Every call runs under seed 0, so the refinement probes do too.
     Besides the world and the budget, what the next call sees is the
-    invoker's ``position``: the steps charged so far and the tape
-    offsets consumed.  ``move_to`` sets it, so one invoker can run
-    calls from many positions over the same world.
+    invoker's ``position``: the steps charged so far, the tape offsets
+    consumed and the machine states.  ``move_to`` sets it, so one
+    invoker can run calls from many positions over the same world.
     """
 
     def __init__(self, world: World = _NO_WORLD, budget: int = DEFAULT_BUDGET):
@@ -760,17 +761,23 @@ class DirectInvoker:
         return self._engine.invoke("bench", machine, _ROLE_NATURE, False, method, argument)
 
     @property
-    def position(self) -> tuple[int, tuple[tuple[str, int], ...]]:
-        """The steps charged so far and the tape offsets consumed, as
-        (stream id, offset) pairs sorted by stream id."""
+    def position(self) -> tuple:
+        """The steps charged so far, the tape offsets consumed, as
+        (stream id, offset) pairs sorted by stream id, and the state of
+        each machine called so far, keyed by the machine object.
+        Reading it seals those states: a later call copies a state before
+        it writes it, so a position once read never changes."""
         engine = self._engine
-        return engine.steps, tuple(sorted(engine.assignment.offsets.items()))
+        engine.base = {**engine.base, **engine.states}
+        engine.states = {}
+        return engine.steps, tuple(sorted(engine.assignment.offsets.items())), engine.base
 
-    def move_to(self, position: tuple[int, tuple[tuple[str, int], ...]]) -> None:
+    def move_to(self, position: tuple) -> None:
         """Go on from ``position``, as ``position`` returned it."""
-        steps, offsets = position
+        steps, offsets, states = position
         self._engine.steps = steps
         self._engine.assignment.offsets = dict(offsets)
+        self._engine.base, self._engine.states = states, {}
 
 
 # ---------------------------------------------------------------------------
@@ -793,13 +800,10 @@ def _kept_on_the_build(derive: Callable[..., Machine]) -> Callable[..., Machine]
     """``derive``, returning the same object for the same built machines:
     the first result is kept on the first machine (``Machine._derived``)
     under ``derive`` and the other machines, and read on every later
-    call.  A running copy among the inputs gets a new result, since its
-    state changes as its run goes on."""
+    call."""
 
     @wraps(derive)
     def kept(machine: Machine, *others: Machine) -> Machine:
-        if type(machine) is not Machine or any(type(m) is not Machine for m in others):
-            return derive(machine, *others)
         derived = machine._derived
         if derived is None:
             derived = {}

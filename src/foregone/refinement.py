@@ -9,27 +9,28 @@ a depth bound, with inputs drawn from a finite alphabet, runs on both
 machines under identical tapes, and the outcome streams are compared.
 
 The call sequences form a tree, walked level by level.  A node holds
-each side's state after its probe: a fork of the machine (with any
-emulated respondent) and the invoker's position, its step count and
-tape offsets.  A child forks its parent's machine and makes one more
-call on each side, so a probe inherits its prefix instead of replaying
-it.  Every call of a search runs through one invoker over one probe
-world, under seed 0 and the search's budget; a subject runs in the
+each side's built subject and the invoker's position after its probe:
+the step count, the tape offsets and the machine states (the subject's
+and any emulated respondent's).  A child moves the invoker to its
+parent's position and makes one more call on each side, which copies a
+state before it writes it, so a probe inherits its prefix instead of
+replaying it.  Every call of a search runs through one invoker over one
+probe world, under seed 0 and the search's budget; a subject runs in the
 nature role, which reaches neither nature's slots (the probe world has
 none) nor the world's respondent, so no call changes that world.
 
-The outcome of a call depends only on the node it starts from, keyed
-per side by the machine's ``kernel.machine_key`` (state under
-``value_key``, emulated respondent and zero-tape flag included), the
-step count and the sorted tape offsets.  A search therefore expands
-each distinct (left, right) node once: a child whose key it has seen
-has its own outcome compared but is not expanded again, since its
-subtree repeats that of a node at the same level or a shallower one.
-So the first diverging node of the walk is still the shortest
-diverging probe, and among those the first in option order.  Machines
-are probed in isolation: a cross-machine call surfaces as the same
-no-such-method outcome on both sides and therefore never separates them
-by itself.
+The outcome of a call depends only on the node it starts from, keyed per
+side by the subject's ``kernel.machine_key`` read through the node's
+states (state under ``value_key``, emulated respondent and zero-tape
+flag included), the step count and the sorted tape offsets.  A search
+therefore expands each distinct (left, right) node once: a child whose
+key it has seen has its own outcome compared but is not expanded again,
+since its subtree repeats that of a node at the same level or a
+shallower one.  So the first diverging node of the walk is still the
+shortest diverging probe, and among those the first in option order.
+Machines are probed in isolation: a cross-machine call surfaces as the
+same no-such-method outcome on both sides and therefore never separates
+them by itself.
 
 A comparison is decided once per process: its answer is memoized under
 the ``kernel.machine_key`` of both machines, the depth, the alphabet and
@@ -50,7 +51,6 @@ from .kernel import (
     DirectInvoker,
     Machine,
     NoSuchMethodError,
-    fork_machine,
     machine_key,
 )
 from .values import ABSENT, Frozen, same_value, value_key
@@ -108,27 +108,29 @@ def _subject(machine: Machine) -> Machine:
 
 
 def replay_probe(machine: Machine, probe: Probe, budget: int = DEFAULT_BUDGET) -> list[tuple]:
-    """Run a call sequence against a fresh copy of ``machine`` and return
-    the outcome stream.  Used to confirm witnesses independently."""
-    subject = fork_machine(_subject(machine))
+    """Run a call sequence against ``machine`` from its built state and
+    return the outcome stream.  Used to confirm witnesses independently."""
+    subject = _subject(machine)
     invoker = DirectInvoker(budget=budget)
     return [_outcome(invoker, subject, method, argument) for method, argument in probe]
 
 
-_Node = tuple[Machine, tuple]  # (machine, invoker position)
+_Node = tuple[Machine, tuple]  # (built subject, invoker position)
 
 
 def _step(invoker: DirectInvoker, node: _Node, method: str, argument) -> tuple[tuple, _Node]:
-    """One more call from ``node``: the outcome and the child node.  The
-    call runs on a fork of the machine, so the node stays as it was."""
+    """One more call from ``node``: the outcome and the child node.  A
+    position once read never changes, so the node stays as it was."""
     machine, position = node
-    machine = fork_machine(machine)
     invoker.move_to(position)
     return _outcome(invoker, machine, method, argument), (machine, invoker.position)
 
 
 def _key(left: _Node, right: _Node) -> tuple:
-    return tuple((machine_key(machine), position) for machine, position in (left, right))
+    return tuple(
+        (machine_key(machine, states), steps, offsets)
+        for machine, (steps, offsets, states) in (left, right)
+    )
 
 
 def _search(

@@ -19,7 +19,7 @@ check alone makes it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import Callable, Optional
 
 from ..checkers import (
@@ -73,9 +73,10 @@ class ScenarioCheck:
     A build runs the evidence audit at load (``Scenario``) but defers
     the languages: a ``probe-unknown-goal`` check holds
     ``language_source``, a zero-argument function returning a fresh
-    dict, and ``languages`` calls it on first read and keeps the result
-    on this check.  So a process pays for a check's languages once, and
-    only if something reads them.
+    dict from world label to a tuple of members (a set would already
+    have merged ``True`` with ``1``), and ``languages`` calls it on
+    first read and keeps the result on this check.  So a process pays
+    for a check's languages once, and only if something reads them.
 
     ``languages`` is a read-only ``checkers.Languages`` value (or None),
     so changing it in place raises ``TypeError``.  Assigning a mapping
@@ -96,7 +97,7 @@ class ScenarioCheck:
         post: Optional[Machine] = None,
         family: Optional[ActionFamily] = None,
         candidates: tuple[tuple[str, Machine], ...] = (),
-        language_source: Optional[Callable[[], dict[str, frozenset]]] = None,
+        language_source: Optional[Callable[[], dict[str, tuple]]] = None,
         edge: Optional[tuple[str, str]] = None,  # (weaker key, stronger key)
     ):
         self.kind = kind
@@ -124,7 +125,7 @@ class ScenarioCheck:
         return self._languages
 
     @languages.setter
-    def languages(self, by_world: Optional[Mapping[str, frozenset]]) -> None:
+    def languages(self, by_world: Optional[Mapping[str, Iterable]]) -> None:
         if by_world is not None and type(by_world) is not Languages:
             by_world = Languages(by_world)
         self._languages = by_world

@@ -11,9 +11,10 @@ scenario modules:
 - There are no module-level machine constants: every build makes its
   own ``Machine`` objects, since a ``World`` refuses one ``Machine``
   object held twice.  A built machine cannot change, and every entry
-  point and ``DirectInvoker`` caller runs a running copy of it
-  (``kernel.fork_machine``), so one build may hand the same verifier or
-  action to several checks.
+  point and ``DirectInvoker`` keeps the states its calls write in an
+  overlay of its own, so one build may hand the same verifier or action
+  to several checks, though not the same object to two places of one
+  run (``AliasedMachineError``).
 - Machine ids are output bytes: probe witnesses and rendered
   transcripts name machines by id, so renaming a machine changes
   reports and demo output.

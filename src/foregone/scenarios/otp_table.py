@@ -264,8 +264,8 @@ def build(params: Mapping[str, Any]) -> Scenario:
             target=own_key_target(),
             candidates=guesses(own_a),
             language_source=lambda: {
-                "keeper-a": frozenset({own_a}),
-                "keeper-b": frozenset({own_b}),
+                "keeper-a": (own_a,),
+                "keeper-b": (own_b,),
             },
             citation="With plaintext and key both beyond verification, every"
             " candidate recovery lands outside some consistent answer set.",
@@ -277,8 +277,8 @@ def build(params: Mapping[str, Any]) -> Scenario:
             target=fixed_key_target(params["fixed_key"]),
             candidates=guesses(fixed_a),
             language_source=lambda: {
-                "keeper-a": frozenset({fixed_a}),
-                "keeper-b": frozenset({fixed_b}),
+                "keeper-a": (fixed_a,),
+                "keeper-b": (fixed_b,),
             },
             citation="Fixing the key does not help while the plaintext"
             " cannot be verified: the answer set still varies by mind.",
@@ -299,8 +299,8 @@ def build(params: Mapping[str, Any]) -> Scenario:
             target=own_key_target(),
             candidates=guesses(known_own_a),
             language_source=lambda: {
-                "recorded-a": frozenset({known_own_a}),
-                "recorded-b": frozenset({known_own_b}),
+                "recorded-a": (known_own_a,),
+                "recorded-b": (known_own_b,),
             },
             citation="A recorded plaintext does not pin down a ciphertext"
             " under the respondent's own unverifiable key.",

@@ -133,12 +133,12 @@ def send_commitment_action(scheme_name: str, coin: bytes) -> Machine:
 
 def _openable_languages(
     scheme_name: str, secrets: tuple[bytes, bytes]
-) -> dict[str, frozenset]:
+) -> dict[str, tuple[bytes, ...]]:
     """Each holder's language: the commitments in the scheme's image over
-    ``secrets`` that open to that holder's secret."""
+    ``secrets`` that open to that holder's secret, in sorted order."""
     scheme = SCHEMES[scheme_name]
     return {
-        label: scheme.openable_commitments(secret, secrets, byte_domain())
+        label: tuple(sorted(scheme.openable_commitments(secret, secrets, byte_domain())))
         for label, secret in zip(("holder-a", "holder-b"), secrets)
     }
 
@@ -236,8 +236,8 @@ def build(params: Mapping[str, Any]) -> Scenario:
             candidates=guesses(place_a)
             + (("fixed-elsewhere", fixed_output_post("fixed-elsewhere", b"Tokyo")),),
             language_source=lambda: {
-                "was-in-boston": frozenset({place_a}),
-                "was-in-paris": frozenset({place_b}),
+                "was-in-boston": (place_a,),
+                "was-in-paris": (place_b,),
             },
             citation="The government cannot check where she was, so any"
             " candidate recovery lands outside some consistent answer set"

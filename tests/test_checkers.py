@@ -33,7 +33,7 @@ from foregone.kernel import (
     with_zero_tape,
 )
 from foregone.refinement import ProbeSpec
-from foregone.values import is_value, render_value, same_value
+from foregone.values import is_value, render_value, same_value, value_key
 from foregone.scenarios import build_registry, run_check
 from foregone.scenarios.common import (
     accept_any_verifier,
@@ -385,15 +385,24 @@ def test_registered_checks_make_exactly_these_kernel_runs_and_table_reads(
     assert calls == {"execute": 108, "run_target": 45, "run_post": 125}
 
 
-def test_a_registry_pass_makes_exactly_these_forks(registry, monkeypatch):
+def test_a_registry_pass_makes_exactly_these_state_copies(registry, monkeypatch):
     import foregone.kernel as kernel
 
-    # A run hands a read-only slot its built machine, which answers only
-    # ``read`` and cannot change, so only the other machines are forked;
-    # the 2 executions one probe reads from another fork 4 machines each.
-    forks = count_calls(monkeypatch, kernel, ("fork_machine",))
+    # A run copies a machine's state into its ``states`` on its first
+    # call at a writable place that the machine defines: a machine never
+    # called, called only at a read-only slot or only with methods it
+    # lacks, or a respondent in a post-processor's run, is never copied.
+    engines = []
+    start = kernel._Engine.__init__
+
+    def keeping(engine, *args, **kwargs):
+        start(engine, *args, **kwargs)
+        engines.append(engine)
+
+    monkeypatch.setattr(kernel._Engine, "__init__", keeping)
     _registry_pass_calls(registry, monkeypatch, drop_between=False)
-    assert forks == {"fork_machine": 854}
+    assert len(engines) == 108 + 45 + 125
+    assert sum(len(engine.states) for engine in engines) == 643
 
 
 def test_each_registered_check_alone_makes_exactly_these_kernel_runs(registry, monkeypatch):
@@ -805,6 +814,18 @@ def test_unknown_goal_probe_intersects_languages_type_strictly(goal_evidence):
     assert "escapes its own declared language" in report.notes[0]
 
 
+def test_a_language_keeps_the_members_a_set_would_merge():
+    # A language is a tuple of members distinct under value_key, so True
+    # and 1 are two members, and membership is type-strict both ways.
+    languages = Languages({"both": [True, 1, True], "one": (1,), "two": (2,)})
+    assert [type(member) for member in languages["both"]] == [bool, int]
+    keyed = languages.keyed(("both", "two"))
+    assert value_key(1) in keyed["both"] and value_key(True) in keyed["both"]
+    keyed = languages.keyed(("one", "two"))
+    assert value_key(1) in keyed["one"]
+    assert value_key(True) not in keyed["one"]
+
+
 def test_unknown_goal_probe_gates_on_a_single_respondent(goal_evidence):
     narrowed = restrict_to(goal_evidence["whereabouts"], ("was-in-boston",))
     with pytest.raises(HypothesisViolatedError):
@@ -943,8 +964,10 @@ def _registered_languages(registry):
 def test_every_registered_language_member_is_a_value(registry):
     languages = list(_registered_languages(registry))
     assert len(languages) == 6
-    for *_, by_world in languages:
+    for _, _, check, by_world in languages:
         assert all(is_value(v) for language in by_world.values() for v in language)
+        # a set would have merged True with 1 before Languages saw it
+        assert {type(language) for language in check.language_source().values()} == {tuple}
 
 
 def test_unknown_goal_checks_key_each_member_once_and_never_scan(monkeypatch):

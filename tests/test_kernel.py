@@ -21,10 +21,8 @@ from foregone.kernel import (
     Verdict,
     World,
     _Engine,
-    _fork,
     emulate_with_respondent,
     execute,
-    fork_machine,
     read_only_store,
     run_post,
     machine_key,
@@ -56,7 +54,7 @@ def password_world(pwd=b"hunter2", message=b"tax-records") -> World:
 
 
 def test_prompt_then_read_discloses_the_message():
-    device = fork_machine(password_device(b"hunter2", b"tax-records"))
+    device = password_device(b"hunter2", b"tax-records")
     invoker = DirectInvoker()
     assert invoker.invoke(device, "read") is None  # locked: the null value
     invoker.invoke(device, "prompt", b"hunter2")
@@ -64,25 +62,48 @@ def test_prompt_then_read_discloses_the_message():
 
 
 def test_wrong_password_keeps_the_device_locked():
-    device = fork_machine(password_device(b"hunter2", b"tax-records"))
+    device = password_device(b"hunter2", b"tax-records")
     invoker = DirectInvoker()
     invoker.invoke(device, "prompt", b"guess")
     assert invoker.invoke(device, "read") is None
 
 
 def test_undefined_method_raises_without_mutating_state():
-    device = fork_machine(plain_store(b"alpha"))
-    before = dict(device.state)
+    device = plain_store(b"alpha")
+    invoker = DirectInvoker()
     with pytest.raises(NoSuchMethodError):
-        DirectInvoker().invoke(device, "write", b"cats")
-    assert device.state == before
+        invoker.invoke(device, "write", b"cats")
+    # a refused call does not even copy the state
+    assert invoker.position[2] == {}
 
 
 def test_write_method_present_on_the_writable_variant():
-    device = fork_machine(writable_store(b"alpha"))
+    device = writable_store(b"alpha")
     invoker = DirectInvoker()
     invoker.invoke(device, "write", b"cats")
     assert invoker.invoke(device, "read") == b"cats"
+
+
+def test_a_position_once_read_never_changes():
+    first, second = writable_store(b"alpha"), writable_store(b"beta")
+    invoker = DirectInvoker()
+    start = invoker.position
+    invoker.invoke(first, "write", b"one")
+    wrote_one = invoker.position
+    invoker.invoke(first, "write", b"two")
+    assert wrote_one[2][first]["content"] == b"one"
+    # a position taken after a move keeps the states it moved to
+    invoker.move_to(wrote_one)
+    invoker.invoke(second, "write", b"three")
+    wrote_three = invoker.position
+    for position, reads in (
+        (start, (b"alpha", b"beta")),
+        (wrote_one, (b"one", b"beta")),
+        (wrote_three, (b"one", b"three")),
+    ):
+        invoker.move_to(position)
+        assert (invoker.invoke(first, "read"), invoker.invoke(second, "read")) == reads
+    assert (first.state["content"], second.state["content"]) == (b"alpha", b"beta")
 
 
 # --- execute -------------------------------------------------------------------
@@ -273,14 +294,16 @@ def test_a_writable_store_at_a_read_only_slot_answers_only_read(where):
         respondent=mind("bystander", name=b"r"),
     )
     action = Machine(id="vandal", state={"where": where}, methods={"run": _write_through})
+    store = world.nature.slots[1]
     result = execute(accept_any_verifier(), action, world, 0)
     assert result.transcript.verdict is Verdict.REJECT
     assert result.transcript.events[0].output is NO_SUCH_METHOD
-    assert result.post_world.nature.slots[1].state["content"] == b"sealed"
+    assert machine_key(store, result.states) == machine_key(store)
 
     result = execute(accept_any_verifier(), action, changed_world(world, read_only=frozenset()), 0)
     assert result.transcript.verdict is Verdict.ACCEPT
-    assert result.post_world.nature.slots[1].state["content"] == b"defaced"
+    assert result.states[store]["content"] == b"defaced"
+    assert store.state["content"] == b"sealed"
 
 
 def test_extra_messages_are_recorded_and_ignored_by_the_verifier():
@@ -311,16 +334,18 @@ def test_receive_on_an_empty_buffer_yields_absent():
 
 def test_entry_points_leave_their_input_world_and_result_unchanged():
     # The input world is a built one, which cannot change; the result's
-    # post-world holds running copies, which ``run_post`` must not write.
+    # states are the execution's, which ``run_post`` must not write.
     world = password_world()
+    device = world.nature.slots[DEVICE_LOCATION]
     pristine = world_key(world)
     result = execute(unlocked_verifier(), exemplar_action(), world, 3)
-    assert result.post_world.nature.slots[DEVICE_LOCATION].state["unlocked"]
+    assert result.states[device]["unlocked"]
     assert run_target(decrypt_target(), world, 3).output == b"tax-records"
     assert world_key(world) == pristine
-    assert not world.nature.slots[DEVICE_LOCATION].state["unlocked"]
+    assert not device.state["unlocked"]
 
-    post_world, offsets = world_key(result.post_world), dict(result.post_assignment.offsets)
+    states = {machine: dict(state) for machine, state in result.states.items()}
+    offsets = dict(result.post_assignment.offsets)
 
     def relock_and_draw(ctx, _arg):
         ctx.nature(DEVICE_LOCATION).call("prompt", b"wrong")
@@ -328,10 +353,10 @@ def test_entry_points_leave_their_input_world_and_result_unchanged():
 
     post = Machine(id="relocker", methods={"run": relock_and_draw})
     assert run_key(run_post(post, result)) == run_key(run_post(post, result))
-    assert world_key(result.post_world) == post_world
+    assert result.states == states
     assert result.post_assignment.seed == 3
     assert result.post_assignment.offsets == offsets
-    assert result.post_world.nature.slots[DEVICE_LOCATION].state["unlocked"]
+    assert result.world is world
 
 
 def test_post_processor_reads_the_tape_continuing_where_the_execution_stopped():
@@ -408,10 +433,12 @@ def test_replay_determinism_holds_for_arbitrary_seeds(seed):
     assert transcript_key(first.transcript) == transcript_key(second.transcript)
 
 
-def test_post_world_reflects_committed_updates():
+def test_the_result_states_reflect_committed_updates():
     world = password_world()
     result = execute(unlocked_verifier(), exemplar_action(), world, 0)
-    assert result.post_world.nature.slots[DEVICE_LOCATION].state["unlocked"]
+    device = world.nature.slots[DEVICE_LOCATION]
+    assert result.states[device]["unlocked"]
+    assert machine_key(device, result.states) != machine_key(device)
 
 
 # --- targets and post-processors -------------------------------------------------
@@ -446,7 +473,7 @@ def test_coin_target_is_fixed_by_the_assignment():
         assert run_key(a) == run_key(b)
 
 
-def test_post_processor_sees_post_world_and_messages():
+def test_post_processor_sees_the_states_and_messages_the_execution_left():
     from foregone.scenarios.password import device_reading_post
 
     world = password_world()
@@ -523,10 +550,12 @@ def test_read_only_location_refuses_other_methods_and_never_mutates():
         accept_any_verifier(), Machine(id="vandal", methods={"run": vandal}), world, 0
     )
     assert result.transcript.verdict is Verdict.REJECT
-    assert result.post_world.nature.slots[1].state == before
+    # a read-only slot is never copied, so its built state is all there is
+    assert store not in result.states
+    assert dict(store.state) == before
 
 
-# --- immutable state and the structural fork -------------------------------------
+# --- immutable state and the overlay ---------------------------------------------
 
 
 def test_a_machine_cannot_be_built_with_mutable_state():
@@ -540,7 +569,7 @@ def test_a_method_that_stores_mutable_state_is_rejected():
         ctx.state["scratch"] = bytearray(b"mutable")
         return ABSENT
 
-    machine = fork_machine(Machine(id="stasher", methods={"run": stash}))
+    machine = Machine(id="stasher", methods={"run": stash})
     with pytest.raises(MalformedValueError) as excinfo:
         DirectInvoker().invoke(machine, "run")
     assert "'stasher'" in str(excinfo.value)
@@ -553,12 +582,13 @@ def _remember(ctx, argument):
 
 
 def test_a_method_that_writes_a_built_machines_state_faults():
-    # Only a running copy's state can change: a built machine run as it
-    # is, by a direct invoker or at a read-only slot, faults on a write.
+    # A run writes the state it copied into its overlay; a machine at a
+    # read-only slot runs on its built state, and faults on a write.
     store = Machine(id="noter", state={"value": b"sealed"}, methods={"read": _remember})
-    with pytest.raises(MethodFaultError, match="'noter' method 'read' raised TypeError"):
-        DirectInvoker().invoke(store, "read", b"x")
-    assert DirectInvoker().invoke(fork_machine(store), "read", b"x") == b"sealed"
+    invoker = DirectInvoker()
+    assert invoker.invoke(store, "read", b"x") == b"sealed"
+    assert invoker.position[2][store] == {"value": b"sealed", "seen": b"x"}
+    assert dict(store.state) == {"value": b"sealed"}
 
     def read_it(ctx, _arg):
         return ctx.nature(1).call("read", b"x")
@@ -567,7 +597,7 @@ def test_a_method_that_writes_a_built_machines_state_faults():
     sealed = World(Nature({1: store}, frozenset({1})), mind("bystander", name=b"r"))
     with pytest.raises(MethodFaultError, match="'noter' method 'read'"):
         run_target(reader, sealed, 0)
-    # at a writable slot the run writes a running copy of its own
+    # at a writable slot the run writes a state of its own
     assert run_target(reader, changed_world(sealed, read_only=frozenset()), 0).output == b"sealed"
     assert dict(store.state) == {"value": b"sealed"}
 
@@ -632,10 +662,11 @@ def _give(ctx, argument):
 @given(value=_VALUES)
 def test_the_kernel_refuses_exactly_what_the_value_checks_refuse(value):
     state_ok = isinstance(value, str) or is_value(value)
-    keeper = fork_machine(Machine(id="keeper", methods={"run": _keep}))
+    keeper = Machine(id="keeper", methods={"run": _keep})
     if state_ok:
-        DirectInvoker().invoke(keeper, "run", value)
-        assert keeper.state["kept"] is value
+        invoker = DirectInvoker()
+        invoker.invoke(keeper, "run", value)
+        assert invoker.position[2][keeper]["kept"] is value
         assert Machine(id="built", state={"kept": value}).state["kept"] is value
     else:
         with pytest.raises(MalformedValueError, match="'keeper'"):
@@ -705,7 +736,28 @@ def test_a_world_may_not_hold_one_machine_twice():
         World(nature=Nature(slots={0: device}), respondent=device)
 
 
-def test_an_emulated_respondent_is_forked_with_its_action():
+def test_a_run_may_not_hold_one_machine_twice():
+    # A run keeps states by machine object, so one object in two places
+    # of a run would share one state: it is refused, as in a world.
+    world = password_world()
+    device = world.nature.slots[DEVICE_LOCATION]
+    action, verifier = exemplar_action(), unlocked_verifier()
+    impostor = Machine("impostor", methods=action.methods, emulated_respondent=world.respondent)
+    for run in (
+        lambda: execute(action, action, world, 0),
+        lambda: execute(verifier, device, world, 0),
+        lambda: execute(verifier, impostor, world, 0),
+        lambda: run_target(world.respondent, world, 0),
+    ):
+        with pytest.raises(AliasedMachineError, match="is held more than once"):
+            run()
+    result = execute(verifier, action, world, 0)
+    for post in (action, verifier, device):
+        with pytest.raises(AliasedMachineError, match="is held more than once"):
+            run_post(post, result)
+
+
+def test_an_emulated_respondent_keeps_its_state_in_the_run():
     def unlock_the_emulated_device(ctx, _arg):
         ctx.respondent.call("prompt", b"hunter2")
         return ABSENT
@@ -716,13 +768,13 @@ def test_an_emulated_respondent_is_forked_with_its_action():
     )
     result = execute(accept_any_verifier(), stand_in, password_world(), 0)
     assert result.transcript.verdict is Verdict.ACCEPT
+    assert result.states[stand_in.emulated_respondent]["unlocked"] is True
     assert stand_in.emulated_respondent.state["unlocked"] is False
 
 
 def test_a_derived_machine_is_built_once_per_built_machine():
     # Runs are kept under machine identity, so a probe that derives its
-    # stand-in again must get the same object; a running copy's state
-    # changes as it runs, so it gets a new one each time.
+    # stand-in again must get the same object.
     action = Machine(id="a", state={"x": 1}, methods={"run": _draw_one})
     respondent = password_device(b"hunter2", b"tax-records")
     assert with_zero_tape(action) is with_zero_tape(action)
@@ -731,16 +783,7 @@ def test_a_derived_machine_is_built_once_per_built_machine():
     assert with_zero_tape(stand_in) is with_zero_tape(stand_in)
     twin = password_device(b"hunter2", b"tax-records")
     assert emulate_with_respondent(action, twin) is not stand_in
-    for running in (
-        lambda: with_zero_tape(fork_machine(action)),
-        lambda: emulate_with_respondent(fork_machine(action), respondent),
-        lambda: emulate_with_respondent(action, fork_machine(respondent)),
-    ):
-        assert running() is not running()
-    # whichever way it was built, a derived machine has the same content
-    assert machine_key(with_zero_tape(fork_machine(action))) == machine_key(
-        with_zero_tape(action)
-    )
+    # whichever built machines it was derived from, it has the same content
     assert machine_key(emulate_with_respondent(action, twin)) == machine_key(stand_in)
 
 
@@ -788,11 +831,12 @@ def _machines(world, riders):
     return [world.respondent, *world.nature.slots.values(), *(m for _, m in riders)]
 
 
-def _drive(world, riders, tapes, calls):
-    """Outcome stream of ``calls`` against one running copy of a bundle.
-    Each machine runs in the role, and with the read-only flag, that a
-    handle on it carries."""
-    engine = _Engine(world, tapes, DEFAULT_BUDGET)
+def _drive(world, riders, tapes, base, states, calls):
+    """Outcome stream of ``calls`` against a bundle, writing ``states``
+    over ``base``.  Each machine runs in the role, and with the
+    read-only flag, that a handle on it carries."""
+    engine = _Engine(world, tapes, DEFAULT_BUDGET, base=base)
+    engine.states = states
     machines = _machines(world, riders)
     roles = [
         ("respondent", False),
@@ -828,46 +872,38 @@ def _calls(data, world, riders, max_size):
     )
 
 
-def _fork_bundle(bundle):
-    world, riders, tapes = bundle
-    return (
-        _fork(world),
-        tuple((role, fork_machine(machine)) for role, machine in riders),
-        tapes.fork(),
-    )
-
-
 def _bundle_key(bundle):
-    world, riders, tapes = bundle
+    world, riders, tapes, base, states = bundle
+    states = {**base, **states}
     return (
-        world_key(world),
-        tuple(machine_key(machine) for _, machine in riders),
+        tuple(machine_key(machine, states) for machine in _machines(world, riders)),
         tuple(sorted(tapes.offsets.items())),
     )
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**16))
-def test_structural_fork_behaves_like_its_source(registry, data, seed):
-    # A random prefix of calls moves a running copy of a registered world,
-    # the machines its checks run and the tapes away from their built
-    # state; the result is then forked, and a random suffix runs first on
-    # the fork and then on its source.
+def test_a_layered_overlay_behaves_like_its_source(registry, data, seed):
+    # A random prefix of calls moves the states of a registered world and
+    # of the machines its checks run, kept in a source overlay, and the
+    # tapes away from where they started; a random suffix then runs first
+    # in an overlay layered on the source and then on in the source.
     bundles = _scenario_bundles(registry)
     world, riders = data.draw(st.sampled_from(bundles))
-    built = _bundle_key((world, riders, RandomnessAssignment(seed)))
-    source = _fork_bundle((world, riders, RandomnessAssignment(seed)))
+    built = _bundle_key((world, riders, RandomnessAssignment(seed), {}, {}))
+    source = (world, riders, RandomnessAssignment(seed), {}, {})
     _drive(*source, _calls(data, world, riders, 6))
     pristine = _bundle_key(source)
 
-    forked = _fork_bundle(source)
-    assert _bundle_key(forked) == pristine
+    layered = (world, riders, source[2].fork(), source[4], {})
+    assert _bundle_key(layered) == pristine
 
     suffix = _calls(data, world, riders, 8)
-    via_fork = _drive(*forked, suffix)
+    via_layer = _drive(*layered, suffix)
     assert _bundle_key(source) == pristine
+    after_layer = _bundle_key(layered)
     via_source = _drive(*source, suffix)
-    assert len(via_fork) == len(via_source)
-    assert all(same_value(a, b) for a, b in zip(via_fork, via_source))
-    assert _bundle_key(forked) == _bundle_key(source)
-    assert _bundle_key((world, riders, RandomnessAssignment(seed))) == built
+    assert len(via_layer) == len(via_source)
+    assert all(same_value(a, b) for a, b in zip(via_layer, via_source))
+    assert after_layer == _bundle_key(source)
+    assert _bundle_key((world, riders, RandomnessAssignment(seed), {}, {})) == built

@@ -30,8 +30,6 @@ from foregone.kernel import (
     RunOutput,
     Transcript,
     World,
-    _fork,
-    fork_machine,
 )
 from foregone.refinement import ProbeSpec
 from foregone.scenarios import Scenario, ScenarioError
@@ -117,11 +115,8 @@ def test_values_and_counterexamples_pickle_to_equal_records():
 def test_records_keep_no_instance_dict_but_a_scenario_check():
     # ScenarioCheck keeps one for its cached ``languages``
     records = _frozen_records() + [
-        fork_machine(Machine("m")),
-        _fork(_world()),
-        _fork(_world()).nature,
         Transcript(),
-        ExecutionResult(Transcript(), _world(), RandomnessAssignment(0), 0, False),
+        ExecutionResult(Transcript(), _world(), {}, RandomnessAssignment(0), 0, False),
         RandomnessAssignment(0),
         CheckReport(CheckVerdict.HOLDS),
     ]
