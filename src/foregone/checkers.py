@@ -217,9 +217,11 @@ class Languages(Frozen, Mapping):
     an item raises ``TypeError`` and neither its holders nor its
     builder can change it.
 
-    The probe's gate depends on nothing but the languages and the world
-    labels it asks about, so ``keyed`` works it out once per label tuple
-    and keeps the outcome here, with the value it was worked out from.
+    Each member is keyed by ``value_key`` once, here, and the gate reads
+    those keys.  The gate depends on nothing but the languages and the
+    world labels it asks about, so ``keyed`` works it out once per label
+    tuple and keeps the outcome here, with the value it was worked out
+    from.
     """
 
     __slots__ = ("_by_world", "_gates")
@@ -230,7 +232,7 @@ class Languages(Frozen, Mapping):
             "_by_world",
             MappingProxyType(
                 {
-                    label: tuple({value_key(v): v for v in language}.values())
+                    label: {value_key(v): v for v in language}
                     for label, language in by_world.items()
                 }
             ),
@@ -238,7 +240,7 @@ class Languages(Frozen, Mapping):
         object.__setattr__(self, "_gates", {})
 
     def __getitem__(self, label: str) -> tuple:
-        return self._by_world[label]
+        return tuple(self._by_world[label].values())
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._by_world)
@@ -274,14 +276,14 @@ class Languages(Frozen, Mapping):
         for label in labels:
             strays = sorted(
                 render_value(v)
-                for v in self._by_world[label]
+                for v in self._by_world[label].values()
                 if type(v) not in ATOM_TYPES and not is_value(v)
             )
             if strays:
                 raise PreconditionViolatedError(
                     f"world {label!r}: language members {strays} are not values"
                 )
-        keyed = {label: {value_key(v): v for v in self._by_world[label]} for label in labels}
+        keyed = {label: self._by_world[label] for label in labels}
         first_label, *other_labels = labels
         shared = set(keyed[first_label]).intersection(*(keyed[l] for l in other_labels))
         if shared:
@@ -765,10 +767,10 @@ def probe_unknown_goal(
     hypothesis gate is a key-set intersection and each membership test
     a lookup, both agreeing with ``same_value``; a shared-members
     message lists the first world's shared members in rendered, sorted
-    order.  A ``Languages`` value works its gate out once per tuple of
-    world labels and keeps it (``Languages.keyed``), so a probe run
-    again with the same value keys no member; any other mapping is
-    copied into a new ``Languages`` for this run.
+    order.  A ``Languages`` value keys its members when it is built and
+    works its gate out once per tuple of world labels and keeps it
+    (``Languages.keyed``), so a probe keys no member; any other mapping
+    is copied into a new ``Languages`` for this run.
 
     The stand-in (``emulate_with_respondent``) is the same object on
     every run over the same built machines, so a run again under the

@@ -181,9 +181,9 @@ def load_overrides(path: Optional[str]) -> dict[str, dict[str, Any]]:
 
 def toy_sweeps() -> dict[str, str]:
     """Exhaustive property sweeps over the toy primitives; every entry
-    must come back 'pass' for the audit to succeed.  The commitment
-    sweeps are spread over the usable CPUs with the same calls and
-    results as one process (``CommitmentScheme.double_opening_witness``)."""
+    must come back 'pass' for the audit to succeed.  Only the binding
+    sweeps (``CommitmentScheme.double_opening_witness``) are spread over
+    the usable CPUs, with the same calls and results as one process."""
     results: dict[str, str] = {}
     messages = byte_domain()
     openings = small_byte_domain()

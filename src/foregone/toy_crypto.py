@@ -16,14 +16,14 @@ Two commitment schemes are provided deliberately at opposite corners:
 Scenario claims about openings succeed or fail depending on which
 corner the evidence puts the scheme in.
 
-The commitment searches (``double_opening_witness`` and
-``openable_commitments``) search each commitment of the sorted image on
-its own, so they split the image into contiguous chunks and search the
-chunks on the usable CPUs at once, one forked worker per chunk past the
-first (``_search_in_chunks``).  Each ``check`` call of the serial search
-is made by exactly one process, and the results are merged in
-commitment order, so a search returns, or raises, exactly what the
-serial search would.
+The binding sweep (``double_opening_witness``) searches each commitment
+of the sorted image on its own, so it splits the image into contiguous
+chunks and searches the chunks on the usable CPUs at once, one forked
+worker per chunk past the first (``_search_in_chunks``).  Each ``check``
+call of the serial search is made by exactly one process, and the
+results are merged in commitment order, so the sweep returns, or
+raises, exactly what the serial search would.  ``openable_commitments``
+is too small a search to gain from workers and runs in the caller.
 """
 
 from __future__ import annotations
@@ -214,15 +214,14 @@ class CommitmentScheme(Frozen):
         (``_search_in_chunks``).  Each ``check`` call of the serial
         search is made by exactly one process, and the result is the
         first witness, or the first exception raised, in
-        sorted-commitment order: the serial search's.  A search that stops at a witness may also make a few
-        calls in a later chunk's worker before that worker is killed.
+        sorted-commitment order: the serial search's.  A search that
+        stops at a witness may also make a few calls in a later chunk's
+        worker before that worker is killed.
         """
-        chunks = _search_in_chunks(
+        return _search_in_chunks(
             partial(self._first_double_opening, message_domain, opening_domain),
             sorted(self._image(message_domain, opening_domain)),
-            until=lambda witness: witness is not None,
         )
-        return chunks[-1]
 
     def _first_double_opening(
         self,
@@ -255,32 +254,20 @@ class CommitmentScheme(Frozen):
         """All commitments in the scheme's image that can be opened to
         ``message`` with some opening from the domain.
 
-        Each commitment tries the openings in order up to its first
-        valid one.  The sorted commitments are searched in chunks on the
-        usable CPUs (``_search_in_chunks``) and the chunks' sets are
-        unioned, so every ``check`` call of the serial search is made
-        once, by one process, and an exception is the first one raised
-        in sorted-commitment order.
+        Each commitment of the sorted image, so that the first exception
+        raised is the same under every hash seed, tries the openings in
+        order up to its first valid one.  The search runs in this
+        process: an ``unknown-goal`` language takes 32,896 ``check``
+        calls, which two forked workers searched no faster.
         """
-        chunks = _search_in_chunks(
-            partial(self._openable, message, opening_domain),
-            sorted(self._image(message_domain, opening_domain)),
-            until=lambda openable: False,
-        )
-        return frozenset().union(*chunks)
-
-    def _openable(
-        self, message: bytes, opening_domain: tuple[bytes, ...], commitments: Sequence[bytes]
-    ) -> set[bytes]:
-        """``openable_commitments`` over the given commitments."""
         check = self.check
         openable: set[bytes] = set()
-        for c in commitments:
+        for c in sorted(self._image(message_domain, opening_domain)):
             for d in opening_domain:
                 if check(c, d, message):
                     openable.add(c)
                     break
-        return openable
+        return frozenset(openable)
 
     def _image(
         self, message_domain: tuple[bytes, ...], opening_domain: tuple[bytes, ...]
@@ -292,46 +279,39 @@ class CommitmentScheme(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# Commitment searches on every usable CPU
+# The binding sweep on every usable CPU
 # ---------------------------------------------------------------------------
 
 _T = TypeVar("_T")
 
-# A search's chunks never outnumber this.  The searches are small (the
-# 256 of a binding sweep take about 0.1 s in all) and every fork copies
-# the caller's page tables and makes its next writes to each page fault,
-# so past a few workers a fork costs more than its chunk saves; a large
-# host would otherwise fork dozens of processes for them.
+# The binding sweep's chunks never outnumber this.  The sweep is small
+# (its 256 commitments take about 0.1 s in all) and every fork copies the
+# caller's page tables and makes its next writes to each page fault, so
+# past a few workers a fork costs more than its chunk saves; a large host
+# would otherwise fork dozens of processes for it.
 _MAX_WORKERS = 8
 
-# Nor does a worker get fewer commitments than this: a fork and a reap
-# cost about 2 ms on a 2-core VM, more than a few commitments' search,
-# so the two-commitment languages of ``unknown-goal`` stay in one process.
-_MIN_CHUNK = 32
 
-
-def _worker_count(commitments: int) -> int:
-    """The workers for a search of ``commitments`` commitments: one per
-    CPU this process may run on, at most one per ``_MIN_CHUNK``
-    commitments and at most ``_MAX_WORKERS``.  1 where
-    ``os.sched_getaffinity`` or ``os.fork`` is missing, and in a process
-    with other threads: a fork copies only the calling thread, so a lock
-    another thread holds would stay held in the worker."""
+def _worker_count() -> int:
+    """The workers for the binding sweep: one per CPU this process may
+    run on, at most ``_MAX_WORKERS``.  1 where ``os.sched_getaffinity``
+    or ``os.fork`` is missing, and in a process with other threads: a
+    fork copies only the calling thread, so a lock another thread holds
+    would stay held in the worker."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), commitments // _MIN_CHUNK, _MAX_WORKERS))
+    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
 
 
 def _search_in_chunks(
-    search: Callable[[Sequence[bytes]], _T],
-    commitments: Sequence[bytes],
-    until: Callable[[_T], bool],
-) -> list[_T]:
-    """``search`` over contiguous chunks of ``commitments``, one chunk per
-    worker (``_worker_count``, never more than the commitments), in chunk
-    order up to and including the first outcome that ``until`` accepts.
+    search: Callable[[Sequence[bytes]], Optional[_T]], commitments: Sequence[bytes]
+) -> Optional[_T]:
+    """The first outcome of ``search`` that is not None, over contiguous
+    chunks of ``commitments`` in chunk order, one chunk per worker
+    (``_worker_count``, never more than the commitments); None when every
+    chunk's outcome is None.
 
     Chunk 0 is searched in this process while every other chunk is
     searched in a forked child, which sends back its outcome, the result
@@ -344,13 +324,13 @@ def _search_in_chunks(
     so a missing worker costs time, never the answer.  Children still
     running when this returns or raises are killed and reaped.
     """
-    workers = max(1, min(_worker_count(len(commitments)), len(commitments)))
+    workers = max(1, min(_worker_count(), len(commitments)))
     size, extra = divmod(len(commitments), workers)
     bounds = [k * size + min(k, extra) for k in range(workers + 1)]
     chunks = [commitments[a:b] for a, b in zip(bounds, bounds[1:])]
-    outcomes = [search(chunks[0][:1])]
-    if until(outcomes[0]):
-        return outcomes
+    outcome = search(chunks[0][:1])
+    if outcome is not None:
+        return outcome
     chunks[0] = chunks[0][1:]
     children: list[Optional[tuple[int, BinaryIO]]] = [None] * workers
     try:
@@ -371,10 +351,9 @@ def _search_in_chunks(
                 raise sent[1]
             else:
                 outcome = sent[1]
-            outcomes.append(outcome)
-            if until(outcome):
-                break
-        return outcomes
+            if outcome is not None:
+                return outcome
+        return None
     finally:
         for child in children:
             if child is not None:

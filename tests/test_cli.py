@@ -32,7 +32,7 @@ from foregone.cli import (
     toy_sweeps,
 )
 from foregone.kernel import Machine, run_target
-from foregone.scenarios import BUILDERS, scenario_names
+from foregone.scenarios import BUILDERS, build_registry, run_check, scenario_names
 from foregone.toy_crypto import otp
 from foregone.values import ABSENT
 
@@ -829,7 +829,7 @@ def test_one_toy_sweep_pass_makes_exactly_these_black_box_calls(monkeypatch):
     # calls check 256 * (255 * 16 + 1) times.  The counters are closures of
     # this process, so the sweeps run on one worker here;
     # test_toy_crypto.py sums a two-worker sweep's calls across processes
-    monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 1)
+    monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 1)
     counts: dict[str, int] = {}
 
     def counted(name, primitive):
@@ -861,6 +861,28 @@ def test_one_toy_sweep_pass_makes_exactly_these_black_box_calls(monkeypatch):
     }
 
 
+def test_only_the_binding_sweep_forks_a_worker(monkeypatch):
+    # two workers whatever the CPUs: a registry build and every registered
+    # check (the unknown-goal languages included) search in this process,
+    # and of the toy sweeps only the transparent binding sweep forks,
+    # since xor-pad's is decided at its first commitment
+    monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 2)
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(True)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    for scenario in build_registry().values():
+        for check in scenario.checks:
+            run_check(scenario, check)
+    assert forks == []
+    assert all(value == "pass" for value in toy_sweeps().values())
+    assert forks == [True]
+
+
 def _raising_hash(x):
     raise toy_crypto.DomainExceededError(f"no hash of {x!r} here")
 
@@ -880,14 +902,14 @@ def _check_raising_in_a_worker(parent: int):
 @pytest.mark.parametrize("where", ["this process", "a worker"])
 def test_a_toy_sweep_that_raises_is_a_diagnosed_config_error(where, monkeypatch, capsys):
     if where == "this process":
-        monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 1)
+        monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 1)
         spec = toy_crypto.HashSpec("raising", _raising_hash, (b"\x00",), True)
         monkeypatch.setattr(cli, "make_injective_hash", lambda: spec)
         message = "error: toy sweeps: no hash of b'\\x00' here\n"
     else:
         # the second half of the sorted commitments is searched in a
         # forked worker, whose exception comes back with its type and message
-        monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 2)
+        monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 2)
         transparent = toy_crypto.TRANSPARENT
         raising = toy_crypto.CommitmentScheme(
             transparent.name,

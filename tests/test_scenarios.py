@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import foregone
-import foregone.toy_crypto as toy_crypto
 from foregone.checkers import Languages, check_demonstrability, check_monotonicity
 from foregone.cli import _rows_for
 from foregone.evidence import at_least_as_strong, audit as audit_evidence
@@ -321,6 +320,28 @@ def test_otp_table_layout(registry):
         assert expectations[check_id] == expected
 
 
+# 16 seeds under each of which the coin target draws the same tape bit
+# (chance 2^-15 for a list of 16)
+_ONE_SIDED_COIN_SEEDS = (
+    1339976358, 1700622100, 1027869820, 1649524026, 4325349, 482528858,
+    857373407, 710431008, 225529579, 2017110884, 1939002612, 71064048,
+    1744533108, 1649147586, 1460163002, 279350042,
+)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="known defect: probe-random reads the coin's support from the "
+    "sampled seeds, and these seeds all draw one side, so it reports "
+    "HypothesisViolated",
+)
+def test_the_coin_probe_holds_under_seeds_that_draw_one_side(registry):
+    scenario = registry["unknown-goal"]
+    check = scenario.find_check("probe-random", "coin")
+    assert run_check(scenario, check, _ONE_SIDED_COIN_SEEDS)[0] == HOLDS
+
+
 def test_equivocable_commitment_answer_sets_coincide(registry):
     scenario = registry["unknown-goal"]
     check = scenario.find_check("probe-unknown-goal", "commitment-pinned-equivocable")
@@ -343,8 +364,7 @@ def test_xor_pad_languages_cover_every_commitment(registry):
 def _count_commitment_work(monkeypatch) -> dict[str, int]:
     """Count ``openable_commitments`` calls, and calls to the xor-pad
     scheme's ``check``, from here on.  The counters are closures of this
-    process, so the searches run on one worker."""
-    monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 1)
+    process, where the searches run."""
     counts = {"openable_commitments": 0, "xor-pad check": 0}
     real_openable = CommitmentScheme.openable_commitments
     xor_pad = SCHEMES["xor-pad"]

@@ -206,7 +206,7 @@ def _openings_tried(accepts, c, message, openings):
 
 def _workers(count):
     """Search with ``count`` workers, whatever the CPUs."""
-    return mock.patch.object(toy_crypto, "_worker_count", lambda commitments: count)
+    return mock.patch.object(toy_crypto, "_worker_count", lambda: count)
 
 
 @given(data=st.data())
@@ -248,16 +248,14 @@ def test_the_opening_sweeps_are_the_brute_force_searches_call_for_call(data):
 _SPREAD = tuple(b"c%d" % i for i in range(7))
 
 
-def test_a_search_gets_a_worker_per_cpu_and_per_minimum_chunk_up_to_the_cap(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-    counts = [toy_crypto._worker_count(n) for n in (0, 2, 31, 32, 64, 255, 256, 4096)]
-    assert counts == [1, 1, 1, 1, 2, 7, 8, 8]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert [toy_crypto._worker_count(n) for n in (2, 64, 256)] == [1, 2, 2]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-    assert toy_crypto._worker_count(256) == 1
+def test_a_search_gets_a_worker_per_cpu_up_to_the_cap(monkeypatch):
+    counts = []
+    for cpus in (64, 9, 8, 2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        counts.append(toy_crypto._worker_count())
+    assert counts == [8, 8, 8, 2, 1]
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert toy_crypto._worker_count(256) == 1
+    assert toy_crypto._worker_count() == 1
 
 
 def test_a_process_with_other_threads_forks_no_worker():
@@ -265,7 +263,7 @@ def test_a_process_with_other_threads_forks_no_worker():
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert toy_crypto._worker_count(256) == 1
+        assert toy_crypto._worker_count() == 1
     finally:
         release.set()
         other.join(timeout=10)
@@ -358,7 +356,7 @@ def test_a_witness_or_a_raise_at_any_commitment_gives_the_serial_result(position
 def test_two_workers_split_the_transparent_sweep_calls_between_them(monkeypatch):
     # the counter is shared memory, one slot for this process and one for
     # the worker, so the calls of both are counted
-    monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 2)
+    monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 2)
     parent = os.getpid()
     counts = memoryview(mmap.mmap(-1, 16)).cast("Q")
 
@@ -377,7 +375,7 @@ def test_two_workers_split_the_transparent_sweep_calls_between_them(monkeypatch)
 def test_a_search_decided_at_its_first_commitment_forks_no_worker(monkeypatch):
     # the first commitment is searched before any worker is forked: xor-pad
     # opens it to two messages, while the transparent sweep needs them all
-    monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 2)
+    monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 2)
     real_fork = os.fork
     forks = []
 
@@ -443,9 +441,11 @@ def test_a_chunk_whose_worker_cannot_be_forked_is_searched_here(scheme, monkeypa
         raise BlockingIOError("no process for the worker")
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 3)
+    monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 3)
     assert _searches(scheme, messages, openings) == serial
-    assert forks
+    # only a binding sweep forks, and xor-pad's is decided at its first
+    # commitment
+    assert bool(forks) == (scheme is not XOR_PAD)
 
 
 @pytest.mark.parametrize("scheme", [TRANSPARENT, XOR_PAD, LATE], ids=lambda s: s.name)
@@ -455,7 +455,7 @@ def test_a_chunk_whose_worker_dies_is_searched_here(scheme, monkeypatch):
     if scheme is LATE:
         assert serial[0] == (b"\xf0", b"\xf8", b"\x01", b"\x00", b"C|\xf8")
     dying = _dying_in_a_worker(scheme, os.getpid())
-    monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 3)
+    monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 3)
     assert _searches(dying, messages, openings) == serial
 
 
@@ -487,7 +487,7 @@ def _raising(c, d, x):
 
 
 def test_no_worker_outlives_its_search(monkeypatch):
-    monkeypatch.setattr(toy_crypto, "_worker_count", lambda commitments: 2)
+    monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 2)
     parent = os.getpid()
 
     def no_child_left():
