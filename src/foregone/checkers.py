@@ -82,7 +82,6 @@ from .kernel import (
 from .tapes import RandomnessAssignment
 from .values import (
     ABSENT,
-    ATOM_TYPES,
     NO_SUCH_METHOD,
     Frozen,
     is_value,
@@ -217,11 +216,13 @@ class Languages(Frozen, Mapping):
     an item raises ``TypeError`` and neither its holders nor its
     builder can change it.
 
-    Each member is keyed by ``value_key`` once, here, and the gate reads
-    those keys.  The gate depends on nothing but the languages and the
-    world labels it asks about, so ``keyed`` works it out once per label
-    tuple and keeps the outcome here, with the value it was worked out
-    from.
+    Each member that is a value is keyed by ``value_key`` once, here,
+    and the gate reads those keys.  A member that is not a value, which
+    may not even hash, is kept under its rendering, a ``str`` that no
+    ``value_key`` equals, and the gate refuses it.  The gate depends on
+    nothing but the languages and the world labels it asks about, so
+    ``keyed`` works it out once per label tuple and keeps the outcome
+    here, with the value it was worked out from.
     """
 
     __slots__ = ("_by_world", "_gates")
@@ -232,7 +233,10 @@ class Languages(Frozen, Mapping):
             "_by_world",
             MappingProxyType(
                 {
-                    label: {value_key(v): v for v in language}
+                    label: {
+                        value_key(v) if is_value(v) else render_value(v): v
+                        for v in language
+                    }
                     for label, language in by_world.items()
                 }
             ),
@@ -274,11 +278,7 @@ class Languages(Frozen, Mapping):
         if missing:
             raise PreconditionViolatedError(f"worlds without languages: {missing}")
         for label in labels:
-            strays = sorted(
-                render_value(v)
-                for v in self._by_world[label].values()
-                if type(v) not in ATOM_TYPES and not is_value(v)
-            )
+            strays = sorted(key for key in self._by_world[label] if type(key) is str)
             if strays:
                 raise PreconditionViolatedError(
                     f"world {label!r}: language members {strays} are not values"
@@ -300,43 +300,45 @@ class Languages(Frozen, Mapping):
 # ---------------------------------------------------------------------------
 
 
-# The runs the last cell table kept, with the verifier, budget, seed
-# list and kernel entry points they were kept under:
-# (verifier, budget, seeds, kernel, runs, targets, posts).
-_kept: Optional[tuple] = None
+# The runs the last cell table kept, under the verifier, budget, seed
+# list and kernel entry points they were kept under: at most one entry,
+# (verifier, budget, seeds, execute, run_target, run_post) -> (runs,
+# targets, posts).
+_kept: dict = {}
 
 
 def drop_kept_cells() -> None:
     """Forget every kept run, so the next cell table starts empty."""
-    global _kept
-    _kept = None
+    _kept.clear()
 
 
 def _kept_under(verifier: Machine, budget: int, seeds: tuple[int, ...]) -> tuple:
-    """The runs kept under ``verifier``, ``budget`` and ``seeds``; runs
-    kept under any other verifier, budget or seed list are dropped, and
-    so are runs made through other kernel entry points: a caller that
-    rebinds ``execute``, ``run_target`` or ``run_post`` here, to trace or
-    count the runs, sees every run its functions make."""
-    global _kept
-    kernel = (execute, run_target, run_post)
-    if _kept is None or _kept[0] is not verifier or _kept[1:4] != (budget, seeds, kernel):
-        _kept = (verifier, budget, seeds, kernel, {}, {}, {})
-    return _kept
+    """The ``(runs, targets, posts)`` kept under ``verifier``, ``budget``
+    and ``seeds``; runs kept under any other verifier, budget or seed
+    list are dropped, and so are runs made through other kernel entry
+    points: a caller that rebinds ``execute``, ``run_target`` or
+    ``run_post`` here, to trace or count the runs, sees every run its
+    functions make.  The verifier and the entry points are keyed as
+    objects, the budget and the seeds by equality."""
+    key = (verifier, budget, seeds, execute, run_target, run_post)
+    if key not in _kept:
+        _kept.clear()
+        _kept[key] = ({}, {}, {})
+    return _kept[key]
 
 
 class _Cells:
     """One check's cells under one verifier and budget.
 
-    ``runs`` keeps executions under ``(id(world), id(action), seed)``
-    and ``targets`` target outputs under ``(id(target), id(world),
-    seed)``: a walk that meets a cell again, in a second pass or through
-    a second family holding the same world object, reads it instead of
-    running it.  A run that read no tape is kept without its seed and
-    serves every seed, and ``posts`` keeps a post-processor's output
-    under ``(id(post), id(world), id(action))`` when neither it nor the
-    execution before it read a tape.  Each entry holds the objects its
-    key names, so no id in a kept key can be reused by another object.
+    ``runs`` keeps each ``ExecutionResult`` under ``(world, action,
+    seed)`` and ``targets`` each target's ``RunOutput`` under ``(target,
+    world, seed)``: a walk that meets a cell again, in a second pass or
+    through a second family holding the same world object, reads it
+    instead of running it.  A run that read no tape is kept without its
+    seed and serves every seed, and ``posts`` keeps a post-processor's
+    ``RunOutput`` under ``(post, world, action)`` when neither it nor the
+    execution before it read a tape.  Builds define no ``__eq__``, so a
+    key holds its objects and compares them by identity.
     ``worlds`` are the ``(label, world)`` pairs the walks range over,
     which name the world of a fault, and ``seeds`` the seeds that stand
     in for every tape; ``walk`` is the only loop over them.
@@ -383,7 +385,7 @@ class _Cells:
         self.budget = budget
         self.worlds = worlds
         self.seeds = seeds
-        self.runs, self.targets, self.posts = _kept_under(verifier, budget, seeds)[4:]
+        self.runs, self.targets, self.posts = _kept_under(verifier, budget, seeds)
         self.tape_runs = 0
 
     def run(self, world: World, action: Machine, seed: int) -> ExecutionResult:
@@ -392,19 +394,14 @@ class _Cells:
         An execution that read no tape is every seed's, but its
         ``post_assignment`` stays that of the seed it ran under: read
         post-processor outputs through ``post``."""
-        key = (id(world), id(action))
-        entry = self.runs.get(key) or self.runs.get((*key, seed))
-        if entry is None:
+        key = (world, action)
+        result = self.runs.get(key) or self.runs.get((*key, seed))
+        if result is None:
             try:
                 result = execute(self.verifier, action, world, seed, self.budget)
             except KernelError as exc:
                 self._raise_fault(exc, "action", action, world, seed)
-            entry = self.runs[(*key, seed) if result.read_tape else key] = (
-                world,
-                action,
-                result,
-            )
-        result = entry[-1]
+            self.runs[(*key, seed) if result.read_tape else key] = result
         self.tape_runs += result.read_tape
         return result
 
@@ -436,11 +433,11 @@ class _Cells:
         """``post``'s output after the execution of one cell, starting
         from the tapes that execution left for ``seed``."""
         result = self.run(world, action, seed)
-        key = (id(post), id(world), id(action))
+        key = (post, world, action)
         if not result.read_tape:
-            entry = self.posts.get(key)
-            if entry is not None:
-                return entry[-1]
+            kept = self.posts.get(key)
+            if kept:
+                return kept.output
             # the kept execution may have run under another seed
             result = ExecutionResult(
                 result.transcript,
@@ -456,24 +453,19 @@ class _Cells:
             self._raise_fault(exc, "action", action, world, seed)
         self.tape_runs += ran.read_tape
         if not (result.read_tape or ran.read_tape):
-            self.posts[key] = (post, world, action, ran.output)
+            self.posts[key] = ran
         return ran.output
 
     def target(self, target: Machine, world: World, seed: int) -> Any:
         """The target's output in ``world`` under ``seed``, run once."""
-        key = (id(target), id(world))
-        entry = self.targets.get(key) or self.targets.get((*key, seed))
-        if entry is None:
+        key = (target, world)
+        ran = self.targets.get(key) or self.targets.get((*key, seed))
+        if ran is None:
             try:
                 ran = run_target(target, world, seed, self.budget)
             except KernelError as exc:
                 self._raise_fault(exc, "target", target, world, seed)
-            entry = self.targets[(*key, seed) if ran.read_tape else key] = (
-                target,
-                world,
-                ran,
-            )
-        ran = entry[-1]
+            self.targets[(*key, seed) if ran.read_tape else key] = ran
         self.tape_runs += ran.read_tape
         return ran.output
 

@@ -121,8 +121,8 @@ def at_least_as_strong(stronger: Evidence, weaker: Evidence) -> bool:
     appears in it without being keyed: one object has one key during
     the call.  Only the other worlds, and then ``weaker``'s, are keyed.
     """
-    own = {id(w) for _, w in weaker.worlds}
-    others = [w for _, w in stronger.worlds if id(w) not in own]
+    own = {w for _, w in weaker.worlds}
+    others = [w for _, w in stronger.worlds if w not in own]
     return not others or {world_key(w) for w in others} <= {
         world_key(w) for _, w in weaker.worlds
     }

@@ -346,15 +346,10 @@ class Transcript:
 
     __slots__ = ("events", "messages_to_verifier", "verdict")
 
-    def __init__(
-        self,
-        events: Optional[list[CallEvent]] = None,
-        messages_to_verifier: Optional[list[Any]] = None,
-        verdict: Optional[Verdict] = None,
-    ):
-        self.events = [] if events is None else events
-        self.messages_to_verifier = [] if messages_to_verifier is None else messages_to_verifier
-        self.verdict = verdict
+    def __init__(self):
+        self.events = []
+        self.messages_to_verifier = []
+        self.verdict = None
 
     def set_verdict(self, verdict: Verdict) -> None:
         if self.verdict is not None:
@@ -514,7 +509,8 @@ class MethodContext:
         self._require("nature")
         nature = self._engine.world.nature
         index = location.index if isinstance(location, Location) else location
-        machine = nature.slots.get(index)
+        # True equals 1 as a dict key, but a bool names no slot
+        machine = None if type(index) is bool else nature.slots.get(index)
         if machine is None:
             raise NoSuchMethodError(f"nature[{index}]", "<missing>")
         read_only = index in nature.read_only

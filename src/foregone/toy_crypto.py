@@ -141,15 +141,11 @@ def make_injective_hash(extra_domain: tuple[bytes, ...] = ()) -> HashSpec:
     )
 
 
-def make_colliding_hash(
-    first: bytes, second: bytes, extra_domain: tuple[bytes, ...] = ()
-) -> HashSpec:
+def make_colliding_hash(first: bytes, second: bytes) -> HashSpec:
     """Byte permutation patched so that ``second`` hashes like ``first``."""
     if first == second:
         raise ValueError("collision witnesses must differ")
-    domain = (
-        tuple(bytes([i]) for i in range(256)) + (first, second) + tuple(extra_domain)
-    )
+    domain = tuple(bytes([i]) for i in range(256)) + (first, second)
     return HashSpec(
         name=f"byte-permutation-colliding[{first.hex()},{second.hex()}]",
         evaluate=partial(toy_hash, (first, second)),

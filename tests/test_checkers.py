@@ -855,16 +855,22 @@ def test_unknown_goal_probe_requires_declared_languages(goal_evidence):
 
 @pytest.mark.parametrize(
     "stray, rendered",
-    [((1, 2, 3), "(1, 2, 3)"), (1.5, "1.5"), ("Paris", "'Paris'")],
-    ids=["triple", "float", "str"],
+    [
+        ((1, 2, 3), "(1, 2, 3)"),
+        (1.5, "1.5"),
+        ("Paris", "'Paris'"),
+        # members that cannot be hashed, and so cannot be keyed
+        ([1], "[1]"),
+        (bytearray(b"x"), "bytearray(b'x')"),
+        ({1}, "{1}"),
+        ((b"a", [1]), '("a", [1])'),
+    ],
+    ids=["triple", "float", "str", "list", "bytearray", "set", "pair-holding-a-list"],
 )
 def test_unknown_goal_probe_refuses_a_language_member_that_is_not_a_value(
     goal_evidence, stray, rendered
 ):
-    languages = {
-        "was-in-boston": frozenset({b"Boston"}),
-        "was-in-paris": frozenset({b"Paris", stray}),
-    }
+    languages = {"was-in-boston": (b"Boston",), "was-in-paris": (b"Paris", stray)}
     with pytest.raises(PreconditionViolatedError) as raised:
         probe_unknown_goal(
             accept_any_verifier(),

@@ -401,6 +401,25 @@ def test_a_check_given_inputs_outside_its_contract_is_a_config_error_naming_the_
     )
 
 
+def test_a_language_member_that_cannot_be_hashed_is_a_config_error_naming_the_check(
+    registry, monkeypatch, capsys
+):
+    scenario = copy.deepcopy(registry["unknown-goal"])
+    check = next(c for c in scenario.checks if c.id == "probe-unknown-goal/whereabouts")
+    check.language_source = lambda: {"was-in-boston": (b"Boston",), "was-in-paris": ([1],)}
+    check.__dict__.pop("_languages", None)  # read on the check's first run
+    monkeypatch.setattr(cli, "build_scenario", lambda name, params: scenario)
+    argv = ["run", "unknown-goal", "--check", "probe-unknown-goal", "--seeds", "0,1"]
+    code = main(argv + ["--evidence", "whereabouts"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown-goal probe-unknown-goal/whereabouts: "
+        "world 'was-in-paris': language members ['[1]'] are not values\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

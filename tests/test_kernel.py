@@ -555,6 +555,34 @@ def test_read_only_location_refuses_other_methods_and_never_mutates():
     assert dict(store.state) == before
 
 
+def _send_what_slot_true_reads(ctx, _arg):
+    ctx.send(ctx.nature(True).call("read"))
+    return ABSENT
+
+
+def _read_slot(ctx, _arg):
+    return ctx.nature(ctx.state["where"]).call("read")
+
+
+def test_a_bool_names_no_nature_slot():
+    # True == 1 as a dict key and in a set, so a lookup by equality
+    # would let True reach slot 1 and pass its read-only test
+    world = World(
+        nature=Nature(slots={1: read_only_store("exhibit", b"secret")}, read_only=frozenset({1})),
+        respondent=mind("bystander", name=b"r"),
+    )
+    leaker = Machine(id="leaker", methods={"run": _send_what_slot_true_reads})
+    result = execute(accept_any_verifier(), leaker, world, 0)
+    assert result.transcript.verdict is Verdict.REJECT
+    assert result.transcript.messages_to_verifier == []
+    with pytest.raises(NoSuchMethodError) as raised:
+        run_target(Machine(id="reader", state={"where": True}, methods={"run": _read_slot}), world, 0)
+    assert (raised.value.machine_id, raised.value.method) == ("nature[True]", "<missing>")
+    for where in (1, Location(1)):
+        reader = Machine(id="reader", state={"where": where}, methods={"run": _read_slot})
+        assert run_target(reader, world, 0).output == b"secret"
+
+
 # --- immutable state and the overlay ---------------------------------------------
 
 

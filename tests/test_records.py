@@ -162,6 +162,8 @@ def test_reports_and_counterexamples_compare_by_fields_and_type():
 def test_every_other_record_compares_by_identity():
     for make in (
         lambda: Machine("a"),
+        Nature,
+        _world,
         lambda: ProbeSpec(1, (None,)),
         lambda: RunOutput(b"x", False),
         lambda: CallEvent("a", "b", "m", 1, None),

@@ -1,8 +1,9 @@
 """Static checks over the package source: every import is used, every
 module-level function body is written once, no record type is
-generated by ``dataclasses``, and one method of the cell table is the
-only loop over a check's seeds.  Last, a check that the code-size
-counter, ``tools/code_tokens.py``, counts what it says it counts."""
+generated by ``dataclasses``, no module calls ``id()``, and one method
+of the cell table is the only loop over a check's seeds.  Last, a check
+that the code-size counter, ``tools/code_tokens.py``, counts what it
+says it counts."""
 
 from __future__ import annotations
 
@@ -75,6 +76,19 @@ def test_no_module_imports_dataclasses():
             if "dataclasses" in names:
                 importers.append(str(path.relative_to(PACKAGE)))
     assert importers == []
+
+
+def test_no_module_calls_id():
+    # A build defines no ``__eq__`` and so hashes by identity: a key
+    # holds the object itself, where a kept id could come to name
+    # another object once the first is freed.
+    callers = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    assert callers == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
