@@ -8,13 +8,12 @@ seeds), so a failing report always names the first violating cell and
 two runs of the same check agree byte for byte.
 
 Each check reads its cells from a cell table (``_Cells``), the one
-place that calls the kernel.  It executes each (world, action, seed)
-once, runs each (target, world, seed) once, and runs post-processors
-on those executions; a run that read no randomness tape is run once
-for every seed.  A kernel fault other than budget exhaustion leaves it
-as a ``CellFaultError`` naming the world, machine and seed.  When no
-kernel run of a check read a tape, its report notes that the verdict
-holds for every seed, not only the listed ones.
+place that calls the kernel.  It makes each execution, target run and
+post-processor run once per seed, and once for every seed when the run
+read no randomness tape.  A kernel fault other than budget exhaustion
+leaves it as a ``CellFaultError`` naming the world, machine and seed.
+When no kernel run of a check read a tape, its report notes that the
+verdict holds for every seed, not only the listed ones.
 
 Consecutive checks under the same verifier object, budget and seed
 list share their kept runs: an entailment and its counterexample twin,
@@ -79,7 +78,6 @@ from .kernel import (
     run_target,
     with_zero_tape,
 )
-from .tapes import RandomnessAssignment
 from .values import (
     ABSENT,
     NO_SUCH_METHOD,
@@ -302,8 +300,7 @@ class Languages(Frozen, Mapping):
 
 # The runs the last cell table kept, under the verifier, budget, seed
 # list and kernel entry points they were kept under: at most one entry,
-# (verifier, budget, seeds, execute, run_target, run_post) -> (runs,
-# targets, posts).
+# (verifier, budget, seeds, execute, run_target, run_post) -> kept runs.
 _kept: dict = {}
 
 
@@ -312,33 +309,33 @@ def drop_kept_cells() -> None:
     _kept.clear()
 
 
-def _kept_under(verifier: Machine, budget: int, seeds: tuple[int, ...]) -> tuple:
-    """The ``(runs, targets, posts)`` kept under ``verifier``, ``budget``
-    and ``seeds``; runs kept under any other verifier, budget or seed
-    list are dropped, and so are runs made through other kernel entry
-    points: a caller that rebinds ``execute``, ``run_target`` or
-    ``run_post`` here, to trace or count the runs, sees every run its
-    functions make.  The verifier and the entry points are keyed as
-    objects, the budget and the seeds by equality."""
+def _kept_under(verifier: Machine, budget: int, seeds: tuple[int, ...]) -> dict:
+    """The runs kept under ``verifier``, ``budget`` and ``seeds``; runs
+    kept under any other verifier, budget or seed list are dropped, and
+    so are runs made through other kernel entry points: a caller that
+    rebinds ``execute``, ``run_target`` or ``run_post`` here, to trace or
+    count the runs, sees every run its functions make.  The verifier and
+    the entry points are keyed as objects, the budget and the seeds by
+    equality."""
     key = (verifier, budget, seeds, execute, run_target, run_post)
     if key not in _kept:
         _kept.clear()
-        _kept[key] = ({}, {}, {})
+        _kept[key] = {}
     return _kept[key]
 
 
 class _Cells:
     """One check's cells under one verifier and budget.
 
-    ``runs`` keeps each ``ExecutionResult`` under ``(world, action,
-    seed)`` and ``targets`` each target's ``RunOutput`` under ``(target,
-    world, seed)``: a walk that meets a cell again, in a second pass or
-    through a second family holding the same world object, reads it
-    instead of running it.  A run that read no tape is kept without its
-    seed and serves every seed, and ``posts`` keeps a post-processor's
-    ``RunOutput`` under ``(post, world, action)`` when neither it nor the
-    execution before it read a tape.  Builds define no ``__eq__``, so a
-    key holds its objects and compares them by identity.
+    ``kept`` holds every kernel run the table made, by one rule: a run
+    that read no tape under its key alone, where it serves every seed,
+    and one that read a tape under its key plus the seed.  An execution
+    is keyed ``(world, action)``, a target run ``(target, world)`` and a
+    post-processor run ``(post, result)``, where ``result`` is the
+    execution it continues.  A walk that meets a cell again, in a second
+    pass or through a second family holding the same world object, reads
+    it instead of running it.  Builds and results define no ``__eq__``,
+    so a key holds its objects and compares them by identity.
     ``worlds`` are the ``(label, world)`` pairs the walks range over,
     which name the world of a fault, and ``seeds`` the seeds that stand
     in for every tape; ``walk`` is the only loop over them.
@@ -350,23 +347,23 @@ class _Cells:
     identical up to their first tape read, so a run that read no tape
     under s is, step for step, the run under s': the same transcript,
     verdict, steps, output and machine states.  Whether a run reads a tape
-    does not depend on the seed either.  Only the tapes a post-processor
-    reads on from differ, and ``post`` gives it fresh tapes for the
-    cell's own seed.  ``tape_runs`` counts the runs the table made or
+    does not depend on the seed either.  An execution that read no tape
+    left no tape offsets, so a post-processor continues it under any
+    seed's tapes.  ``tape_runs`` counts the runs the table made or
     served that read a tape; a run that raised reports nothing and counts
     as one that did.  The count only grows, so a walk abandoned at a
     failing seed loses no earlier read.
 
-    The three dicts outlive the table.  A new table under the same
-    verifier object, an equal budget and an equal seed list reads and
-    extends them, and any other table replaces them, so one set of kept
-    runs lives at a time and a new seed list starts empty.  They are
-    also dropped when ``execute``, ``run_target`` or ``run_post`` is
-    rebound here.  A check sharing them may be served a run another
-    check made, or that it made itself when it ran before; the run then
-    counts as this check's own, and a kept run that read a tape adds to
-    ``tape_runs``, which stays per table.  A build cannot change, so an
-    identity key is a content key.
+    ``kept`` outlives the table.  A new table under the same verifier
+    object, an equal budget and an equal seed list reads and extends it,
+    and any other table replaces it, so one set of kept runs lives at a
+    time and a new seed list starts empty.  It is also dropped when
+    ``execute``, ``run_target`` or ``run_post`` is rebound here.  A check
+    sharing it may be served a run another check made, or that it made
+    itself when it ran before; the run then counts as this check's own,
+    and a kept run that read a tape adds to ``tape_runs``, which stays
+    per table.  A build cannot change, so an identity key is a content
+    key.
 
     The one rule of the walk: a seed at which no run read a tape stands
     for every seed.  Every later seed would make the same runs and read
@@ -385,25 +382,29 @@ class _Cells:
         self.budget = budget
         self.worlds = worlds
         self.seeds = seeds
-        self.runs, self.targets, self.posts = _kept_under(verifier, budget, seeds)
+        self.kept = _kept_under(verifier, budget, seeds)
         self.tape_runs = 0
 
     def run(self, world: World, action: Machine, seed: int) -> ExecutionResult:
-        """The execution of one cell, run the first time it is asked for.
+        """The execution of one cell, run the first time it is asked for."""
+        return self._kept_run(
+            (world, action), seed, "action", action, world, execute, self.verifier, action, world
+        )
 
-        An execution that read no tape is every seed's, but its
-        ``post_assignment`` stays that of the seed it ran under: read
-        post-processor outputs through ``post``."""
-        key = (world, action)
-        result = self.runs.get(key) or self.runs.get((*key, seed))
-        if result is None:
+    def _kept_run(self, key: tuple, seed: int, role: str, machine, world, kernel_run, *args):
+        """The run kept under ``key``, or under ``key`` plus ``seed``;
+        else ``kernel_run(*args, seed, budget)``, kept under ``key`` when
+        it read no tape and under ``key`` plus ``seed`` when it did.  A
+        kernel fault names ``role``, ``machine``, ``world`` and ``seed``."""
+        ran = self.kept.get(key) or self.kept.get((*key, seed))
+        if ran is None:
             try:
-                result = execute(self.verifier, action, world, seed, self.budget)
+                ran = kernel_run(*args, seed, self.budget)
             except KernelError as exc:
-                self._raise_fault(exc, "action", action, world, seed)
-            self.runs[(*key, seed) if result.read_tape else key] = result
-        self.tape_runs += result.read_tape
-        return result
+                self._raise_fault(exc, role, machine, world, seed)
+            self.kept[(*key, seed) if ran.read_tape else key] = ran
+        self.tape_runs += ran.read_tape
+        return ran
 
     def walk(self) -> Iterator[tuple[int, int]]:
         """``(index, seed)`` for the table's seeds in order.  A seed at
@@ -430,44 +431,18 @@ class _Cells:
         )
 
     def post(self, post: Machine, world: World, action: Machine, seed: int) -> Any:
-        """``post``'s output after the execution of one cell, starting
+        """``post``'s output after the execution of one cell, reading on
         from the tapes that execution left for ``seed``."""
         result = self.run(world, action, seed)
-        key = (post, world, action)
-        if not result.read_tape:
-            kept = self.posts.get(key)
-            if kept:
-                return kept.output
-            # the kept execution may have run under another seed
-            result = ExecutionResult(
-                result.transcript,
-                result.world,
-                result.states,
-                RandomnessAssignment(seed),
-                result.steps_used,
-                result.read_tape,
-            )
-        try:
-            ran = run_post(post, result, self.budget)
-        except KernelError as exc:
-            self._raise_fault(exc, "action", action, world, seed)
-        self.tape_runs += ran.read_tape
-        if not (result.read_tape or ran.read_tape):
-            self.posts[key] = ran
-        return ran.output
+        return self._kept_run(
+            (post, result), seed, "action", action, world, run_post, post, result
+        ).output
 
     def target(self, target: Machine, world: World, seed: int) -> Any:
         """The target's output in ``world`` under ``seed``, run once."""
-        key = (target, world)
-        ran = self.targets.get(key) or self.targets.get((*key, seed))
-        if ran is None:
-            try:
-                ran = run_target(target, world, seed, self.budget)
-            except KernelError as exc:
-                self._raise_fault(exc, "target", target, world, seed)
-            self.targets[(*key, seed) if ran.read_tape else key] = ran
-        self.tape_runs += ran.read_tape
-        return ran.output
+        return self._kept_run(
+            (target, world), seed, "target", target, world, run_target, target, world
+        ).output
 
     def noted(self, report: CheckReport) -> CheckReport:
         """``report``, noting that its verdict holds for every seed when
@@ -597,7 +572,7 @@ def entailment_cell_outputs(
     """(target output, post output, steps) for one cell, both branches
     under the identical tape assignment derived from ``seed``."""
     result = execute(verifier, action, world, seed, budget)
-    got = run_post(post, result, budget).output
+    got = run_post(post, result, seed, budget).output
     expected = run_target(target, world, seed, budget).output
     return expected, got, result.steps_used
 
@@ -630,12 +605,6 @@ def check_entailment(
     over nothing.
     """
     table = _Cells(verifier, budget, evidence.worlds, seeds)
-    return table.noted(_entail(table, target, post, evidence, family))
-
-
-def _entail(
-    table: _Cells, target: Machine, post: Machine, evidence: Evidence, family: ActionFamily
-) -> CheckReport:
     cells = 0
     max_steps = 0
     skipped: list[tuple[str, str]] = []
@@ -655,23 +624,27 @@ def _entail(
                     if same_value(got, expected):
                         continue
                     failure = (render_value(expected), render_value(got))
-                return _fails_at(
-                    cells + index + 1,
-                    max_steps,
-                    skipped,
-                    world_label,
-                    action_label,
-                    seed,
-                    *failure,
+                return table.noted(
+                    _fails_at(
+                        cells + index + 1,
+                        max_steps,
+                        skipped,
+                        world_label,
+                        action_label,
+                        seed,
+                        *failure,
+                    )
                 )
-            cells += len(table.seeds)
+            cells += len(seeds)
     if len(skipped) == len(evidence.worlds) * len(family.actions):
         raise PreconditionViolatedError("no action conforms in any world")
-    return CheckReport(
-        verdict=CheckVerdict.HOLDS,
-        cells_checked=cells,
-        max_steps=max_steps,
-        skipped=tuple(skipped),
+    return table.noted(
+        CheckReport(
+            verdict=CheckVerdict.HOLDS,
+            cells_checked=cells,
+            max_steps=max_steps,
+            skipped=tuple(skipped),
+        )
     )
 
 

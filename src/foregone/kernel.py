@@ -22,9 +22,10 @@ A built ``Machine``, ``Nature`` or ``World`` cannot change: its fields
 are frozen, and its ``state``, ``methods`` or ``slots`` is a read-only
 view of a copy of the dict it was built from.
 
-``execute`` and ``run_target`` start from fresh tapes for the seed;
-``run_post`` continues the machine states and tapes from where an
-execution left them.  A run keeps the states it writes in an overlay, a
+Every entry point takes the cell's seed.  ``execute`` and
+``run_target`` start from fresh tapes for it; ``run_post`` continues
+the machine states, and the seed's tapes, from where an execution left
+them.  A run keeps the states it writes in an overlay, a
 dict from a built machine to that run's private state dict.  A machine
 gets its entry, a copy of its built state, on its first invoke at a
 writable place, so a run copies only the machines it calls; a
@@ -359,25 +360,29 @@ class Transcript:
 
 class ExecutionResult:
     """A transcript, the world the execution ran in, the machine states
-    and tapes as it left them, and whether it read its tapes.  ``states``
-    holds the state of each machine the execution called at a writable
-    place, keyed by the machine object; any other machine is as built."""
+    and tape offsets as it left them, and whether it read its tapes.
+    ``states`` holds the state of each machine the execution called at a
+    writable place, keyed by the machine object; any other machine is as
+    built.  ``offsets`` maps each stream id the execution read to the
+    number of bytes it read there.  No seed is kept, so a result that
+    read no tape holds nothing of the seed it ran under and is every
+    seed's execution."""
 
-    __slots__ = ("transcript", "world", "states", "post_assignment", "steps_used", "read_tape")
+    __slots__ = ("transcript", "world", "states", "offsets", "steps_used", "read_tape")
 
     def __init__(
         self,
         transcript: Transcript,
         world: World,
         states: Mapping,
-        post_assignment: RandomnessAssignment,
+        offsets: Mapping[str, int],
         steps_used: int,
         read_tape: bool,
     ):
         self.transcript = transcript
         self.world = world
         self.states = states
-        self.post_assignment = post_assignment
+        self.offsets = offsets
         self.steps_used = steps_used
         self.read_tape = read_tape
 
@@ -509,8 +514,8 @@ class MethodContext:
         self._require("nature")
         nature = self._engine.world.nature
         index = location.index if isinstance(location, Location) else location
-        # True equals 1 as a dict key, but a bool names no slot
-        machine = None if type(index) is bool else nature.slots.get(index)
+        # True and 1.0 equal 1 as dict keys, but only an int names a slot
+        machine = nature.slots.get(index) if type(index) is int else None
         if machine is None:
             raise NoSuchMethodError(f"nature[{index}]", "<missing>")
         read_only = index in nature.read_only
@@ -678,7 +683,7 @@ def execute(
         engine.transcript,
         world,
         engine.states,
-        engine.assignment,
+        engine.assignment.offsets,
         engine.steps,
         engine.read_tape,
     )
@@ -704,21 +709,26 @@ def run_target(
 
 
 def run_post(
-    post: Machine, result: ExecutionResult, budget: int = DEFAULT_BUDGET
+    post: Machine, result: ExecutionResult, seed: int, budget: int = DEFAULT_BUDGET
 ) -> RunOutput:
     """Run a post-processor after the execution that produced ``result``
-    and return its output and whether it read a tape.
+    under ``seed``, and return its output and whether it read a tape.
 
     The post-processor sees nature as the interaction left it plus the
-    message log, and reads the tapes on from where the execution
-    stopped; it has no respondent access.  A machine's first invoke
-    copies its state from ``result.states``, so ``result`` is left
-    unchanged.  A post-processor that is also a machine of the world,
-    or one the execution called, is refused with
-    ``AliasedMachineError``.
+    message log, and reads the tapes for ``seed`` on from
+    ``result.offsets``; it has no respondent access.  A result that read
+    no tape left no offsets, so it serves a post-processor run under any
+    seed.  A machine's first invoke copies its state from
+    ``result.states``, so ``result`` is left unchanged.  A post-processor
+    that is also a machine of the world, or one the execution called, is
+    refused with ``AliasedMachineError``.
     """
     engine = _Engine(
-        result.world, result.post_assignment.fork(), budget, post, base=result.states
+        result.world,
+        RandomnessAssignment(seed, dict(result.offsets)),
+        budget,
+        post,
+        base=result.states,
     )
     engine.transcript.messages_to_verifier.extend(
         result.transcript.messages_to_verifier

@@ -134,7 +134,8 @@ class ScenarioCheck:
 class Scenario:
     """One fact pattern: its evidences, its primary machines and family,
     and the checks it registers.  Construction refuses duplicate or
-    malformed checks and runs every evidence audit."""
+    malformed checks and audits each evidence object once, however many
+    names it has."""
 
     __slots__ = (
         "name",
@@ -180,7 +181,7 @@ class Scenario:
                 )
         problems = [
             problem
-            for evidence in evidences.values()
+            for evidence in dict.fromkeys(evidences.values())
             for problem in audit_evidence(evidence)
         ]
         if problems:

@@ -9,10 +9,10 @@ tape.  A tape is a deterministic bit stream derived from
     identical tapes per machine, even though they run different code.
 
 The seed is a coordinate of each cell, not part of a world: the kernel
-builds a fresh ``RandomnessAssignment`` from it for every execution and
-target run.  An assignment tracks how far into each stream a machine
-has read, so a copy of the assignment an execution left behind lets the
-post-processor continue every stream from exactly where it stopped.
+builds a fresh ``RandomnessAssignment`` from it for every run.  An
+assignment tracks how far into each stream a machine has read, so an
+assignment built from the seed and the offsets an execution left lets
+the post-processor continue every stream from exactly where it stopped.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class RandomnessAssignment:
     """One setting of every machine's randomness tape.
 
     The seed is kept masked to 64 bits.  ``offsets`` records consumed
-    prefix lengths per stream id and is the only mutable part; a copy
-    and the original advance independently but identically.
+    prefix lengths per stream id and is the only mutable part; two
+    assignments with equal seeds and offsets read on identically.
     """
 
     __slots__ = ("seed", "offsets")
@@ -42,10 +42,6 @@ class RandomnessAssignment:
     def __init__(self, seed: int, offsets: Optional[dict[str, int]] = None):
         self.seed = seed & _MASK64
         self.offsets = {} if offsets is None else offsets
-
-    def fork(self) -> "RandomnessAssignment":
-        """A copy that reads on from the same offsets independently."""
-        return RandomnessAssignment(self.seed, dict(self.offsets))
 
     def tape_for(self, stream_id: str) -> "TapeReader":
         return TapeReader(self, stream_id)

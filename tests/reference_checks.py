@@ -69,7 +69,7 @@ class Runs:
 
     def post(self, post, result, world, action, seed) -> Any:
         try:
-            ran = run_post(post, result, self.budget)
+            ran = run_post(post, result, seed, self.budget)
         except KernelError as exc:
             self._fault(exc, "action", action, world, seed)
         self.read_tape |= ran.read_tape

@@ -353,7 +353,9 @@ def test_criterion_11_impossibility_probes(registry):
     witness = report.witnesses[0]
     world = scenario.evidences["whereabouts"].world(witness.world)
     run = execute(scenario.verifier, stand_in, world, witness.seed)
-    got = run_post(dict(whereabouts.candidates)["echo-first-message"], run).output
+    got = run_post(
+        dict(whereabouts.candidates)["echo-first-message"], run, witness.seed
+    ).output
     expected = run_target(whereabouts.target, world, witness.seed).output
     assert render_value(got) == witness.got
     assert render_value(expected) == witness.expected

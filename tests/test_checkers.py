@@ -8,6 +8,7 @@ from reference_checks import conforms
 from foregone.checkers import (
     SEED_FREE_NOTE,
     ActionFamily,
+    CellFaultError,
     CheckVerdict,
     HypothesisViolatedError,
     Languages,
@@ -531,8 +532,63 @@ def test_a_kept_post_output_is_never_served_to_another_post(pwd_evidence):
         del post
 
 
+def _draw_a_byte(ctx, _arg):
+    return ctx.tape.read_bytes(1)
+
+
+def test_a_post_that_reads_a_tape_runs_once_per_execution_and_seed(pwd_evidence, monkeypatch):
+    import foregone.checkers as checkers
+
+    calls = count_calls(monkeypatch, checkers, ("execute", "run_post"))
+    world = pwd_evidence["weak"].world("locked-basic")
+    verifier, action = accept_any_verifier(), do_nothing_action()
+    drawer = Machine(id="drawer", methods={"run": _draw_a_byte})
+    table = _Cells(verifier, DEFAULT_BUDGET, (), SEEDS)
+    first = table.post(drawer, world, action, 0)
+    assert table.post(drawer, world, action, 0) == first
+    assert calls == {"execute": 1, "run_post": 1}
+    # the served run read a tape, so it counts as one the table made
+    assert table.tape_runs == 2
+    # the tape-free execution serves every seed; the post runs per seed
+    assert table.post(drawer, world, action, 1) != first
+    assert calls == {"execute": 1, "run_post": 2}
+    fresh = execute(verifier, action, world, 1)
+    assert table.post(drawer, world, action, 1) == run_post(drawer, fresh, 1).output
+    # a second table is served both kept runs and still walks every seed
+    calls.update(execute=0, run_post=0)
+    again = _Cells(verifier, DEFAULT_BUDGET, (), SEEDS)
+    walked = []
+    for _, seed in again.walk():
+        again.post(drawer, world, action, seed)
+        walked.append(seed)
+    assert tuple(walked) == SEEDS
+    assert calls == {"execute": 0, "run_post": len(SEEDS) - 2}
+
+
+def _broken(ctx, _arg):
+    raise TypeError("broken")
+
+
+def test_a_fault_in_any_run_of_a_cell_names_its_world_role_machine_and_seed(pwd_evidence):
+    world = pwd_evidence["weak"].world("locked-basic")
+    action, broken = do_nothing_action(), Machine(id="broken", methods={"run": _broken})
+    table = _Cells(accept_any_verifier(), DEFAULT_BUDGET, (("locked-basic", world),), SEEDS)
+    cause = "machine 'broken' method 'run' raised TypeError: broken"
+    for run, cell in (
+        (lambda: table.run(world, broken, 2), "action 'broken'"),
+        # a post-processor's fault names the action whose cell it is
+        (lambda: table.post(broken, world, action, 2), "action 'do-nothing'"),
+        (lambda: table.target(broken, world, 2), "target 'broken'"),
+    ):
+        with pytest.raises(CellFaultError) as raised:
+            run()
+        assert str(raised.value) == f"world 'locked-basic', {cell}, seed 2: {cause}"
+    # a run that raised counts as one that read a tape
+    assert table.tape_runs == 3
+
+
 def _byte_target() -> Machine:
-    return Machine(id="draw-a-byte", methods={"run": lambda ctx, _arg: ctx.tape.read_bytes(1)})
+    return Machine(id="draw-a-byte", methods={"run": _draw_a_byte})
 
 
 @pytest.mark.parametrize(
@@ -731,7 +787,7 @@ def test_unknown_goal_probe_defeats_every_candidate(goal_evidence):
         witness = report.witnesses[[l for l, _ in candidate_posts()].index(label)]
         world = evidence.world(witness.world)
         run = execute(accept_any_verifier(), stand_in, world, witness.seed)
-        got = run_post(post, run).output
+        got = run_post(post, run, witness.seed).output
         expected = run_target(location_target(), world, witness.seed).output
         assert render_value(got) == witness.got
         assert render_value(expected) == witness.expected

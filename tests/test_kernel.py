@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,6 +233,7 @@ _ROLE_CASES = {
     "post": lambda: run_post(
         _probe(),
         execute(accept_any_verifier(), do_nothing_action(), _capability_world(), 0),
+        0,
     ).output,
     "nature via int": lambda: _reached_from_an_action(
         _call_nature_by_int, _capability_world(slot=_probe())
@@ -345,17 +348,16 @@ def test_entry_points_leave_their_input_world_and_result_unchanged():
     assert not device.state["unlocked"]
 
     states = {machine: dict(state) for machine, state in result.states.items()}
-    offsets = dict(result.post_assignment.offsets)
+    offsets = dict(result.offsets)
 
     def relock_and_draw(ctx, _arg):
         ctx.nature(DEVICE_LOCATION).call("prompt", b"wrong")
         return ctx.tape.read_bytes(4)
 
     post = Machine(id="relocker", methods={"run": relock_and_draw})
-    assert run_key(run_post(post, result)) == run_key(run_post(post, result))
+    assert run_key(run_post(post, result, 3)) == run_key(run_post(post, result, 3))
     assert result.states == states
-    assert result.post_assignment.seed == 3
-    assert result.post_assignment.offsets == offsets
+    assert result.offsets == offsets
     assert result.world is world
 
 
@@ -372,11 +374,33 @@ def test_post_processor_reads_the_tape_continuing_where_the_execution_stopped():
     action = Machine(id="drawer", methods={"run": draw_and_send})
     post = Machine(id="drawer", methods={"run": draw})
     result = execute(accept_any_verifier(), action, password_world(), 9)
-    assert result.post_assignment.offsets == {"drawer": 3}
+    assert result.offsets == {"drawer": 3}
 
     stream = RandomnessAssignment(9).tape_for("drawer").read_bytes(19)
     assert result.transcript.messages_to_verifier == [stream[:3]]
-    assert run_post(post, result).output == stream[3:]
+    assert run_post(post, result, 9).output == stream[3:]
+
+
+def _draw_four(ctx, _arg):
+    return ctx.tape.read_bytes(4)
+
+
+def test_a_tape_free_execution_continues_under_any_seed_as_a_fresh_one_would():
+    from foregone.scenarios.password import device_reading_post
+
+    world, verifier, action = password_world(), unlocked_verifier(), exemplar_action()
+    kept = execute(verifier, action, world, 3)
+    assert not kept.read_tape and kept.offsets == {}
+    drawer = Machine(id="drawer", methods={"run": _draw_four})
+    for post in (device_reading_post(), drawer):
+        for seed in (3, 4, 2**64 + 3):
+            fresh = execute(verifier, action, world, seed)
+            assert run_key(run_post(post, kept, seed)) == run_key(run_post(post, fresh, seed))
+    # the drawer reads the tapes of the seed it is given, not of the seed
+    # the execution ran under
+    stream = RandomnessAssignment(4).tape_for("drawer").read_bytes(4)
+    assert run_post(drawer, kept, 4).output == stream
+    assert run_post(drawer, kept, 4).output != run_post(drawer, kept, 3).output
 
 
 def _draw_one(ctx, _arg):
@@ -406,9 +430,9 @@ def test_each_entry_point_reports_whether_its_run_read_a_tape():
     assert run_target(drawer, password_world(), 0).read_tape
     assert not run_target(decrypt_target(), password_world(), 0).read_tape
     # a post-processor reports its own draws, not the execution's
-    assert run_post(drawer, quiet).read_tape
-    assert not run_post(with_zero_tape(drawer), quiet).read_tape
-    assert not run_post(do_nothing_action(), drawn).read_tape
+    assert run_post(drawer, quiet, 0).read_tape
+    assert not run_post(with_zero_tape(drawer), quiet, 0).read_tape
+    assert not run_post(do_nothing_action(), drawn, 0).read_tape
 
 
 def test_replay_determinism_of_execute():
@@ -478,7 +502,7 @@ def test_post_processor_sees_the_states_and_messages_the_execution_left():
 
     world = password_world()
     result = execute(unlocked_verifier(), exemplar_action(), world, 0)
-    assert run_post(device_reading_post(), result).output == b"tax-records"
+    assert run_post(device_reading_post(), result, 0).output == b"tax-records"
 
 
 # --- budget ----------------------------------------------------------------------
@@ -555,32 +579,46 @@ def test_read_only_location_refuses_other_methods_and_never_mutates():
     assert dict(store.state) == before
 
 
-def _send_what_slot_true_reads(ctx, _arg):
-    ctx.send(ctx.nature(True).call("read"))
-    return ABSENT
+class _Slot(IntEnum):
+    ONE = 1
 
 
-def _read_slot(ctx, _arg):
-    return ctx.nature(ctx.state["where"]).call("read")
-
-
-def test_a_bool_names_no_nature_slot():
-    # True == 1 as a dict key and in a set, so a lookup by equality
-    # would let True reach slot 1 and pass its read-only test
-    world = World(
+def _exhibit_world() -> World:
+    return World(
         nature=Nature(slots={1: read_only_store("exhibit", b"secret")}, read_only=frozenset({1})),
         respondent=mind("bystander", name=b"r"),
     )
-    leaker = Machine(id="leaker", methods={"run": _send_what_slot_true_reads})
-    result = execute(accept_any_verifier(), leaker, world, 0)
+
+
+def _slot_reader(where) -> Machine:
+    # 1.0 is not a value, so no state can hold it: the method names it
+    return Machine(id="reader", methods={"run": lambda ctx, _arg: ctx.nature(where).call("read")})
+
+
+def test_a_bool_names_no_nature_slot():
+    # True, 1.0 and an int subclass's 1 equal 1 as dict keys and in a
+    # set, so a lookup by equality would let each reach slot 1 and pass
+    # its read-only test; only an int names a slot
+    world = _exhibit_world()
+    for where in (True, 1.0, _Slot.ONE, Location(True), Location(1.0)):
+        with pytest.raises(NoSuchMethodError) as raised:
+            run_target(_slot_reader(where), world, 0)
+        index = where.index if isinstance(where, Location) else where
+        assert (raised.value.machine_id, raised.value.method) == (f"nature[{index}]", "<missing>")
+    for where in (1, Location(1)):
+        assert run_target(_slot_reader(where), world, 0).output == b"secret"
+
+
+@pytest.mark.parametrize("where", [True, 1.0, _Slot.ONE], ids=["True", "1.0", "IntEnum"])
+def test_an_action_that_reads_a_store_through_an_index_equal_to_its_slot_is_not_accepted(where):
+    def leak(ctx, _arg):
+        ctx.send(ctx.nature(where).call("read"))
+        return ABSENT
+
+    leaker = Machine(id="leaker", methods={"run": leak})
+    result = execute(accept_any_verifier(), leaker, _exhibit_world(), 0)
     assert result.transcript.verdict is Verdict.REJECT
     assert result.transcript.messages_to_verifier == []
-    with pytest.raises(NoSuchMethodError) as raised:
-        run_target(Machine(id="reader", state={"where": True}, methods={"run": _read_slot}), world, 0)
-    assert (raised.value.machine_id, raised.value.method) == ("nature[True]", "<missing>")
-    for where in (1, Location(1)):
-        reader = Machine(id="reader", state={"where": where}, methods={"run": _read_slot})
-        assert run_target(reader, world, 0).output == b"secret"
 
 
 # --- immutable state and the overlay ---------------------------------------------
@@ -782,7 +820,7 @@ def test_a_run_may_not_hold_one_machine_twice():
     result = execute(verifier, action, world, 0)
     for post in (action, verifier, device):
         with pytest.raises(AliasedMachineError, match="is held more than once"):
-            run_post(post, result)
+            run_post(post, result, 0)
 
 
 def test_an_emulated_respondent_keeps_its_state_in_the_run():
@@ -923,7 +961,8 @@ def test_a_layered_overlay_behaves_like_its_source(registry, data, seed):
     _drive(*source, _calls(data, world, riders, 6))
     pristine = _bundle_key(source)
 
-    layered = (world, riders, source[2].fork(), source[4], {})
+    tapes = RandomnessAssignment(seed, dict(source[2].offsets))
+    layered = (world, riders, tapes, source[4], {})
     assert _bundle_key(layered) == pristine
 
     suffix = _calls(data, world, riders, 8)

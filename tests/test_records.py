@@ -116,7 +116,7 @@ def test_records_keep_no_instance_dict_but_a_scenario_check():
     # ScenarioCheck keeps one for its cached ``languages``
     records = _frozen_records() + [
         Transcript(),
-        ExecutionResult(Transcript(), _world(), {}, RandomnessAssignment(0), 0, False),
+        ExecutionResult(Transcript(), _world(), {}, {}, 0, False),
         RandomnessAssignment(0),
         CheckReport(CheckVerdict.HOLDS),
     ]

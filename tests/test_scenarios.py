@@ -56,6 +56,32 @@ def test_scenario_loading_runs_the_evidence_audit(registry):
             assert audit_evidence(evidence) == []
 
 
+def test_a_build_audits_each_evidence_object_once(monkeypatch):
+    import foregone.scenarios.base as base
+
+    audited = []
+    real = base.audit_evidence
+
+    def audit(evidence):
+        audited.append(evidence)
+        return real(evidence)
+
+    monkeypatch.setattr(base, "audit_evidence", audit)
+    scenario = build_scenario("otp-table")
+    # nine evidence names, two evidence objects, audited in first-seen order
+    assert len(scenario.evidences) == 9
+    assert audited == list(dict.fromkeys(scenario.evidences.values()))
+    assert len(audited) == 2
+    # so a failing evidence lists each of its problems once
+    monkeypatch.setattr(base, "audit_evidence", lambda evidence: [f"{evidence.name} fails"])
+    with pytest.raises(ScenarioError) as raised:
+        build_scenario("otp-table")
+    assert str(raised.value) == (
+        "scenario 'otp-table' fails its evidence audit: "
+        "secret-plaintext-and-key fails; recorded-plaintext-secret-key fails"
+    )
+
+
 def test_weak_families_strictly_contain_strong_families(registry):
     for scenario in registry.values():
         for weaker_key, stronger_key in scenario.edges:

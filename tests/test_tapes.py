@@ -37,13 +37,13 @@ def test_copied_assignment_replays_from_the_same_point():
     assert clone.offsets != assignment.offsets
 
 
-def test_forked_assignment_reads_on_independently():
+def test_an_assignment_built_from_offsets_reads_on_independently():
     assignment = RandomnessAssignment(11)
     assignment.tape_for("m").read_bytes(5)
-    fork = assignment.fork()
-    assert (fork.seed, fork.offsets) == (assignment.seed, assignment.offsets)
-    assert fork.tape_for("m").read_bytes(8) == assignment.tape_for("m").read_bytes(8)
-    fork.tape_for("n").read_bytes(1)
+    resumed = RandomnessAssignment(11, dict(assignment.offsets))
+    assert (resumed.seed, resumed.offsets) == (assignment.seed, assignment.offsets)
+    assert resumed.tape_for("m").read_bytes(8) == assignment.tape_for("m").read_bytes(8)
+    resumed.tape_for("n").read_bytes(1)
     assert "n" not in assignment.offsets
 
 
