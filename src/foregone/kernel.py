@@ -55,12 +55,12 @@ runs of the same cell produce bitwise identical transcripts and
 machine states.  Method code keeps everything it remembers in
 ``ctx.state`` (never in captured closures), and every state value is an
 immutable value of the algebra or a ``str``: ``Machine`` construction
-and the engine, after every call whether the method returned or raised,
-enforce this with ``MalformedValueError``.  That rule is what lets an
-overlay copy a machine's state dict and share the values.  The overlay
-is keyed by machine object, so a run refuses one object in two places
-with ``AliasedMachineError``, as a ``World`` does.  A method that
-writes the built state of a read-only slot faults.
+and the engine, after every call at a writable place whether the
+method returned or raised, enforce this with ``MalformedValueError``.
+That rule is what lets an overlay copy a machine's state dict and share
+the values.  The overlay is keyed by machine object, so a run refuses
+one object in two places with ``AliasedMachineError``, as a ``World``
+does.  A method that writes the built state of a read-only slot faults.
 
 Any exception that method code raises and that is not a
 ``KernelError`` leaves ``invoke`` as a ``MethodFaultError`` naming the
@@ -220,14 +220,20 @@ def _check_state(machine_id: str, state) -> None:
             )
 
 
-def _refuse_aliases(*machines: Machine, seen: set) -> set:
-    """``seen`` with ``machines`` and their emulated respondents added.
-    Raise ``AliasedMachineError`` when one machine object is there
-    twice: states are kept by machine object, so the two places would
-    share one state."""
+# The states of no machine: every machine reads its built state.
+_NO_STATES = MappingProxyType({})
+
+
+def _refuse_aliases(*machines: Machine, held=frozenset(), base: Mapping = _NO_STATES) -> set:
+    """The set of ``machines`` and their emulated respondents.  Raise
+    ``AliasedMachineError`` when one machine object is there twice, or
+    is in ``held`` (a world's machines) or ``base`` (states a run goes
+    on from): states are kept by machine object, so the two places
+    would share one state."""
+    seen = set()
     for machine in machines:
         while machine is not None:
-            if machine in seen:
+            if machine in seen or machine in held or machine in base:
                 raise AliasedMachineError(f"machine {machine.id!r} is held more than once")
             seen.add(machine)
             machine = machine.emulated_respondent
@@ -264,12 +270,8 @@ class World(Frozen):
     def __init__(self, nature: Nature, respondent: Machine):
         object.__setattr__(self, "nature", nature)
         object.__setattr__(self, "respondent", respondent)
-        held = _refuse_aliases(*nature.slots.values(), respondent, seen=set())
+        held = _refuse_aliases(*nature.slots.values(), respondent)
         object.__setattr__(self, "_machines", frozenset(held))
-
-
-# The states of no machine: every machine reads its built state.
-_NO_STATES = MappingProxyType({})
 
 
 def machine_key(machine: Optional[Machine], states: Mapping = _NO_STATES) -> Optional[tuple]:
@@ -573,7 +575,7 @@ class _Engine:
         *machines: Machine,
         base: Mapping = _NO_STATES,
     ):
-        _refuse_aliases(*machines, seen={*world._machines, *base})
+        _refuse_aliases(*machines, held=world._machines, base=base)
         self.world = world
         self.assignment = assignment
         self.budget = budget
@@ -634,7 +636,9 @@ class _Engine:
                 f"{type(exc).__name__}: {exc}"
             ) from exc
         finally:
-            _check_state(machine.id, state)
+            # a read-only invoke ran on the built state, which a write faults
+            if not read_only:
+                _check_state(machine.id, state)
         if type(output) not in ATOM_TYPES and output is not ABSENT and not is_value(output):
             raise MalformedValueError(
                 f"{machine.id}.{method} returned non-value {output!r}"

@@ -34,7 +34,13 @@ them by itself.
 
 A comparison is decided once per process: its answer is memoized under
 the ``kernel.machine_key`` of both machines, the depth, the alphabet and
-the budget.
+the budget.  Two machines whose keys agree in everything but the
+top-level id are decided without a walk: both sides run under one probe
+id, so their roots are equal, and by the invariant above so is every
+node below them, and no probe can separate them.  An emulated
+respondent's id stays in the comparison, since it names the tape stream
+the respondent reads.  A method that would fault on some probe is then
+never run at load; a check that runs it still faults.
 
 A ``False`` answer always has a concrete witness probe;
 ``replay_probe`` runs it from scratch through the kernel and exhibits
@@ -179,15 +185,18 @@ def distinguishing_probe(
     methods, the first in option order among those, or None if none
     exists within the bounds.  A missing method on the candidate counts
     as an immediate witness of length one."""
+    spec_key, candidate_key = machine_key(spec), machine_key(candidate)
     key = (
-        machine_key(spec),
-        machine_key(candidate),
+        spec_key,
+        candidate_key,
         depth,
         tuple(value_key(letter) for letter in alphabet),
         budget,
     )
     if key not in _RESULTS:
-        _RESULTS[key] = _search(spec, candidate, depth, alphabet, budget)
+        # equal content under the one probe id: no node can diverge
+        same = spec_key[1:] == candidate_key[1:]
+        _RESULTS[key] = None if same else _search(spec, candidate, depth, alphabet, budget)
     return _RESULTS[key]
 
 

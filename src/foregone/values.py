@@ -85,11 +85,16 @@ class Location(Frozen):
     """A slot index into nature.  Locations are values and may be passed
     between machines (e.g. a respondent revealing where a device is).
     Two locations are equal when their indices are, and a location
-    equals nothing else."""
+    equals nothing else.  The index is of exact type ``int``, the only
+    type that names a slot: ``True`` and ``1.0`` equal ``1`` under
+    ``==``, so a location built on one would equal ``Location(1)``
+    while naming no slot."""
 
     __slots__ = ("index",)
 
     def __init__(self, index: int):
+        if type(index) is not int:
+            raise TypeError(f"a location index is an int, not a {type(index).__name__}")
         if index < 0:
             raise ValueError("locations are non-negative")
         object.__setattr__(self, "index", index)

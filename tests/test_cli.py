@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import foregone
 import foregone.cli as cli
+import foregone.refinement as refinement
 import foregone.toy_crypto as toy_crypto
 
 from foregone.cli import (
@@ -31,8 +33,24 @@ from foregone.cli import (
     parse_seed_list,
     toy_sweeps,
 )
-from foregone.kernel import Machine, run_target
-from foregone.scenarios import BUILDERS, build_registry, run_check, scenario_names
+from foregone.checkers import ActionFamily
+from foregone.evidence import Evidence
+from foregone.kernel import Machine, Nature, World, run_target
+from foregone.refinement import ProbeSpec
+from foregone.scenarios import (
+    BUILDERS,
+    build_registry,
+    build_scenario,
+    run_check,
+    scenario_names,
+)
+from foregone.scenarios.base import HOLDS, Scenario, ScenarioCheck
+from foregone.scenarios.common import (
+    accept_any_verifier,
+    do_nothing_action,
+    first_message_post,
+    mind,
+)
 from foregone.toy_crypto import otp
 from foregone.values import ABSENT
 
@@ -697,6 +715,95 @@ def test_run_builds_only_the_named_scenario(monkeypatch, capsys):
     assert code == EXIT_MATCH
     capsys.readouterr()
     assert calls == {name: int(name == "password") for name in scenario_names()}
+
+
+# --- a device method that faults on a probe letter ----------------------------------
+
+
+_TRIP = b"trip"
+
+
+def _guarded_read(ctx, argument):
+    if argument == _TRIP:
+        raise TypeError("a tripped read")
+    return ctx.state["content"]
+
+
+def _plain_read(ctx, _arg):
+    return ctx.state["content"]
+
+
+def _send_tripped_read(ctx, _arg):
+    ctx.send(ctx.nature(0).call("read", _TRIP))
+    return ABSENT
+
+
+def _guarded_scenario(spec_read):
+    """A one-world scenario whose device at slot 0 faults on ``read(_TRIP)``,
+    a letter of its evidence's probe alphabet.  Its evidence asserts that
+    the device implements a store whose ``read`` is ``spec_read``."""
+
+    def build(params):
+        device = Machine(
+            id="guarded-store", state={"content": b"x"}, methods={"read": _guarded_read}
+        )
+        spec = Machine(id="store-shape", state={"content": b"?"}, methods={"read": spec_read})
+        evidence = Evidence(
+            name="guarded",
+            assertions=(),
+            worlds=(("guarded", World(Nature(slots={0: device}), mind("silent"))),),
+            probe=ProbeSpec(depth=2, alphabet=(None, _TRIP)),
+            partial_specs={0: spec},
+        )
+        exemplar = Machine(id="trip-read", methods={"run": _send_tripped_read})
+        return Scenario(
+            name="guarded",
+            title="a device that faults on a probe letter",
+            evidences={"weak": evidence},
+            verifier=accept_any_verifier(),
+            exemplar=exemplar,
+            target=do_nothing_action(),
+            post_processor=first_message_post(),
+            action_family=ActionFamily(actions=(("trip-read", exemplar),)),
+            checks=[ScenarioCheck("demonstrability", "weak", HOLDS, "runs the tripping read")],
+        )
+
+    return SimpleNamespace(DEFAULTS={}, build=build)
+
+
+def test_a_device_compared_only_with_itself_builds_and_faults_in_the_check(
+    monkeypatch, capsys
+):
+    # The spec rebound to the device's values has the device's content,
+    # so the build decides the comparison without a walk and never runs
+    # the tripping read; the check that runs it names the cell.
+    monkeypatch.setattr(refinement, "_RESULTS", {})
+    monkeypatch.setitem(BUILDERS, "guarded", _guarded_scenario(_guarded_read))
+    assert build_scenario("guarded").name == "guarded"
+    assert main(["run", "guarded", "--check", "demonstrability", "--seeds", "0"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: guarded demonstrability/weak: world 'guarded', action 'trip-read', seed 0: "
+        "machine 'guarded-store' method 'read' raised TypeError: a tripped read\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_a_device_compared_with_a_different_spec_faults_the_build(
+    monkeypatch, capsys, command
+):
+    # The spec's read is another function, so the build walks the pair
+    # and the device's read faults on the probe letter.
+    monkeypatch.setattr(refinement, "_RESULTS", {})
+    monkeypatch.setitem(BUILDERS, "guarded", _guarded_scenario(_plain_read))
+    argv = {"run": ["run", "guarded"], "audit": ["audit"]}[command]
+    assert main(argv + ["--seeds", "0"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: machine 'probe-subject' method 'read' raised TypeError: a tripped read\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -390,6 +390,21 @@ def test_the_node_key_holds_both_sides_with_their_steps_and_tape_offsets(
 # --- the memo -----------------------------------------------------------------------
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """The walks the memo makes from here on, starting from an empty memo."""
+    calls = []
+    search = refinement._search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(refinement, "_RESULTS", {})
+    monkeypatch.setattr(refinement, "_search", counted)
+    return calls
+
+
 def _kind(ctx, _arg):
     value = ctx.state["v"]
     return (isinstance(value, bool), isinstance(value, bytes))
@@ -400,11 +415,7 @@ def _kind(ctx, _arg):
     [(True, 1), (False, 0), (b"1", "1")],
     ids=["true-one", "false-zero", "bytes-str"],
 )
-def test_states_equal_under_python_equality_do_not_share_an_answer(
-    monkeypatch, left, right
-):
-    monkeypatch.setattr(refinement, "_RESULTS", {})
-
+def test_states_equal_under_python_equality_do_not_share_an_answer(searches, left, right):
     def device(value):
         return Machine(id="device", state={"v": value}, methods={"kind": _kind})
 
@@ -412,6 +423,9 @@ def test_states_equal_under_python_equality_do_not_share_an_answer(
     assert distinguishing_probe(spec, device(left), 1, (None,)) is None
     assert distinguishing_probe(spec, device(right), 1, (None,)) == (("kind", None),)
     assert distinguishing_probe(device(right), device(right), 1, (None,)) is None
+    # equal content is decided without a walk; states equal only under
+    # ``==`` (``True`` and ``1``) are not equal content, so that pair is walked
+    assert len(searches) == 1
 
 
 def _is_null(ctx, argument):
@@ -454,8 +468,11 @@ def _say(ctx, _arg):
     return ctx.state["v"]
 
 
-def test_zero_coins_and_the_emulated_respondent_are_part_of_the_key(monkeypatch):
-    monkeypatch.setattr(refinement, "_RESULTS", {})
+def _ask_draw(ctx, _arg):
+    return ctx.respondent.call("draw")
+
+
+def test_zero_coins_and_the_emulated_respondent_are_part_of_the_key(searches):
     drawer = Machine(id="d", methods={"draw": _draw})
     pinned = Machine(id="d", methods={"draw": _draw}, force_zero_tape=True)
     assert distinguishing_probe(drawer, drawer, 1, (None,)) is None
@@ -467,29 +484,33 @@ def test_zero_coins_and_the_emulated_respondent_are_part_of_the_key(monkeypatch)
 
     assert distinguishing_probe(asker(b"x"), asker(b"x"), 1, (None,)) is None
     assert distinguishing_probe(asker(b"x"), asker(b"y"), 1, (None,)) == (("ask", None),)
+    assert len(searches) == 2
+
+    # a respondent's id names the tape stream it reads, so minds of equal
+    # content under two ids are still walked, and may answer differently
+    def drawing_asker(mind_id):
+        mind = Machine(id=mind_id, methods={"draw": _draw})
+        return Machine(id="a", methods={"ask": _ask_draw}, emulated_respondent=mind)
+
+    first, second = drawing_asker("mind"), drawing_asker("other-mind")
+    assert distinguishing_probe(first, second, 1, (None,)) == (("ask", None),)
+    assert len(searches) == 3
 
 
-def test_the_build_searches_each_distinct_comparison_once(monkeypatch):
-    calls = []
-    search = refinement._search
-
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(refinement, "_RESULTS", {})
-    monkeypatch.setattr(refinement, "_search", counted)
+def test_the_build_searches_each_distinct_comparison_once(searches):
     registry = build_registry()
-    assert len(calls) == 18
+    # a device against the spec rebound to its own values is decided
+    # without a walk: 6 of the build's 18 distinct comparisons are walked
+    assert len(searches) == 6
     # the build audited every evidence; auditing again reads the memo
     evidences = [e for scenario in registry.values() for e in scenario.evidences.values()]
     assert [problem for evidence in evidences for problem in audit(evidence)] == []
-    assert len(calls) == 18
+    assert len(searches) == 6
 
 
 @pytest.mark.parametrize(
     "name, steps",
-    [(None, 376), ("password", 156), ("deniable", 120), ("twofactor", 192)],
+    [(None, 122), ("password", 60), ("deniable", 60), ("twofactor", 54)],
     ids=["registry", "password", "deniable", "twofactor"],
 )
 def test_the_build_expands_each_distinct_probe_node_once(monkeypatch, name, steps):
@@ -509,3 +530,41 @@ def test_the_build_expands_each_distinct_probe_node_once(monkeypatch, name, step
     else:
         build_scenario(name)
     assert len(calls) == steps
+
+
+# --- comparisons decided without a walk -------------------------------------------
+
+
+def _renamed(machine: Machine, id: str) -> Machine:
+    return Machine(
+        id,
+        machine.state,
+        machine.methods,
+        machine.force_zero_tape,
+        machine.emulated_respondent,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    machine=_fsm_pairs().map(lambda pair: pair[0]),
+    depth=st.integers(1, 4),
+    letters=st.integers(1, 2),
+    budget=st.integers(3, 8),
+)
+def test_the_walk_finds_no_probe_between_a_machine_and_its_renamed_copy(
+    machine, depth, letters, budget
+):
+    # the ground the memo's shortcut stands on: the uncached walk runs
+    # both sides under one probe id, so the machine's own id is not read
+    alphabet = (None, b"x")[:letters]
+    assert refinement._search(machine, _renamed(machine, "copy"), depth, alphabet, budget) is None
+
+
+def test_a_machine_and_its_renamed_copy_are_decided_without_a_walk(searches):
+    for machine in (
+        Machine(id="device", state={"v": True}, methods={"kind": _kind}),
+        Machine(id="drawer", methods={"draw": _draw}, force_zero_tape=True),
+    ):
+        assert distinguishing_probe(machine, _renamed(machine, "other"), 1, (None,)) is None
+    assert searches == []

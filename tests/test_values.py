@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import copy
 import pickle
+from enum import IntEnum
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -108,6 +110,19 @@ def test_value_key_tells_apart_what_python_equality_conflates():
         assert value_key(a) != value_key(b)
     distinct = (True, 1, b"1", Location(1), (1, None), (True, None), None, ABSENT)
     assert len({value_key(v) for v in distinct}) == len(distinct)
+
+
+class _Slot(IntEnum):
+    ONE = 1
+
+
+def test_a_location_index_is_an_int_and_nothing_equal_to_one():
+    # True, 1.0 and an IntEnum member equal 1 under ``==``, so a location
+    # holding one would be the value ``Location(1)`` while the kernel's
+    # ``nature`` names no slot by it
+    for index in (True, 1.0, _Slot.ONE, b"1", None):
+        with pytest.raises(TypeError, match="a location index is an int"):
+            Location(index)
 
 
 def test_render_value_is_stable_and_readable():
