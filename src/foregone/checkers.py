@@ -10,10 +10,12 @@ two runs of the same check agree byte for byte.
 Each check reads its cells from a cell table (``_Cells``), the one
 place that calls the kernel.  It makes each execution, target run and
 post-processor run once per seed, and once for every seed when the run
-read no randomness tape.  A kernel fault other than budget exhaustion
-leaves it as a ``CellFaultError`` naming the world, machine and seed.
-When no kernel run of a check read a tape, its report notes that the
-verdict holds for every seed, not only the listed ones.
+read no randomness tape, and keeps each as the ``ExecutionResult`` the
+kernel returned.  A kernel fault other than budget exhaustion leaves it
+as a ``CellFaultError`` naming the world, machine and seed.  The table
+builds every check's report (``_Cells.report``): when no kernel run of
+the check read a tape, the report notes that the verdict holds for
+every seed, not only the listed ones.
 
 Consecutive checks under the same verifier object, budget and seed
 list share their kept runs: an entailment and its counterexample twin,
@@ -327,9 +329,10 @@ def _kept_under(verifier: Machine, budget: int, seeds: tuple[int, ...]) -> dict:
 class _Cells:
     """One check's cells under one verifier and budget.
 
-    ``kept`` holds every kernel run the table made, by one rule: a run
-    that read no tape under its key alone, where it serves every seed,
-    and one that read a tape under its key plus the seed.  An execution
+    ``kept`` holds every kernel run the table made, each the
+    ``ExecutionResult`` the kernel returned, by one rule: a run that
+    read no tape under its key alone, where it serves every seed, and
+    one that read a tape under its key plus the seed.  An execution
     is keyed ``(world, action)``, a target run ``(target, world)`` and a
     post-processor run ``(post, result)``, where ``result`` is the
     execution it continues.  A walk that meets a cell again, in a second
@@ -371,8 +374,10 @@ class _Cells:
     first seed, which names its counterexample if it has one, and the
     walks count it once for every seed.
 
-    A table without seeds raises ``PreconditionViolatedError``: a
-    verdict over no seed would rest on nothing.
+    ``report`` is the one place a walk builds its ``CheckReport``, and
+    so the one place the seed-free note is added.  A table without
+    seeds raises ``PreconditionViolatedError``: a verdict over no seed
+    would rest on nothing.
     """
 
     def __init__(self, verifier: Machine, budget: int, worlds, seeds: tuple[int, ...]):
@@ -444,12 +449,23 @@ class _Cells:
             (target, world), seed, "target", target, world, run_target, target, world
         ).output
 
-    def noted(self, report: CheckReport) -> CheckReport:
-        """``report``, noting that its verdict holds for every seed when
-        no kernel run of this table read a tape."""
+    def report(
+        self, verdict, cells, max_steps, counterexample=None, skipped=(), witnesses=(), notes=()
+    ) -> CheckReport:
+        """The check's report, which no walk builds but through here: the
+        notes end with ``SEED_FREE_NOTE`` when no kernel run of this
+        table read a tape."""
         if not self.tape_runs:
-            report.notes += (SEED_FREE_NOTE,)
-        return report
+            notes = (*notes, SEED_FREE_NOTE)
+        return CheckReport(
+            verdict,
+            counterexample,
+            cells,
+            max_steps,
+            tuple(skipped),
+            tuple(witnesses),
+            tuple(notes),
+        )
 
     def _raise_fault(self, exc: KernelError, role, machine, world, seed) -> NoReturn:
         """Re-raise ``exc`` from a kernel call for this cell: as it is for
@@ -461,22 +477,6 @@ class _Cells:
         raise CellFaultError(
             f"world {label!r}, {role} {machine.id!r}, seed {seed}: {exc}"
         ) from exc
-
-
-def _fails_at(cells: int, max_steps: int, skipped, *cell) -> CheckReport:
-    """A failing report naming its first violating cell: world, action,
-    seed, expected and got, as in ``Counterexample``."""
-    return CheckReport(
-        CheckVerdict.FAILS, Counterexample(*cell), cells, max_steps, tuple(skipped)
-    )
-
-
-def noted_failure(cells: int, max_steps: int, *notes: str) -> CheckReport:
-    """A failing report that names no cell: a probe whose construction
-    broke or whose hypothesis fails, or an action that does not conform."""
-    return CheckReport(
-        CheckVerdict.FAILS, cells_checked=cells, max_steps=max_steps, notes=notes
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +499,9 @@ def check_evidence_conformity(
     for label, world in evidence.worlds:
         cells += len(seeds)
         if not table.conforms(world, exemplar):
-            return table.noted(
-                noted_failure(cells, 0, f"exemplar does not conform in world {label!r}")
-            )
-    return table.noted(CheckReport(CheckVerdict.HOLDS, cells_checked=cells))
+            note = f"exemplar does not conform in world {label!r}"
+            return table.report(CheckVerdict.FAILS, cells, 0, notes=(note,))
+    return table.report(CheckVerdict.HOLDS, cells, 0)
 
 
 def _respondent_silence(result: ExecutionResult, world: World, exemplar_id: str):
@@ -526,10 +525,14 @@ def check_demonstrability(
     exemplar's respondent calls all produce output and the verifier
     accepts."""
     table = _Cells(verifier, budget, evidence.worlds, seeds)
-    return table.noted(_demonstrate(table, exemplar, evidence))
+    cells, max_steps, counterexample = _demonstrate(table, exemplar, evidence)
+    verdict = CheckVerdict.HOLDS if counterexample is None else CheckVerdict.FAILS
+    return table.report(verdict, cells, max_steps, counterexample)
 
 
-def _demonstrate(table: _Cells, exemplar: Machine, evidence: Evidence) -> CheckReport:
+def _demonstrate(table: _Cells, exemplar: Machine, evidence: Evidence):
+    """(cells, max steps, first violating cell or None) of one
+    demonstrability walk over ``evidence``."""
     cells = 0
     max_steps = 0
     for label, world in evidence.worlds:
@@ -546,13 +549,9 @@ def _demonstrate(table: _Cells, exemplar: Machine, evidence: Evidence) -> CheckR
                 failure = (Verdict.ACCEPT.value, result.transcript.verdict.value)
             else:
                 continue
-            return _fails_at(
-                cells + index + 1, max_steps, (), label, exemplar.id, seed, *failure
-            )
+            return cells + index + 1, max_steps, Counterexample(label, exemplar.id, seed, *failure)
         cells += len(table.seeds)
-    return CheckReport(
-        verdict=CheckVerdict.HOLDS, cells_checked=cells, max_steps=max_steps
-    )
+    return cells, max_steps, None
 
 
 # ---------------------------------------------------------------------------
@@ -624,28 +623,17 @@ def check_entailment(
                     if same_value(got, expected):
                         continue
                     failure = (render_value(expected), render_value(got))
-                return table.noted(
-                    _fails_at(
-                        cells + index + 1,
-                        max_steps,
-                        skipped,
-                        world_label,
-                        action_label,
-                        seed,
-                        *failure,
-                    )
+                return table.report(
+                    CheckVerdict.FAILS,
+                    cells + index + 1,
+                    max_steps,
+                    Counterexample(world_label, action_label, seed, *failure),
+                    skipped,
                 )
             cells += len(seeds)
     if len(skipped) == len(evidence.worlds) * len(family.actions):
         raise PreconditionViolatedError("no action conforms in any world")
-    return table.noted(
-        CheckReport(
-            verdict=CheckVerdict.HOLDS,
-            cells_checked=cells,
-            max_steps=max_steps,
-            skipped=tuple(skipped),
-        )
-    )
+    return table.report(CheckVerdict.HOLDS, cells, max_steps, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -672,18 +660,21 @@ def check_monotonicity(
         raise PreconditionViolatedError(
             f"{stronger.name!r} is not at least as strong as {weaker.name!r}"
         )
-    weak = _demonstrate(table, exemplar, weaker)
-    report = _demonstrate(table, exemplar, stronger)
-    if not weak.holds:
-        # the implication holds whatever the stronger evidence shows
-        report.verdict, report.counterexample = CheckVerdict.HOLDS, None
-    elif not report.holds:
-        report.notes = (
-            f"demonstrability degraded from {weaker.name!r} to {stronger.name!r}",
-        )
-    report.cells_checked += weak.cells_checked
-    report.max_steps = max(report.max_steps, weak.max_steps)
-    return table.noted(report)
+    weak_cells, weak_steps, weak_failure = _demonstrate(table, exemplar, weaker)
+    cells, max_steps, counterexample = _demonstrate(table, exemplar, stronger)
+    notes = ()
+    if weak_failure is None and counterexample is not None:
+        notes = (f"demonstrability degraded from {weaker.name!r} to {stronger.name!r}",)
+    else:
+        # the weaker evidence fails, so the implication holds, or both hold
+        counterexample = None
+    return table.report(
+        CheckVerdict.FAILS if notes else CheckVerdict.HOLDS,
+        cells + weak_cells,
+        max(max_steps, weak_steps),
+        counterexample,
+        notes=notes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -691,17 +682,8 @@ def check_monotonicity(
 # ---------------------------------------------------------------------------
 
 
-def _all_defeated(
-    cells: int, max_steps: int, witnesses: list[Counterexample], notes: list[str]
-) -> CheckReport:
-    return CheckReport(
-        verdict=CheckVerdict.HOLDS,
-        cells_checked=cells,
-        max_steps=max_steps,
-        witnesses=tuple(witnesses),
-        notes=tuple(notes)
-        + ("constructive witness over the declared candidates, not a universal proof",),
-    )
+# the caveat on a probe that defeats every candidate
+_WITNESS_NOTE = "constructive witness over the declared candidates, not a universal proof"
 
 
 def probe_unknown_goal(
@@ -753,13 +735,14 @@ def probe_unknown_goal(
     stand_in = emulate_with_respondent(exemplar, evidence.worlds[0][1].respondent)
     for label, world in evidence.worlds:
         if not table.conforms(world, stand_in):
-            return table.noted(
-                noted_failure(
-                    0,
-                    0,
+            return table.report(
+                CheckVerdict.FAILS,
+                0,
+                0,
+                notes=(
                     f"stand-in action does not conform in world {label!r}; "
                     "the probe's construction requires a demonstrable verifier",
-                )
+                ),
             )
 
     seed = seeds[0]
@@ -775,27 +758,28 @@ def probe_unknown_goal(
             outputs.append(table.post(post, world, stand_in, seed))
         first = outputs[0]
         if not all(same_value(first, v) for v in outputs):
-            return table.noted(
-                noted_failure(
-                    cells,
-                    max_steps,
+            return table.report(
+                CheckVerdict.FAILS,
+                cells,
+                max_steps,
+                notes=(
                     f"candidate {post_label!r}: output depends on the "
                     "respondent even though the stand-in never consults it",
-                )
+                ),
             )
         first_key = value_key(first)
         for label, world in evidence.worlds:
             if first_key not in keyed[label]:
                 expected = table.target(target, world, seed)
                 if value_key(expected) not in keyed[label]:
-                    return table.noted(
-                        noted_failure(
-                            cells,
-                            max_steps,
-                            f"world {label!r}: target output "
-                            f"{render_value(expected)} escapes its own "
-                            "declared language; the scenario is inconsistent",
-                        )
+                    return table.report(
+                        CheckVerdict.FAILS,
+                        cells,
+                        max_steps,
+                        notes=(
+                            f"world {label!r}: target output {render_value(expected)} escapes "
+                            "its own declared language; the scenario is inconsistent",
+                        ),
                     )
                 witnesses.append(
                     Counterexample(
@@ -805,13 +789,14 @@ def probe_unknown_goal(
                 notes.append(f"candidate {post_label!r} defeated in world {label!r}")
                 break
         else:
-            return table.noted(
-                noted_failure(
-                    cells,
-                    max_steps,
+            return table.report(
+                CheckVerdict.FAILS,
+                cells,
+                max_steps,
+                notes=(
                     f"candidate {post_label!r} survives: its output "
                     f"{render_value(first)} lies in every world's language",
-                )
+                ),
             )
 
     if table.tape_runs:
@@ -819,7 +804,9 @@ def probe_unknown_goal(
             f"outputs compared at seed {seed} only; the stand-in's conformity "
             f"was checked under all {len(seeds)} seeds"
         )
-    return table.noted(_all_defeated(cells, max_steps, witnesses, notes))
+    return table.report(
+        CheckVerdict.HOLDS, cells, max_steps, witnesses=witnesses, notes=(*notes, _WITNESS_NOTE)
+    )
 
 
 def probe_random_target(
@@ -877,13 +864,14 @@ def probe_random_target(
 
     pinned_action = with_zero_tape(exemplar)
     if not table.conforms(world, pinned_action):
-        return table.noted(
-            noted_failure(
-                0,
-                0,
+        return table.report(
+            CheckVerdict.FAILS,
+            0,
+            0,
+            notes=(
                 f"zero-coin exemplar does not conform in world {label!r}; "
                 "the probe's construction requires a demonstrable verifier",
-            )
+            ),
         )
 
     cells = 0
@@ -907,13 +895,9 @@ def probe_random_target(
                 notes.append(f"candidate {post_label!r} defeated at seed {seed}")
                 break
         else:
-            return table.noted(
-                noted_failure(
-                    cells,
-                    max_steps,
-                    *notes,
-                    f"candidate {post_label!r} matched every tape setting",
-                )
-            )
+            notes.append(f"candidate {post_label!r} matched every tape setting")
+            return table.report(CheckVerdict.FAILS, cells, max_steps, notes=notes)
 
-    return table.noted(_all_defeated(cells, max_steps, witnesses, notes))
+    return table.report(
+        CheckVerdict.HOLDS, cells, max_steps, witnesses=witnesses, notes=(*notes, _WITNESS_NOTE)
+    )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .kernel import Machine, World, world_key
+from .kernel import Machine, MethodFaultError, World, world_key
 from .refinement import ProbeSpec, bounded_equivalent, bounded_implements
 from .values import Frozen, read_only_copy
 
@@ -146,18 +146,30 @@ def _rebind(spec: Machine, device: Machine) -> Optional[Machine]:
 
 
 def _satisfies(
-    world: World, location: int, spec: Machine, probe: ProbeSpec, relation: Callable
+    evidence: Evidence, label: str, world: World, location: int, spec: Machine, relation: Callable
 ) -> bool:
-    """Whether the device at ``location`` stands in ``relation``
-    (``bounded_equivalent`` or ``bounded_implements``) to ``spec`` bound
-    to its values.  Callers name the relation at call time, so a wrapper
-    bound over the module-level name (as the benchmark tracer binds one)
-    sees the call."""
+    """Whether the device at ``location`` of world ``label`` stands in
+    ``relation`` (``bounded_equivalent`` or ``bounded_implements``) to
+    ``spec`` bound to its values.  Callers name the relation at call
+    time, so a wrapper bound over the module-level name (as the
+    benchmark tracer binds one) sees the call.  The probes run both
+    machines under one probe id, so a method fault is raised again
+    naming the evidence, world, location, device id and relation."""
     device = world.nature.slots.get(location)
     if device is None:
         return False
     bound = _rebind(spec, device)
-    return bound is not None and relation(bound, device, probe.depth, probe.alphabet)
+    try:
+        return bound is not None and relation(
+            bound, device, evidence.probe.depth, evidence.probe.alphabet
+        )
+    except MethodFaultError as exc:
+        cause = exc.__cause__ or exc
+        raise MethodFaultError(
+            f"evidence {evidence.name!r}, world {label!r}: comparing nature[{location}] "
+            f"{device.id!r} with {spec.id!r} under {relation.__name__} raised "
+            f"{type(cause).__name__}: {cause}"
+        ) from cause
 
 
 def strengthen_to_full_spec(
@@ -169,7 +181,7 @@ def strengthen_to_full_spec(
     surviving = tuple(
         (label, world)
         for label, world in evidence.worlds
-        if _satisfies(world, location, spec, evidence.probe, bounded_equivalent)
+        if _satisfies(evidence, label, world, location, spec, bounded_equivalent)
     )
     if not surviving:
         raise EmptyFamilyError(
@@ -218,24 +230,29 @@ def drop_assertion(evidence: Evidence, assertion_id: str) -> Evidence:
 
 def audit(evidence: Evidence) -> list[str]:
     """Self-consistency sweep; returns human-readable problems (empty
-    when the family passes all of its own assertions' bounded checks)."""
+    when the family passes all of its own assertions' bounded checks).
+    An assertion's ``holds_in`` that raises is a problem naming the
+    evidence, the world, the assertion and the exception."""
     problems: list[str] = []
     for label, world in evidence.worlds:
         for location, spec in evidence.partial_specs.items():
-            if not _satisfies(world, location, spec, evidence.probe, bounded_implements):
+            if not _satisfies(evidence, label, world, location, spec, bounded_implements):
                 problems.append(
                     f"{evidence.name}/{label}: nature[{location}] does not "
                     f"implement the asserted shape {spec.id!r}"
                 )
         for location, spec in evidence.full_specs.items():
-            if not _satisfies(world, location, spec, evidence.probe, bounded_equivalent):
+            if not _satisfies(evidence, label, world, location, spec, bounded_equivalent):
                 problems.append(
                     f"{evidence.name}/{label}: nature[{location}] is not "
                     f"exactly the asserted shape {spec.id!r}"
                 )
         for assertion in evidence.assertions:
-            if assertion.holds_in is not None and not assertion.holds_in(world):
-                problems.append(
-                    f"{evidence.name}/{label}: assertion {assertion.id!r} fails"
-                )
+            try:
+                if assertion.holds_in is None or assertion.holds_in(world):
+                    continue
+                failure = "fails"
+            except Exception as exc:  # scenario code, whatever it raises
+                failure = f"raised {type(exc).__name__}: {exc}"
+            problems.append(f"{evidence.name}/{label}: assertion {assertion.id!r} {failure}")
     return problems

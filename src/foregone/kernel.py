@@ -32,8 +32,8 @@ writable place, so a run copies only the machines it calls; a
 read-only slot never gets one.  An ``ExecutionResult`` carries its
 overlay out as ``states``.  Each run also reports whether it read its
 ``RandomnessAssignment``: the engine sets ``read_tape`` when
-``ctx.tape`` hands out a tape over the assignment, and
-``ExecutionResult`` and ``RunOutput`` carry the flag out.  A
+``ctx.tape`` hands out a tape over the assignment, and the
+``ExecutionResult`` every entry point returns carries the flag out.  A
 ``force_zero_tape`` machine reads a ``ZeroTape`` and does not count.
 The seed reaches a run only through the assignment, so a run that did
 not read it is the run under every seed.
@@ -361,43 +361,29 @@ class Transcript:
 
 
 class ExecutionResult:
-    """A transcript, the world the execution ran in, the machine states
-    and tape offsets as it left them, and whether it read its tapes.
-    ``states`` holds the state of each machine the execution called at a
-    writable place, keyed by the machine object; any other machine is as
-    built.  ``offsets`` maps each stream id the execution read to the
-    number of bytes it read there.  No seed is kept, so a result that
-    read no tape holds nothing of the seed it ran under and is every
-    seed's execution."""
+    """What ``execute``, ``run_target`` and ``run_post`` return: a run's
+    transcript, the world it ran in, the machine states and tape offsets
+    as it left them, the steps it charged, whether it read its tapes,
+    and ``output``: the verifier's for an execution (``ABSENT`` if it
+    never returned), else the target's or post-processor's.  Only an
+    execution has a verdict; a target or post-processor run's
+    ``transcript.verdict`` is None.  ``states`` holds the state of each
+    machine the run called at a writable place, keyed by the machine
+    object; any other machine is as built.  ``offsets`` maps each stream
+    id read to the bytes read there, a post-processor's counted on from
+    its execution's.  No seed is kept, so a result that read no tape
+    holds nothing of the seed it ran under and is every seed's run."""
 
-    __slots__ = ("transcript", "world", "states", "offsets", "steps_used", "read_tape")
+    __slots__ = ("transcript", "world", "states", "offsets", "steps_used", "read_tape", "output")
 
-    def __init__(
-        self,
-        transcript: Transcript,
-        world: World,
-        states: Mapping,
-        offsets: Mapping[str, int],
-        steps_used: int,
-        read_tape: bool,
-    ):
-        self.transcript = transcript
-        self.world = world
-        self.states = states
-        self.offsets = offsets
-        self.steps_used = steps_used
-        self.read_tape = read_tape
-
-
-class RunOutput(Frozen):
-    """The output of a target or post-processor run, and whether the run
-    read its tapes."""
-
-    __slots__ = ("output", "read_tape")
-
-    def __init__(self, output: Any, read_tape: bool):
-        object.__setattr__(self, "output", output)
-        object.__setattr__(self, "read_tape", read_tape)
+    def __init__(self, engine: "_Engine", output: Any):
+        self.transcript = engine.transcript
+        self.world = engine.world
+        self.states = engine.states
+        self.offsets = engine.assignment.offsets
+        self.steps_used = engine.steps
+        self.read_tape = engine.read_tape
+        self.output = output
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +660,7 @@ def execute(
     attempt recorded.
     """
     engine = _Engine(world, RandomnessAssignment(seed), budget, action, verifier)
+    output = ABSENT
     try:
         engine.invoke("execution", action, _ROLE_ACTION, False, "run", None)
         output = engine.invoke("execution", verifier, _ROLE_VERIFIER, False, "run", None)
@@ -683,21 +670,14 @@ def execute(
     except BudgetExceededError:
         verdict = Verdict.BUDGET
     engine.transcript.set_verdict(verdict)
-    return ExecutionResult(
-        engine.transcript,
-        world,
-        engine.states,
-        engine.assignment.offsets,
-        engine.steps,
-        engine.read_tape,
-    )
+    return ExecutionResult(engine, output)
 
 
 def run_target(
     target: Machine, world: World, seed: int, budget: int = DEFAULT_BUDGET
-) -> RunOutput:
-    """Run a target action to completion and return its output value
-    and whether it read a tape.
+) -> ExecutionResult:
+    """Run a target action to completion; the result's ``output`` is the
+    target's output, and its ``transcript`` has no verdict.
 
     The target has oracle access to nature and the respondent and draws
     from its own tape under fresh tapes for ``seed``, the same setting
@@ -709,14 +689,15 @@ def run_target(
     output = engine.invoke("execution", target, _ROLE_TARGET, False, "run", None)
     if output is ABSENT:
         raise AbsentOutputError(f"target {target.id!r} produced no output")
-    return RunOutput(output, engine.read_tape)
+    return ExecutionResult(engine, output)
 
 
 def run_post(
     post: Machine, result: ExecutionResult, seed: int, budget: int = DEFAULT_BUDGET
-) -> RunOutput:
+) -> ExecutionResult:
     """Run a post-processor after the execution that produced ``result``
-    under ``seed``, and return its output and whether it read a tape.
+    under ``seed``; the new result's ``output`` is the post-processor's
+    output, and its ``transcript`` has no verdict.
 
     The post-processor sees nature as the interaction left it plus the
     message log, and reads the tapes for ``seed`` on from
@@ -738,7 +719,7 @@ def run_post(
         result.transcript.messages_to_verifier
     )
     output = engine.invoke("execution", post, _ROLE_POST, False, "run", None)
-    return RunOutput(output, engine.read_tape)
+    return ExecutionResult(engine, output)
 
 
 # The world of a ``DirectInvoker`` given none: an empty nature and a

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
+from ..kernel import MethodFaultError
 from ..toy_crypto import ToyCryptoError
 from .base import CHECK_KINDS, Scenario, ScenarioError, run_check
 from . import (
@@ -100,7 +101,7 @@ def build_scenario(name: str, params: Optional[Mapping[str, Any]] = None) -> Sce
         _check_params(name, params)
     try:
         return module.build({**module.DEFAULTS, **(params or {})})
-    except ToyCryptoError as exc:
+    except (ToyCryptoError, MethodFaultError) as exc:
         raise ScenarioError(f"scenario {name!r} cannot be built: {exc}") from exc
 
 

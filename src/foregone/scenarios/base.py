@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 from ..checkers import (
     ActionFamily,
+    CheckerError,
     CheckReport,
     CheckVerdict,
     DEFAULT_SEEDS,
@@ -33,12 +34,12 @@ from ..checkers import (
     check_entailment,
     check_evidence_conformity,
     check_monotonicity,
-    noted_failure,
     probe_random_target,
     probe_unknown_goal,
 )
 from ..evidence import Evidence, audit as audit_evidence
 from ..kernel import DEFAULT_BUDGET, Machine
+from ..toy_crypto import ToyCryptoError
 
 CHECK_KINDS = (
     "demonstrability",
@@ -76,7 +77,9 @@ class ScenarioCheck:
     dict from world label to a tuple of members (a set would already
     have merged ``True`` with ``1``), and ``languages`` calls it on
     first read and keeps the result on this check.  So a process pays
-    for a check's languages once, and only if something reads them.
+    for a check's languages once, and only if something reads them.  A
+    source that raises what is neither a ``CheckerError`` nor a
+    ``ToyCryptoError`` raises a ``CheckerError`` naming the check.
 
     ``languages`` is a read-only ``checkers.Languages`` value (or None),
     so changing it in place raises ``TypeError``.  Assigning a mapping
@@ -121,7 +124,15 @@ class ScenarioCheck:
     def languages(self) -> Optional[Languages]:
         if "_languages" not in self.__dict__:
             source = self.language_source
-            self.languages = None if source is None else source()
+            try:
+                by_world = None if source is None else source()
+            except (CheckerError, ToyCryptoError):
+                raise
+            except Exception as exc:  # scenario code, whatever it raises
+                raise CheckerError(
+                    f"check {self.id!r}: its language source raised {type(exc).__name__}: {exc}"
+                ) from exc
+            self.languages = by_world
         return self._languages
 
     @languages.setter
@@ -262,5 +273,5 @@ def run_check(
                 verifier, target, post, evidence, family, seeds, budget
             )
     except HypothesisViolatedError as exc:
-        return HYPOTHESIS_VIOLATED, noted_failure(0, 0, str(exc))
+        return HYPOTHESIS_VIOLATED, CheckReport(CheckVerdict.FAILS, notes=(str(exc),))
     return report.verdict.value, report

@@ -11,7 +11,7 @@ import copy
 from typing import Any, Callable, Optional
 
 from foregone.evidence import EmptyFamilyError, Evidence
-from foregone.kernel import CallEvent, Machine, Nature, RunOutput, Transcript, World
+from foregone.kernel import CallEvent, ExecutionResult, Machine, Nature, Transcript, World
 from foregone.scenarios import Scenario
 from foregone.values import ABSENT, NO_SUCH_METHOD, value_key
 
@@ -124,9 +124,16 @@ def transcript_key(transcript: Transcript) -> tuple:
     )
 
 
-def run_key(ran: RunOutput) -> tuple:
-    """A type-strict key of a target or post-processor run."""
-    return (outcome_key(ran.output), ran.read_tape)
+def run_key(ran: ExecutionResult) -> tuple:
+    """A type-strict key of a target or post-processor run: its output,
+    whether it read a tape, its steps, tape offsets and transcript."""
+    return (
+        outcome_key(ran.output),
+        ran.read_tape,
+        ran.steps_used,
+        tuple(sorted(ran.offsets.items())),
+        transcript_key(ran.transcript),
+    )
 
 
 def calls_to(transcript: Transcript, machine_id: str) -> list[CallEvent]:

@@ -9,6 +9,7 @@ from foregone.checkers import (
     SEED_FREE_NOTE,
     ActionFamily,
     CellFaultError,
+    CheckReport,
     CheckVerdict,
     HypothesisViolatedError,
     Languages,
@@ -1102,6 +1103,66 @@ def test_random_target_probe_refuses_one_seed_when_its_target_reads_a_tape(goal_
     with pytest.raises(PreconditionViolatedError, match="the target reads a tape"):
         probe_random_target(*args, (7,))
     assert probe_random_target(*args, (7, 8, 9)).holds
+
+
+def _read_then_say_same(ctx, _arg):
+    ctx.tape.read_bytes(1)
+    return b"same"
+
+
+def test_random_target_probe_at_two_agreeing_seeds_fails_its_hypothesis(goal_evidence):
+    # Two seeds can show support >= 2, so a tape-reading target whose two
+    # outputs agree fails the hypothesis; only one seed is refused.
+    with pytest.raises(HypothesisViolatedError, match="support of size >= 2"):
+        probe_random_target(
+            accept_any_verifier(),
+            goal_evidence["coin"],
+            Machine(id="read-then-say-same", methods={"run": _read_then_say_same}),
+            (("echo-first-message", first_message_post()),),
+            flip_and_send_action(),
+            (7, 8),
+        )
+
+
+def _reject(ctx, _arg):
+    return False
+
+
+def test_a_probe_whose_exemplar_does_not_conform_fails_over_no_cell(goal_evidence):
+    reject_all = Machine(id="reject-all", methods={"run": _reject})
+    report = probe_unknown_goal(
+        reject_all,
+        goal_evidence["whereabouts"],
+        WHEREABOUTS,
+        location_target(),
+        candidate_posts(),
+        state_location_action(),
+        SEEDS,
+    )
+    assert report == CheckReport(
+        CheckVerdict.FAILS,
+        notes=(
+            "stand-in action does not conform in world 'was-in-boston'; "
+            "the probe's construction requires a demonstrable verifier",
+            SEED_FREE_NOTE,
+        ),
+    )
+    # the gate's target runs read a tape, so no seed-free note follows
+    report = probe_random_target(
+        reject_all,
+        goal_evidence["coin"],
+        coin_target(),
+        (("echo-first-message", first_message_post()),),
+        flip_and_send_action(),
+        tuple(range(12)),
+    )
+    assert report == CheckReport(
+        CheckVerdict.FAILS,
+        notes=(
+            "zero-coin exemplar does not conform in world 'coin-flipper'; "
+            "the probe's construction requires a demonstrable verifier",
+        ),
+    )
 
 
 def test_random_target_probe_gates_on_singleton_support(goal_evidence):

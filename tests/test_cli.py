@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import foregone
 import foregone.cli as cli
 import foregone.refinement as refinement
+import foregone.scenarios.password as password
 import foregone.toy_crypto as toy_crypto
 
 from foregone.cli import (
@@ -438,6 +439,28 @@ def test_a_language_member_that_cannot_be_hashed_is_a_config_error_naming_the_ch
     )
 
 
+def _missing_languages():
+    raise KeyError("wanted")
+
+
+def test_a_language_source_that_raises_is_a_config_error_naming_the_check(
+    registry, monkeypatch, capsys
+):
+    scenario = copy.deepcopy(registry["unknown-goal"])
+    check = next(c for c in scenario.checks if c.id == "probe-unknown-goal/whereabouts")
+    check.language_source = _missing_languages
+    check.__dict__.pop("_languages", None)  # read on the check's first run
+    monkeypatch.setattr(cli, "build_scenario", lambda name, params: scenario)
+    argv = ["run", "unknown-goal", "--check", "probe-unknown-goal", "--seeds", "0,1"]
+    assert main(argv + ["--evidence", "whereabouts"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown-goal probe-unknown-goal/whereabouts: check "
+        "'probe-unknown-goal/whereabouts': its language source raised KeyError: 'wanted'\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -794,7 +817,8 @@ def test_a_device_compared_with_a_different_spec_faults_the_build(
     monkeypatch, capsys, command
 ):
     # The spec's read is another function, so the build walks the pair
-    # and the device's read faults on the probe letter.
+    # and the device's read faults on the probe letter.  The walk runs
+    # both sides under one probe id; the message names the device.
     monkeypatch.setattr(refinement, "_RESULTS", {})
     monkeypatch.setitem(BUILDERS, "guarded", _guarded_scenario(_plain_read))
     argv = {"run": ["run", "guarded"], "audit": ["audit"]}[command]
@@ -802,7 +826,26 @@ def test_a_device_compared_with_a_different_spec_faults_the_build(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: machine 'probe-subject' method 'read' raised TypeError: a tripped read\n"
+        "error: scenario 'guarded' cannot be built: evidence 'guarded', world 'guarded': "
+        "comparing nature[0] 'guarded-store' with 'store-shape' under bounded_implements "
+        "raised TypeError: a tripped read\n"
+    )
+
+
+def _tripped_predicate(world):
+    raise ValueError("a tripped predicate")
+
+
+def test_an_evidence_predicate_that_raises_fails_the_build_naming_the_world(
+    monkeypatch, capsys
+):
+    monkeypatch.setattr(password, "_message_present", _tripped_predicate)
+    assert main(["run", "password", "--seeds", "0"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: scenario 'password' fails its evidence audit: password-entry/locked-basic: "
+        "assertion 'message-present' raised ValueError: a tripped predicate; "
     )
 
 

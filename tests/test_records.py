@@ -24,12 +24,11 @@ from foregone.checkers import (
 from foregone.evidence import Assertion, EmptyFamilyError, Evidence, EvidenceError
 from foregone.kernel import (
     CallEvent,
-    ExecutionResult,
     Machine,
     Nature,
-    RunOutput,
     Transcript,
     World,
+    execute,
 )
 from foregone.refinement import ProbeSpec
 from foregone.scenarios import Scenario, ScenarioError
@@ -76,7 +75,6 @@ def _frozen_records() -> list:
     return [
         Location(3),
         CallEvent("a", "b", "m", 1, None),
-        RunOutput(b"out", False),
         Assertion("id", "text"),
         Counterexample("w", "a", 0, "1", "2"),
         PROBE,
@@ -116,7 +114,7 @@ def test_records_keep_no_instance_dict_but_a_scenario_check():
     # ScenarioCheck keeps one for its cached ``languages``
     records = _frozen_records() + [
         Transcript(),
-        ExecutionResult(Transcript(), _world(), {}, {}, 0, False),
+        execute(Machine("verifier"), Machine("action"), _world(), 0),
         RandomnessAssignment(0),
         CheckReport(CheckVerdict.HOLDS),
     ]
@@ -165,7 +163,7 @@ def test_every_other_record_compares_by_identity():
         Nature,
         _world,
         lambda: ProbeSpec(1, (None,)),
-        lambda: RunOutput(b"x", False),
+        lambda: execute(Machine("verifier"), Machine("action"), _world(), 0),
         lambda: CallEvent("a", "b", "m", 1, None),
         lambda: Assertion("id", "text"),
         lambda: RandomnessAssignment(0),

@@ -1,9 +1,10 @@
 """Static checks over the package source: every import is used, every
-module-level function body is written once, no record type is
-generated by ``dataclasses``, no module calls ``id()``, and one method
-of the cell table is the only loop over a check's seeds.  Last, a check
-that the code-size counter, ``tools/code_tokens.py``, counts what it
-says it counts."""
+module-level function body is written once, every function and method
+has a caller, no record type is generated by ``dataclasses``, no module
+calls ``id()``, one method of the cell table is the only loop over a
+check's seeds, and one method of the cell table builds every check's
+report.  Last, a check that the code-size counter,
+``tools/code_tokens.py``, counts what it says it counts."""
 
 from __future__ import annotations
 
@@ -11,13 +12,14 @@ import ast
 import os
 import subprocess
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import foregone
 
 PACKAGE = Path(foregone.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _tree(path: Path) -> ast.Module:
@@ -60,6 +62,49 @@ def test_no_two_module_level_functions_share_arguments_and_body():
                 key = ast.dump(node.args) + "".join(map(ast.dump, body))
                 owners[key].append(f"{path.relative_to(PACKAGE)}:{node.name}")
     assert [names for names in owners.values() if len(names) > 1] == []
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a name or as an
+    attribute."""
+    return Counter(
+        inner.id if isinstance(inner, ast.Name) else inner.attr
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_function_and_method_has_a_caller():
+    # A caller in the package or a demo, other than the function itself,
+    # or a mention in the README, which is the package's API list.
+    # Special methods are called by the language, so they are left out.
+    trees = [_tree(path) for path in SOURCES + sorted((ROOT / "demos").glob("*.py"))]
+    references = sum(map(_references, trees), Counter())
+    readme = (ROOT / "README.md").read_text()
+    uncalled = []
+    for path, tree in zip(SOURCES, trees):
+        for owner, node in _owners(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                continue
+            if references[node.name] == _references(node)[node.name] and node.name not in readme:
+                uncalled.append(f"{path.relative_to(PACKAGE)}:{owner}")
+    assert uncalled == []
+
+
+def test_only_the_cell_table_and_the_check_runner_build_a_report():
+    # ``_Cells.report`` adds the seed-free note, so a report built
+    # anywhere else in a walk could leave it out; ``run_check`` builds
+    # the one report that no walk made, a failed hypothesis gate's.
+    builders = [
+        f"{path.relative_to(PACKAGE)}:{owner}"
+        for path in SOURCES
+        for owner, node in _owners(_tree(path))
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Call)
+        and isinstance(inner.func, ast.Name)
+        and inner.func.id == "CheckReport"
+    ]
+    assert builders == ["checkers.py:_Cells.report", "scenarios/base.py:run_check"]
 
 
 def test_no_module_imports_dataclasses():
