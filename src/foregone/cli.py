@@ -7,15 +7,17 @@ Three commands:
   foregone audit                      run every registered check plus the
                                       toy-crypto sweeps
 
-``list`` and ``audit`` build every scenario; ``run`` builds only the
-scenario it names.  A build audits its evidence and refuses any problem
-(``Scenario``), so the audit's ``evidence_audit`` records that pass.
-The overrides file is validated as a whole first, whatever the command.
+``parse_args`` reads the argv from one table, ``COMMANDS``, and
+``--help`` prints ``USAGE``.  ``list`` and ``audit`` build every
+scenario; ``run`` builds only the scenario it names.  A build audits
+its evidence and refuses any problem (``Scenario``), so the audit's
+``evidence_audit`` records that pass.  The overrides file is validated
+as a whole first, whatever the command.
 
 Exit codes are the machine contract: 0 when every executed check matches
 its expectation, 1 on a verdict mismatch (a regression), 2 on a
-configuration error, which includes a fault in machine code (a
-``KernelError`` such as malformed state, a target without output, or
+configuration error, which includes a usage error, a fault in machine
+code (a ``KernelError`` such as malformed state, a target without output, or
 any other exception raised by a method, which the kernel wraps in a
 ``MethodFaultError``), a check given inputs outside its contract (a
 ``CheckerError`` such as a world without a declared language), and a
@@ -39,7 +41,6 @@ integers; ``#`` starts a comment line.  An integer, in a seed list, a
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
@@ -372,65 +373,119 @@ def cmd_audit(
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="foregone",
-        description="Run demonstrability, conformity, and entailment checks"
-        " over the registered compelled-action scenarios.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's positional fields, in order, and its options, each with
+# its default; an option whose default is False is a flag and takes no
+# value.
+_COMMON = {
+    "--seeds": None,
+    "--budget": str(DEFAULT_BUDGET),
+    "--overrides": None,
+    "--out": None,
+    "--json": False,
+}
+COMMANDS = {
+    "list": ((), {"--overrides": None, "--json": False}),
+    "run": (("scenario",), {"--check": "audit-all", "--evidence": None, **_COMMON}),
+    "audit": ((), _COMMON),
+}
+HELP = ("-h", "--help")
+USAGE = """\
+foregone list [--overrides FILE] [--json]
+foregone run SCENARIO [--check KIND] [--evidence VARIANT]
+             [--seeds 0,1,...] [--budget N] [--overrides FILE] [--out PATH] [--json]
+foregone audit [--seeds ...] [--budget N] [--overrides FILE] [--json] [--out PATH]
+"""
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seeds", help="comma-separated seed list")
-        p.add_argument("--budget", default=str(DEFAULT_BUDGET))
-        p.add_argument("--overrides", help="path to a scenario.param = value file")
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--json", action="store_true", help="emit JSON")
+# A token that starts with "-" but reads as a negative number or holds a
+# space is a value, as it was for argparse.
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p_list = sub.add_parser("list", help="list scenarios and expected verdicts")
-    p_list.add_argument("--overrides")
-    p_list.add_argument("--json", action="store_true")
 
-    p_run = sub.add_parser("run", help="run one scenario check")
-    p_run.add_argument("scenario")
-    p_run.add_argument("--check", default="audit-all", choices=RUN_CHECK_CHOICES)
-    p_run.add_argument(
-        "--evidence",
-        help="evidence variant (weak, strong, star, or a scenario-specific name)",
-    )
-    add_common(p_run)
+def _is_option(token: str, options: Mapping[str, Any]) -> bool:
+    if not token.startswith("-") or token == "-":
+        return False
+    name = token.partition("=")[0]
+    return name in options or name in HELP or not (_NEGATIVE.match(token) or " " in token)
 
-    p_audit = sub.add_parser("audit", help="run every registered check")
-    add_common(p_audit)
 
-    return parser
+def parse_args(argv: list[str]) -> Optional[dict[str, Any]]:
+    """The fields ``main`` reads from ``argv``: ``command``, the
+    command's positionals and one field per option (``--out`` gives
+    ``out``), each at its default unless given.  An option is written
+    ``--name value`` or ``--name=value``, before or after the
+    positionals, and the last of its repeats wins; ``--`` makes every
+    later token a positional.  None when ``argv`` asks for help.  A
+    usage error raises ``ConfigError`` at once for a bad value and
+    after the last token for an unknown option or a wrong number of
+    positionals, so a later ``--help`` still answers."""
+    if not argv:
+        raise ConfigError(f"no command; give one of {', '.join(COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    if command in HELP:
+        return None
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; give one of {', '.join(COMMANDS)}")
+    names, options = COMMANDS[command]
+    fields = {"command": command, **{name[2:]: default for name, default in options.items()}}
+    positionals, unknown = [], []
+    for token in tokens:
+        if token == "--":
+            positionals.extend(tokens)
+        elif not _is_option(token, options):
+            positionals.append(token)
+        else:
+            name, eq, value = token.partition("=")
+            if name not in options and name not in HELP:
+                unknown.append(token)
+            elif eq and (name in HELP or options[name] is False):
+                raise ConfigError(f"{name} takes no value")
+            elif name in HELP:
+                return None
+            elif options[name] is False:
+                fields[name[2:]] = True
+            else:
+                if not eq:
+                    value = next(tokens, None)
+                    if value is None or _is_option(value, options):
+                        raise ConfigError(f"{name} needs a value")
+                if name == "--check" and value not in RUN_CHECK_CHOICES:
+                    raise ConfigError(
+                        f"--check {value!r} is not one of {', '.join(RUN_CHECK_CHOICES)}"
+                    )
+                fields[name[2:]] = value
+    if unknown:
+        raise ConfigError(f"{command} has no option {unknown[0]!r}")
+    if len(positionals) < len(names):
+        raise ConfigError(f"{command} needs {names[len(positionals)].upper()}")
+    if len(positionals) > len(names):
+        raise ConfigError(f"{command} takes no argument {positionals[len(names)]!r}")
+    fields.update(zip(names, positionals))
+    return fields
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        overrides = load_overrides(getattr(args, "overrides", None))
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(USAGE)
+            return EXIT_MATCH
+        overrides = load_overrides(args["overrides"])
         validate_overrides(overrides)
-        if args.command == "list":
-            return cmd_list(build_registry(overrides), args.json)
-        seeds = parse_seed_list(args.seeds) if args.seeds is not None else default_seeds()
-        budget = parse_budget(args.budget)
-        if args.command == "run":
+        if args["command"] == "list":
+            return cmd_list(build_registry(overrides), args["json"])
+        seeds = parse_seed_list(args["seeds"]) if args["seeds"] is not None else default_seeds()
+        budget = parse_budget(args["budget"])
+        if args["command"] == "run":
             return cmd_run(
-                build_scenario(args.scenario, overrides.get(args.scenario)),
-                args.check,
-                args.evidence,
+                build_scenario(args["scenario"], overrides.get(args["scenario"])),
+                args["check"],
+                args["evidence"],
                 seeds,
                 budget,
-                args.json,
-                args.out,
+                args["json"],
+                args["out"],
             )
-        if args.command == "audit":
-            return cmd_audit(
-                build_registry(overrides), seeds, budget, args.json, args.out
-            )
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_audit(build_registry(overrides), seeds, budget, args["json"], args["out"])
     except (ConfigError, ScenarioError, KernelError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .kernel import Machine, MethodFaultError, World, world_key
-from .refinement import ProbeSpec, bounded_equivalent, bounded_implements
+from .kernel import KernelError, Machine, World, world_key
+from .refinement import _PROBE_ID, ProbeSpec, bounded_equivalent, bounded_implements
 from .values import Frozen, read_only_copy
 
 
@@ -153,8 +153,9 @@ def _satisfies(
     ``spec`` bound to its values.  Callers name the relation at call
     time, so a wrapper bound over the module-level name (as the
     benchmark tracer binds one) sees the call.  The probes run both
-    machines under one probe id, so a method fault is raised again
-    naming the evidence, world, location, device id and relation."""
+    machines under one probe id, so a kernel error is raised again
+    without it, naming the evidence, world, location, device id and
+    relation; a method fault names the method's own exception."""
     device = world.nature.slots.get(location)
     if device is None:
         return False
@@ -163,12 +164,13 @@ def _satisfies(
         return bound is not None and relation(
             bound, device, evidence.probe.depth, evidence.probe.alphabet
         )
-    except MethodFaultError as exc:
+    except KernelError as exc:
         cause = exc.__cause__ or exc
-        raise MethodFaultError(
+        detail = str(cause).replace(f" {_PROBE_ID!r}", "").replace(f"{_PROBE_ID}.", "")
+        raise KernelError(
             f"evidence {evidence.name!r}, world {label!r}: comparing nature[{location}] "
             f"{device.id!r} with {spec.id!r} under {relation.__name__} raised "
-            f"{type(cause).__name__}: {cause}"
+            f"{type(cause).__name__}: {detail}"
         ) from cause
 
 

@@ -29,6 +29,7 @@ from foregone.cli import (
     cmd_list,
     cmd_run,
     main,
+    parse_args,
     parse_overrides,
     parse_override_value,
     parse_seed_list,
@@ -54,6 +55,7 @@ from foregone.scenarios.common import (
 )
 from foregone.toy_crypto import otp
 from foregone.values import ABSENT
+from reference_cli import reference_fields
 
 SEEDS_FLAG = "0,1,2,3"
 GOLDEN = Path(__file__).parent / "golden"
@@ -136,7 +138,7 @@ def test_a_repeated_seed_is_a_config_error_from_the_flag_and_the_environment(
 def test_an_integer_only_int_would_read_is_refused_from_the_flags_and_the_environment(
     flag, text, capsys, monkeypatch
 ):
-    # main refuses both flags itself: one error line each, not argparse's usage block
+    # main refuses both flags with one error line each
     argv = ["run", "password", "--check", "demonstrability", "--evidence", "weak"]
     assert main(argv + [flag, text]) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -189,6 +191,169 @@ def test_overrides_file_parsing():
         parse_overrides("no-dot = 5")
     with pytest.raises(ConfigError):
         parse_overrides("just a line")
+
+
+# --- the argv parser ---------------------------------------------------------------
+
+
+def _fields(argv):
+    """What ``parse_args`` reads from ``argv``, as ``reference_fields``
+    gives it: the fields, 0 for help or 2 for a usage error."""
+    try:
+        fields = parse_args(argv)
+    except ConfigError:
+        return EXIT_CONFIG
+    return EXIT_MATCH if fields is None else fields
+
+
+def _well_formed_argvs(registry):
+    argvs = [["list"], ["list", "--json"], ["list", "--overrides", "f", "--json"], ["audit"]]
+    for scenario in registry.values():
+        argvs.append(["run", scenario.name])
+        for check in scenario.checks:
+            argvs.append(
+                ["run", scenario.name, "--check", check.kind, "--evidence", check.evidence]
+            )
+    argvs += [
+        # = forms, options before and after SCENARIO, repeats
+        ["run", "password", "--check=entailment", "--evidence=weak", "--seeds=0,1", "--json"],
+        ["run", "--check", "entailment", "--json", "password", "--evidence", "weak"],
+        ["run", "--seeds", "1", "password", "--seeds", "2", "--json", "--json"],
+        ["run", "password", "--check", "conformity", "--check=entailment", "--out", "a=b"],
+        ["audit", "--json", "--seeds", "7000,7001", "--budget=50", "--overrides", "f"],
+        ["audit", "--budget", "5", "--budget", "6", "--out=--json"],
+        ["list", "--overrides=f", "--overrides", "g"],
+        # a negative number, "-" and a phrase with a space are values
+        ["run", "password", "--seeds", "-1", "--budget", "-2", "--out", "-"],
+        ["run", "-", "--evidence", "-x y"],
+        ["run", "password", "--seeds=", "--out", ""],
+        # -- ends the options
+        ["run", "--", "password"],
+        ["run", "--check", "entailment", "--", "--json"],
+    ]
+    return argvs
+
+
+def test_the_parser_reads_what_argparse_read(registry):
+    for argv in _well_formed_argvs(registry):
+        fields = parse_args(argv)
+        assert isinstance(fields, dict) and fields == reference_fields(argv), argv
+
+
+_MALFORMED = [
+    [],
+    ["frobnicate"],
+    ["--json", "run", "password"],
+    ["run"],
+    ["run", "password", "extra"],
+    ["list", "password"],
+    ["audit", "--", "--json"],
+    ["run", "password", "--check", "bogus"],
+    ["run", "password", "--check=audit"],
+    ["run", "password", "--bogus"],
+    ["run", "password", "-x"],
+    ["list", "--seeds", "1"],
+    ["run", "password", "--seeds"],
+    ["run", "password", "--seeds", "--json"],
+    ["run", "password", "--out", "-x"],
+    ["run", "password", "--evidence", "--", "weak"],
+    ["run", "password", "--json=x"],
+    ["run", "password", "--json="],
+    ["run", "password", "--help=x"],
+    ["run", "--help=a b"],
+    ["run", "password", "--check", "bogus", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", _MALFORMED, ids=lambda argv: " ".join(argv) or "no-command")
+def test_a_usage_error_is_one_line_and_exit_two_from_both_parsers(argv, capsys):
+    assert reference_fields(argv) == _fields(argv) == EXIT_CONFIG
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_usage_errors_say_what_is_wrong(capsys):
+    for argv, message in [
+        ([], "no command; give one of list, run, audit"),
+        (["frobnicate"], "unknown command 'frobnicate'; give one of list, run, audit"),
+        (["run"], "run needs SCENARIO"),
+        (["audit", "x"], "audit takes no argument 'x'"),
+        (["run", "password", "--ev", "weak"], "run has no option '--ev'"),
+        (["run", "password", "--seeds"], "--seeds needs a value"),
+        (["run", "password", "--json=x"], "--json takes no value"),
+        (
+            ["run", "password", "--check", "bogus"],
+            "--check 'bogus' is not one of " + ", ".join(cli.RUN_CHECK_CHOICES),
+        ),
+    ]:
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["run", "-h"], ["run", "password", "--bogus", "--help"]]
+)
+def test_help_prints_the_usage_block_and_exits_zero(argv, capsys):
+    assert reference_fields(argv) == EXIT_MATCH
+    assert main(argv) == EXIT_MATCH
+    assert capsys.readouterr() == (cli.USAGE, "")
+
+
+def test_the_usage_block_is_the_readme_s():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    assert block == cli.USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "password", "--ev", "weak"],
+        ["run", "password", "--che", "entailment"],
+        ["audit", "--j"],
+        ["list", "--over=f"],
+    ],
+)
+def test_an_abbreviated_option_is_refused(argv):
+    # argparse read a unique prefix as the option; no file in the repo
+    # wrote one, and the parser now names it as unknown
+    assert isinstance(reference_fields(argv), dict)
+    with pytest.raises(ConfigError, match=r"has no option '--"):
+        parse_args(argv)
+
+
+_OPTION_NAMES = (
+    "--check", "--evidence", "--seeds", "--budget", "--overrides", "--out", "--json",
+    "-h", "--help", "--bogus", "--JSON", "-x",
+)  # fmt: skip
+_VALUES = (
+    "password", "weak", "entailment", "audit-all", "bogus", "0,1", "-1", "-2.5", "-x", "-",
+    "", "a b", "-x y", "--json", "x=y",
+)  # fmt: skip
+# An argv is the command, then units: an option and a value, an option
+# alone, an option=value word or a lone value.
+_NAME = st.sampled_from(_OPTION_NAMES)
+_VALUE = st.sampled_from(_VALUES)
+_UNIT = st.one_of(
+    st.tuples(_NAME, _VALUE),
+    st.tuples(_NAME),
+    st.tuples(st.builds("{}={}".format, _NAME, _VALUE)),
+    st.tuples(_VALUE),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    command=st.sampled_from(("list", "run", "audit", "-h", "bogus")),
+    units=st.lists(_UNIT, max_size=5),
+)
+def test_the_parser_agrees_with_argparse_over_the_option_grammar(command, units):
+    # no name above abbreviates another, and "--" is left out: argparse
+    # 3.11 takes it only next to SCENARIO
+    argv = [command, *(word for unit in units for word in unit)]
+    assert _fields(argv) == reference_fields(argv)
 
 
 # --- list --------------------------------------------------------------------------
@@ -382,6 +547,35 @@ def test_equal_hash_collision_witnesses_are_a_config_error(tmp_path, capsys):
     overrides.write_text("hash.file = 0x61\nhash.collision_partner = 0x61\n")
     assert main(["run", "hash", "--overrides", str(overrides)]) == EXIT_CONFIG
     assert "hash.file and hash.collision_partner must differ" in capsys.readouterr().err
+
+
+def test_an_override_that_makes_an_expectation_false_is_a_mismatch(tmp_path, capsys):
+    # No scenario declares preconditions on its parameters: a replacement
+    # equal to the stored message plants the message itself, so the weak
+    # evidence entails its recovery after all, and that row mismatches.
+    overrides = tmp_path / "params.txt"
+    overrides.write_text(
+        "password.message = 0x7461782d7265636f726473\n"
+        "password.replacement = 0x7461782d7265636f726473\n"
+    )
+    argv = ["run", "password", "--overrides", str(overrides), "--seeds", SEEDS_FLAG, "--json"]
+    assert main(argv) == EXIT_MISMATCH
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["matches"], payload["mismatches"]) == (8, 1)
+    [row] = [row for row in payload["reports"] if row["verdict"] != row["expected"]]
+    assert row == {
+        "scenario": "password",
+        "check": "entailment",
+        "evidence": "weak",
+        "verdict": "Holds",
+        "expected": "Fails",
+        "counterexample": None,
+        "cells": 60,
+        "seeds": [0, 1, 2, 3],
+        "budget": 100000,
+        "citation": "While the evidence leaves a deniable device possible, an accepted"
+        " performance may surface planted content instead of the stored message.",
+    }
 
 
 def test_a_fault_in_machine_code_is_a_config_error_naming_the_check(
@@ -752,6 +946,12 @@ def _guarded_read(ctx, argument):
     return ctx.state["content"]
 
 
+def _listing_read(ctx, argument):
+    if argument == _TRIP:
+        return [1]
+    return ctx.state["content"]
+
+
 def _plain_read(ctx, _arg):
     return ctx.state["content"]
 
@@ -761,14 +961,14 @@ def _send_tripped_read(ctx, _arg):
     return ABSENT
 
 
-def _guarded_scenario(spec_read):
+def _guarded_scenario(spec_read, device_read=_guarded_read):
     """A one-world scenario whose device at slot 0 faults on ``read(_TRIP)``,
     a letter of its evidence's probe alphabet.  Its evidence asserts that
     the device implements a store whose ``read`` is ``spec_read``."""
 
     def build(params):
         device = Machine(
-            id="guarded-store", state={"content": b"x"}, methods={"read": _guarded_read}
+            id="guarded-store", state={"content": b"x"}, methods={"read": device_read}
         )
         spec = Machine(id="store-shape", state={"content": b"?"}, methods={"read": spec_read})
         evidence = Evidence(
@@ -813,22 +1013,33 @@ def test_a_device_compared_only_with_itself_builds_and_faults_in_the_check(
 
 
 @pytest.mark.parametrize("command", ["run", "audit"])
+@pytest.mark.parametrize(
+    "device_read, raised",
+    [
+        pytest.param(_guarded_read, "TypeError: a tripped read", id="raises"),
+        # a kernel error other than a method fault, whose own message
+        # names the probe id that stands for both sides
+        pytest.param(
+            _listing_read, "MalformedValueError: read returned non-value [1]", id="non-value"
+        ),
+    ],
+)
 def test_a_device_compared_with_a_different_spec_faults_the_build(
-    monkeypatch, capsys, command
+    monkeypatch, capsys, command, device_read, raised
 ):
     # The spec's read is another function, so the build walks the pair
     # and the device's read faults on the probe letter.  The walk runs
     # both sides under one probe id; the message names the device.
     monkeypatch.setattr(refinement, "_RESULTS", {})
-    monkeypatch.setitem(BUILDERS, "guarded", _guarded_scenario(_plain_read))
+    monkeypatch.setitem(BUILDERS, "guarded", _guarded_scenario(_plain_read, device_read))
     argv = {"run": ["run", "guarded"], "audit": ["audit"]}[command]
     assert main(argv + ["--seeds", "0"]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "error: scenario 'guarded' cannot be built: evidence 'guarded', world 'guarded': "
-        "comparing nature[0] 'guarded-store' with 'store-shape' under bounded_implements "
-        "raised TypeError: a tripped read\n"
+        f"comparing nature[0] 'guarded-store' with 'store-shape' under bounded_implements "
+        f"raised {raised}\n"
     )
 
 
