@@ -467,6 +467,15 @@ class _Cells:
             tuple(notes),
         )
 
+    def unconstructible(self, action: str, label: str) -> CheckReport:
+        """A probe's report when its construction's ``action`` does not
+        conform in world ``label``: no cell was compared."""
+        note = (
+            f"{action} does not conform in world {label!r}; "
+            "the probe's construction requires a demonstrable verifier"
+        )
+        return self.report(CheckVerdict.FAILS, 0, 0, notes=(note,))
+
     def _raise_fault(self, exc: KernelError, role, machine, world, seed) -> NoReturn:
         """Re-raise ``exc`` from a kernel call for this cell: as it is for
         budget exhaustion, else as a ``CellFaultError`` naming the cell."""
@@ -735,15 +744,7 @@ def probe_unknown_goal(
     stand_in = emulate_with_respondent(exemplar, evidence.worlds[0][1].respondent)
     for label, world in evidence.worlds:
         if not table.conforms(world, stand_in):
-            return table.report(
-                CheckVerdict.FAILS,
-                0,
-                0,
-                notes=(
-                    f"stand-in action does not conform in world {label!r}; "
-                    "the probe's construction requires a demonstrable verifier",
-                ),
-            )
+            return table.unconstructible("stand-in action", label)
 
     seed = seeds[0]
     cells = 0
@@ -864,15 +865,7 @@ def probe_random_target(
 
     pinned_action = with_zero_tape(exemplar)
     if not table.conforms(world, pinned_action):
-        return table.report(
-            CheckVerdict.FAILS,
-            0,
-            0,
-            notes=(
-                f"zero-coin exemplar does not conform in world {label!r}; "
-                "the probe's construction requires a demonstrable verifier",
-            ),
-        )
+        return table.unconstructible("zero-coin exemplar", label)
 
     cells = 0
     max_steps = 0

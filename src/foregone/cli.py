@@ -28,20 +28,19 @@ in the audit's toy-crypto sweeps).
 Reports are byte-identical across runs for a fixed configuration and
 build.
 
-The FOREGONE_SEED environment variable supplies a default seed list
-(comma-separated integers); the --seeds flag overrides it.  Either list
-must name distinct seeds in 0..2**64-1: the tapes take a seed modulo
-2**64, so a repeated or out-of-range seed would run one cell twice or
-report another seed's tapes under its own number.  Parameter overrides
-come from a flat key-value file: one ``scenario.param = value``
-per line, where values are 0x-prefixed hex byte strings or plain
-integers; ``#`` starts a comment line.  An integer, in a seed list, a
-``--budget`` or an override, is written ``-?[0-9]+`` and nothing else.
+Seeds come from ``--seeds`` (comma-separated integers) or default to
+0..15.  The list must name distinct seeds in 0..2**64-1: the tapes take
+a seed modulo 2**64, so a repeated or out-of-range seed would run one
+cell twice or report another seed's tapes under its own number.
+Parameter overrides come from a flat key-value file: one
+``scenario.param = value`` per line, where values are 0x-prefixed hex
+byte strings or plain integers; ``#`` starts a comment line.  An
+integer, in a seed list, a ``--budget`` or an override, is written
+``-?[0-9]+`` and nothing else.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import sys
 from collections import Counter
@@ -120,13 +119,6 @@ def parse_budget(text: str) -> int:
     if budget <= 0:
         raise ConfigError("budget must be positive")
     return budget
-
-
-def default_seeds() -> tuple[int, ...]:
-    env = os.environ.get("FOREGONE_SEED")
-    if env is None:
-        return DEFAULT_SEEDS
-    return parse_seed_list(env)
 
 
 def parse_override_value(text: str) -> Any:
@@ -473,7 +465,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         validate_overrides(overrides)
         if args["command"] == "list":
             return cmd_list(build_registry(overrides), args["json"])
-        seeds = parse_seed_list(args["seeds"]) if args["seeds"] is not None else default_seeds()
+        seeds = parse_seed_list(args["seeds"]) if args["seeds"] is not None else DEFAULT_SEEDS
         budget = parse_budget(args["budget"])
         if args["command"] == "run":
             return cmd_run(

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .kernel import KernelError, Machine, World, world_key
-from .refinement import _PROBE_ID, ProbeSpec, bounded_equivalent, bounded_implements
+from .refinement import ProbeSpec, bounded_equivalent, bounded_implements
 from .values import Frozen, read_only_copy
 
 
@@ -152,10 +152,10 @@ def _satisfies(
     ``relation`` (``bounded_equivalent`` or ``bounded_implements``) to
     ``spec`` bound to its values.  Callers name the relation at call
     time, so a wrapper bound over the module-level name (as the
-    benchmark tracer binds one) sees the call.  The probes run both
-    machines under one probe id, so a kernel error is raised again
-    without it, naming the evidence, world, location, device id and
-    relation; a method fault names the method's own exception."""
+    benchmark tracer binds one) sees the call.  A kernel error, which
+    the probes raise naming the probe and the original exception, is
+    raised again naming the evidence, world, location, device id and
+    relation too."""
     device = world.nature.slots.get(location)
     if device is None:
         return False
@@ -165,13 +165,10 @@ def _satisfies(
             bound, device, evidence.probe.depth, evidence.probe.alphabet
         )
     except KernelError as exc:
-        cause = exc.__cause__ or exc
-        detail = str(cause).replace(f" {_PROBE_ID!r}", "").replace(f"{_PROBE_ID}.", "")
         raise KernelError(
             f"evidence {evidence.name!r}, world {label!r}: comparing nature[{location}] "
-            f"{device.id!r} with {spec.id!r} under {relation.__name__} raised "
-            f"{type(cause).__name__}: {detail}"
-        ) from cause
+            f"{device.id!r} with {spec.id!r} under {relation.__name__}, {exc}"
+        ) from exc
 
 
 def strengthen_to_full_spec(

@@ -55,11 +55,12 @@ from .kernel import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     DirectInvoker,
+    KernelError,
     Machine,
     NoSuchMethodError,
     machine_key,
 )
-from .values import ABSENT, Frozen, same_value, value_key
+from .values import ABSENT, Frozen, render_value, same_value, value_key
 
 Probe = tuple[tuple[str, Any], ...]
 
@@ -146,7 +147,11 @@ def _search(
     alphabet: tuple[Any, ...],
     budget: int,
 ) -> Optional[Probe]:
-    """The uncached level-by-level walk behind ``distinguishing_probe``."""
+    """The uncached level-by-level walk behind ``distinguishing_probe``.
+    A kernel error other than a missing method or an exhausted budget is
+    raised again as a ``KernelError`` naming the calls, in order, of the
+    probe whose last call raised it, and the original exception, with the
+    probe id that stands for both sides taken out."""
     for name in spec.method_names():
         if name not in candidate.methods:
             return ((name, alphabet[0]),)
@@ -161,8 +166,18 @@ def _search(
         children = []
         for probe, left, right in level:
             for option in options:
-                a, left_child = _step(invoker, left, *option)
-                b, right_child = _step(invoker, right, *option)
+                try:
+                    a, left_child = _step(invoker, left, *option)
+                    b, right_child = _step(invoker, right, *option)
+                except KernelError as exc:
+                    cause = exc.__cause__ or exc
+                    detail = str(cause).replace(f" {_PROBE_ID!r}", "").replace(f"{_PROBE_ID}.", "")
+                    calls = ", ".join(
+                        f"{name}({render_value(letter)})" for name, letter in probe + (option,)
+                    )
+                    raise KernelError(
+                        f"probe {calls} raised {type(cause).__name__}: {detail}"
+                    ) from cause
                 if not _same_outcome(a, b):
                     return probe + (option,)
                 if length < depth:

@@ -23,7 +23,7 @@ from ..checkers import ActionFamily
 from ..evidence import Assertion, Evidence, drop_assertion
 from ..kernel import Machine, Nature, World, read_only_store
 from ..refinement import ProbeSpec
-from ..toy_crypto import SCHEMES, BindingClass, complement, otp
+from ..toy_crypto import SCHEMES, BindingClass, complement
 from ..values import ABSENT
 from .base import FAILS, HOLDS, Scenario, ScenarioCheck, ScenarioError
 from .common import mind
@@ -102,7 +102,7 @@ def _equivocate_run(ctx, _arg):
     chosen = ctx.state["chosen"]
     commitment = ctx.nature(COMMITMENT_LOCATION).call("read")
     if isinstance(commitment, bytes) and len(commitment) == len(chosen):
-        ctx.send((chosen, otp(commitment, chosen)))
+        ctx.send((chosen, SCHEMES["xor-pad"].equivocate(commitment, chosen)))
     else:
         ctx.send((chosen, chosen))
     return ABSENT

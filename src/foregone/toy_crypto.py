@@ -98,24 +98,21 @@ class HashSpec(Frozen):
     """A toy hash with a declared finite domain.
 
     ``known_collision`` is a documented witness pair when the function
-    is built to collide; ``declared_injective`` is a label the sweep
-    verifies rather than trusts.
+    is built to collide.
     """
 
-    __slots__ = ("name", "evaluate", "domain", "declared_injective", "known_collision")
+    __slots__ = ("name", "evaluate", "domain", "known_collision")
 
     def __init__(
         self,
         name: str,
         evaluate: Callable[[bytes], bytes],
         domain: tuple[bytes, ...],
-        declared_injective: bool,
         known_collision: Optional[tuple[bytes, bytes]] = None,
     ):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "evaluate", evaluate)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "declared_injective", declared_injective)
         object.__setattr__(self, "known_collision", known_collision)
 
     def injectivity_witness(self) -> Optional[tuple[bytes, bytes]]:
@@ -137,7 +134,6 @@ def make_injective_hash(extra_domain: tuple[bytes, ...] = ()) -> HashSpec:
         name="byte-permutation",
         evaluate=partial(toy_hash, None),
         domain=domain,
-        declared_injective=True,
     )
 
 
@@ -150,7 +146,6 @@ def make_colliding_hash(first: bytes, second: bytes) -> HashSpec:
         name=f"byte-permutation-colliding[{first.hex()},{second.hex()}]",
         evaluate=partial(toy_hash, (first, second)),
         domain=domain,
-        declared_injective=False,
         known_collision=(first, second),
     )
 

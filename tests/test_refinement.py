@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import foregone.refinement as refinement
 from foregone.evidence import audit
-from foregone.kernel import AccessViolationError, DEFAULT_BUDGET, Machine
+from foregone.kernel import AccessViolationError, DEFAULT_BUDGET, KernelError, Machine
 from foregone.refinement import (
     ProbeSpec,
     bounded_equivalent,
@@ -265,8 +265,35 @@ def test_a_subject_reaches_no_part_of_the_shared_probe_world():
     assert refinement._search(seeker, seeker, 3, (None,), DEFAULT_BUDGET) is None
     assert refinement._search(idler, seeker, 3, (None,), DEFAULT_BUDGET) == (("go", None),)
     asker = Machine(id="asker", methods={"go": _reach_respondent})
-    with pytest.raises(AccessViolationError, match="no 'respondent' capability"):
+    with pytest.raises(KernelError) as raised:
         refinement._search(asker, asker, 1, (None,), DEFAULT_BUDGET)
+    # the fault names the probe and leaves out the probe id
+    assert str(raised.value) == (
+        "probe go(⊥) raised AccessViolationError: nature machine has no 'respondent' capability"
+    )
+    assert type(raised.value.__cause__) is AccessViolationError
+
+
+def _count(ctx, _arg):
+    ctx.state["calls"] += 1
+    return ctx.state["calls"]
+
+
+def _count_then_trip(ctx, argument):
+    if ctx.state["calls"] == 1 and argument == b"x":
+        raise ValueError("tripped on the second call")
+    return _count(ctx, argument)
+
+
+def test_a_fault_in_the_walk_names_the_probe_calls_in_order():
+    tripping = Machine(id="tripping", state={"calls": 0}, methods={"go": _count_then_trip})
+    counting = Machine(id="counting", state={"calls": 0}, methods={"go": _count})
+    with pytest.raises(KernelError) as raised:
+        refinement._search(counting, tripping, 2, (None, b"x"), DEFAULT_BUDGET)
+    assert str(raised.value) == (
+        'probe go(⊥), go("x") raised ValueError: tripped on the second call'
+    )
+    assert type(raised.value.__cause__) is ValueError
 
 
 # --- generated finite-state machines against the enumeration ------------------------

@@ -153,7 +153,6 @@ def test_a_run_loads_neither_argparse_nor_gettext(tmp_path):
     # the CLI reads its own argv: argparse and the gettext it imports
     # cost a fresh process about 1.5 ms with bytecode cached
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    env.pop("FOREGONE_SEED", None)
     probe = (
         "import sys; before = set(sys.modules); import foregone.cli; "
         "code = foregone.cli.main(['run', 'password', '--seeds', '0,1', '--json', "
