@@ -105,11 +105,6 @@ class PreconditionViolatedError(CheckerError):
     """The check was asked about inputs outside its contract."""
 
 
-class HypothesisViolatedError(CheckerError):
-    """An impossibility probe's hypothesis gate failed, so the theorem
-    it mechanizes says nothing about this scenario."""
-
-
 class CellFaultError(KernelError):
     """A kernel call for one cell raised a ``KernelError`` other than
     budget exhaustion.  The message names the world, the action (or the
@@ -119,6 +114,9 @@ class CellFaultError(KernelError):
 class CheckVerdict(Enum):
     HOLDS = "Holds"
     FAILS = "Fails"
+    # an impossibility probe's hypothesis gate failed, so the theorem it
+    # mechanizes says nothing about this scenario
+    HYPOTHESIS_VIOLATED = "HypothesisViolated"
 
 
 def _fields(record) -> tuple:
@@ -252,28 +250,21 @@ class Languages(Frozen, Mapping):
     def __len__(self) -> int:
         return len(self._by_world)
 
-    def keyed(self, labels: tuple[str, ...]) -> dict[str, dict[tuple, Any]]:
-        """Each of ``labels``' language as ``{value_key(member): member}``,
-        once the gate has passed.  The gate raises
-        ``PreconditionViolatedError`` naming the labels without a
-        language, or the members of a language that are not values, and
-        ``HypothesisViolatedError`` when the languages share a member,
-        listed as the first label's shared members, rendered and sorted.
-        The outcome, the keyed languages or the error's type and message,
-        is worked out on the first call for ``labels`` and read on every
-        later one."""
+    def keyed(self, labels: tuple[str, ...]) -> dict[str, dict[tuple, Any]] | str:
+        """Each of ``labels``' language as ``{value_key(member): member}``
+        once the gate has passed, or the gate's note when the languages
+        share a member: the first label's shared members, rendered and
+        sorted.  The outcome is worked out on the first call for
+        ``labels`` and read on every later one.  The gate raises
+        ``PreconditionViolatedError``, which is not kept, naming the
+        labels without a language, or the members of a language that
+        are not values."""
         outcome = self._gates.get(labels)
         if outcome is None:
-            try:
-                outcome = self._gate(labels)
-            except (PreconditionViolatedError, HypothesisViolatedError) as exc:
-                outcome = (type(exc), str(exc))
-            self._gates[labels] = outcome
-        if type(outcome) is tuple:
-            raise outcome[0](outcome[1])
+            outcome = self._gates[labels] = self._gate(labels)
         return outcome
 
-    def _gate(self, labels: tuple[str, ...]) -> dict[str, dict[tuple, Any]]:
+    def _gate(self, labels: tuple[str, ...]) -> dict[str, dict[tuple, Any]] | str:
         missing = [label for label in labels if label not in self._by_world]
         if missing:
             raise PreconditionViolatedError(f"worlds without languages: {missing}")
@@ -288,7 +279,7 @@ class Languages(Frozen, Mapping):
         shared = set(keyed[first_label]).intersection(*(keyed[l] for l in other_labels))
         if shared:
             common = sorted(render_value(keyed[first_label][key]) for key in shared)
-            raise HypothesisViolatedError(
+            return (
                 f"languages share {common}; "
                 "the unknown-goal hypothesis requires an empty intersection"
             )
@@ -698,7 +689,7 @@ _WITNESS_NOTE = "constructive witness over the declared candidates, not a univer
 def probe_unknown_goal(
     verifier: Machine,
     evidence: Evidence,
-    languages: Optional[Mapping[str, Iterable]],
+    languages: Optional[Languages],
     target: Machine,
     candidate_posts: tuple[tuple[str, Machine], ...],
     exemplar: Machine,
@@ -721,12 +712,13 @@ def probe_unknown_goal(
     one (all of them when ``languages`` is None) or the members that
     are not.  Each language is keyed by ``value_key``, so the
     hypothesis gate is a key-set intersection and each membership test
-    a lookup, both agreeing with ``same_value``; a shared-members
-    message lists the first world's shared members in rendered, sorted
-    order.  A ``Languages`` value keys its members when it is built and
-    works its gate out once per tuple of world labels and keeps it
-    (``Languages.keyed``), so a probe keys no member; any other mapping
-    is copied into a new ``Languages`` for this run.
+    a lookup, both agreeing with ``same_value``.  When the languages
+    share a member the hypothesis fails: the report's verdict is
+    ``HYPOTHESIS_VIOLATED`` over no cell, and its first note lists the
+    first world's shared members in rendered, sorted order.  The
+    ``Languages`` value keys its members when it is built and works its
+    gate out once per tuple of world labels and keeps it
+    (``Languages.keyed``), so a probe keys no member.
 
     The stand-in (``emulate_with_respondent``) is the same object on
     every run over the same built machines, so a run again under the
@@ -737,9 +729,9 @@ def probe_unknown_goal(
     stands for every seed, and the notes say that instead.
     """
     table = _Cells(verifier, budget, evidence.worlds, seeds)
-    if type(languages) is not Languages:
-        languages = Languages(languages or {})
-    keyed = languages.keyed(evidence.labels())
+    keyed = (languages or Languages({})).keyed(evidence.labels())
+    if type(keyed) is str:
+        return table.report(CheckVerdict.HYPOTHESIS_VIOLATED, 0, 0, notes=(keyed,))
 
     stand_in = emulate_with_respondent(exemplar, evidence.worlds[0][1].respondent)
     for label, world in evidence.worlds:
@@ -838,10 +830,12 @@ def probe_random_target(
     that would fault past the gate's stop and every witness is never
     made.
 
-    One seed cannot show support >= 2, so with one seed a gate whose
-    target read a tape raises ``PreconditionViolatedError``.  A target
-    that read no tape has support 1 under every seed, and its gate
-    raises ``HypothesisViolatedError`` whatever the seeds.
+    When no world shows support >= 2 the hypothesis fails: the report's
+    verdict is ``HYPOTHESIS_VIOLATED`` over no cell, with the gate's
+    note.  One seed cannot show support >= 2, so with one seed a gate
+    whose target read a tape raises ``PreconditionViolatedError``.  A
+    target that read no tape has support 1 under every seed, and its
+    hypothesis fails whatever the seeds.
 
     The zero-coin machines (``with_zero_tape``) are the same objects on
     every run over the same built machines, so a run again under the
@@ -859,9 +853,8 @@ def probe_random_target(
                 "the target reads a tape, and one seed cannot show a target "
                 "output support of size >= 2"
             )
-        raise HypothesisViolatedError(
-            "no probed world shows a target output support of size >= 2"
-        )
+        note = "no probed world shows a target output support of size >= 2"
+        return table.report(CheckVerdict.HYPOTHESIS_VIOLATED, 0, 0, notes=(note,))
 
     pinned_action = with_zero_tape(exemplar)
     if not table.conforms(world, pinned_action):

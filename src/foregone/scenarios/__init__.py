@@ -56,10 +56,6 @@ BUILDERS = {
 }
 
 
-class UnknownParameterError(ScenarioError):
-    pass
-
-
 def scenario_names() -> tuple[str, ...]:
     return tuple(BUILDERS)
 
@@ -68,7 +64,7 @@ def _check_params(name: str, params: Mapping[str, Any]) -> None:
     defaults = BUILDERS[name].DEFAULTS
     unknown = sorted(set(params) - set(defaults))
     if unknown:
-        raise UnknownParameterError(
+        raise ScenarioError(
             f"scenario {name!r} has no parameters {unknown}; "
             f"known parameters: {sorted(defaults)}"
         )
@@ -87,7 +83,7 @@ def validate_overrides(overrides: Mapping[str, Mapping[str, Any]]) -> None:
     checks every scenario named, built or not."""
     unknown = sorted(set(overrides) - set(BUILDERS))
     if unknown:
-        raise UnknownParameterError(f"overrides name unknown scenarios {unknown}")
+        raise ScenarioError(f"overrides name unknown scenarios {unknown}")
     for name in BUILDERS:
         if name in overrides:
             _check_params(name, overrides[name])
@@ -120,7 +116,6 @@ __all__ = [
     "CHECK_KINDS",
     "Scenario",
     "ScenarioError",
-    "UnknownParameterError",
     "build_registry",
     "build_scenario",
     "run_check",

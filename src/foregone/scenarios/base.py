@@ -11,15 +11,17 @@ A scenario's ``edges``, the (weaker, stronger) evidence pairs it
 claims monotone, are derived from its monotonicity checks.
 
 ``run_check`` derives a verdict by handing the check to its kind's walk
-in ``checkers``; the registry audit compares it against the scenario's
-expectation.  Consecutive checks under one verifier, budget and seed
-list read each other's kept runs, which leaves every report as the
-check alone makes it.
+in ``checkers`` and reading the report's verdict; a probe whose
+hypothesis fails returns ``HypothesisViolated`` as its verdict.  The
+registry audit compares it against the scenario's expectation.
+Consecutive checks under one verifier, budget and seed list read each
+other's kept runs, which leaves every report as the check alone makes
+it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from functools import cached_property
 from typing import Callable, Optional
 
 from ..checkers import (
@@ -28,7 +30,6 @@ from ..checkers import (
     CheckReport,
     CheckVerdict,
     DEFAULT_SEEDS,
-    HypothesisViolatedError,
     Languages,
     check_demonstrability,
     check_entailment,
@@ -53,7 +54,7 @@ CHECK_KINDS = (
 
 HOLDS = CheckVerdict.HOLDS.value
 FAILS = CheckVerdict.FAILS.value
-HYPOTHESIS_VIOLATED = "HypothesisViolated"
+HYPOTHESIS_VIOLATED = CheckVerdict.HYPOTHESIS_VIOLATED.value
 
 
 class ScenarioError(Exception):
@@ -82,10 +83,9 @@ class ScenarioCheck:
     ``ToyCryptoError`` raises a ``CheckerError`` naming the check.
 
     ``languages`` is a read-only ``checkers.Languages`` value (or None),
-    so changing it in place raises ``TypeError``.  Assigning a mapping
-    replaces it with a ``Languages`` copy of that mapping; assigning
-    None leaves the check without languages.  The probe keeps its gate
-    outcome with the value, so each value is gated once per process.
+    so changing it in place raises ``TypeError``.  The probe keeps its
+    gate outcome with the value, so each value is gated once per
+    process.
     """
 
     def __init__(
@@ -120,26 +120,20 @@ class ScenarioCheck:
     def id(self) -> str:
         return f"{self.kind}/{self.evidence}"
 
-    @property
+    @cached_property
     def languages(self) -> Optional[Languages]:
-        if "_languages" not in self.__dict__:
-            source = self.language_source
-            try:
-                by_world = None if source is None else source()
-            except (CheckerError, ToyCryptoError):
-                raise
-            except Exception as exc:  # scenario code, whatever it raises
-                raise CheckerError(
-                    f"check {self.id!r}: its language source raised {type(exc).__name__}: {exc}"
-                ) from exc
-            self.languages = by_world
-        return self._languages
-
-    @languages.setter
-    def languages(self, by_world: Optional[Mapping[str, Iterable]]) -> None:
-        if by_world is not None and type(by_world) is not Languages:
-            by_world = Languages(by_world)
-        self._languages = by_world
+        source = self.language_source
+        if source is None:
+            return None
+        try:
+            by_world = source()
+        except (CheckerError, ToyCryptoError):
+            raise
+        except Exception as exc:  # scenario code, whatever it raises
+            raise CheckerError(
+                f"check {self.id!r}: its language source raised {type(exc).__name__}: {exc}"
+            ) from exc
+        return Languages(by_world)
 
 
 class Scenario:
@@ -243,35 +237,32 @@ def run_check(
     family = check.family or scenario.action_family
     # None for monotonicity, whose edge names two evidences
     evidence = scenario.evidences.get(check.evidence)
-    try:
-        if check.kind == "monotonicity":
-            weaker, stronger = (scenario.evidences[key] for key in check.edge)
-            report = check_monotonicity(verifier, exemplar, weaker, stronger, seeds, budget)
-        elif check.kind == "demonstrability":
-            report = check_demonstrability(verifier, exemplar, evidence, seeds, budget)
-        elif check.kind == "conformity":
-            report = check_evidence_conformity(
-                verifier, exemplar, evidence, seeds, budget
-            )
-        elif check.kind == "probe-unknown-goal":
-            report = probe_unknown_goal(
-                verifier,
-                evidence,
-                check.languages,
-                target,
-                check.candidates,
-                exemplar,
-                seeds,
-                budget,
-            )
-        elif check.kind == "probe-random":
-            report = probe_random_target(
-                verifier, evidence, target, check.candidates, exemplar, seeds, budget
-            )
-        else:  # entailment and counterexample
-            report = check_entailment(
-                verifier, target, post, evidence, family, seeds, budget
-            )
-    except HypothesisViolatedError as exc:
-        return HYPOTHESIS_VIOLATED, CheckReport(CheckVerdict.FAILS, notes=(str(exc),))
+    if check.kind == "monotonicity":
+        weaker, stronger = (scenario.evidences[key] for key in check.edge)
+        report = check_monotonicity(verifier, exemplar, weaker, stronger, seeds, budget)
+    elif check.kind == "demonstrability":
+        report = check_demonstrability(verifier, exemplar, evidence, seeds, budget)
+    elif check.kind == "conformity":
+        report = check_evidence_conformity(
+            verifier, exemplar, evidence, seeds, budget
+        )
+    elif check.kind == "probe-unknown-goal":
+        report = probe_unknown_goal(
+            verifier,
+            evidence,
+            check.languages,
+            target,
+            check.candidates,
+            exemplar,
+            seeds,
+            budget,
+        )
+    elif check.kind == "probe-random":
+        report = probe_random_target(
+            verifier, evidence, target, check.candidates, exemplar, seeds, budget
+        )
+    else:  # entailment and counterexample
+        report = check_entailment(
+            verifier, target, post, evidence, family, seeds, budget
+        )
     return report.verdict.value, report

@@ -20,7 +20,6 @@ from foregone.checkers import (
     CheckReport,
     CheckVerdict,
     Counterexample,
-    HypothesisViolatedError,
     PreconditionViolatedError,
 )
 from foregone.kernel import (
@@ -34,7 +33,6 @@ from foregone.kernel import (
     run_target,
     with_zero_tape,
 )
-from foregone.scenarios.base import HYPOTHESIS_VIOLATED
 from foregone.values import ABSENT, NO_SUCH_METHOD, render_value, same_value
 
 WITNESS_NOTE = "constructive witness over the declared candidates, not a universal proof"
@@ -209,15 +207,16 @@ def _in(language, value) -> bool:
 def unknown_goal(
     verifier, evidence, languages, target, candidates, exemplar, seeds, budget=DEFAULT_BUDGET
 ):
+    runs = Runs(verifier, budget, evidence.worlds)
     labels = evidence.labels()
     common = [v for v in languages[labels[0]] if all(_in(languages[l], v) for l in labels[1:])]
     if common:
-        raise HypothesisViolatedError(
+        note = (
             f"languages share {sorted(render_value(v) for v in common)}; "
             "the unknown-goal hypothesis requires an empty intersection"
         )
+        return runs.report(CheckVerdict.HYPOTHESIS_VIOLATED, 0, 0, notes=(note,))
     stand_in = emulate_with_respondent(exemplar, evidence.worlds[0][1].respondent)
-    runs = Runs(verifier, budget, evidence.worlds)
     for label, world in evidence.worlds:
         if not runs.conforms(world, stand_in, seeds):
             note = (
@@ -290,7 +289,8 @@ def random_target(verifier, evidence, target, candidates, exemplar, seeds, budge
                 "the target reads a tape, and one seed cannot show a target "
                 "output support of size >= 2"
             )
-        raise HypothesisViolatedError("no probed world shows a target output support of size >= 2")
+        note = "no probed world shows a target output support of size >= 2"
+        return runs.report(CheckVerdict.HYPOTHESIS_VIOLATED, 0, 0, notes=(note,))
 
     pinned_action = with_zero_tape(exemplar)
     if not runs.conforms(world, pinned_action, seeds):
@@ -336,25 +336,22 @@ def registered(scenario, check, seeds, budget=DEFAULT_BUDGET):
     post = check.post or scenario.post_processor
     family = check.family or scenario.action_family
     evidence = scenario.evidences.get(check.evidence)
-    try:
-        if check.kind == "monotonicity":
-            weaker, stronger = (scenario.evidences[key] for key in check.edge)
-            report = monotonicity(verifier, exemplar, weaker, stronger, seeds, budget)
-        elif check.kind == "demonstrability":
-            report = demonstrability(verifier, exemplar, evidence, seeds, budget)
-        elif check.kind == "conformity":
-            report = conformity(verifier, exemplar, evidence, seeds, budget)
-        elif check.kind == "probe-unknown-goal":
-            report = unknown_goal(
-                verifier, evidence, check.languages, target, check.candidates, exemplar,
-                seeds, budget,
-            )
-        elif check.kind == "probe-random":
-            report = random_target(
-                verifier, evidence, target, check.candidates, exemplar, seeds, budget
-            )
-        else:
-            report = entailment(verifier, target, post, evidence, family, seeds, budget)
-    except HypothesisViolatedError as exc:
-        return HYPOTHESIS_VIOLATED, CheckReport(CheckVerdict.FAILS, notes=(str(exc),))
+    if check.kind == "monotonicity":
+        weaker, stronger = (scenario.evidences[key] for key in check.edge)
+        report = monotonicity(verifier, exemplar, weaker, stronger, seeds, budget)
+    elif check.kind == "demonstrability":
+        report = demonstrability(verifier, exemplar, evidence, seeds, budget)
+    elif check.kind == "conformity":
+        report = conformity(verifier, exemplar, evidence, seeds, budget)
+    elif check.kind == "probe-unknown-goal":
+        report = unknown_goal(
+            verifier, evidence, check.languages, target, check.candidates, exemplar,
+            seeds, budget,
+        )
+    elif check.kind == "probe-random":
+        report = random_target(
+            verifier, evidence, target, check.candidates, exemplar, seeds, budget
+        )
+    else:
+        report = entailment(verifier, target, post, evidence, family, seeds, budget)
     return report.verdict.value, report

@@ -11,7 +11,6 @@ from foregone.checkers import (
     CellFaultError,
     CheckReport,
     CheckVerdict,
-    HypothesisViolatedError,
     Languages,
     PreconditionViolatedError,
     _Cells,
@@ -81,10 +80,10 @@ GOAL_PARAMS = {
 }
 
 # the languages the unknown-goal scenario declares on its whereabouts check
-WHEREABOUTS = {
+WHEREABOUTS = Languages({
     "was-in-boston": frozenset({b"Boston"}),
     "was-in-paris": frozenset({b"Paris"}),
-}
+})
 
 
 @pytest.fixture(scope="module")
@@ -834,30 +833,38 @@ def test_unknown_goal_probe_says_which_seed_it_compared_at_when_a_run_reads_a_ta
     assert SEED_FREE_NOTE not in report.notes
 
 
+def _hypothesis_violated(note: str) -> CheckReport:
+    # a failed gate compares no cell, and none of its runs read a tape
+    return CheckReport(CheckVerdict.HYPOTHESIS_VIOLATED, notes=(note, SEED_FREE_NOTE))
+
+
 def test_unknown_goal_probe_gates_on_a_common_element(goal_evidence):
-    languages = {
+    languages = Languages({
         "was-in-boston": frozenset({b"Boston", b"Springfield"}),
         "was-in-paris": frozenset({b"Paris", b"Springfield"}),
-    }
-    with pytest.raises(HypothesisViolatedError):
-        probe_unknown_goal(
-            accept_any_verifier(),
-            goal_evidence["whereabouts"],
-            languages,
-            location_target(),
-            candidate_posts(),
-            state_location_action(),
-            SEEDS,
-        )
+    })
+    report = probe_unknown_goal(
+        accept_any_verifier(),
+        goal_evidence["whereabouts"],
+        languages,
+        location_target(),
+        candidate_posts(),
+        state_location_action(),
+        SEEDS,
+    )
+    assert report == _hypothesis_violated(
+        """languages share ['"Springfield"']; the unknown-goal hypothesis """
+        "requires an empty intersection"
+    )
 
 
 def test_unknown_goal_probe_intersects_languages_type_strictly(goal_evidence):
     # True and 1 are different values, so these languages share nothing
     # and the probe gets past its hypothesis gate.
-    languages = {
+    languages = Languages({
         "was-in-boston": frozenset({True}),
         "was-in-paris": frozenset({1}),
-    }
+    })
     report = probe_unknown_goal(
         accept_any_verifier(),
         goal_evidence["whereabouts"],
@@ -896,16 +903,19 @@ def test_a_language_keeps_the_members_a_set_would_merge():
 
 def test_unknown_goal_probe_gates_on_a_single_respondent(goal_evidence):
     narrowed = restrict_to(goal_evidence["whereabouts"], ("was-in-boston",))
-    with pytest.raises(HypothesisViolatedError):
-        probe_unknown_goal(
-            accept_any_verifier(),
-            narrowed,
-            WHEREABOUTS,
-            location_target(),
-            candidate_posts(),
-            state_location_action(),
-            SEEDS,
-        )
+    report = probe_unknown_goal(
+        accept_any_verifier(),
+        narrowed,
+        WHEREABOUTS,
+        location_target(),
+        candidate_posts(),
+        state_location_action(),
+        SEEDS,
+    )
+    assert report == _hypothesis_violated(
+        """languages share ['"Boston"']; the unknown-goal hypothesis """
+        "requires an empty intersection"
+    )
 
 
 def test_unknown_goal_probe_requires_declared_languages(goal_evidence):
@@ -938,7 +948,7 @@ def test_unknown_goal_probe_requires_declared_languages(goal_evidence):
 def test_unknown_goal_probe_refuses_a_language_member_that_is_not_a_value(
     goal_evidence, stray, rendered
 ):
-    languages = {"was-in-boston": (b"Boston",), "was-in-paris": (b"Paris", stray)}
+    languages = Languages({"was-in-boston": (b"Boston",), "was-in-paris": (b"Paris", stray)})
     with pytest.raises(PreconditionViolatedError) as raised:
         probe_unknown_goal(
             accept_any_verifier(),
@@ -955,7 +965,7 @@ def test_unknown_goal_probe_refuses_a_language_member_that_is_not_a_value(
 
 
 @pytest.mark.parametrize(
-    "evidence, by_world, error, message",
+    "evidence, by_world, outcome",
     [
         (
             "whereabouts",
@@ -963,46 +973,51 @@ def test_unknown_goal_probe_refuses_a_language_member_that_is_not_a_value(
                 "was-in-boston": {b"Boston", b"Springfield"},
                 "was-in-paris": {b"Paris", b"Springfield"},
             },
-            HypothesisViolatedError,
-            """languages share ['"Springfield"']; the unknown-goal hypothesis """
-            "requires an empty intersection",
+            _hypothesis_violated(
+                """languages share ['"Springfield"']; the unknown-goal hypothesis """
+                "requires an empty intersection"
+            ),
         ),
         (
             "whereabouts",
             {"was-in-boston": {b"Boston"}, "was-in-paris": {b"Paris", 1.5}},
-            PreconditionViolatedError,
-            "world 'was-in-paris': language members ['1.5'] are not values",
+            (
+                "PreconditionViolatedError",
+                "world 'was-in-paris': language members ['1.5'] are not values",
+            ),
         ),
         (
             "coin",
             {"was-in-boston": {b"Boston"}},
-            PreconditionViolatedError,
-            "worlds without languages: ['coin-flipper']",
+            ("PreconditionViolatedError", "worlds without languages: ['coin-flipper']"),
         ),
     ],
     ids=["shared", "stray", "missing"],
 )
-def test_a_kept_gate_error_is_raised_again_with_the_same_message(
-    goal_evidence, monkeypatch, evidence, by_world, error, message
+def test_a_gate_outcome_is_the_same_when_the_probe_runs_again(
+    goal_evidence, monkeypatch, evidence, by_world, outcome
 ):
     import foregone.checkers as checkers
 
     languages = Languages(by_world)
     keys = count_calls(monkeypatch, checkers, ("value_key",))
-    raised = []
+    outcomes = []
     for _ in range(2):
-        with pytest.raises(error) as caught:
-            probe_unknown_goal(
-                accept_any_verifier(),
-                goal_evidence[evidence],
-                languages,
-                location_target(),
-                candidate_posts(),
-                state_location_action(),
-                SEEDS,
+        try:
+            outcomes.append(
+                probe_unknown_goal(
+                    accept_any_verifier(),
+                    goal_evidence[evidence],
+                    languages,
+                    location_target(),
+                    candidate_posts(),
+                    state_location_action(),
+                    SEEDS,
+                )
             )
-        raised.append(str(caught.value))
-    assert raised == [message, message]
+        except PreconditionViolatedError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    assert outcomes == [outcome, outcome]
     # the members were keyed when the value was built, so no run keys one
     assert keys == {"value_key": 0}
 
@@ -1116,6 +1131,9 @@ def test_random_target_probe_refuses_one_seed_when_its_target_reads_a_tape(goal_
     assert probe_random_target(*args, (7, 8, 9)).holds
 
 
+NO_SUPPORT = "no probed world shows a target output support of size >= 2"
+
+
 def _read_then_say_same(ctx, _arg):
     ctx.tape.read_bytes(1)
     return b"same"
@@ -1124,15 +1142,16 @@ def _read_then_say_same(ctx, _arg):
 def test_random_target_probe_at_two_agreeing_seeds_fails_its_hypothesis(goal_evidence):
     # Two seeds can show support >= 2, so a tape-reading target whose two
     # outputs agree fails the hypothesis; only one seed is refused.
-    with pytest.raises(HypothesisViolatedError, match="support of size >= 2"):
-        probe_random_target(
-            accept_any_verifier(),
-            goal_evidence["coin"],
-            Machine(id="read-then-say-same", methods={"run": _read_then_say_same}),
-            (("echo-first-message", first_message_post()),),
-            flip_and_send_action(),
-            (7, 8),
-        )
+    report = probe_random_target(
+        accept_any_verifier(),
+        goal_evidence["coin"],
+        Machine(id="read-then-say-same", methods={"run": _read_then_say_same}),
+        (("echo-first-message", first_message_post()),),
+        flip_and_send_action(),
+        (7, 8),
+    )
+    # the target read a tape, so no seed-free note follows
+    assert report == CheckReport(CheckVerdict.HYPOTHESIS_VIOLATED, notes=(NO_SUPPORT,))
 
 
 def _reject(ctx, _arg):
@@ -1181,23 +1200,23 @@ def test_random_target_probe_gates_on_singleton_support(goal_evidence):
     constant = Machine(
         id="announce-a-constant", state=dict(constant.state), methods=dict(constant.methods)
     )
-    with pytest.raises(HypothesisViolatedError):
-        probe_random_target(
-            accept_any_verifier(),
-            goal_evidence["coin"],
-            constant,
-            (("echo-first-message", first_message_post()),),
-            flip_and_send_action(),
-            SEEDS,
-        )
+    report = probe_random_target(
+        accept_any_verifier(),
+        goal_evidence["coin"],
+        constant,
+        (("echo-first-message", first_message_post()),),
+        flip_and_send_action(),
+        SEEDS,
+    )
+    assert report == _hypothesis_violated(NO_SUPPORT)
     # a target that reads no tape has support 1 under every seed, so one
     # seed is no reason to refuse
-    with pytest.raises(HypothesisViolatedError):
-        probe_random_target(
-            accept_any_verifier(),
-            goal_evidence["coin"],
-            constant,
-            (("echo-first-message", first_message_post()),),
-            flip_and_send_action(),
-            (7,),
-        )
+    report = probe_random_target(
+        accept_any_verifier(),
+        goal_evidence["coin"],
+        constant,
+        (("echo-first-message", first_message_post()),),
+        flip_and_send_action(),
+        (7,),
+    )
+    assert report == _hypothesis_violated(NO_SUPPORT)

@@ -35,7 +35,7 @@ from foregone.cli import (
     parse_seed_list,
     toy_sweeps,
 )
-from foregone.checkers import ActionFamily
+from foregone.checkers import ActionFamily, Languages
 from foregone.evidence import Evidence
 from foregone.kernel import Machine, Nature, World, run_target
 from foregone.refinement import ProbeSpec
@@ -602,7 +602,7 @@ def test_a_check_given_inputs_outside_its_contract_is_a_config_error_naming_the_
 ):
     scenario = copy.deepcopy(registry["unknown-goal"])
     check = next(c for c in scenario.checks if c.id == "probe-unknown-goal/commitment-pinned")
-    check.languages = {"holder-a": check.languages["holder-a"]}
+    check.languages = Languages({"holder-a": check.languages["holder-a"]})
     monkeypatch.setattr(cli, "build_scenario", lambda name, params: scenario)
     argv = ["run", "unknown-goal", "--check", "probe-unknown-goal", "--seeds", "0,1"]
     code = main(argv + ["--evidence", "commitment-pinned"])
@@ -621,7 +621,7 @@ def test_a_language_member_that_cannot_be_hashed_is_a_config_error_naming_the_ch
     scenario = copy.deepcopy(registry["unknown-goal"])
     check = next(c for c in scenario.checks if c.id == "probe-unknown-goal/whereabouts")
     check.language_source = lambda: {"was-in-boston": (b"Boston",), "was-in-paris": ([1],)}
-    check.__dict__.pop("_languages", None)  # read on the check's first run
+    check.__dict__.pop("languages", None)  # read on the check's first run
     monkeypatch.setattr(cli, "build_scenario", lambda name, params: scenario)
     argv = ["run", "unknown-goal", "--check", "probe-unknown-goal", "--seeds", "0,1"]
     code = main(argv + ["--evidence", "whereabouts"])
@@ -644,7 +644,7 @@ def test_a_language_source_that_raises_is_a_config_error_naming_the_check(
     scenario = copy.deepcopy(registry["unknown-goal"])
     check = next(c for c in scenario.checks if c.id == "probe-unknown-goal/whereabouts")
     check.language_source = _missing_languages
-    check.__dict__.pop("_languages", None)  # read on the check's first run
+    check.__dict__.pop("languages", None)  # read on the check's first run
     monkeypatch.setattr(cli, "build_scenario", lambda name, params: scenario)
     argv = ["run", "unknown-goal", "--check", "probe-unknown-goal", "--seeds", "0,1"]
     assert main(argv + ["--evidence", "whereabouts"]) == EXIT_CONFIG

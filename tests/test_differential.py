@@ -30,7 +30,8 @@ from foregone.checkers import (
     SEED_FREE_NOTE,
     ActionFamily,
     CellFaultError,
-    HypothesisViolatedError,
+    CheckVerdict,
+    Languages,
     PreconditionViolatedError,
     check_demonstrability,
     check_entailment,
@@ -184,7 +185,7 @@ def _generated_checks():
         ("here", _world(b"plain", secret=b"here")),
         ("there", _world(b"plain", secret=b"there")),
     )
-    places = {"here": frozenset({b"here"}), "there": frozenset({b"there"})}
+    places = Languages({"here": frozenset({b"here"}), "there": frozenset({b"there"})})
     fixed = ("fixed-s", fixed_output_post("fixed-s", b"s"))
     candidates = (("echo-first-message", echo), ("draw", draw_post), fixed)
     # Languages that Python's == would intersect but same_value does not
@@ -194,8 +195,10 @@ def _generated_checks():
     bools = frozenset({True, Location(1), (True, b"x"), b"one"})
     mixed_worlds = (("int", _world(b"plain", secret=1)), ("bool", _world(b"plain", secret=True)))
     mixed = _evidence("mixed", *mixed_worlds)
-    disjoint = {"int": ints, "bool": bools}
-    overlapping = {"int": ints, "bool": frozenset({True, b"1", None, (1, b"x"), Location(1)})}
+    disjoint = Languages({"int": ints, "bool": bools})
+    overlapping = Languages(
+        {"int": ints, "bool": frozenset({True, b"1", None, (1, b"x"), Location(1)})}
+    )
     mixed_candidates = (
         ("echo-first-message", echo),
         *(
@@ -253,7 +256,7 @@ GENERATED = _generated_checks()
 def _outcome(call, args, seeds):
     try:
         return call(*args, seeds, budget=300)
-    except (CellFaultError, HypothesisViolatedError, PreconditionViolatedError) as exc:
+    except (CellFaultError, PreconditionViolatedError) as exc:
         return (type(exc).__name__, str(exc))
 
 
@@ -287,10 +290,12 @@ def test_generated_checks_cover_every_outcome():
     assert [w.world for w in outcomes["unknown-goal-mixed-types"].witnesses] == [
         "bool", "int", "bool", "bool", "int", "int", "bool"
     ]
-    assert outcomes["unknown-goal-mixed-types-overlap"] == (
-        "HypothesisViolatedError",
+    overlap = outcomes["unknown-goal-mixed-types-overlap"]
+    assert overlap.verdict is CheckVerdict.HYPOTHESIS_VIOLATED and overlap.cells_checked == 0
+    assert overlap.notes == (
         """languages share ['"1"', '(1, "x")', '⊥']; the unknown-goal """
         "hypothesis requires an empty intersection",
+        SEED_FREE_NOTE,
     )
     assert outcomes["fault"] == (
         "CellFaultError",
@@ -445,7 +450,7 @@ def test_the_gate_equals_the_plain_walk_wherever_support_first_shows(seeds, data
         # the keyed target reads a tape, and one seed cannot show support
         assert outcome[0] == "PreconditionViolatedError"
     elif differs == len(seeds):
-        assert outcome[0] == "HypothesisViolatedError"
+        assert outcome.verdict is CheckVerdict.HYPOTHESIS_VIOLATED
     else:
         assert outcome.holds and [w.seed for w in outcome.witnesses] == [seeds[differs]]
         assert ran[-1] == (support, seeds[differs])

@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 
 import foregone
-from foregone.checkers import Languages, check_demonstrability, check_monotonicity
+from foregone.checkers import (
+    SEED_FREE_NOTE,
+    CheckVerdict,
+    Languages,
+    check_demonstrability,
+    check_monotonicity,
+)
 from foregone.cli import _rows_for
 from foregone.evidence import at_least_as_strong, audit as audit_evidence
 from foregone.kernel import DEFAULT_BUDGET, Verdict, execute, run_target
@@ -29,7 +35,7 @@ from foregone.toy_crypto import (
     make_colliding_hash,
     toy_hash,
 )
-from foregone.values import same_value, value_key
+from foregone.values import render_value, same_value, value_key
 
 from conftest import FEW_SEEDS
 from helpers import changed_device, changed_methods
@@ -48,6 +54,13 @@ def test_every_registered_expectation_is_reproduced(registry):
     mismatches = [r for r in rows if r["verdict"] != r["expected"]]
     assert mismatches == []
     assert len(rows) >= 40
+
+
+def test_every_verdict_string_is_its_report_s_verdict(registry):
+    for scenario in registry.values():
+        for check in scenario.checks:
+            verdict, report = run_check(scenario, check, FEW_SEEDS)
+            assert verdict == report.verdict.value, f"{scenario.name}:{check.id}"
 
 
 def test_scenario_loading_runs_the_evidence_audit(registry):
@@ -374,6 +387,15 @@ def test_equivocable_commitment_answer_sets_coincide(registry):
     verdict, report = run_check(scenario, check, FEW_SEEDS)
     assert verdict == HYPOTHESIS_VIOLATED
     assert check.languages["holder-a"] == check.languages["holder-b"]
+    # the gate compares no cell and runs nothing, so no run read a tape
+    shared = sorted(render_value(member) for member in check.languages["holder-a"])
+    assert len(shared) == 256
+    assert report.verdict is CheckVerdict.HYPOTHESIS_VIOLATED
+    assert report.cells_checked == 0
+    assert report.notes == (
+        f"languages share {shared}; the unknown-goal hypothesis requires an empty intersection",
+        SEED_FREE_NOTE,
+    )
 
 
 def test_xor_pad_languages_cover_every_commitment(registry):
@@ -471,7 +493,7 @@ def test_no_two_checks_share_a_language_dict():
         labels = set(check.languages)
         assert len(labels) == 2
         kept = sorted(labels)[1]
-        check.languages = {kept: check.languages[kept]}
+        check.languages = Languages({kept: check.languages[kept]})
         assert set(check.languages) == {kept}
         for other in (second, copied):
             assert set(other.find_check(check.kind, check.evidence).languages) == labels
@@ -487,7 +509,7 @@ def test_a_check_s_languages_refuse_an_in_place_change_but_take_a_new_value():
         del languages["was-in-boston"]
     assert check.languages is languages
     given = {"was-in-boston": {b"Boston"}}
-    check.languages = given
+    check.languages = Languages(given)
     given["was-in-paris"] = {b"Paris"}  # the value holds a copy of what it was given
     assert type(check.languages) is Languages
     assert dict(check.languages) == {"was-in-boston": (b"Boston",)}

@@ -92,10 +92,9 @@ def test_every_function_and_method_has_a_caller():
     assert uncalled == []
 
 
-def test_only_the_cell_table_and_the_check_runner_build_a_report():
+def test_only_the_cell_table_builds_a_report():
     # ``_Cells.report`` adds the seed-free note, so a report built
-    # anywhere else in a walk could leave it out; ``run_check`` builds
-    # the one report that no walk made, a failed hypothesis gate's.
+    # anywhere else could leave it out.
     builders = [
         f"{path.relative_to(PACKAGE)}:{owner}"
         for path in SOURCES
@@ -105,7 +104,7 @@ def test_only_the_cell_table_and_the_check_runner_build_a_report():
         and isinstance(inner.func, ast.Name)
         and inner.func.id == "CheckReport"
     ]
-    assert builders == ["checkers.py:_Cells.report", "scenarios/base.py:run_check"]
+    assert builders == ["checkers.py:_Cells.report"]
 
 
 def test_no_module_imports_dataclasses():
