@@ -14,6 +14,7 @@ pair of ``toy_crypto.toy_hash``, or ``None`` for the injective hash.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Mapping, Optional
 
 from ..checkers import ActionFamily
@@ -85,13 +86,12 @@ def _world(file_location: int, content: bytes) -> World:
     )
 
 
-def _file_matches_digest(collision: Optional[tuple[bytes, bytes]], digest: bytes):
-    def check(world: World) -> bool:
-        where = world.respondent.state["find_file"]
-        content = world.nature.slots[where.index].state["value"]
-        return toy_hash(collision, content) == digest
-
-    return check
+def _file_matches_digest(
+    collision: Optional[tuple[bytes, bytes]], digest: bytes, world: World
+) -> bool:
+    where = world.respondent.state["find_file"]
+    content = world.nature.slots[where.index].state["value"]
+    return toy_hash(collision, content) == digest
 
 
 def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
@@ -112,7 +112,7 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
             Assertion(
                 id="file-matches-digest",
                 text="the located file hashes to the published digest",
-                holds_in=_file_matches_digest(None, digest),
+                holds_in=partial(_file_matches_digest, None, digest),
             ),
         ),
         worlds=(
@@ -132,7 +132,7 @@ def build_evidences(params: Mapping[str, Any]) -> dict[str, Evidence]:
             Assertion(
                 id="file-matches-digest",
                 text="the located file hashes to the published digest",
-                holds_in=_file_matches_digest((file_content, partner), digest),
+                holds_in=partial(_file_matches_digest, (file_content, partner), digest),
             ),
         ),
         worlds=(

@@ -17,8 +17,19 @@ the post-processor continue every stream from exactly where it stopped.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional
+
+# The interpreter's own sha256, which ``hashlib.sha256`` equals: ``import
+# hashlib`` loads the OpenSSL binding ``_hashlib``, 2.2 ms under ``-X
+# importtime`` against 0.2 ms for ``_sha256`` (medians of 9 fresh
+# processes, 2-core VM, Python 3.11).
+try:
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 32  # sha256 digest size
@@ -26,7 +37,7 @@ _BLOCK = 32  # sha256 digest size
 
 def _block(seed: int, stream_id: str, index: int) -> bytes:
     material = f"{seed}|{stream_id}|{index}".encode("utf-8")
-    return hashlib.sha256(material).digest()
+    return sha256(material).digest()
 
 
 class RandomnessAssignment:

@@ -23,7 +23,13 @@ worker per chunk past the first (``_search_in_chunks``).  Each ``check``
 call of the serial search is made by exactly one process, and the
 results are merged in commitment order, so the sweep returns, or
 raises, exactly what the serial search would.  ``openable_commitments``
-is too small a search to gain from workers and runs in the caller.
+is too small a search to gain from workers and runs in the caller.  A
+scheme with ``equivocate`` has each commitment try the opening that
+``equivocate`` proposes before it scans the opening domain, so an
+equivocable scheme's language takes one ``check`` call per commitment
+where the scan takes one per opening up to the first valid one.  The
+set is the scan's exactly; only a ``check`` or ``equivocate`` that
+raises can tell the two searches apart (see the method).
 """
 
 from __future__ import annotations
@@ -245,15 +251,42 @@ class CommitmentScheme(Frozen):
         """All commitments in the scheme's image that can be opened to
         ``message`` with some opening from the domain.
 
-        Each commitment of the sorted image, so that the first exception
-        raised is the same under every hash seed, tries the openings in
-        order up to its first valid one.  The search runs in this
-        process: an ``unknown-goal`` language takes 32,896 ``check``
-        calls, which two forked workers searched no faster.
+        The commitments of the sorted image are searched in order, so
+        that the first exception raised is the same under every hash
+        seed.  A scheme with ``equivocate`` first asks it for an opening
+        of each commitment ``c``: when ``equivocate(c, message)`` is in
+        the opening domain and ``check`` accepts it, ``c`` is openable.
+        Otherwise, and when ``equivocate`` raises a ``ToyCryptoError``,
+        ``c`` tries the openings of the domain in order up to its first
+        valid one, as every commitment of a scheme without
+        ``equivocate`` does.  A verified opening from the domain is
+        proof enough, so the set is the ordered scan's whatever
+        ``equivocate`` proposes.  An ``unknown-goal`` language under
+        ``XOR_PAD`` takes 256 ``equivocate`` and 256 ``check`` calls
+        where the scan took 32,896 ``check`` calls.
+
+        Only the calls differ from the scan's, so only a faulty scheme
+        can tell the two apart: a ``check`` that raises on the proposed
+        opening raises even where the scan would have stopped at an
+        earlier valid opening, and an earlier opening on which
+        ``check`` raises is never tried when the proposal verifies.
+        Neither registered scheme raises on any of these calls.  Any
+        other exception from ``equivocate`` propagates, as one from
+        ``check`` does.  The search runs in this process.
         """
         check = self.check
+        equivocate = self.equivocate
+        domain = frozenset(opening_domain)
         openable: set[bytes] = set()
         for c in sorted(self._image(message_domain, opening_domain)):
+            if equivocate is not None:
+                try:
+                    d = equivocate(c, message)
+                except ToyCryptoError:
+                    d = None
+                if d in domain and check(c, d, message):
+                    openable.add(c)
+                    continue
             for d in opening_domain:
                 if check(c, d, message):
                     openable.add(c)

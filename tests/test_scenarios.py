@@ -411,9 +411,9 @@ def test_xor_pad_languages_cover_every_commitment(registry):
 
 def _count_commitment_work(monkeypatch) -> dict[str, int]:
     """Count ``openable_commitments`` calls, and calls to the xor-pad
-    scheme's ``check``, from here on.  The counters are closures of this
-    process, where the searches run."""
-    counts = {"openable_commitments": 0, "xor-pad check": 0}
+    scheme's ``check`` and ``equivocate``, from here on.  The counters
+    are closures of this process, where the searches run."""
+    counts = {"openable_commitments": 0, "xor-pad check": 0, "xor-pad equivocate": 0}
     real_openable = CommitmentScheme.openable_commitments
     xor_pad = SCHEMES["xor-pad"]
 
@@ -425,9 +425,13 @@ def _count_commitment_work(monkeypatch) -> dict[str, int]:
         counts["xor-pad check"] += 1
         return xor_pad.check(*args)
 
+    def equivocate(*args):
+        counts["xor-pad equivocate"] += 1
+        return xor_pad.equivocate(*args)
+
     monkeypatch.setattr(CommitmentScheme, "openable_commitments", openable)
     counted = CommitmentScheme(
-        xor_pad.name, xor_pad.commit, check, xor_pad.binding_class, xor_pad.equivocate
+        xor_pad.name, xor_pad.commit, check, xor_pad.binding_class, equivocate
     )
     monkeypatch.setitem(SCHEMES, "xor-pad", counted)
     return counts
@@ -443,12 +447,15 @@ def test_commitment_languages_are_computed_once_by_the_probe_that_reads_them(
     equivocable = scenario.find_check(
         "probe-unknown-goal", "commitment-pinned-equivocable"
     )
+    # each of the 2 languages tries the proposed opening of each of the
+    # 256 commitments, which verifies, and never scans
+    languages = {"openable_commitments": 2, "xor-pad check": 512, "xor-pad equivocate": 512}
     for _ in range(2):  # the second run reads the languages the first kept
         assert run_check(scenario, equivocable, FEW_SEEDS)[0] == HYPOTHESIS_VIOLATED
-        assert counts == {"openable_commitments": 2, "xor-pad check": 65_792}
+        assert counts == languages
     pinned = scenario.find_check("probe-unknown-goal", "commitment-pinned")
     assert run_check(scenario, pinned, FEW_SEEDS)[0] == HOLDS
-    assert counts == {"openable_commitments": 4, "xor-pad check": 65_792}
+    assert counts == {**languages, "openable_commitments": 4}
 
 
 def _keyed(languages):

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 
+from foregone import tapes
 from foregone.tapes import RandomnessAssignment, ZeroTape
+
+
+def test_a_block_is_the_hashlib_sha256_of_its_coordinates():
+    for seed, stream, index in ((0, "verifier", 0), (7, "m", 3), ((1 << 64) - 1, "ü", 12)):
+        material = f"{seed}|{stream}|{index}".encode("utf-8")
+        assert tapes._block(seed, stream, index) == hashlib.sha256(material).digest()
 
 
 def test_same_seed_and_stream_yield_identical_bytes():

@@ -238,7 +238,87 @@ def test_the_opening_sweeps_are_the_brute_force_searches_call_for_call(data):
         assert scheme.openable_commitments(message, messages, openings) == {
             c for c, tries in tried.items() if tries and tries[-1] in accepts
         }
-        assert sorted(calls) == sorted(call for tries in tried.values() for call in tries)
+        assert calls == [call for c in sorted(tried) for call in tried[c]]
+
+
+# equivocate's proposals: an opening the test makes valid, one it makes
+# invalid, one outside every drawn opening domain (which check would
+# accept), and a refusal
+_PROPOSALS = ("valid", "invalid", "outside", "refused")
+_OUTSIDE = b"\x03"
+
+
+def _proposal_tried(accepts, proposals, c, message, openings):
+    """The calls that look for an opening of ``c`` to ``message`` when
+    ``equivocate`` proposes ``proposals[c, message]`` (None: it raises a
+    ``ToyCryptoError``): the proposal, its ``check`` when it is in the
+    domain, then the scan when it did not verify."""
+    tried = [("equivocate", c, message)]
+    d = proposals[c, message]
+    if d is not None and d in openings:
+        tried.append((c, d, message))
+        if (c, d, message) in accepts:
+            return tried
+    return tried + _openings_tried(accepts, c, message, openings)
+
+
+@given(data=st.data())
+def test_an_equivocable_language_tries_each_proposal_before_it_scans(data):
+    messages = tuple(data.draw(st.lists(st.sampled_from(_TINY), max_size=5)))
+    openings = tuple(data.draw(st.lists(st.sampled_from(_TINY), min_size=1, max_size=4)))
+    commits = {
+        (x, r): data.draw(st.sampled_from(_COMMITMENTS)) for x in messages for r in openings
+    }
+    accepts = set(
+        data.draw(st.frozensets(st.tuples(*map(st.sampled_from, (_COMMITMENTS, _TINY, _TINY)))))
+    )
+    proposals = {}
+    for c in _COMMITMENTS:
+        for x in _TINY:
+            kind = data.draw(st.sampled_from(_PROPOSALS))
+            if kind == "refused":
+                proposals[c, x] = None
+            elif kind == "outside":
+                proposals[c, x] = _OUTSIDE
+                accepts.add((c, _OUTSIDE, x))
+            else:
+                d = proposals[c, x] = data.draw(st.sampled_from(openings))
+                (accepts.add if kind == "valid" else accepts.discard)((c, d, x))
+    calls = []
+
+    def check(c, d, x):
+        calls.append((c, d, x))
+        return (c, d, x) in accepts
+
+    def equivocate(c, x):
+        calls.append(("equivocate", c, x))
+        if proposals[c, x] is None:
+            raise ToyCryptoError(f"no opening of {c!r} to {x!r}")
+        return proposals[c, x]
+
+    scheme = CommitmentScheme(
+        "table", lambda x, r: (commits[x, r], r), check, BindingClass.EQUIVOCABLE, equivocate
+    )
+    image = sorted(set(commits.values()))
+    for message in _TINY:
+        calls.clear()
+        scanned = {c: _openings_tried(accepts, c, message, openings) for c in image}
+        assert scheme.openable_commitments(message, messages, openings) == {
+            c for c, tries in scanned.items() if tries[-1] in accepts
+        }
+        assert calls == [
+            call
+            for c in image
+            for call in _proposal_tried(accepts, proposals, c, message, openings)
+        ]
+
+
+def test_an_xor_pad_language_of_a_message_of_another_length_is_empty():
+    # equivocate refuses the lengths, so every commitment scans, and check
+    # refuses them too
+    for openings in (byte_domain(), small_byte_domain()):
+        for message in (b"", b"\x11\x22"):
+            assert XOR_PAD.openable_commitments(message, (b"\x11", b"\x22"), openings) == set()
 
 
 # --- the searches on more than one worker ---------------------------------------
