@@ -650,7 +650,9 @@ def check_monotonicity(
     budget: int = DEFAULT_BUDGET,
 ) -> CheckReport:
     """Demonstrability under the weaker evidence must imply it under the
-    stronger evidence (whose family is a subset).
+    stronger evidence (whose family is a subset).  When demonstrability
+    fails under the weaker evidence the implication holds vacuously, and
+    a note names the weaker evidence's first failing world.
 
     The stronger family's worlds are mostly the weaker family's own
     objects, so the second walk reads the first walk's executions.
@@ -663,13 +665,16 @@ def check_monotonicity(
     weak_cells, weak_steps, weak_failure = _demonstrate(table, exemplar, weaker)
     cells, max_steps, counterexample = _demonstrate(table, exemplar, stronger)
     notes = ()
-    if weak_failure is None and counterexample is not None:
-        notes = (f"demonstrability degraded from {weaker.name!r} to {stronger.name!r}",)
-    else:
-        # the weaker evidence fails, so the implication holds, or both hold
+    if weak_failure is not None:
         counterexample = None
+        notes = (
+            f"holds vacuously: demonstrability fails under {weaker.name!r} "
+            f"at world {weak_failure.world!r}",
+        )
+    elif counterexample is not None:
+        notes = (f"demonstrability degraded from {weaker.name!r} to {stronger.name!r}",)
     return table.report(
-        CheckVerdict.FAILS if notes else CheckVerdict.HOLDS,
+        CheckVerdict.HOLDS if counterexample is None else CheckVerdict.FAILS,
         cells + weak_cells,
         max(max_steps, weak_steps),
         counterexample,

@@ -23,8 +23,8 @@ any other exception raised by a method, which the kernel wraps in a
 ``CheckerError`` such as a world without a declared language), and a
 toy primitive given inputs outside its own (a ``ToyCryptoError``, such
 as an overridden secret whose length a commitment scheme does not take,
-met while a scenario builds, when a probe computes its languages, or
-in the audit's toy-crypto sweeps).
+met while a scenario builds, in a machine's method, or in the audit's
+toy-crypto sweeps).
 Reports are byte-identical across runs for a fixed configuration and
 build.
 
@@ -174,9 +174,12 @@ def load_overrides(path: Optional[str]) -> dict[str, dict[str, Any]]:
 
 def toy_sweeps() -> dict[str, str]:
     """Exhaustive property sweeps over the toy primitives; every entry
-    must come back 'pass' for the audit to succeed.  Only the binding
-    sweeps (``CommitmentScheme.double_opening_witness``) are spread over
-    the usable CPUs, with the same calls and results as one process."""
+    must come back 'pass' for the audit to succeed.  The commitment
+    sweeps open by recomputation: the binding sweeps
+    (``CommitmentScheme.double_opening_witness``) group each scheme's
+    ``commit`` outputs over 256 messages and 16 openings by commitment,
+    and a scheme whose verification is not recomputation cannot be
+    declared."""
     results: dict[str, str] = {}
     messages = byte_domain()
     openings = small_byte_domain()

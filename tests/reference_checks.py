@@ -197,6 +197,12 @@ def monotonicity(verifier, exemplar, weaker, stronger, seeds, budget=DEFAULT_BUD
     if weak[0] and not strong[0]:
         note = f"demonstrability degraded from {weaker.name!r} to {stronger.name!r}"
         return runs.report(CheckVerdict.FAILS, cells, max_steps, strong[3], notes=(note,))
+    if not weak[0]:
+        note = (
+            f"holds vacuously: demonstrability fails under {weaker.name!r} "
+            f"at world {weak[3].world!r}"
+        )
+        return runs.report(CheckVerdict.HOLDS, cells, max_steps, notes=(note,))
     return runs.report(CheckVerdict.HOLDS, cells, max_steps)
 
 

@@ -705,14 +705,19 @@ def test_an_unknown_goal_check_without_languages_is_a_config_error_naming_the_ch
 @pytest.mark.parametrize(
     "argv, message",
     [
+        # a pair that commit refuses opens nothing, so holder-a's language
+        # is empty, and the mismatch is met inside the kernel, where the
+        # target sends holder-a's commitment
         (
             ["run", "unknown-goal", "--check", "probe-unknown-goal"]
             + ["--evidence", "commitment-pinned-equivocable"],
             "error: unknown-goal probe-unknown-goal/commitment-pinned-equivocable: "
-            "key length 2 != message length 1\n",
+            "world 'holder-a', action 'send-a-commitment+emulating-holder', seed 0: "
+            "machine 'send-a-commitment+emulating-holder' method 'run' raised "
+            "LengthMismatchError: key length 2 != message length 1\n",
         ),
-        # the audit meets the mismatch first inside the kernel, in an
-        # earlier unknown-goal check that sends a commitment
+        # the audit meets it first in an earlier unknown-goal check that
+        # sends a commitment
         (
             ["audit"],
             "error: unknown-goal probe-random/commitment: world 'holder-a', "
@@ -1045,6 +1050,40 @@ def test_a_device_compared_with_a_different_spec_faults_the_build(
     )
 
 
+def test_a_shape_asserted_where_a_world_has_no_device_fails_the_build(monkeypatch, capsys):
+    # the evidence asserts a store's shape at slot 1 of a world whose
+    # nature has no device there
+    def build(params):
+        spec = Machine(id="store-shape", state={"content": b"?"}, methods={"read": _plain_read})
+        evidence = Evidence(
+            name="shaped",
+            assertions=(),
+            worlds=(("empty-slot", World(Nature(), mind("silent"))),),
+            probe=ProbeSpec(depth=1, alphabet=(None,)),
+            partial_specs={1: spec},
+        )
+        return Scenario(
+            name="hollow",
+            title="a shape asserted at an empty slot",
+            evidences={"weak": evidence},
+            verifier=accept_any_verifier(),
+            exemplar=do_nothing_action(),
+            target=do_nothing_action(),
+            post_processor=first_message_post(),
+            action_family=ActionFamily(actions=(("nothing", do_nothing_action()),)),
+            checks=[ScenarioCheck("demonstrability", "weak", HOLDS, "accepts anything")],
+        )
+
+    monkeypatch.setitem(BUILDERS, "hollow", SimpleNamespace(DEFAULTS={}, build=build))
+    assert main(["run", "hollow", "--seeds", "0"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        "error: scenario 'hollow' fails its evidence audit: shaped/empty-slot: "
+        "nature[1] does not implement the asserted shape 'store-shape'\n",
+    )
+
+
 def _tripped_predicate(world):
     raise ValueError("a tripped predicate")
 
@@ -1202,12 +1241,9 @@ def test_toy_sweeps_all_pass():
 
 
 def test_one_toy_sweep_pass_makes_exactly_these_black_box_calls(monkeypatch):
-    # each primitive is a black box to the sweeps: a binding proof over the
-    # transparent scheme's 256 commitments x 256 messages x 16 openings
-    # calls check 256 * (255 * 16 + 1) times.  The counters are closures of
-    # this process, so the sweeps run on one worker here;
-    # test_toy_crypto.py sums a two-worker sweep's calls across processes
-    monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 1)
+    # each primitive is a black box to the sweeps, and a commitment scheme
+    # is its commit: a binding sweep commits each of 256 messages x 16
+    # openings once, whatever it finds, and never calls check
     counts: dict[str, int] = {}
 
     def counted(name, primitive):
@@ -1221,82 +1257,50 @@ def test_one_toy_sweep_pass_makes_exactly_these_black_box_calls(monkeypatch):
         wrapped = toy_crypto.CommitmentScheme(
             scheme.name,
             counted(f"{name} commit", scheme.commit),
-            counted(f"{name} check", scheme.check),
             scheme.binding_class,
             scheme.equivocate,
         )
         monkeypatch.setitem(toy_crypto.SCHEMES, name, wrapped)
+    check = toy_crypto.CommitmentScheme.check
+    monkeypatch.setattr(toy_crypto.CommitmentScheme, "check", counted("check", check))
     monkeypatch.setattr(toy_crypto, "toy_hash", counted("toy_hash", toy_crypto.toy_hash))
     monkeypatch.setattr(cli, "otp", counted("otp", cli.otp))
     assert all(value == "pass" for value in toy_sweeps().values())
+    # xor-pad's 512 more are its hiding sweep's
     assert counts == {
-        "transparent check": 1_044_736,
         "transparent commit": 4_096,
-        "xor-pad check": 3,
         "xor-pad commit": 4_608,
         "otp": 3_072,
         "toy_hash": 259,
     }
 
 
-def test_only_the_binding_sweep_forks_a_worker(monkeypatch):
-    # two workers whatever the CPUs: a registry build and every registered
-    # check (the unknown-goal languages included) search in this process,
-    # and of the toy sweeps only the transparent binding sweep forks,
-    # since xor-pad's is decided at its first commitment
-    monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 2)
-    real_fork = os.fork
-    forks = []
-
-    def fork():
-        forks.append(True)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    for scenario in build_registry().values():
-        for check in scenario.checks:
-            run_check(scenario, check)
-    assert forks == []
-    assert all(value == "pass" for value in toy_sweeps().values())
-    assert forks == [True]
-
-
 def _raising_hash(x):
     raise toy_crypto.DomainExceededError(f"no hash of {x!r} here")
 
 
-def _check_raising_in_a_worker(parent: int):
-    """The transparent check, but raising at the first commitment of the
-    binding sweep's second half when a forked worker asks."""
-
-    def check(c, d, x):
-        if c == b"C|\x80" and os.getpid() != parent:
-            raise toy_crypto.DomainExceededError(f"no opening of {c!r} here")
-        return toy_crypto.TRANSPARENT.check(c, d, x)
-
-    return check
+def _commit_raising_on_ff(x, r):
+    """The xor-pad commit, but refusing the message ``b"\\xff"``: the
+    binding sweep leaves those pairs out, and the hiding sweep, which
+    commits that message itself, meets the refusal."""
+    if x == b"\xff":
+        raise toy_crypto.DomainExceededError(f"no commitment of {x!r} here")
+    return toy_crypto.XOR_PAD.commit(x, r)
 
 
-@pytest.mark.parametrize("where", ["this process", "a worker"])
+@pytest.mark.parametrize("where", ["a hash", "a commitment"])
 def test_a_toy_sweep_that_raises_is_a_diagnosed_config_error(where, monkeypatch, capsys):
-    if where == "this process":
-        monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 1)
+    if where == "a hash":
         spec = toy_crypto.HashSpec("raising", _raising_hash, (b"\x00",))
         monkeypatch.setattr(cli, "make_injective_hash", lambda: spec)
         message = "error: toy sweeps: no hash of b'\\x00' here\n"
     else:
-        # the second half of the sorted commitments is searched in a
-        # forked worker, whose exception comes back with its type and message
-        monkeypatch.setattr(toy_crypto, "_worker_count", lambda: 2)
-        transparent = toy_crypto.TRANSPARENT
+        xor_pad = toy_crypto.XOR_PAD
         raising = toy_crypto.CommitmentScheme(
-            transparent.name,
-            transparent.commit,
-            _check_raising_in_a_worker(os.getpid()),
-            transparent.binding_class,
+            xor_pad.name, _commit_raising_on_ff, xor_pad.binding_class, xor_pad.equivocate
         )
-        monkeypatch.setitem(toy_crypto.SCHEMES, "transparent", raising)
-        message = "error: toy sweeps: no opening of b'C|\\x80' here\n"
+        monkeypatch.setitem(toy_crypto.SCHEMES, "xor-pad", raising)
+        message = "error: toy sweeps: no commitment of b'\\xff' here\n"
     assert main(["audit", "--seeds", SEEDS_FLAG]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message)

@@ -323,6 +323,22 @@ def test_extra_messages_are_recorded_and_ignored_by_the_verifier():
     assert result.transcript.messages_to_verifier == [b"one", b"two"]
 
 
+def test_each_receive_yields_the_next_message_in_order():
+    def reads_both(ctx, _arg):
+        first, second = ctx.receive(), ctx.receive()
+        return same_value((first, second), (b"one", b"two")) and ctx.receive() is ABSENT
+
+    def sends_two(ctx, _arg):
+        ctx.send(b"one")
+        ctx.send(b"two")
+        return ABSENT
+
+    verifier = Machine(id="reads-both", methods={"run": reads_both})
+    action = Machine(id="sends-two", methods={"run": sends_two})
+    result = execute(verifier, action, password_world(), 0)
+    assert result.transcript.verdict is Verdict.ACCEPT
+
+
 def test_receive_on_an_empty_buffer_yields_absent():
     def wants_mail(ctx, _arg):
         return ctx.receive() is ABSENT
@@ -750,6 +766,16 @@ def test_the_kernel_refuses_exactly_what_the_value_checks_refuse(value):
         with pytest.raises(MalformedValueError, match="giver.run returned non-value"):
             invoker.invoke(giver, "run", value)
         assert invoker._engine.transcript.events == []
+
+
+def test_a_pair_whose_first_item_is_not_a_value_is_refused():
+    # the test above holds the kernel to ``is_value``, so it cannot see
+    # ``is_value`` itself accept this pair
+    pair = ([1], 2)
+    assert not is_value(pair)
+    giver = Machine(id="giver", methods={"run": _give})
+    with pytest.raises(MalformedValueError, match="giver.run returned non-value"):
+        DirectInvoker().invoke(giver, "run", pair)
 
 
 def test_call_events_hold_each_field_in_its_own_slot():

@@ -37,7 +37,7 @@ def test_null_is_a_value_and_absent_is_not():
 
 def test_the_atoms_are_exactly_the_five_algebra_types():
     assert ATOM_TYPES == {type(None), bool, int, bytes, Location}
-    for non_value in ("s", 1.0, bytearray(b"x"), [1], (1, 2, 3), (1, 1.0), {1: 2}):
+    for non_value in ("s", 1.0, bytearray(b"x"), [1], (1, 2, 3), (1, 1.0), ([1], 2), {1: 2}):
         assert not is_value(non_value)
 
 
