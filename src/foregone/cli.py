@@ -44,6 +44,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
+from functools import partial
 from typing import Any, Mapping, Optional
 
 from .checkers import DEFAULT_SEEDS, CheckerError
@@ -58,13 +59,13 @@ from .scenarios import (
     run_check,
     validate_overrides,
 )
+from . import toy_crypto
 from .toy_crypto import (
     SCHEMES,
     ToyCryptoError,
     byte_domain,
+    collision_witness,
     hiding_profile,
-    make_colliding_hash,
-    make_injective_hash,
     otp,
     small_byte_domain,
 )
@@ -95,13 +96,10 @@ def integer(text: str) -> int:
 
 
 def parse_seed_list(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
     try:
-        seeds = tuple(map(integer, parts))
+        seeds = tuple(integer(part.strip()) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad seed list {text!r}: {exc}") from None
-    if not seeds:
-        raise ConfigError("seed list is empty")
     counts = Counter(seeds)
     for seed in seeds:
         if not 0 <= seed < 2**64:
@@ -174,29 +172,27 @@ def load_overrides(path: Optional[str]) -> dict[str, dict[str, Any]]:
 
 def toy_sweeps() -> dict[str, str]:
     """Exhaustive property sweeps over the toy primitives; every entry
-    must come back 'pass' for the audit to succeed.  The commitment
-    sweeps open by recomputation: the binding sweeps
-    (``CommitmentScheme.double_opening_witness``) group each scheme's
-    ``commit`` outputs over 256 messages and 16 openings by commitment,
-    and a scheme whose verification is not recomputation cannot be
-    declared."""
+    must come back 'pass' for the audit to succeed.  The hash sweeps take
+    ``toy_hash`` over the 256 single bytes, once injective and once with
+    ``b"\\x02"`` hashing like ``b"\\x01"``.  The three commitment sweeps
+    read each scheme's image: the ``commit`` outputs over their domains,
+    where a pair ``commit`` refuses gives no commitment.  The binding
+    sweeps (``CommitmentScheme.double_opening_witness``) group them over
+    256 messages and 16 openings by commitment, and the hiding sweep
+    (``hiding_profile``) counts them per message over 256 openings."""
     results: dict[str, str] = {}
     messages = byte_domain()
     openings = small_byte_domain()
 
-    injective = make_injective_hash()
-    witness = injective.injectivity_witness()
+    witness = collision_witness(partial(toy_crypto.toy_hash, None), messages)
     results["hash-injective-sweep"] = (
         "pass" if witness is None else f"fail: collision {witness!r}"
     )
 
-    colliding = make_colliding_hash(b"\x01", b"\x02")
-    witness = colliding.injectivity_witness()
-    expected = set(colliding.known_collision)
+    collision = (b"\x01", b"\x02")
+    witness = collision_witness(partial(toy_crypto.toy_hash, collision), messages)
     results["hash-collision-witness"] = (
-        "pass"
-        if witness is not None and set(witness) == expected
-        else f"fail: sweep found {witness!r}"
+        "pass" if witness == collision else f"fail: sweep found {witness!r}"
     )
 
     transparent = SCHEMES["transparent"]
@@ -211,7 +207,7 @@ def toy_sweeps() -> dict[str, str]:
         "pass" if double is not None else "fail: no double opening found"
     )
 
-    profile = hiding_profile(xor_pad, (b"\x00", b"\xff"), byte_domain())
+    profile = hiding_profile(xor_pad, (b"\x00", b"\xff"), messages)
     histograms = {tuple(sorted(counts.items())) for counts in profile.values()}
     results["xor-pad-hiding-sweep"] = (
         "pass" if len(histograms) == 1 else "fail: message-dependent histogram"

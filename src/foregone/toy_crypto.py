@@ -1,10 +1,12 @@
 """Desk-scale cryptographic primitives for the scenario registry.
 
 Nothing here is secure; everything here is *checkable*.  Hash functions
-and commitment schemes are instantiated over domains small enough that
-their advertised properties (injectivity, binding, hiding) can be
-confirmed or refuted by exhaustive sweep, and the sweeps are part of
-the public surface so tests and the audit can run them as oracles.
+and commitment schemes are swept over domains small enough that their
+advertised properties (injectivity, binding, hiding) can be confirmed or
+refuted exhaustively, and the sweeps are part of the public surface so
+tests and the audit can run them as oracles.  A hash is ``toy_hash``
+with or without a planted collision, and a sweep takes it over a domain
+(``collision_witness``).
 
 Two commitment schemes are provided deliberately at opposite corners:
 
@@ -20,10 +22,11 @@ A commitment scheme is its ``commit`` function.  As in the usual
 definition, an opening ``d`` opens a commitment ``c`` to a message
 ``x`` when ``commit(x, d)`` gives ``c``, so every opening is verified by
 recomputation, and a pair on which ``commit`` raises a
-``ToyCryptoError`` opens nothing.  The sweeps read the scheme's image:
-the binding sweep groups the pairs of its domains by the commitment
-they give, and a message's language is the commitments its openings
-give.  This is a deliberate narrowing: a scheme whose verification is
+``ToyCryptoError`` opens nothing.  The sweeps read the scheme's image,
+under that one refusal rule: the binding sweep groups the pairs of its
+domains by the commitment they give, a message's language is the
+commitments its openings give, and the hiding sweep counts them per
+message.  This is a deliberate narrowing: a scheme whose verification is
 not recomputation cannot be declared.  Both registered schemes verify by
 recomputation over their whole sweep domains.
 """
@@ -31,7 +34,6 @@ recomputation over their whole sweep domains.
 from __future__ import annotations
 
 from enum import Enum
-from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .values import Frozen
@@ -90,60 +92,19 @@ def toy_hash(collision: Optional[tuple[bytes, bytes]], x: bytes) -> bytes:
     return bytes((b * 167 + 89) % 256 for b in x)
 
 
-class HashSpec(Frozen):
-    """A toy hash with a declared finite domain.
-
-    ``known_collision`` is a documented witness pair when the function
-    is built to collide.
-    """
-
-    __slots__ = ("name", "evaluate", "domain", "known_collision")
-
-    def __init__(
-        self,
-        name: str,
-        evaluate: Callable[[bytes], bytes],
-        domain: tuple[bytes, ...],
-        known_collision: Optional[tuple[bytes, bytes]] = None,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "evaluate", evaluate)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "known_collision", known_collision)
-
-    def injectivity_witness(self) -> Optional[tuple[bytes, bytes]]:
-        """Exhaustive sweep over the domain; returns a colliding pair or
-        None when the function is injective on the domain."""
-        evaluate = self.evaluate
-        seen: dict[bytes, bytes] = {}
-        for x in self.domain:
-            y = evaluate(x)
-            if y in seen and seen[y] != x:
-                return (seen[y], x)
-            seen[y] = x
-        return None
-
-
-def make_injective_hash(extra_domain: tuple[bytes, ...] = ()) -> HashSpec:
-    domain = tuple(bytes([i]) for i in range(256)) + tuple(extra_domain)
-    return HashSpec(
-        name="byte-permutation",
-        evaluate=partial(toy_hash, None),
-        domain=domain,
-    )
-
-
-def make_colliding_hash(first: bytes, second: bytes) -> HashSpec:
-    """Byte permutation patched so that ``second`` hashes like ``first``."""
-    if first == second:
-        raise ValueError("collision witnesses must differ")
-    domain = tuple(bytes([i]) for i in range(256)) + (first, second)
-    return HashSpec(
-        name=f"byte-permutation-colliding[{first.hex()},{second.hex()}]",
-        evaluate=partial(toy_hash, (first, second)),
-        domain=domain,
-        known_collision=(first, second),
-    )
+def collision_witness(
+    evaluate: Callable[[bytes], bytes], domain: Sequence[bytes]
+) -> Optional[tuple[bytes, bytes]]:
+    """Exhaustive sweep of ``evaluate`` over ``domain``: the first pair of
+    distinct inputs, in domain order, that give the same output, or None
+    when ``evaluate`` is injective on the domain.  An input listed twice
+    is not a collision."""
+    seen: dict[bytes, bytes] = {}
+    for x in domain:
+        first = seen.setdefault(evaluate(x), x)
+        if first != x:
+            return (first, x)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +265,15 @@ def small_byte_domain() -> tuple[bytes, ...]:
 def hiding_profile(
     scheme: CommitmentScheme, messages: tuple[bytes, ...], opening_domain: tuple[bytes, ...]
 ) -> dict[bytes, dict[bytes, int]]:
-    """Commitment-value histogram per message over uniform openings.
+    """Commitment-value histogram per message, each message once, over
+    uniform openings: the image the binding sweeps read, so a pair that
+    ``commit`` refuses gives no commitment.
 
     A perfectly hiding scheme shows the same histogram for every
     message; a transparent one shows point masses.
     """
-    commit = scheme.commit
-    profile: dict[bytes, dict[bytes, int]] = {}
-    for x in messages:
-        counts: dict[bytes, int] = {}
-        for r in opening_domain:
-            c = commit(x, r)[0]
-            counts[c] = counts.get(c, 0) + 1
-        profile[x] = counts
+    profile: dict[bytes, dict[bytes, int]] = {x: {} for x in messages}
+    for x, _, c in scheme._commitments(tuple(profile), opening_domain):
+        counts = profile[x]
+        counts[c] = counts.get(c, 0) + 1
     return profile

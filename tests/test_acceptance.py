@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -28,13 +29,7 @@ from foregone.checkers import (
 from foregone.kernel import execute, run_post, run_target
 from foregone.scenarios import build_registry, run_check
 from foregone.scenarios.base import FAILS, HOLDS, HYPOTHESIS_VIOLATED
-from foregone.toy_crypto import (
-    SCHEMES,
-    byte_domain,
-    make_colliding_hash,
-    make_injective_hash,
-    small_byte_domain,
-)
+from foregone.toy_crypto import SCHEMES, byte_domain, small_byte_domain, toy_hash
 from foregone.values import render_value, same_value
 
 SEEDS = DEFAULT_SEEDS  # sixteen tape settings
@@ -231,17 +226,16 @@ def test_criterion_07_two_factor_unlock(registry):
 
 def test_criterion_08_hash_dichotomy(registry):
     scenario = registry["hash"]
-    injective_spec = make_injective_hash(extra_domain=(b"q3-report", b"shadow-q3"))
-    colliding_spec = make_colliding_hash(b"q3-report", b"shadow-q3")
+    pair = (b"q3-report", b"shadow-q3")
+    domain = byte_domain() + pair
+    injective, colliding = partial(toy_hash, None), partial(toy_hash, pair)
 
     # brute-force preimage sweeps are the oracle for both outcomes
-    digest = injective_spec.evaluate(b"q3-report")
-    preimages = [x for x in injective_spec.domain if injective_spec.evaluate(x) == digest]
+    digest = injective(b"q3-report")
+    preimages = [x for x in domain if injective(x) == digest]
     assert set(preimages) == {b"q3-report"}
-    digest = colliding_spec.evaluate(b"q3-report")
-    preimages = {
-        x for x in colliding_spec.domain if colliding_spec.evaluate(x) == digest
-    }
+    digest = colliding(b"q3-report")
+    preimages = {x for x in domain if colliding(x) == digest}
     assert preimages == {b"q3-report", b"shadow-q3"}
 
     injective_check = scenario.find_check("entailment", "injective")
@@ -257,7 +251,7 @@ def test_criterion_08_hash_dichotomy(registry):
         scenario.target, scenario.evidences["colliding"].world(cell.world), cell.seed
     ).output
     assert produced != target_file
-    assert colliding_spec.evaluate(produced) == colliding_spec.evaluate(target_file)
+    assert colliding(produced) == colliding(target_file)
     _passed(8, "injective digest entails exactly; collision yields equal-digest cell")
 
 

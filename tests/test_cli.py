@@ -84,6 +84,11 @@ def test_seed_list_parsing():
     for text in ("", "1,zebra", "1,1", "0,3,0", "-1", "0,18446744073709551616"):
         with pytest.raises(ConfigError):
             parse_seed_list(text)
+    # every item is an integer: an empty one is refused, not dropped
+    for text in ("0,,1", "0,1,", ","):
+        with pytest.raises(ConfigError) as raised:
+            parse_seed_list(text)
+        assert str(raised.value) == f"bad seed list {text!r}: '' is not an integer"
     # int would read these as 3, 10, 5 and 5
     for text in ("٣", "1_0", "+5", "0,５"):
         with pytest.raises(ConfigError, match=r"^bad seed list .* is not an integer$"):
@@ -1275,35 +1280,43 @@ def test_one_toy_sweep_pass_makes_exactly_these_black_box_calls(monkeypatch):
     }
 
 
-def _raising_hash(x):
+def _raising_hash(collision, x):
     raise toy_crypto.DomainExceededError(f"no hash of {x!r} here")
 
 
+def test_a_toy_hash_that_raises_is_a_diagnosed_config_error(monkeypatch, capsys):
+    monkeypatch.setattr(toy_crypto, "toy_hash", _raising_hash)
+    assert main(["audit", "--seeds", SEEDS_FLAG]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: toy sweeps: no hash of b'\\x00' here\n")
+
+
 def _commit_raising_on_ff(x, r):
-    """The xor-pad commit, but refusing the message ``b"\\xff"``: the
-    binding sweep leaves those pairs out, and the hiding sweep, which
-    commits that message itself, meets the refusal."""
+    """The xor-pad commit, but refusing the message ``b"\\xff"``: every
+    sweep leaves those pairs out."""
     if x == b"\xff":
         raise toy_crypto.DomainExceededError(f"no commitment of {x!r} here")
     return toy_crypto.XOR_PAD.commit(x, r)
 
 
-@pytest.mark.parametrize("where", ["a hash", "a commitment"])
-def test_a_toy_sweep_that_raises_is_a_diagnosed_config_error(where, monkeypatch, capsys):
-    if where == "a hash":
-        spec = toy_crypto.HashSpec("raising", _raising_hash, (b"\x00",))
-        monkeypatch.setattr(cli, "make_injective_hash", lambda: spec)
-        message = "error: toy sweeps: no hash of b'\\x00' here\n"
-    else:
-        xor_pad = toy_crypto.XOR_PAD
-        raising = toy_crypto.CommitmentScheme(
-            xor_pad.name, _commit_raising_on_ff, xor_pad.binding_class, xor_pad.equivocate
-        )
-        monkeypatch.setitem(toy_crypto.SCHEMES, "xor-pad", raising)
-        message = "error: toy sweeps: no commitment of b'\\xff' here\n"
-    assert main(["audit", "--seeds", SEEDS_FLAG]) == EXIT_CONFIG
+def test_a_commit_that_refuses_a_message_fails_the_hiding_sweep(monkeypatch, capsys):
+    # the binding sweeps still find what they found; the hiding sweep
+    # gives b"\xff" an empty histogram, unlike b"\x00"'s
+    xor_pad = toy_crypto.XOR_PAD
+    raising = toy_crypto.CommitmentScheme(
+        xor_pad.name, _commit_raising_on_ff, xor_pad.binding_class, xor_pad.equivocate
+    )
+    monkeypatch.setitem(toy_crypto.SCHEMES, "xor-pad", raising)
+    assert main(["audit", "--seeds", SEEDS_FLAG, "--json"]) == EXIT_MISMATCH
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", message)
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["mismatches"] == 0
+    sweeps = payload["toy_sweeps"]
+    assert sweeps["xor-pad-hiding-sweep"] == "fail: message-dependent histogram"
+    assert [key for key, value in sweeps.items() if value != "pass"] == [
+        "xor-pad-hiding-sweep"
+    ]
 
 
 # --- demos -------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+from functools import partial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,12 +18,12 @@ from foregone.toy_crypto import (
     LengthMismatchError,
     ToyCryptoError,
     byte_domain,
+    collision_witness,
     complement,
     hiding_profile,
-    make_colliding_hash,
-    make_injective_hash,
     otp,
     small_byte_domain,
+    toy_hash,
 )
 
 
@@ -62,24 +65,45 @@ def test_otp_is_the_bytewise_xor_at_every_length(length, data):
 # --- hashes ---------------------------------------------------------------------
 
 
+_PAIR = (b"q3-report", b"shadow-q3")
+
+
 def test_injective_hash_survives_the_exhaustive_sweep():
-    spec = make_injective_hash(extra_domain=(b"q3-report", b"shadow-q3"))
-    assert spec.injectivity_witness() is None
+    assert collision_witness(partial(toy_hash, None), byte_domain() + _PAIR) is None
 
 
 def test_colliding_hash_exposes_exactly_its_documented_pair():
-    spec = make_colliding_hash(b"q3-report", b"shadow-q3")
-    assert spec.evaluate(b"q3-report") == spec.evaluate(b"shadow-q3")
-    witness = spec.injectivity_witness()
-    assert witness is not None
-    assert set(witness) == {b"q3-report", b"shadow-q3"}
+    evaluate = partial(toy_hash, _PAIR)
+    assert evaluate(b"q3-report") == evaluate(b"shadow-q3")
+    assert collision_witness(evaluate, byte_domain() + _PAIR) == _PAIR
 
 
 def test_hash_preserves_length_and_permutes_bytes():
-    spec = make_injective_hash()
-    assert len(spec.evaluate(b"abcdef")) == 6
-    images = {spec.evaluate(bytes([i])) for i in range(256)}
+    assert len(toy_hash(None, b"abcdef")) == 6
+    images = {toy_hash(None, x) for x in byte_domain()}
     assert len(images) == 256
+
+
+def _first_collision_scan(evaluate, domain):
+    """Each input in domain order against every earlier one: the first
+    pair of distinct inputs with the same output."""
+    for j, x in enumerate(domain):
+        for earlier in domain[:j]:
+            if earlier != x and evaluate(earlier) == evaluate(x):
+                return (earlier, x)
+    return None
+
+
+@given(data=st.data())
+def test_the_collision_sweep_finds_the_scan_s_first_collision(data):
+    # three outputs over four inputs, so that collisions are common, and
+    # domains that list an input more than once
+    inputs = (b"", b"\x00", b"\x01", b"\x02")
+    table = {x: data.draw(st.sampled_from((b"y0", b"y1", b"y2"))) for x in inputs}
+    domain = tuple(data.draw(st.lists(st.sampled_from(inputs), max_size=8)))
+    assert collision_witness(table.__getitem__, domain) == _first_collision_scan(
+        table.__getitem__, domain
+    )
 
 
 # --- commitments ----------------------------------------------------------------
@@ -165,17 +189,25 @@ _TINY = (b"", b"\x00", b"\x01", b"\x02")
 _COMMITMENTS = (b"c0", b"c1", b"c2")
 
 
+def _histograms(scheme, messages, openings):
+    """Per message, once, how often each commitment comes out of its
+    openings under ``scheme.commit``; a refused pair counts for none."""
+    histograms = {}
+    for x in messages:
+        counts = Counter()
+        for r in openings:
+            try:
+                counts[scheme.commit(x, r)[0]] += 1
+            except ToyCryptoError:
+                pass
+        histograms[x] = dict(counts)
+    return histograms
+
+
 def _image(scheme, messages, openings):
     """The commitments ``commit`` gives over the domains; a pair on which
     it raises a ``ToyCryptoError`` gives none."""
-    image = set()
-    for x in messages:
-        for r in openings:
-            try:
-                image.add(scheme.commit(x, r)[0])
-            except ToyCryptoError:
-                pass
-    return image
+    return set().union(*_histograms(scheme, messages, openings).values())
 
 
 def _double_opening_scan(scheme, messages, openings):
@@ -237,6 +269,9 @@ def test_the_grouped_sweeps_give_the_scan_s_witness_and_languages(data):
         assert scheme.openable_commitments(message, messages, openings) == _language_scan(
             scheme, message, messages, openings
         )
+    assert hiding_profile(scheme, messages, openings) == _histograms(
+        scheme, messages, openings
+    )
 
 
 @given(data=st.data())
@@ -313,6 +348,11 @@ def test_a_registered_scheme_s_sweeps_are_the_scan_s(scheme):
         assert scheme.openable_commitments(message, messages, openings) == _language_scan(
             scheme, message, messages, openings
         )
+    # the audit's hiding sweep: the refusing scheme gives b"\xff" no
+    # commitment, so its histogram is empty
+    profile = hiding_profile(scheme, (b"\x00", b"\xff"), byte_domain())
+    assert profile == _histograms(scheme, (b"\x00", b"\xff"), byte_domain())
+    assert (profile[b"\xff"] == {}) == (scheme is REFUSING)
 
 
 # enough commitments that a planted one can sit anywhere in the image
