@@ -177,9 +177,11 @@ def toy_sweeps() -> dict[str, str]:
     ``b"\\x02"`` hashing like ``b"\\x01"``.  The three commitment sweeps
     read each scheme's image: the ``commit`` outputs over their domains,
     where a pair ``commit`` refuses gives no commitment.  The binding
-    sweeps (``CommitmentScheme.double_opening_witness``) group them over
-    256 messages and 16 openings by commitment, and the hiding sweep
-    (``hiding_profile``) counts them per message over 256 openings."""
+    sweeps (``CommitmentScheme.double_opening_witness``) pass over 256
+    messages and 16 openings and stop at the first double opening:
+    4,096 ``commit`` calls prove ``transparent`` binding and 17 refute
+    ``xor-pad``.  The hiding sweep (``hiding_profile``) counts them per
+    message over 256 openings."""
     results: dict[str, str] = {}
     messages = byte_domain()
     openings = small_byte_domain()

@@ -23,8 +23,8 @@ definition, an opening ``d`` opens a commitment ``c`` to a message
 ``x`` when ``commit(x, d)`` gives ``c``, so every opening is verified by
 recomputation, and a pair on which ``commit`` raises a
 ``ToyCryptoError`` opens nothing.  The sweeps read the scheme's image,
-under that one refusal rule: the binding sweep groups the pairs of its
-domains by the commitment they give, a message's language is the
+under that one refusal rule: the binding sweep stops at the first
+commitment that two messages' pairs give, a message's language is the
 commitments its openings give, and the hiding sweep counts them per
 message.  This is a deliberate narrowing: a scheme whose verification is
 not recomputation cannot be declared.  Both registered schemes verify by
@@ -70,7 +70,8 @@ def otp(key: bytes, message: bytes) -> bytes:
 
 
 def complement(message: bytes) -> bytes:
-    """Bitwise complement; the post-composition function used in tests."""
+    """Bitwise complement; ``decommit``'s composed target and
+    post-processor apply it."""
     return bytes(b ^ 0xFF for b in message)
 
 
@@ -173,25 +174,22 @@ class CommitmentScheme(Frozen):
         commitment of the domains opens to two messages.
 
         One pass over the pairs of the domains, messages then openings,
-        groups them by the commitment they give: per commitment, the
-        first pair, and the first pair of another message.  The witness
-        is the smallest such commitment, its first two messages in domain
-        order and each one's first opening: what a scan of the sorted
-        image would find trying each message's openings in order.  That
-        is |X|·|D| ``commit`` calls, 4,096 over 256 messages and 16
-        openings.
+        keeps the first pair that gave each commitment, and stops at its
+        first double opening: the first pair ``(x', d')`` whose commitment
+        ``c`` an earlier pair ``(x, d)`` of another message gave first.
+        Binding is refuted by one witness, but proved only by the whole
+        pass: over 256 messages and 16 openings a binding scheme takes
+        4,096 ``commit`` calls, and xor-pad 17, with the witness
+        ``(b"\\x00", b"\\x01", b"\\x01", b"\\x00", b"\\x01")``.
         """
         first: dict[bytes, tuple[bytes, bytes]] = {}
-        second: dict[bytes, tuple[bytes, bytes]] = {}
         for x, d, c in self._commitments(message_domain, opening_domain):
-            opened = first.setdefault(c, (x, d))
-            if opened[0] != x and c not in second:
-                second[c] = (x, d)
-        if not second:
-            return None
-        c = min(second)
-        (x, d), (other, other_d) = first[c], second[c]
-        return (x, other, d, other_d, c)
+            opened = first.get(c)
+            if opened is None:
+                first[c] = (x, d)
+            elif opened[0] != x:
+                return (opened[0], x, opened[1], d, c)
+        return None
 
     def openable_commitments(
         self,

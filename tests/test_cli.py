@@ -1247,8 +1247,10 @@ def test_toy_sweeps_all_pass():
 
 def test_one_toy_sweep_pass_makes_exactly_these_black_box_calls(monkeypatch):
     # each primitive is a black box to the sweeps, and a commitment scheme
-    # is its commit: a binding sweep commits each of 256 messages x 16
-    # openings once, whatever it finds, and never calls check
+    # is its commit: a binding sweep commits 256 messages x 16 openings in
+    # pass order, each pair once, up to its first double opening, and
+    # never calls check.  Transparent has none, so it commits every pair;
+    # xor-pad's is its 17th pair
     counts: dict[str, int] = {}
 
     def counted(name, primitive):
@@ -1271,10 +1273,11 @@ def test_one_toy_sweep_pass_makes_exactly_these_black_box_calls(monkeypatch):
     monkeypatch.setattr(toy_crypto, "toy_hash", counted("toy_hash", toy_crypto.toy_hash))
     monkeypatch.setattr(cli, "otp", counted("otp", cli.otp))
     assert all(value == "pass" for value in toy_sweeps().values())
-    # xor-pad's 512 more are its hiding sweep's
+    # xor-pad's 17 are its binding sweep's, and its 512 more its hiding
+    # sweep's
     assert counts == {
         "transparent commit": 4_096,
-        "xor-pad commit": 4_608,
+        "xor-pad commit": 17 + 512,
         "otp": 3_072,
         "toy_hash": 259,
     }

@@ -13,7 +13,11 @@ Hypothesis draws one transformation of its inputs:
   * a world of one of those evidences added again under a fresh label,
     with its language for ``probe-unknown-goal``, or an action of an
     ``entailment``/``counterexample`` family added again under a fresh
-    label: the verdict is unchanged.
+    label: the verdict is unchanged;
+  * every world label of the evidences the check reads, and every
+    action label of an ``entailment``/``counterexample`` family, renamed
+    to a fresh label: the report is the original report under that
+    renaming, field by field.
 
 The transformed scenario and check are copies of the registered ones
 with the changed member; the worlds and actions are the registered
@@ -23,12 +27,13 @@ objects.
 from __future__ import annotations
 
 import copy
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foregone.checkers import ActionFamily, DEFAULT_SEEDS
+from foregone.checkers import ActionFamily, CheckReport, Counterexample, DEFAULT_SEEDS
 from foregone.evidence import Evidence
 from foregone.scenarios import build_registry, run_check
 from foregone.scenarios.base import HOLDS
@@ -148,3 +153,70 @@ def test_each_order_dependent_walk_is_one_that_reversing_its_members_shows(
     reversed_verdict, reversed_report = run_check(reversed_scenario, check, seeds)
     assert reversed_verdict == verdict == HOLDS
     assert reversed_report.cells_checked != report.cells_checked
+
+
+def _fresh(labels, kind: str) -> dict[str, str]:
+    """A fresh label for each of ``labels``, sorting in the reverse order
+    of the old ones, so that a walk that sorted labels would show."""
+    ordered = sorted(set(labels))
+    return {label: f"renamed-{kind}-{len(ordered) - i:02d}" for i, label in enumerate(ordered)}
+
+
+def _renamed(scenario, check):
+    """Copies of the scenario and check with every world label of the
+    evidences the check reads, and every action label of an action
+    kind's family, renamed; and the two renamings."""
+    scenario, check = copy.copy(scenario), copy.copy(check)
+    evidences = dict(scenario.evidences)
+    keys = _evidence_keys(check)
+    worlds = _fresh([label for key in keys for label in evidences[key].labels()], "world")
+    for key in keys:
+        renamed = [(worlds[label], world) for label, world in evidences[key].worlds]
+        evidences[key] = _with_worlds(evidences[key], renamed)
+    scenario.evidences = evidences
+    actions: dict[str, str] = {}
+    if check.kind in ACTION_KINDS:
+        family = check.family or scenario.action_family
+        actions = _fresh([label for label, _ in family.actions], "action")
+        check.family = ActionFamily(tuple((actions[label], a) for label, a in family.actions))
+    if check.kind == "probe-unknown-goal":
+        by_world = {worlds[label]: members for label, members in check.languages.items()}
+        check.__dict__.pop("languages", None)
+        check.language_source = lambda: by_world
+    return scenario, check, worlds, actions
+
+
+def _report_renamed(report: CheckReport, worlds, actions) -> CheckReport:
+    """``report`` with each world and action label renamed, in its cells
+    and wherever a note quotes it."""
+
+    def cell(c):
+        world, action = worlds.get(c.world, c.world), actions.get(c.action, c.action)
+        return Counterexample(world, action, c.seed, c.expected, c.got)
+
+    names = {**worlds, **actions}
+
+    def note(text):
+        return re.sub(
+            r"'([^']*)'", lambda m: repr(names[m[1]]) if m[1] in names else m[0], text
+        )
+
+    return CheckReport(
+        report.verdict,
+        report.counterexample and cell(report.counterexample),
+        report.cells_checked,
+        report.max_steps,
+        tuple((worlds[w], actions.get(a, a)) for w, a in report.skipped),
+        tuple(cell(w) for w in report.witnesses),
+        tuple(note(n) for n in report.notes),
+    )
+
+
+@pytest.mark.parametrize("name, check_id", REGISTERED, ids=[f"{n}:{c}" for n, c in REGISTERED])
+def test_a_report_under_renamed_labels_is_the_renamed_report(registry, name, check_id):
+    scenario = registry[name]
+    check = next(c for c in scenario.checks if c.id == check_id)
+    _, report = run_check(scenario, check, SEEDS)
+    renamed_scenario, renamed_check, worlds, actions = _renamed(scenario, check)
+    _, renamed = run_check(renamed_scenario, renamed_check, SEEDS)
+    assert renamed == _report_renamed(report, worlds, actions)

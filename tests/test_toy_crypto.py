@@ -129,12 +129,21 @@ def test_transparent_scheme_passes_the_double_opening_sweep():
 def test_xor_pad_scheme_fails_binding_with_a_verified_witness():
     scheme = SCHEMES["xor-pad"]
     witness = scheme.double_opening_witness(byte_domain(), small_byte_domain())
-    assert witness == (b"\x00", b"\x01", b"\x00", b"\x01", b"\x00")
+    # b"\x00" gives 0x00..0x0f, then b"\x01" at b"\x00" gives 0x01 again
+    assert witness == (b"\x00", b"\x01", b"\x01", b"\x00", b"\x01")
     x, xp, d, dp, c = witness
     assert x != xp
     assert scheme.check(c, d, x)
     assert scheme.check(c, dp, xp)
     assert scheme.binding_class is BindingClass.EQUIVOCABLE
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES.values()), ids=list(SCHEMES))
+def test_a_registered_scheme_s_binding_label_is_what_its_sweep_finds(scheme):
+    # decommit's binding assertion reads the label, so the label is
+    # cross-checked here rather than swept in every build
+    witness = scheme.double_opening_witness(byte_domain(), small_byte_domain())
+    assert (witness is None) == (scheme.binding_class is BindingClass.PERFECTLY_BINDING)
 
 
 def test_xor_pad_equivocates_to_every_message():
@@ -211,22 +220,22 @@ def _image(scheme, messages, openings):
 
 
 def _double_opening_scan(scheme, messages, openings):
-    """The plain triple loop over ``scheme.check``: per sorted commitment
-    of the image, each message in order tries the openings in order up to
-    its first valid one; the first message whose first opening is found
-    after another message's is the witness."""
-    for c in sorted(_image(scheme, messages, openings)):
-        opened = None
-        for x in messages:
-            for d in openings:
-                if scheme.check(c, d, x):
-                    break
-            else:
+    """The plain loop in pass order over ``scheme.check``: each pair,
+    messages then openings, against every earlier pair of another
+    message; the first pair whose opening opens an earlier pair's
+    commitment to its message ends the scan, with the earliest such
+    earlier pair."""
+    pairs = [(x, d) for x in messages for d in openings]
+    for later, (other, other_d) in enumerate(pairs):
+        for x, d in pairs[:later]:
+            if x == other:
                 continue
-            if opened is None:
-                opened = (x, d)
-            elif opened[0] != x:
-                return (opened[0], x, opened[1], d, c)
+            try:
+                c = scheme.commit(x, d)[0]
+            except ToyCryptoError:
+                continue
+            if scheme.check(c, other_d, other):
+                return (x, other, d, other_d, c)
     return None
 
 
@@ -276,9 +285,10 @@ def test_the_grouped_sweeps_give_the_scan_s_witness_and_languages(data):
 
 @given(data=st.data())
 def test_the_opening_sweeps_are_the_brute_force_searches_call_for_call(data):
-    # the binding sweep commits each pair once, messages then openings; a
-    # language commits its message's openings, and the whole domain's
-    # pairs after them only for a message outside the message domain
+    # the binding sweep commits each pair once, messages then openings, up
+    # to the second pair of its witness; a language commits its message's
+    # openings, and the whole domain's pairs after them only for a message
+    # outside the message domain
     scheme = _table_scheme(data, _COMMITMENTS)
     messages, openings = _domains(data)
     calls = []
@@ -289,8 +299,11 @@ def test_the_opening_sweeps_are_the_brute_force_searches_call_for_call(data):
 
     counted = CommitmentScheme("counted", commit, scheme.binding_class)
     pairs = [(x, r) for x in messages for r in openings]
-    counted.double_opening_witness(messages, openings)
-    assert calls == pairs
+    witness = counted.double_opening_witness(messages, openings)
+    if witness is None:
+        assert calls == pairs
+    else:
+        assert calls == pairs[: pairs.index((witness[1], witness[3])) + 1]
     for message in _TINY:
         calls.clear()
         counted.openable_commitments(message, messages, openings)
@@ -339,9 +352,9 @@ def test_a_registered_scheme_s_sweeps_are_the_scan_s(scheme):
     assert witness == _double_opening_scan(scheme, messages, openings)
     expected = {
         "transparent": None,
-        "xor-pad": (b"\x00", b"\x08", b"\x00", b"\x08", b"\x00"),
+        "xor-pad": (b"\x00", b"\x08", b"\x08", b"\x00", b"\x08"),
         "late": (b"\xf0", b"\xf8", b"\x01", b"\x00", b"C|\xf8"),
-        "refusing": (b"\x00", b"\x08", b"\x00", b"\x08", b"\x00"),
+        "refusing": (b"\x00", b"\x08", b"\x08", b"\x00", b"\x08"),
     }
     assert witness == expected[scheme.name]
     for message in (b"\x00", b"\xf0", b"\xf8", b"\xff"):
@@ -355,7 +368,8 @@ def test_a_registered_scheme_s_sweeps_are_the_scan_s(scheme):
     assert (profile[b"\xff"] == {}) == (scheme is REFUSING)
 
 
-# enough commitments that a planted one can sit anywhere in the image
+# one commitment per opening of b"\x01", so that a planted double opening
+# can sit at any of its pairs
 _SPREAD = tuple(b"c%d" % i for i in range(7))
 
 
@@ -363,33 +377,41 @@ _SPREAD = tuple(b"c%d" % i for i in range(7))
 @pytest.mark.parametrize("position", range(len(_SPREAD)))
 def test_a_witness_or_a_raise_at_any_commitment_gives_the_serial_result(position, planted):
     # b"\x01" gives each commitment of _SPREAD, one per opening; b"\x02"
-    # gives the last one at its first opening and the one at ``position``
-    # at its second, or commit refuses both pairs, so the smaller of the
-    # two is the witness, or no commitment opens to b"\x02"
+    # gives fresh commitments before its opening ``position``, b"\x01"'s
+    # commitment at opening ``6 - position`` there, and the smallest one,
+    # _SPREAD[0], at every later opening.  The first double opening of the
+    # pass is the witness, not the smallest; or commit refuses b"\x02"
+    # from ``position`` on, and no commitment opens to two messages
     messages = (b"\x01", b"\x02")
     openings = tuple(bytes([i]) for i in range(len(_SPREAD)))
     table = {(b"\x01", r): c for r, c in zip(openings, _SPREAD)}
-    table[b"\x02", openings[0]] = _SPREAD[-1]
-    table[b"\x02", openings[1]] = _SPREAD[position]
+    for i, r in enumerate(openings):
+        table[b"\x02", r] = b"f%d" % i if i < position else _SPREAD[0]
+    table[b"\x02", openings[position]] = _SPREAD[-1 - position]
+    calls = []
 
     def commit(x, r):
-        if (x, r) not in table or (x == b"\x02" and planted == "raise"):
+        calls.append((x, r))
+        if x == b"\x02" and planted == "raise" and r >= openings[position]:
             raise DomainExceededError(f"no commitment of {x!r} with {r!r}")
         return table[x, r], r
 
     scheme = CommitmentScheme("planted", commit, BindingClass.EQUIVOCABLE)
     witness = scheme.double_opening_witness(messages, openings)
+    swept = len(calls)
     assert witness == _double_opening_scan(scheme, messages, openings)
     language = scheme.openable_commitments(b"\x02", messages, openings)
     assert language == _language_scan(scheme, b"\x02", messages, openings)
-    c = _SPREAD[position]
+    fresh = {b"f%d" % i for i in range(position)}
     if planted == "witness":
-        other_d = openings[0] if c == _SPREAD[-1] else openings[1]
-        assert witness == (b"\x01", b"\x02", openings[position], other_d, c)
-        assert language == {c, _SPREAD[-1]}
+        c = _SPREAD[-1 - position]
+        assert witness == (b"\x01", b"\x02", openings[-1 - position], openings[position], c)
+        assert swept == len(openings) + position + 1
+        assert language == fresh | {c, _SPREAD[0]}
     else:
         assert witness is None
-        assert language == set()
+        assert swept == 2 * len(openings)
+        assert language == fresh
 
 
 def _declared_opening(scheme_name, c, d, x):
